@@ -13,9 +13,9 @@ from .channels import (ChannelSpec, EnumerationCapExceeded, GspbError,
                        enumerate_vertices, gaussian_binomial, in_ball,
                        out_ball)
 from .exactlp import (CoveringLP, LPSolution, TransversalReport,
-                      float_presolve, lp_from_text, lp_to_text,
-                      solve_max_matching_lp, solve_min_transversal,
-                      verify_transversal)
+                      check_certificate, float_presolve, lp_from_text,
+                      lp_to_text, solve_max_matching_lp,
+                      solve_min_transversal, verify_transversal)
 from .bounds import BoundReport, assemble_report, aspv, check_monotone, \
     lemma3_transversal, monotonicity_bound
 from .reduction import (ClassPartition, QuotientLP,

@@ -174,7 +174,8 @@ def gaussian_binomial(n: int, m: int) -> int:
         num *= (1 << (n - t)) - 1
         den *= (1 << (m - t)) - 1
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"Gaussian binomial [{n} choose {m}] is not integral")
     return q
 
 

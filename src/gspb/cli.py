@@ -3,7 +3,7 @@
 Verbs: compute, table, verify, oracle, fixtures.  Exit codes: 0 success,
 2 usage error, 3 refusal (invalid column/family combination, non-monotone
 graph, no quotient), 4 resource cap exceeded.  All configuration flows
-through flags; --seed is accepted but reserved (nothing is randomized).
+through flags.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import bounds, exactlp, magnitude, oracle, projective, refdata, seqchanne
 from .channels import (ChannelSpec, EnumerationCapExceeded, FIXTURES,
                        GspbError, NotMonotoneError, OracleCapExceeded,
                        QuotientUnavailable, DEFAULT_ENUM_CAP)
+from .exactlp import fmt_frac
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,10 +43,6 @@ _COLUMN_TO_ENTRY = {"MB": "mb", "ASPV": "aspv", "CLOSED": "closed", "GSPB": "gsp
 
 class Refusal(Exception):
     pass
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _spec_from_args(args) -> ChannelSpec:
@@ -80,7 +77,7 @@ def cmd_compute(args) -> int:
     else:
         line = f"{entry.floor}"
         if args.exact:
-            line += f"  exact {_fmt_frac(entry.value)}"
+            line += f"  exact {fmt_frac(entry.value)}"
         if entry.note:
             line += f"  [{entry.note}]"
         print(line)
@@ -96,30 +93,21 @@ class _CapError(Exception):
 # ---------------------------------------------------------------------------
 
 def _table_reports(args, family: str):
-    ns = range(args.n_from, args.n_to + 1)
-
-    def one(n: int):
-        spec = ChannelSpec(family, n=n, r=args.r, q=args.q)
-        include_gspb = "GSPB" in args.columns_list
-        return bounds.assemble_report(spec, args.r, lp_cap=args.lp_cap,
-                                      enum_cap=args.enum_cap,
-                                      include_gspb=include_gspb)
-
+    jobs = [(family, n, args.r, args.q, args.lp_cap, args.enum_cap,
+             "GSPB" in args.columns_list)
+            for n in range(args.n_from, args.n_to + 1)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(_table_worker,
-                                 [(family, n, args.r, args.q, args.lp_cap,
-                                   args.enum_cap, tuple(args.columns_list))
-                                  for n in ns]))
-    return [one(n) for n in ns]
+            return list(pool.map(_table_worker, jobs))
+    return [_table_worker(job) for job in jobs]
 
 
-def _table_worker(packed):
-    family, n, r, q, lp_cap, enum_cap, columns = packed
+def _table_worker(job):
+    family, n, r, q, lp_cap, enum_cap, include_gspb = job
     spec = ChannelSpec(family, n=n, r=r, q=q)
     return bounds.assemble_report(spec, r, lp_cap=lp_cap, enum_cap=enum_cap,
-                                  include_gspb="GSPB" in columns)
+                                  include_gspb=include_gspb)
 
 
 def _cell(report, column: str, exact: bool) -> str:
@@ -130,7 +118,7 @@ def _cell(report, column: str, exact: bool) -> str:
     entry = report.entries.get(_COLUMN_TO_ENTRY[column])
     if entry is None or entry.value is None:
         return "?"
-    return _fmt_frac(entry.value) if exact else str(entry.floor)
+    return fmt_frac(entry.value) if exact else str(entry.floor)
 
 
 def cmd_table(args) -> int:
@@ -179,8 +167,11 @@ def cmd_table(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _family_lp(spec: ChannelSpec) -> exactlp.CoveringLP:
+def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
     fam = spec.family
+    if fam in ("deletion", "grain") and (1 << spec.n) > enum_cap:
+        raise EnumerationCapExceeded(
+            f"{1 << spec.n} {fam} rows exceed the enumeration cap {enum_cap}")
     if fam == "z":
         return zchannel.z_quotient_lp(spec.n, spec.r)
     if fam == "mag_asym":
@@ -215,7 +206,7 @@ def _default_weights(spec: ChannelSpec):
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    lp = _family_lp(spec)
+    lp = _family_lp(spec, args.enum_cap)
     if args.weights_file:
         with open(args.weights_file) as fh:
             tokens = fh.read().split()
@@ -233,9 +224,9 @@ def cmd_verify(args) -> int:
     if report.feasible:
         value = report.bound
         floor = value.numerator // value.denominator
-        line = f"  bound {_fmt_frac(value)} (~{float(value):.4f}, floor {floor})"
+        line = f"  bound {fmt_frac(value)} (~{float(value):.4f}, floor {floor})"
         tight = sum(1 for s in report.slacks if s == 0)
-        line += f"; tight rows {tight}, min slack {_fmt_frac(report.min_slack)}"
+        line += f"; tight rows {tight}, min slack {fmt_frac(report.min_slack)}"
         print(line)
         if not args.weights_file:
             cert = _certificate_line(spec)
@@ -244,7 +235,7 @@ def cmd_verify(args) -> int:
     else:
         print(f"  violated rows {report.num_violated} "
               f"(first: {report.violated_rows[:8]}), min slack "
-              f"{_fmt_frac(report.min_slack)}")
+              f"{fmt_frac(report.min_slack)}")
     return EXIT_OK if report.feasible or args.weights_file else EXIT_REFUSED
 
 
@@ -252,7 +243,7 @@ def _certificate_line(spec: ChannelSpec) -> str:
     if spec.family == "z":
         res = zchannel.z_gspb(spec.n, spec.r)
         tag = "certified optimal" if res.certified else "not certified"
-        return f"{tag}, value {_fmt_frac(res.value)} " \
+        return f"{tag}, value {fmt_frac(res.value)} " \
                f"(floor {res.value.numerator // res.value.denominator})"
     if spec.family == "projective":
         cert = projective.projective_certificate(spec.n)
@@ -271,8 +262,8 @@ def cmd_oracle(args) -> int:
                           f"known: {', '.join(sorted(FIXTURES))}")
         facts = {f.name: f for f in oracle.counterexample_suite()}[args.fixture]
         print(f"{facts.name}: {facts.summary}")
-        print(f"  covering optimum {_fmt_frac(facts.tau_star)}; "
-              f"ASPV {_fmt_frac(facts.aspv)}; max code {facts.max_code}")
+        print(f"  covering optimum {fmt_frac(facts.tau_star)}; "
+              f"ASPV {fmt_frac(facts.aspv)}; max code {facts.max_code}")
         return EXIT_OK
     if not args.family or args.n is None:
         raise Refusal("oracle needs --fixture or --family with --n")
@@ -280,7 +271,7 @@ def cmd_oracle(args) -> int:
     res = oracle.oracle_result(spec, args.r, cap=args.enum_cap)
     floor = res.tau_star_full.numerator // res.tau_star_full.denominator
     print(f"{args.family} n={args.n} r={args.r}: "
-          f"tau* = {_fmt_frac(res.tau_star_full)} (~{float(res.tau_star_full):.4f}), "
+          f"tau* = {fmt_frac(res.tau_star_full)} (~{float(res.tau_star_full):.4f}), "
           f"nu = {res.nu_integral}, nu <= {floor}")
     print(f"  witness centers: {res.witness}")
     return EXIT_OK
@@ -307,8 +298,6 @@ def _add_common(p: argparse.ArgumentParser, family_required: bool = True,
     p.add_argument("--lp-cap", type=int, default=seqchannels.DEFAULT_LP_CAP,
                    help="largest n for which the full deletion/grain LP runs")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; nothing is randomized")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,16 +7,17 @@ max sum(z) s.t. A^T z <= c, z >= 0.  Two solution paths exist:
 * an exact tableau simplex under Bland's rule, run on the dual (the all-slack
   basis is feasible there, so no phase one is needed);
 * a float presolve (HiGHS) followed by an exact crossover: read the optimal
-  supports off the float vertex, solve the complementary-slackness square
-  systems exactly, and verify primal feasibility, dual feasibility and equal
-  objectives in exact arithmetic.
+  supports off the float vertex and solve the complementary-slackness square
+  systems exactly.
 
-Either way the returned optimum carries exact primal and dual witnesses and
-a strong-duality check; floats never influence a certified value.
+Either way the returned optimum carries exact primal and dual witnesses that
+passed ``check_certificate``, the one acceptance test every certified value
+in the package goes through; floats never influence a certified value.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,44 +94,70 @@ class PresolveResult:
     message: str = ""
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers X and the LCM d of the denominators, with values[i] == X[i]/d."""
+    d = math.lcm(*{x.denominator for x in values})
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _row_sums(lp: CoveringLP, scaled_w: list[int]) -> list:
+    """A.W for integer-scaled weights W (Fractions only if A has them)."""
+    return [sum(a * scaled_w[j] for j, a in row) for row in lp.rows]
+
+
 def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
-    """Exact per-row slack report for a candidate weight vector."""
+    """Exact per-row slack report for a candidate weight vector.
+
+    Weights are ints or Fractions; the row sums are taken on the weights
+    scaled to integers, as in check_certificate.
+    """
     if len(w) != lp.num_vars:
         raise ValueError(f"weight vector has {len(w)} entries, LP has {lp.num_vars}")
-    w = [Fraction(x) for x in w]
-    nonneg = all(x >= 0 for x in w)
-    slacks = []
-    violated = []
-    min_slack = None
-    for i, row in enumerate(lp.rows):
-        s = sum((a * w[j] for j, a in row if w[j]), Fraction(0)) - 1
-        slacks.append(s)
-        if s < 0:
-            violated.append(i)
-        if min_slack is None or s < min_slack:
-            min_slack = s
+    scaled, d = _scaled(w)
+    nonneg = all(x >= 0 for x in scaled)
+    sums = _row_sums(lp, scaled)
+    violated = [i for i, s in enumerate(sums) if s < d]
     feasible = nonneg and not violated
-    bound = sum((c * x for c, x in zip(lp.objective, w) if x), Fraction(0)) if feasible else None
+    bound = (Fraction(sum(c * x for c, x in zip(lp.objective, scaled)), d)
+             if feasible else None)
     return TransversalReport(
         feasible=feasible,
         bound=bound,
-        min_slack=min_slack if min_slack is not None else Fraction(0),
-        num_violated=len(violated) + (0 if nonneg else sum(1 for x in w if x < 0)),
+        min_slack=Fraction(min(sums) - d, d) if sums else Fraction(0),
+        num_violated=len(violated) + (0 if nonneg else sum(1 for x in scaled if x < 0)),
         violated_rows=violated[:32],
-        slacks=slacks,
+        slacks=[Fraction(s - d, d) for s in sums],
     )
 
 
-def _dual_objective_ok(lp: CoveringLP, z) -> bool:
-    """Exact dual feasibility: z >= 0 and column sums A^T z <= c."""
-    if any(v < 0 for v in z):
-        return False
-    colsum = [Fraction(0)] * lp.num_vars
-    for i, row in enumerate(lp.rows):
-        if z[i]:
+def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
+    """The common objective of an exact primal/dual pair, or None.
+
+    Accepts when w >= 0 and A.w >= 1, z >= 0 and A^T.z <= c, and c.w equals
+    sum(z); the pair then proves that value optimal.  w and z are scaled by
+    the LCM of their denominators and compared as Python ints; Fraction
+    coefficients (from lp_from_text) go through the same arithmetic.
+    """
+    if len(w) != lp.num_vars or len(z) != lp.num_rows:
+        raise ValueError(f"witness lengths {len(w)}/{len(z)} do not match "
+                         f"the LP's {lp.num_vars} variables/{lp.num_rows} rows")
+    scaled_w, dw = _scaled(w)
+    scaled_z, dz = _scaled(z)
+    if any(x < 0 for x in scaled_w) or any(x < 0 for x in scaled_z):
+        return None
+    if any(s < dw for s in _row_sums(lp, scaled_w)):
+        return None
+    colsum = [0] * lp.num_vars
+    for row, zi in zip(lp.rows, scaled_z):
+        if zi:
             for j, a in row:
-                colsum[j] += a * z[i]
-    return all(colsum[j] <= lp.objective[j] for j in range(lp.num_vars))
+                colsum[j] += a * zi
+    if any(s > c * dz for s, c in zip(colsum, lp.objective)):
+        return None
+    dual = sum(scaled_z)
+    if sum(c * x for c, x in zip(lp.objective, scaled_w)) * dz != dual * dw:
+        return None
+    return Fraction(dual, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +236,8 @@ def _simplex_dual_form(lp: CoveringLP, pivot_cap: int) -> LPSolution:
         if basis[r] < m:
             z[basis[r]] = rhs[r]
     w = [cost[m + j] for j in range(n)]
-    optimum = sum(z, zero)
-    report = verify_transversal(lp, w)
-    if not report.feasible or report.bound != optimum:
+    optimum = check_certificate(lp, w, z)
+    if optimum is None:
         raise AssertionError("strong duality violated in exact simplex")
     return LPSolution(
         status="optimal", optimum=optimum, primal=w, dual=z,
@@ -281,13 +307,13 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
             j for j in range(lp.num_vars)
             if colsum[j] > obj[j] - 1e-6 - 1e-9 * obj[j]
         ]
-        sol = _crossover_attempt(lp, int_rows, obj, support, tight, dual_eqs, zt, p)
+        sol = _crossover_attempt(lp, int_rows, support, tight, dual_eqs, zt, p)
         if sol is not None:
             return sol
     return None
 
 
-def _crossover_attempt(lp, int_rows, obj, support, tight, dual_eqs, zt, p):
+def _crossover_attempt(lp, int_rows, support, tight, dual_eqs, zt, p):
     import numpy as np
 
     ns = len(support)
@@ -313,50 +339,62 @@ def _crossover_attempt(lp, int_rows, obj, support, tight, dual_eqs, zt, p):
     w = [Fraction(0)] * lp.num_vars
     for k, j in enumerate(support):
         w[j] = w_s[k]
-    report = verify_transversal(lp, w)
-    if not report.feasible:
-        return None
 
     # --- dual: unknowns on the float dual support, one equation per tight
-    # dual constraint, solved on an independent square subsystem
-    cand = [i for i in tight if zt[i] > 1e-9]
-    if not cand:
+    # dual constraint
+    z = complementary_dual(lp, [i for i in tight if zt[i] > 1e-9], dual_eqs)
+    if z is None:
         return None
-    cand_of = {i: k for k, i in enumerate(cand)}
-    eq_mat = np.zeros((len(dual_eqs), len(cand)), dtype=np.int64)
-    eq_of = {j: r for r, j in enumerate(dual_eqs)}
-    for k, i in enumerate(cand):
-        for j, a in int_rows[i]:
+    optimum = check_certificate(lp, w, z)
+    if optimum is None:
+        return None
+    return LPSolution(
+        status="optimal", optimum=optimum, primal=w, dual=z,
+        certified=True, method="presolve+crossover",
+        notes=f"supports {len(support)}/{sum(1 for v in z if v)}",
+    )
+
+
+def complementary_dual(lp: CoveringLP, rows: list[int],
+                       cols: list[int]) -> list[Fraction] | None:
+    """Packing vector z supported on ``rows`` with (A^T z)_j = c_j on ``cols``.
+
+    For integral LPs.  An independent square subsystem is picked mod a word
+    prime, taking rows in the order given (callers list preferred rows
+    first), and solved exactly by Dixon lifting; the other rows get zero.
+    Returns None when no such subsystem solves; a returned z is unchecked,
+    so pass it to check_certificate.
+    """
+    import numpy as np
+
+    if not rows or not cols:
+        return None
+    p = linsolve.PRIMES[0]
+    eq_of = {j: r for r, j in enumerate(cols)}
+    eq_mat = np.zeros((len(cols), len(rows)), dtype=np.int64)
+    for k, i in enumerate(rows):
+        for j, a in lp.rows[i]:
             r = eq_of.get(j)
             if r is not None:
-                eq_mat[r, k] = a % p
+                eq_mat[r, k] = int(a) % p
     eq_rows, eq_cols = linsolve.select_pivots_mod(eq_mat, p)
     if not eq_rows:
         return None
-    chosen = [cand[c] for c in eq_cols]
+    chosen = [rows[c] for c in eq_cols]
     colmap: dict[int, list[tuple[int, int]]] = {}
     for k, i in enumerate(chosen):
-        for j, a in int_rows[i]:
+        for j, a in lp.rows[i]:
             if j in eq_of:
-                colmap.setdefault(j, []).append((k, a))
-    square_t = [colmap.get(dual_eqs[rk], []) for rk in eq_rows]
-    rhs = [obj[dual_eqs[rk]] for rk in eq_rows]
+                colmap.setdefault(j, []).append((k, int(a)))
+    square_t = [colmap.get(cols[rk], []) for rk in eq_rows]
+    rhs = [int(lp.objective[cols[rk]]) for rk in eq_rows]
     z_c = linsolve.dixon_solve(square_t, len(chosen), rhs)
     if z_c is None:
         return None
     z = [Fraction(0)] * lp.num_rows
     for k, i in enumerate(chosen):
         z[i] = z_c[k]
-    if not _dual_objective_ok(lp, z):
-        return None
-    dual_obj = sum(z, Fraction(0))
-    if dual_obj != report.bound:
-        return None
-    return LPSolution(
-        status="optimal", optimum=report.bound, primal=w, dual=z,
-        certified=True, method="presolve+crossover",
-        notes=f"supports {len(support)}/{len(chosen)}",
-    )
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +437,7 @@ def solve_max_matching_lp(lp: CoveringLP, pivot_cap: int = DEFAULT_PIVOT_CAP) ->
 # line-oriented text serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_frac(x) -> str:
+def fmt_frac(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -407,10 +445,10 @@ def _fmt_frac(x) -> str:
 def lp_to_text(lp: CoveringLP) -> str:
     lines = [f"gspb-lp vars={lp.num_vars} rows={lp.num_rows} name={lp.name}"]
     lines.append("obj " + " ".join(
-        f"{j}:{_fmt_frac(c)}" for j, c in enumerate(lp.objective) if c
+        f"{j}:{fmt_frac(c)}" for j, c in enumerate(lp.objective) if c
     ))
     for row in lp.rows:
-        lines.append("row " + " ".join(f"{j}:{_fmt_frac(a)}" for j, a in row))
+        lines.append("row " + " ".join(f"{j}:{fmt_frac(a)}" for j, a in row))
     return "\n".join(lines) + "\n"
 
 

@@ -131,7 +131,9 @@ def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
     the matrix is singular or the lifting budget runs out; any returned
     vector satisfies the system exactly (verified here).
     """
-    assert len(rows) == k and len(rhs) == k
+    if len(rows) != k or len(rhs) != k:
+        raise ValueError(f"system is {len(rows)}x{k} with {len(rhs)} right-hand "
+                         "sides; dixon_solve needs a square system")
     max_coeff = max((abs(a) for row in rows for _, a in row), default=1) or 1
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
     # Hadamard-style budget on numerator/denominator bits, plus slack
@@ -159,7 +161,9 @@ def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
             bx = csr @ digit  # exact: coeffs and digits are word-sized
             for i in range(k):
                 quotient, rem = divmod(residual[i] - int(bx[i]), p)
-                assert rem == 0
+                if rem:
+                    raise AssertionError("p-adic lifting step left a residual "
+                                         f"not divisible by {p}")
                 residual[i] = quotient
             dlist = digit.tolist()
             for i in range(k):

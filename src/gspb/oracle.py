@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import exactlp
 from .bounds import aspv
-from .channels import (ChannelSpec, Hypergraph, OracleCapExceeded,
-                       build_hypergraph, example_four, example_three,
-                       example_two, vertex_count)
+from .channels import (ChannelSpec, OracleCapExceeded, build_hypergraph,
+                       example_four, example_three, example_two, vertex_count)
+from .reduction import full_hypergraph_lp
 
 DEFAULT_ORACLE_CAP = 4096
 
@@ -32,14 +32,6 @@ class OracleResult:
     notes: str = ""
 
 
-def _full_lp(hg: Hypergraph) -> exactlp.CoveringLP:
-    return exactlp.CoveringLP(
-        num_vars=hg.num_vertices,
-        objective=[1] * hg.num_vertices,
-        rows=[[(j, 1) for j in e] for e in hg.edges],
-    )
-
-
 def _check_cap(spec: ChannelSpec, cap: int) -> None:
     count = vertex_count(spec)
     if count > cap:
@@ -52,8 +44,7 @@ def brute_force_tau(spec: ChannelSpec, r: int | None = None,
     """Covering optimum of the full hypergraph, no reductions."""
     r = spec.r if r is None else r
     _check_cap(spec, cap)
-    hg = build_hypergraph(spec, r)
-    return exactlp.solve_min_transversal(_full_lp(hg)).optimum
+    return exactlp.solve_min_transversal(full_hypergraph_lp(spec, r)).optimum
 
 
 def brute_force_matching(spec: ChannelSpec, r: int | None = None,
@@ -67,9 +58,8 @@ def brute_force_matching(spec: ChannelSpec, r: int | None = None,
     solution is the lexicographically least witness.
     """
     r = spec.r if r is None else r
-    _check_cap(spec, cap)
+    lp_bound = brute_force_tau(spec, r, cap)
     hg = build_hypergraph(spec, r)
-    lp_bound = exactlp.solve_min_transversal(_full_lp(hg)).optimum
     global_cap = lp_bound.numerator // lp_bound.denominator
 
     order = sorted(range(hg.num_edges),
@@ -112,8 +102,12 @@ def brute_force_matching(spec: ChannelSpec, r: int | None = None,
     # direct pairwise disjointness check of the returned balls
     for a in range(len(picks)):
         for b in range(a + 1, len(picks)):
-            assert not (lex_sets[picks[a]] & lex_sets[picks[b]])
-    assert best_size <= global_cap
+            if lex_sets[picks[a]] & lex_sets[picks[b]]:
+                raise AssertionError(f"witness balls {witness[a]} and "
+                                     f"{witness[b]} intersect")
+    if best_size > global_cap:
+        raise AssertionError(f"{best_size} disjoint balls exceed the covering "
+                             f"bound floor {global_cap}")
     return best_size, witness
 
 
@@ -122,7 +116,8 @@ def oracle_result(spec: ChannelSpec, r: int | None = None,
     r = spec.r if r is None else r
     tau = brute_force_tau(spec, r, cap)
     nu, witness = brute_force_matching(spec, r, cap)
-    assert nu <= tau.numerator // tau.denominator
+    if nu > tau.numerator // tau.denominator:
+        raise AssertionError(f"matching size {nu} exceeds floor of tau* {tau}")
     return OracleResult(spec=spec, r=r, tau_star_full=tau, nu_integral=nu,
                         witness=witness)
 

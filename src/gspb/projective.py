@@ -3,9 +3,10 @@
 Vertices are the subspaces of GF(2)^n; one error step moves to a subspace
 one dimension away (contained or containing).  Equal dimensions share an
 orbit and dimensions k and n-k fold together, leaving floor(n/2)+1 weight
-variables under n+1 constraints.  A greedy tail-first assignment solves the
+variables under as many constraints (reduction.quotient_matrix).  A greedy tail-first assignment solves the
 LP exactly for n >= 3; each value is cross-checked against the exact LP
-solve and certified by an exact dual vector.
+solve and certified by an exact dual vector found by complementary
+slackness on the greedy support.
 
 n = 2 is a flagged special case: there the greedy recursion's output is not
 feasible and its total (1) undercuts the true covering optimum 7/5; results
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exactlp
-from .channels import gaussian_binomial
+from . import exactlp, reduction
+from .channels import ChannelSpec, gaussian_binomial
 
 
 @dataclass
@@ -42,7 +43,7 @@ class ProjectiveWeights:
 @dataclass
 class ProjectiveCertificate:
     n: int
-    y: list[Fraction] | None      # dual over the n+1 constraint rows
+    y: list[Fraction] | None      # dual over the floor(n/2)+1 folded rows
     status: str                   # "optimal-certified-block" |
     #                               "optimal-certified-lp-dual" | "flagged"
     block_agrees_with_lp: bool
@@ -60,31 +61,8 @@ class ProjectiveGspb:
 
 
 def projective_lp(n: int) -> exactlp.CoveringLP:
-    """Folded covering LP: n+1 dimension rows over floor(n/2)+1 variables."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    half = n // 2
-    rows = []
-    for k in range(n + 1):
-        acc: dict[int, int] = {}
-
-        def add(dim, coeff):
-            if 0 <= dim <= n and coeff:
-                idx = min(dim, n - dim)
-                acc[idx] = acc.get(idx, 0) + coeff
-
-        add(k, 1)
-        add(k - 1, (1 << k) - 1)
-        add(k + 1, (1 << (n - k)) - 1)
-        rows.append(sorted(acc.items()))
-    objective = []
-    for j in range(half + 1):
-        s = gaussian_binomial(n, j)
-        if j != n - j:
-            s += gaussian_binomial(n, n - j)
-        objective.append(s)
-    return exactlp.CoveringLP(num_vars=half + 1, objective=objective,
-                              rows=rows, name=f"projective-n{n}")
+    """Folded covering LP: floor(n/2)+1 dimension rows and variables."""
+    return reduction.quotient_matrix(ChannelSpec("projective", n=n)).to_covering_lp()
 
 
 def greedy_weights(n: int) -> ProjectiveWeights:
@@ -154,116 +132,39 @@ def projective_aspv(n: int) -> Fraction:
     return Fraction(total * total, weighted)
 
 
-def _unfolded_rows(n: int) -> list[list[tuple[int, int]]]:
-    rows = []
-    for k in range(n + 1):
-        row = [(k, 1)]
-        if k >= 1:
-            row.append((k - 1, (1 << k) - 1))
-        if k <= n - 1:
-            row.append((k + 1, (1 << (n - k)) - 1))
-        rows.append(sorted(row))
-    return rows
-
-
-def _block_certificate(n: int, weights: ProjectiveWeights) -> list[Fraction] | None:
+def _block_certificate(lp: exactlp.CoveringLP,
+                       weights: ProjectiveWeights) -> list[Fraction] | None:
     """Dual vector by complementary slackness on the greedy support.
 
-    Tight rows carry the unknowns; the columns of positive weight give the
-    equations.  The greedy support is 4-periodic, so the system splits into
-    the small blocks that make it triangular in practice; here it is solved
-    directly by exact elimination and verified afterwards.
+    The rows the greedy weights make tight carry the unknowns; the columns
+    of positive weight give the equations.  The result is unchecked.
     """
-    w_full = weights.unfolded()
-    rows = _unfolded_rows(n)
-    c = [gaussian_binomial(n, j) for j in range(n + 1)]
-    tight = []
-    for ell, row in enumerate(rows):
-        if sum((a * w_full[j] for j, a in row), Fraction(0)) == 1:
-            tight.append(ell)
-    positive = [j for j in range(n + 1) if w_full[j] > 0]
-    if not tight or not positive:
-        return None
-    # equations: column sums over tight rows equal the objective on the
-    # positive-weight columns
-    mat = [[Fraction(0)] * len(tight) for _ in positive]
-    for t, ell in enumerate(tight):
-        for j, a in rows[ell]:
-            if w_full[j] > 0:
-                mat[positive.index(j)][t] = Fraction(a)
-    rhs = [Fraction(c[j]) for j in positive]
-    sol = _solve_underdetermined(mat, rhs)
-    if sol is None:
-        return None
-    y = [Fraction(0)] * (n + 1)
-    for t, ell in enumerate(tight):
-        y[ell] = sol[t]
-    # exact validation: nonneg, dual feasibility, objective equality
-    if any(v < 0 for v in y):
-        return None
-    colsum = [Fraction(0)] * (n + 1)
-    for ell, row in enumerate(rows):
-        if y[ell]:
-            for j, a in row:
-                colsum[j] += a * y[ell]
-    if any(colsum[j] > c[j] for j in range(n + 1)):
-        return None
-    if sum(y, Fraction(0)) != weights.bound():
-        return None
-    return y
+    slacks = exactlp.verify_transversal(lp, weights.w).slacks
+    tight = [i for i, s in enumerate(slacks) if s == 0]
+    positive = [j for j, x in enumerate(weights.w) if x > 0]
+    return exactlp.complementary_dual(lp, tight, positive)
 
 
-def _solve_underdetermined(mat, rhs) -> list[Fraction] | None:
-    """One solution of mat x = rhs by exact Gauss-Jordan; None if inconsistent.
-
-    Non-pivot unknowns are set to zero, which matches the block structure of
-    the greedy certificate (at most one tight row per period carries mass).
-    """
-    m = len(mat)
-    if m == 0:
-        return None
-    ncols = len(mat[0])
-    work = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pivot = work[r][col]
-        work[r] = [v / pivot for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [v - f * pv for v, pv in zip(work[i], work[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if work[i][-1] != 0:
-            return None  # inconsistent
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(piv_cols):
-        x[col] = work[i][-1]
-    return x
+def _certificate(lp: exactlp.CoveringLP, weights: ProjectiveWeights,
+                 sol: exactlp.LPSolution) -> ProjectiveCertificate:
+    n = weights.n
+    block = _block_certificate(lp, weights)
+    value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
+    agrees = value == sol.optimum
+    if agrees:
+        return ProjectiveCertificate(n, block, "optimal-certified-block", agrees)
+    if weights.bound() != sol.optimum:
+        return ProjectiveCertificate(n, sol.dual, "flagged", agrees)
+    return ProjectiveCertificate(n, sol.dual, "optimal-certified-lp-dual", agrees)
 
 
 def projective_certificate(n: int) -> ProjectiveCertificate:
     """Exact dual certificate; block construction first, LP dual fallback."""
     if n < 2:
         raise ValueError("need n >= 2")
-    weights = greedy_weights(n)
     lp = projective_lp(n)
     sol = exactlp.solve_min_transversal(lp, method="simplex")
-    block = _block_certificate(n, weights)
-    agrees = block is not None and sum(block, Fraction(0)) == sol.optimum
-    if block is not None and weights.bound() == sol.optimum:
-        return ProjectiveCertificate(n, block, "optimal-certified-block", agrees)
-    if weights.bound() != sol.optimum:
-        return ProjectiveCertificate(n, sol.dual, "flagged", agrees)
-    return ProjectiveCertificate(n, sol.dual, "optimal-certified-lp-dual", agrees)
+    return _certificate(lp, greedy_weights(n), sol)
 
 
 def projective_gspb(n: int,
@@ -273,8 +174,9 @@ def projective_gspb(n: int,
         raise ValueError("need n >= 2")
     weights = greedy_weights(n)
     greedy_value = weights.bound()
-    sol = exactlp.solve_min_transversal(projective_lp(n), pivot_cap=pivot_cap)
-    cert = projective_certificate(n)
+    lp = projective_lp(n)
+    sol = exactlp.solve_min_transversal(lp, pivot_cap=pivot_cap)
+    cert = _certificate(lp, weights, sol)
     matches = greedy_value == sol.optimum
     flag = ""
     if not matches:

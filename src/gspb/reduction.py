@@ -12,9 +12,12 @@ polynomially small without enumerating the word space:
 * ``mag_sym``  -- folded composition (value v and q-1-v share a label)
 * ``projective`` -- subspace dimension with k and n-k folded together
 
-Deletion, grain and explicit graphs have no built-in partition here (their
-natural run-statistics classes do not have constant ball membership counts)
-and raise QuotientUnavailable.
+These quotients are the only source of the z and subspace rows
+(``zchannel.z_quotient_lp`` and ``projective.projective_lp`` read them from
+here).  Deletion and grain are reduced by the orbit quotient under word
+complementation and reversal in ``seqchannels``, which lifts its witnesses
+back to the full LP; explicit graphs have no quotient.  Asking this module
+for a partition of any of the three raises QuotientUnavailable.
 
 Quotient rows are validated against direct ball enumeration at small n the
 first time each family/q combination is used; a mismatch raises immediately.

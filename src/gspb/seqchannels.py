@@ -7,9 +7,10 @@ where mu counts the middle length-1 runs.  Counting words by profile keeps
 every bound closed-form; the full covering LPs (capped, default n <= 12) are
 solved exactly through the shared LP core.
 
-No symmetry quotient is offered here: run-profile classes do not have
-constant ball membership counts, so bounds either come from the closed-form
-transversals or from the full LP.
+From n = 10 the full LP is solved on its orbit quotient under word
+complementation (and reversal, for deletion); run-profile classes are not
+used, since they do not have constant ball membership counts.  The quotient
+witnesses are lifted back and checked against the full LP.
 """
 
 from __future__ import annotations
@@ -259,12 +260,8 @@ def _orbit_reduced_solve(n: int, family: str, pivot_cap: int) -> exactlp.LPSolut
     w_full = [sol.primal[v_orbit[v]] for v in range(full_lp.num_vars)]
     z_full = [sol.dual[c_orbit[c]] / c_sizes[c_orbit[c]]
               for c in range(full_lp.num_rows)]
-    report = exactlp.verify_transversal(full_lp, w_full)
-    assert report.feasible and report.bound == sol.optimum, \
-        "orbit lift failed the exact primal check"
-    assert exactlp._dual_objective_ok(full_lp, z_full), \
-        "orbit lift failed the exact dual check"
-    assert sum(z_full, Fraction(0)) == sol.optimum
+    if exactlp.check_certificate(full_lp, w_full, z_full) != sol.optimum:
+        raise AssertionError("orbit lift failed the exact certificate check")
     return exactlp.LPSolution(
         status="optimal", optimum=sol.optimum, primal=w_full, dual=z_full,
         certified=True, method=f"orbit+{sol.method}", pivots=sol.pivots,

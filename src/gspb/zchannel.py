@@ -3,9 +3,9 @@
 After weight-class reduction the covering LP has n+1 variables; its optimum
 is produced in closed form by a backward recursion on the class weights and
 certified per instance by an exact dual solve of an upper-triangular system.
-Feasibility and dual nonnegativity are checked in exact arithmetic for the
-concrete (n, r) at hand, so no analytic radius horizon is assumed: every
-returned value carries its own certificate status.
+The weights and the dual are checked together by exactlp.check_certificate
+for the concrete (n, r) at hand, so no analytic radius horizon is assumed:
+every returned value carries its own certificate status.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ class ZCertificate:
     def dual_value(self) -> Fraction:
         return sum(self.y[: self.n - self.r + 1], Fraction(0))
 
-
-@dataclass
-class ZFeasibility:
-    feasible: bool
-    negative_index: int | None
-    violated_row: int | None
-    tight_rows: list[int]
+    def lp_dual(self) -> list[Fraction]:
+        """y as a dual of z_quotient_lp: y[0] on row 0, y[i] on row i+r for
+        1 <= i <= n-r, zero on every other row."""
+        z = [Fraction(0)] * (self.n + 1)
+        z[0] = self.y[0]
+        z[self.r + 1:] = self.y[1: self.n - self.r + 1]
+        return z
 
 
 @dataclass
@@ -69,20 +69,7 @@ class ZGspbResult:
 
 def z_quotient_lp(n: int, r: int) -> exactlp.CoveringLP:
     """Weight-class covering LP: row l reads sum_i C(l,i) w_{l-i} >= 1."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    rows = []
-    for ell in range(n + 1):
-        acc: dict[int, int] = {}
-        for i in range(min(ell, r) + 1):
-            acc[ell - i] = acc.get(ell - i, 0) + comb(ell, i)
-        rows.append(sorted(acc.items()))
-    return exactlp.CoveringLP(
-        num_vars=n + 1,
-        objective=[comb(n, k) for k in range(n + 1)],
-        rows=rows,
-        name=f"z-quotient-n{n}-r{r}",
-    )
+    return reduction.quotient_matrix(ChannelSpec("z", n=n, r=r)).to_covering_lp()
 
 
 def z_weights_recursive(n: int, r: int) -> ZWeights:
@@ -136,26 +123,6 @@ def z_weights_explicit(n: int, r: int) -> ZWeights:
     return ZWeights(n=n, r=r, w=w, source="explicit")
 
 
-def z_check_feasibility(weights: ZWeights) -> ZFeasibility:
-    """Exact entrywise nonnegativity plus every class row of the LP."""
-    n, r, w = weights.n, weights.r, weights.w
-    for k, wk in enumerate(w):
-        if wk < 0:
-            return ZFeasibility(False, k, None, [])
-    tight = []
-    for ell in range(n + 1):
-        total = sum(
-            (comb(ell, i) * w[ell - i] for i in range(min(ell, r) + 1)
-             if w[ell - i]),
-            Fraction(0),
-        )
-        if total < 1:
-            return ZFeasibility(False, None, ell, tight)
-        if total == 1:
-            tight.append(ell)
-    return ZFeasibility(True, None, None, tight)
-
-
 def z_optimality_certificate(n: int, r: int) -> ZCertificate:
     """Dual vector from the upper-triangular certificate system.
 
@@ -188,26 +155,19 @@ def z_optimality_certificate(n: int, r: int) -> ZCertificate:
 def z_gspb(n: int, r: int, pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> ZGspbResult:
     """Exact covering optimum with per-instance certification.
 
-    Closed-form weights are checked feasible and the dual certificate
-    nonnegative, both exactly; if either check fails the reduced LP is
-    solved outright and the result says which path produced the value.
+    The closed-form weights and the triangular dual are checked as a pair
+    against the weight-class LP; if the check fails the LP is solved
+    outright and the result says which path produced the value.
     """
     weights = z_weights_recursive(n, r)
-    feas = z_check_feasibility(weights)
     cert = z_optimality_certificate(n, r)
-    value = weights.bound()
-    if feas.feasible and cert.status == "optimal-certified" \
-            and cert.dual_value() == value:
+    lp = z_quotient_lp(n, r)
+    value = exactlp.check_certificate(lp, weights.w, cert.lp_dual())
+    if value is not None:
         return ZGspbResult(n, r, value, True, "closed-form", weights, cert)
-    sol = exactlp.solve_min_transversal(z_quotient_lp(n, r), pivot_cap=pivot_cap)
+    sol = exactlp.solve_min_transversal(lp, pivot_cap=pivot_cap)
     return ZGspbResult(n, r, sol.optimum, sol.certified, "lp-fallback",
                        weights, cert)
-
-
-def z_reduced_lp_solution(n: int, r: int) -> exactlp.LPSolution:
-    """Exact simplex solve of the class LP (independent of the closed form)."""
-    spec = ChannelSpec("z", n=n, r=r)
-    return reduction.reduced_gspb(spec, r)
 
 
 def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:
@@ -218,11 +178,10 @@ def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:
     """
     w = [Fraction(1)]
     w += [Fraction(k + 2, (k + 1) * (k + 3)) for k in range(1, n + 1)]
-    feas = z_check_feasibility(ZWeights(n=n, r=1, w=w, source="explicit"))
-    if not feas.feasible:
+    report = exactlp.verify_transversal(z_quotient_lp(n, 1), w)
+    if not report.feasible:
         raise AssertionError("hand transversal failed its feasibility check")
-    bound = sum((comb(n, k) * w[k] for k in range(n + 1)), Fraction(0))
-    return w, bound
+    return w, report.bound
 
 
 def z_mb(n: int, r: int) -> Fraction:

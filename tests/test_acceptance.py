@@ -225,7 +225,9 @@ def test_criterion_8_property_suites():
     # closed-form transversals stay exactly feasible through n = 16
     for n in range(2, 17):
         for r in range(1, min(4, n) + 1):
-            if not z.z_check_feasibility(z.z_weights_recursive(n, r)).feasible:
+            rep = exactlp.verify_transversal(z.z_quotient_lp(n, r),
+                                             z.z_weights_recursive(n, r).w)
+            if not rep.feasible:
                 bad.append(f"z weights infeasible at n={n} r={r}")
     for n in range(1, 17):
         if not mag.asym_improved_transversal(n, 3).feasible:

@@ -61,6 +61,10 @@ def test_cap_exit_4(capsys):
     code, _, err = run(capsys, "oracle", "--family", "z", "--n", "13",
                        "--enum-cap", "4096")
     assert code == 4
+    for family in ("deletion", "grain"):
+        code, _, err = run(capsys, "verify", "--family", family, "--n", "16",
+                           "--enum-cap", "1000")
+        assert code == 4 and "cap" in err
 
 
 def test_table_csv_roundtrip(capsys, tmp_path):

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,11 +156,7 @@ def test_strong_duality_random_covers(data):
     lp = exactlp.CoveringLP(num_vars=nv, objective=obj, rows=rows)
     sol = exactlp.solve_min_transversal(lp, method="simplex")
     assert sol.status == "optimal"
-    # dual witness is feasible and matches the optimum
-    assert exactlp._dual_objective_ok(lp, sol.dual)
-    assert sum(sol.dual, Fraction(0)) == sol.optimum
-    rep = exactlp.verify_transversal(lp, sol.primal)
-    assert rep.feasible and rep.bound == sol.optimum
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,3 +178,45 @@ def test_dixon_small_system():
 def test_dixon_singular_returns_none():
     rows = [[(0, 1), (1, 2)], [(0, 2), (1, 4)]]
     assert linsolve.dixon_solve(rows, 2, [1, 1]) is None
+
+
+def small_lp():
+    # min w0 + 2 w1  s.t.  w0 >= 1,  w0 + w1 >= 1;  optimum 1
+    return exactlp.CoveringLP(num_vars=2, objective=[1, 2],
+                              rows=[[(0, 1)], [(0, 1), (1, 1)]])
+
+
+def test_check_certificate_accepts_optimal_pair():
+    lp = small_lp()
+    assert exactlp.check_certificate(lp, [1, 0], [1, 0]) == 1
+    fraction_lp = exactlp.lp_from_text(exactlp.lp_to_text(lp))
+    assert exactlp.check_certificate(fraction_lp, [1, 0], [Fraction(1, 2)] * 2) == 1
+
+
+# each pair fails exactly one condition of check_certificate
+@pytest.mark.parametrize("w, z", [
+    ([2, -1], [0, 0]),                              # negative w
+    ([Fraction(1, 2), 0], [Fraction(1, 2), 0]),     # row 0 short
+    ([1, 0], [2, -1]),                              # negative z
+    ([1, 1], [3, 0]),                               # column 0 over-full
+    ([1, 1], [1, 0]),                               # c.w = 3 != sum(z) = 1
+], ids=["negative-w", "short-row", "negative-z", "overfull-column", "objectives"])
+@pytest.mark.parametrize("coeffs", ["int", "fraction"])
+def test_check_certificate_rejects(w, z, coeffs):
+    lp = small_lp()
+    if coeffs == "fraction":
+        lp = exactlp.lp_from_text(exactlp.lp_to_text(lp))
+    assert exactlp.check_certificate(lp, w, z) is None
+
+
+def test_check_certificate_survives_optimize_flag():
+    code = (
+        "from gspb import exactlp\n"
+        "lp = exactlp.CoveringLP(2, [1, 2], [[(0, 1)], [(0, 1), (1, 1)]])\n"
+        "print(__debug__, exactlp.check_certificate(lp, [1, 0], [1, 0]),\n"
+        "      exactlp.check_certificate(lp, [1, 0], [2, -1]))\n"
+    )
+    src = Path(exactlp.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["False", "1", "None"]

@@ -77,15 +77,6 @@ def test_greedy_feasible_folded_up_to_24():
         assert rep.feasible and rep.bound == w.bound(), n
 
 
-def test_unfolded_weights_feasible():
-    for n in (4, 5, 7):
-        w = proj.greedy_weights(n)
-        wf = w.unfolded()
-        rows = proj._unfolded_rows(n)
-        for row in rows:
-            assert sum(a * wf[j] for j, a in row) >= 1
-
-
 def test_certificates():
     for n in (4, 5, 8):
         cert = proj.projective_certificate(n)

@@ -68,23 +68,26 @@ def test_explicit_equals_recursive():
             assert z.z_weights_explicit(n, r).w == z.z_weights_recursive(n, r).w, (n, r)
 
 
+def feasibility(w: z.ZWeights) -> exactlp.TransversalReport:
+    return exactlp.verify_transversal(z.z_quotient_lp(w.n, w.r), w.w)
+
+
 def test_feasibility_checks():
-    feas = z.z_check_feasibility(z.z_weights_recursive(5, 1))
-    assert feas.feasible
-    # rows 1..n-r are tight by construction, plus row 0
-    assert set(feas.tight_rows) >= {0, 2, 3, 4, 5}
+    rep = feasibility(z.z_weights_recursive(5, 1))
+    assert rep.feasible
+    # rows r+1..n are tight by construction, plus row 0
+    tight = {i for i, s in enumerate(rep.slacks) if s == 0}
+    assert tight >= {0, 2, 3, 4, 5}
     w55 = z.z_weights_recursive(5, 5)
     assert w55.w == [1, 0, 0, 0, 0, 0]
-    assert z.z_check_feasibility(w55).feasible
-    feas32 = z.z_check_feasibility(z.z_weights_recursive(32, 4))
-    assert feas32.feasible
+    assert feasibility(w55).feasible
+    assert feasibility(z.z_weights_recursive(32, 4)).feasible
 
 
 def test_feasibility_flags_negative():
     w = z.ZWeights(n=2, r=1, w=[Fraction(1), Fraction(-1, 2), Fraction(0)],
                    source="recursive")
-    rep = z.z_check_feasibility(w)
-    assert not rep.feasible and rep.negative_index == 1
+    assert not feasibility(w).feasible
 
 
 def test_certificate_n5_r1():
@@ -99,6 +102,14 @@ def test_certificate_identity():
         cert = z.z_optimality_certificate(n, r)
         assert cert.status == "optimal-certified"
         assert cert.dual_value() == z.z_weights_recursive(n, r).bound()
+    # the triangular dual, placed on rows 0 and r+1..n, is an exact LP dual
+    for n in range(1, 41):
+        for r in range(1, min(n, 5) + 1):
+            cert = z.z_optimality_certificate(n, r)
+            lp = z.z_quotient_lp(n, r)
+            value = exactlp.check_certificate(lp, z.z_weights_recursive(n, r).w,
+                                              cert.lp_dual())
+            assert value == cert.dual_value(), (n, r)
 
 
 def test_gspb_values():
@@ -142,7 +153,7 @@ def test_weights_feasible_property(r, n):
     if r > n:
         n = r
     w = z.z_weights_recursive(n, r)
-    assert z.z_check_feasibility(w).feasible
+    assert feasibility(w).feasible
     cert = z.z_optimality_certificate(n, r)
     assert cert.status == "optimal-certified"
     assert cert.dual_value() == w.bound()
