@@ -82,7 +82,14 @@ class TransversalReport:
     min_slack: Fraction
     num_violated: int
     violated_rows: list[int]
-    slacks: list = field(repr=False, default_factory=list)
+    row_sums: list = field(repr=False, default_factory=list)  # A.(d*w)
+    scale: int = 1                    # d, the LCM of the weights' denominators
+
+    @property
+    def slacks(self) -> list[Fraction]:
+        """Exact per-row slack (A.w)_i - 1, built on demand."""
+        d = self.scale
+        return [Fraction(s - d, d) for s in self.row_sums]
 
 
 @dataclass
@@ -126,7 +133,8 @@ def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
         min_slack=Fraction(min(sums) - d, d) if sums else Fraction(0),
         num_violated=len(violated) + (0 if nonneg else sum(1 for x in scaled if x < 0)),
         violated_rows=violated[:32],
-        slacks=[Fraction(s - d, d) for s in sums],
+        row_sums=sums,
+        scale=d,
     )
 
 
@@ -267,8 +275,9 @@ def _scipy_matrices(lp: CoveringLP):
 def float_presolve(lp: CoveringLP, tolerance: float = 1e-9) -> PresolveResult:
     """Floating-point solve; advisory only, never certified.
 
-    Uses the dual-simplex HiGHS path so the reported solution is a vertex,
-    which is what the exact crossover needs.
+    Runs the HiGHS interior-point method, whose crossover (on by default)
+    turns the interior optimum into a basic solution; the exact crossover
+    reads its supports off that vertex.
     """
     try:
         import numpy as np
@@ -277,7 +286,7 @@ def float_presolve(lp: CoveringLP, tolerance: float = 1e-9) -> PresolveResult:
         return PresolveResult(False, None, None, None, "scipy unavailable")
     A, c = _scipy_matrices(lp)
     res = linprog(c, A_ub=-A, b_ub=-np.ones(lp.num_rows),
-                  bounds=(0, None), method="highs-ds")
+                  bounds=(0, None), method="highs-ipm")
     if not res.success:
         return PresolveResult(False, None, None, None, res.message)
     dual = (-res.ineqlin.marginals).tolist()

@@ -2,14 +2,19 @@
 
 The LP crossover needs exact solutions of square integer systems whose size
 reaches a few thousand.  Dense exact Gaussian elimination is hopeless there,
-so we invert the matrix modulo a word-sized prime with numpy, lift the
-solution p-adically (Dixon), and recover rationals by lattice reduction of
-the residues.  Every candidate is verified exactly against the sparse input
+so we invert the matrix modulo a word-sized prime, lift the solution
+p-adically (Dixon), and recover rationals by lattice reduction of the
+residues.  Every candidate is verified exactly against the sparse input
 system before being returned, so a failed reconstruction can only cost time,
 never correctness.
 
-Primes stay below 2^26 so that products of two residues fit int64 with room
-for the row sums that appear in modular matrix-vector products.
+Elimination mod p is blocked and runs on float64 residues, so that the bulk
+of the work is BLAS ``gemm`` (Dumas, Giorgi and Pernet, "Dense linear algebra
+over word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+2008).  float64 holds every integer below 2^53 exactly, so a product of
+matrices with entries in [0, p) and inner width w is exact while
+w*(p-1)^2 < 2^53.  The primes stay below 2^20, which allows w up to 8192;
+``_check_exact`` raises before any product that could round.
 """
 
 from __future__ import annotations
@@ -19,31 +24,113 @@ from fractions import Fraction
 
 import numpy as np
 
-# verified primes just under 2^26
-PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763)
+# primes just under 2^20 (tests check them by trial division)
+PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517)
 
-_MATVEC_CHUNK = 1024  # rows of this length keep mod-p dot products in int64
+_PANEL = 64        # columns factored per panel, and the inner width of its gemms
+_EXACT = 1 << 53   # float64 represents every integer of smaller magnitude
+
+
+def _check_exact(width: int, p: int) -> None:
+    """Raise unless a float64 product of residues mod p with this inner width
+    is exact."""
+    if width * (p - 1) ** 2 >= _EXACT:
+        raise ValueError(f"a float64 product of width {width} mod {p} can exceed "
+                         "2^53 and round; use a smaller prime")
+
+
+def _eliminate(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Forward elimination mod p of a float64 matrix of residues, in place.
+
+    Columns are scanned left to right; a column with no nonzero entry at or
+    below the frontier is skipped, otherwise the first such row is swapped
+    with the frontier row and becomes the pivot row.  Returns the row order
+    after the swaps (``order[t]`` is the input row now at position t) and the
+    pivot columns.  On return the first ``len(cols)`` rows of ``work`` hold
+    the reduced echelon rows, each scaled so that its pivot entry is 1, with
+    every row operation applied across the full width.
+
+    Each 64-column panel is factored unblocked in int64; its row operations
+    reach the columns to its right as one small triangular transform and a
+    gemm on the pivot rows, and one gemm ``X -= L @ U`` on the rows below.
+    Those rows are reduced only when their entries could otherwise pass 2^53.
+    """
+    m, n = work.shape
+    _check_exact(_PANEL, p)
+    order = np.arange(m)
+    cols: list[int] = []
+    f = 0          # frontier: rows above it are finished pivot rows
+    bound = p - 1  # bound on |entry| of the rows at or below the frontier
+    for c0 in range(0, n, _PANEL):
+        if f >= m:
+            break
+        c1 = min(c0 + _PANEL, n)
+        panel = np.remainder(work[f:, c0:c1], p).astype(np.int64)
+        lower = np.zeros((m - f, _PANEL), dtype=np.int64)  # multipliers
+        r = 0
+        for c in range(c1 - c0):
+            if f + r >= m:
+                break
+            nz = panel[r:, c].nonzero()[0]
+            if not nz.size:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                for a in (panel, lower, work[f:], order[f:]):
+                    a[[r, pr]] = a[[pr, r]]
+            lower[r:, r] = panel[r:, c]
+            prow = panel[r, c:] * pow(int(panel[r, c]), p - 2, p) % p
+            panel[r, c:] = prow
+            hit = r + 1 + panel[r + 1:, c].nonzero()[0]
+            if hit.size:
+                panel[hit, c:] = (panel[hit, c:] - lower[hit, r, None] * prow) % p
+            cols.append(c0 + c)
+            r += 1
+        work[f:, c0:c1] = panel
+        # pivot rows: U12 = L11^-1 A12; rows below: X -= L21 U12
+        u12 = _lower_inverse(lower[:r, :r], p) @ np.remainder(work[f:f + r, c1:], p)
+        np.remainder(u12, p, out=u12)
+        work[f:f + r, c1:] = u12
+        trail = work[f + r:, c1:]
+        if bound + r * (p - 1) ** 2 >= _EXACT:
+            np.remainder(trail, p, out=trail)
+            bound = p - 1
+        trail -= lower[r:, :r].astype(np.float64) @ u12
+        bound += r * (p - 1) ** 2
+        f += r
+    return order, cols
+
+
+def _lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a small lower triangular int64 matrix, as float64."""
+    r = lower.shape[0]
+    inv = np.zeros((r, r), dtype=np.int64)
+    for i in range(r):
+        row = -(lower[i, :i] @ inv[:i]) % p
+        row[i] = 1
+        inv[i] = row * pow(int(lower[i, i]), p - 2, p) % p
+    return inv.astype(np.float64)
 
 
 def _inverse_mod(matrix: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of a square int64 matrix mod p, or None when singular mod p."""
+    """Inverse of a square integer matrix mod p as float64 residues, or None
+    when it is singular mod p.
+
+    Elimination of [A | I] leaves [U | B] with U unit upper triangular and
+    A^-1 = U^-1 B.  Reversing the rows and columns of U makes it unit lower
+    triangular, so the same elimination run on [JUJ | JB] does the back
+    substitution and leaves J U^-1 B on the right.
+    """
     k = matrix.shape[0]
-    aug = np.concatenate([matrix % p, np.eye(k, dtype=np.int64)], axis=1)
-    for col in range(k):
-        nz = np.nonzero(aug[col:, col])[0]
-        if len(nz) == 0:
-            return None
-        pr = col + int(nz[0])
-        if pr != col:
-            aug[[col, pr]] = aug[[pr, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col] = (aug[col] * inv) % p
-        colvals = aug[:, col].copy()
-        colvals[col] = 0
-        mask = colvals != 0
-        if mask.any():
-            aug[mask] = (aug[mask] - np.outer(colvals[mask], aug[col])) % p
-    return aug[:, k:]
+    aug = np.zeros((k, 2 * k))
+    aug[:, :k] = np.remainder(matrix, p)
+    aug[np.arange(k), k + np.arange(k)] = 1
+    _, cols = _eliminate(aug, p)
+    if cols != list(range(k)):
+        return None
+    back = np.concatenate([aug[::-1, k - 1::-1], aug[::-1, k:]], axis=1)
+    _eliminate(back, p)
+    return np.ascontiguousarray(back[::-1, k:])
 
 
 def select_pivots_mod(matrix: np.ndarray, p: int) -> tuple[list[int], list[int]]:
@@ -53,45 +140,9 @@ def select_pivots_mod(matrix: np.ndarray, p: int) -> tuple[list[int], list[int]]
     preference makes the selection honor that preference.  Returns original
     (row, column) index lists of equal length (the rank).
     """
-    work = matrix % p
-    m, k = work.shape
-    orig = np.arange(m)
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    frontier = 0
-    for col in range(k):
-        if frontier >= m:
-            break
-        nz = np.nonzero(work[frontier:, col])[0]
-        if len(nz) == 0:
-            continue
-        pr = frontier + int(nz[0])
-        if pr != frontier:
-            work[[frontier, pr]] = work[[pr, frontier]]
-            orig[[frontier, pr]] = orig[[pr, frontier]]
-        piv_rows.append(int(orig[frontier]))
-        piv_cols.append(col)
-        inv = pow(int(work[frontier, col]), p - 2, p)
-        work[frontier] = (work[frontier] * inv) % p
-        colvals = work[frontier + 1:, col].copy()
-        mask = colvals != 0
-        if mask.any():
-            rows = np.nonzero(mask)[0] + frontier + 1
-            work[rows] = (work[rows] - np.outer(colvals[mask], work[frontier])) % p
-        frontier += 1
-    return piv_rows, piv_cols
-
-
-def _matvec_mod(matrix: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    """matrix @ vec mod p with chunked accumulation to stay inside int64."""
-    k = matrix.shape[1]
-    if k <= _MATVEC_CHUNK:
-        return (matrix @ vec) % p
-    acc = np.zeros(matrix.shape[0], dtype=np.int64)
-    for lo in range(0, k, _MATVEC_CHUNK):
-        hi = min(lo + _MATVEC_CHUNK, k)
-        acc = (acc + matrix[:, lo:hi] @ vec[lo:hi]) % p
-    return acc
+    work = np.remainder(matrix, p).astype(np.float64)
+    order, cols = _eliminate(work, p)
+    return order[:len(cols)].tolist(), cols
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -149,6 +200,7 @@ def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
         inv = _inverse_mod(dense, p)
         if inv is None:
             continue  # singular mod this prime; a true singular matrix fails all
+        _check_exact(k, p)  # one float64 matvec per lifting step
         max_steps = int(need_bits / math.log2(p)) + 8
         residual = [int(b) for b in rhs]
         solution_mod = [0] * k
@@ -156,8 +208,8 @@ def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
         next_attempt = 8
         step = 0
         while step < max_steps:
-            rmod = np.array([ri % p for ri in residual], dtype=np.int64)
-            digit = _matvec_mod(inv, rmod, p)
+            rmod = np.array([ri % p for ri in residual], dtype=np.float64)
+            digit = np.remainder(inv @ rmod, p).astype(np.int64)
             bx = csr @ digit  # exact: coeffs and digits are word-sized
             for i in range(k):
                 quotient, rem = divmod(residual[i] - int(bx[i]), p)

@@ -48,19 +48,23 @@ def brute_force_tau(spec: ChannelSpec, r: int | None = None,
 
 
 def brute_force_matching(spec: ChannelSpec, r: int | None = None,
-                         cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, list]:
+                         cap: int = DEFAULT_ORACLE_CAP,
+                         tau: Fraction | None = None) -> tuple[int, list]:
     """Exact maximum family of pairwise disjoint balls, with witness.
 
     Phase one finds the size by branch and bound over edges in descending
     ball-size order, pruned by the remaining-edge count and stopped early
     when the fractional optimum's floor is reached.  Phase two re-searches
     in ascending center order, include-branch first, so the first complete
-    solution is the lexicographically least witness.
+    solution is the lexicographically least witness.  ``tau``, the covering
+    optimum from brute_force_tau, is solved here when not passed.
     """
     r = spec.r if r is None else r
-    lp_bound = brute_force_tau(spec, r, cap)
+    _check_cap(spec, cap)
+    if tau is None:
+        tau = brute_force_tau(spec, r, cap)
     hg = build_hypergraph(spec, r)
-    global_cap = lp_bound.numerator // lp_bound.denominator
+    global_cap = tau.numerator // tau.denominator
 
     order = sorted(range(hg.num_edges),
                    key=lambda e: (-len(hg.edges[e]), hg.edges[e]))
@@ -115,7 +119,7 @@ def oracle_result(spec: ChannelSpec, r: int | None = None,
                   cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     r = spec.r if r is None else r
     tau = brute_force_tau(spec, r, cap)
-    nu, witness = brute_force_matching(spec, r, cap)
+    nu, witness = brute_force_matching(spec, r, cap, tau)
     if nu > tau.numerator // tau.denominator:
         raise AssertionError(f"matching size {nu} exceeds floor of tau* {tau}")
     return OracleResult(spec=spec, r=r, tau_star_full=tau, nu_integral=nu,
@@ -150,7 +154,7 @@ def counterexample_suite() -> list[FixtureFacts]:
         ("example4", example_four(3), None),
     ):
         tau = brute_force_tau(spec, 1)
-        nu, _ = brute_force_matching(spec, 1)
+        nu, _ = brute_force_matching(spec, 1, tau=tau)
         value = aspv(spec, 1)
         naive = (Fraction(spec.explicit_num_vertices, regular_ball)
                  if regular_ball else None)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from . import exactlp
 from .channels import ChannelSpec, GspbError
 from .kernels import deletion_targets, grain_targets, run_stats
@@ -135,33 +137,40 @@ def theorem_weight_vector(m: int) -> list[Fraction]:
     return out
 
 
+def _ball_rows(cand: np.ndarray, num_vars: int) -> list[list[tuple[int, int]]]:
+    """One sorted 0/1 row per line of ``cand``: its distinct entries >= 0.
+
+    Duplicates and the -1 "no target" sentinel both become -1, which a
+    second sort moves to the front of the line; each row is then the slice
+    after them, over one shared (j, 1) tuple per variable.
+    """
+    cand = np.sort(cand, axis=1)
+    cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = -1
+    cand.sort(axis=1)
+    skip = np.count_nonzero(cand < 0, axis=1).tolist()
+    pairs = np.empty(num_vars + 1, dtype=object)  # index -1 reads the None
+    pairs[:num_vars] = np.fromiter(((j, 1) for j in range(num_vars)),
+                                   dtype=object, count=num_vars)
+    return [row[k:] for row, k in zip(pairs[cand].tolist(), skip)]
+
+
 def deletion_full_lp(n: int) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
-    targets = deletion_targets(n)
-    rows = [
-        [(j, 1) for j in sorted(set(targets[x].tolist()))]
-        for x in range(1 << n)
-    ]
     return exactlp.CoveringLP(
         num_vars=1 << (n - 1),
         objective=[1] * (1 << (n - 1)),
-        rows=rows,
+        rows=_ball_rows(deletion_targets(n), 1 << (n - 1)),
         name=f"deletion-full-n{n}",
     )
 
 
 def grain_full_lp(n: int) -> exactlp.CoveringLP:
     """Covering LP over {0,1}^n; each ball is the word plus its smears."""
-    targets = grain_targets(n)
-    rows = []
-    for x in range(1 << n):
-        ball = {x}
-        ball.update(int(t) for t in targets[x] if t >= 0)
-        rows.append([(j, 1) for j in sorted(ball)])
+    words = np.arange(1 << n, dtype=np.int64)[:, None]
     return exactlp.CoveringLP(
         num_vars=1 << n,
         objective=[1] * (1 << n),
-        rows=rows,
+        rows=_ball_rows(np.concatenate([words, grain_targets(n)], axis=1), 1 << n),
         name=f"grain-full-n{n}",
     )
 

@@ -106,6 +106,14 @@ def test_crossover_deletion_small():
     assert a.optimum == b.optimum == Fraction(41, 4)  # floor 10
 
 
+@pytest.mark.parametrize("build", ["deletion_full_lp", "grain_full_lp"])
+def test_auto_certifies_full_lps_by_crossover(build):
+    # a presolve change must not fall back silently to the dense Fraction simplex
+    from gspb import seqchannels
+    sol = exactlp.solve_min_transversal(getattr(seqchannels, build)(9))
+    assert sol.certified and sol.method == "presolve+crossover"
+
+
 def test_pivot_cap():
     lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
     sol = exactlp.solve_min_transversal(lp, pivot_cap=1, method="simplex")
