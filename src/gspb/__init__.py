@@ -7,9 +7,9 @@ channel, limited-magnitude channels, single deletions, grain errors,
 binary subspaces, and explicit installed graphs.
 """
 
-from .channels import (ChannelSpec, EnumerationCapExceeded, GspbError,
-                       Hypergraph, NotMonotoneError, OracleCapExceeded,
-                       QuotientUnavailable, build_hypergraph,
+from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
+                       GspbError, Hypergraph, NotMonotoneError,
+                       OracleCapExceeded, QuotientUnavailable, build_hypergraph,
                        enumerate_vertices, gaussian_binomial, in_ball,
                        out_ball)
 from .exactlp import (CoveringLP, LPSolution, TransversalReport,

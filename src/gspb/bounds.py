@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactlp, magnitude, projective, refdata, seqchannels, zchannel
-from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, EnumerationCapExceeded,
-                       GspbError, NotMonotoneError, ball_centers,
+from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
+                       NotMonotoneError, ball_centers,
                        enumerate_vertices, in_ball, out_ball, vertex_count)
 
 MONOTONE_FAMILIES = ("z", "mag_asym", "deletion", "grain")
@@ -32,6 +32,7 @@ class BoundEntry:
     value: Fraction | None
     certified: bool = True
     note: str = ""
+    capped: bool = False  # refused by a resource cap; not in the JSON
 
     @property
     def floor(self) -> int | None:
@@ -203,13 +204,12 @@ def aspv(spec: ChannelSpec, r: int | None = None,
 def assemble_report(spec: ChannelSpec, r: int | None = None,
                     lp_cap: int = seqchannels.DEFAULT_LP_CAP,
                     enum_cap: int = DEFAULT_ENUM_CAP,
-                    grain_even_mb: bool = True,
                     include_gspb: bool = True) -> BoundReport:
     """Run every applicable bound for one instance.
 
     Refused or capped computations are recorded as absent entries with the
-    reason; nothing is fabricated.  The grain MB defaults to the even-rounded
-    variant, matching the published column.
+    reason; nothing is fabricated.  The grain MB is the even-rounded variant,
+    matching the published column.
     """
     r = spec.r if r is None else r
     report = BoundReport(spec=spec, r=r)
@@ -219,13 +219,13 @@ def assemble_report(spec: ChannelSpec, r: int | None = None,
     def put(name, thunk, certified=True, note=""):
         try:
             value = thunk()
-        except (GspbError, EnumerationCapExceeded) as exc:
-            report.entries[name] = BoundEntry(name, None, False, str(exc))
+        except GspbError as exc:
+            report.entries[name] = _refused(name, exc)
             return
         report.entries[name] = BoundEntry(name, value, certified, note)
 
     fam = spec.family
-    if fam == "grain" and grain_even_mb:
+    if fam == "grain":
         put("mb", lambda: Fraction(seqchannels.grain_mb(spec.n, True)),
             note="even-rounded variant")
     else:
@@ -282,5 +282,10 @@ def _put_gspb(report: BoundReport, spec: ChannelSpec, r: int,
         else:
             report.entries[name] = BoundEntry(
                 name, None, False, f"no covering-LP route for {fam} at r={r}")
-    except (GspbError, EnumerationCapExceeded) as exc:
-        report.entries[name] = BoundEntry(name, None, False, str(exc))
+    except GspbError as exc:
+        report.entries[name] = _refused(name, exc)
+
+
+def _refused(name: str, exc: GspbError) -> BoundEntry:
+    return BoundEntry(name, None, False, str(exc),
+                      capped=isinstance(exc, CapExceeded))

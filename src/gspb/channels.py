@@ -33,7 +33,11 @@ class GspbError(Exception):
     """Base class for refusals and cap violations."""
 
 
-class EnumerationCapExceeded(GspbError):
+class CapExceeded(GspbError):
+    """A resource cap refused the instance before any work was done."""
+
+
+class EnumerationCapExceeded(CapExceeded):
     """Instance too large for full enumeration; use a quotient path."""
 
 
@@ -45,7 +49,7 @@ class NotMonotoneError(GspbError):
     """Bound requires the monotonicity property and the graph lacks it."""
 
 
-class OracleCapExceeded(GspbError):
+class OracleCapExceeded(CapExceeded):
     """Instance exceeds the brute-force oracle cap."""
 
 

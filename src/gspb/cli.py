@@ -14,9 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import bounds, exactlp, magnitude, oracle, projective, refdata, seqchannels, zchannel
-from .channels import (ChannelSpec, EnumerationCapExceeded, FIXTURES,
-                       GspbError, NotMonotoneError, OracleCapExceeded,
-                       QuotientUnavailable, DEFAULT_ENUM_CAP)
+from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
+                       FIXTURES, GspbError, DEFAULT_ENUM_CAP)
 from .exactlp import fmt_frac
 
 EXIT_OK = 0
@@ -69,8 +68,8 @@ def cmd_compute(args) -> int:
         raise Refusal(f"bound {args.bound!r} is not available for {args.family}")
     entry = report.entry(name)
     if entry.value is None:
-        if "cap" in entry.note:
-            raise _CapError(entry.note)
+        if entry.capped:
+            raise CapExceeded(entry.note)
         raise Refusal(entry.note or f"{args.bound} unavailable")
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -82,10 +81,6 @@ def cmd_compute(args) -> int:
             line += f"  [{entry.note}]"
         print(line)
     return EXIT_OK
-
-
-class _CapError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +345,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapExceeded, OracleCapExceeded, _CapError) as exc:
+    except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (Refusal, NotMonotoneError, QuotientUnavailable) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except GspbError as exc:
-        if "cap" in str(exc):
-            print(f"resource cap: {exc}", file=sys.stderr)
-            return EXIT_CAP
+    except (Refusal, GspbError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:

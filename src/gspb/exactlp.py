@@ -272,7 +272,7 @@ def _scipy_matrices(lp: CoveringLP):
     return A, c
 
 
-def float_presolve(lp: CoveringLP, tolerance: float = 1e-9) -> PresolveResult:
+def float_presolve(lp: CoveringLP) -> PresolveResult:
     """Floating-point solve; advisory only, never certified.
 
     Runs the HiGHS interior-point method, whose crossover (on by default)
@@ -430,9 +430,9 @@ def solve_min_transversal(lp: CoveringLP, pivot_cap: int = DEFAULT_PIVOT_CAP,
     return _simplex_dual_form(lp, pivot_cap)
 
 
-def solve_max_matching_lp(lp: CoveringLP, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPSolution:
+def solve_max_matching_lp(lp: CoveringLP) -> LPSolution:
     """Fractional matching optimum; equals the transversal optimum exactly."""
-    sol = solve_min_transversal(lp, pivot_cap=pivot_cap)
+    sol = solve_min_transversal(lp)
     if sol.status != "optimal":
         return sol
     return LPSolution(

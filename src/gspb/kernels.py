@@ -1,40 +1,18 @@
 """Hot enumeration kernels over all binary words of a given length.
 
-Two interchangeable backends compute the same arrays:
-
-* ``njit``  -- numba-compiled bit loops (default when numba imports cleanly)
-* ``numpy`` -- vectorized fallback, selected by setting ``GSPB_PURE_NUMPY=1``
-  in the environment or automatically when numba is unavailable
-
-Only the enumeration sweeps live here.  Everything downstream that certifies
-a bound runs in exact rational arithmetic and never depends on this module
-for correctness-critical values; these kernels feed LP row construction and
-bulk run-statistics.  ``benchmarks/kernel_bench.py`` compares the backends.
+Each kernel is one vectorized numpy sweep over the 2^n words.  Only the
+enumeration sweeps live here.  Everything downstream that certifies a bound
+runs in exact rational arithmetic and never depends on this module for
+correctness-critical values; these kernels feed LP row construction and
+bulk run-statistics.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("GSPB_PURE_NUMPY", "") not in ("", "0")
+BACKEND = "numpy"  # the only backend; benchmark runs record it
 
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        BACKEND = "njit"
-    except ImportError:
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (always defined; they are the fallback backend and
-# the reference the numba versions are tested against)
-# ---------------------------------------------------------------------------
 
 def _bit_matrix(n: int) -> np.ndarray:
     """(2^n, n) uint8 matrix; column j holds bit j of every word."""
@@ -42,11 +20,19 @@ def _bit_matrix(n: int) -> np.ndarray:
     return ((words[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def _popcounts_numpy(n: int) -> np.ndarray:
+def popcounts(n: int) -> np.ndarray:
+    """Hamming weight of every word in {0,1}^n, indexed by integer value."""
     return _bit_matrix(n).sum(axis=1).astype(np.uint8)
 
 
-def _run_stats_numpy(n: int) -> tuple[np.ndarray, np.ndarray]:
+def run_stats(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(runs, middle-1-runs) of every word in {0,1}^n.
+
+    A middle-1-run is a maximal block of length one that is neither the
+    first nor the last run of the word.
+    """
+    if n < 1:
+        raise ValueError("word length must be >= 1")
     if n == 1:
         return np.ones(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8)
     bits = _bit_matrix(n)
@@ -59,109 +45,6 @@ def _run_stats_numpy(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rho.astype(np.uint8), mu.astype(np.uint8)
 
 
-def _deletion_targets_numpy(n: int) -> np.ndarray:
-    words = np.arange(1 << n, dtype=np.int64)
-    out = np.empty((1 << n, n), dtype=np.int64)
-    for i in range(n):
-        low = words & ((1 << i) - 1)
-        high = words >> (i + 1)
-        out[:, i] = (high << i) | low
-    return out
-
-
-def _grain_targets_numpy(n: int) -> np.ndarray:
-    """Column i: word with bit i flipped when bits i and i+1 differ, else -1."""
-    words = np.arange(1 << n, dtype=np.int64)
-    out = np.full((1 << n, max(n - 1, 1)), -1, dtype=np.int64)
-    for i in range(n - 1):
-        differ = ((words >> i) & 1) != ((words >> (i + 1)) & 1)
-        out[:, i] = np.where(differ, words ^ (1 << i), -1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if BACKEND == "njit":
-
-    @njit(cache=True)
-    def _popcounts_njit(n):  # pragma: no cover - thin jit wrapper
-        out = np.empty(1 << n, dtype=np.uint8)
-        for x in range(1 << n):
-            c = 0
-            v = x
-            while v:
-                v &= v - 1
-                c += 1
-            out[x] = c
-        return out
-
-    @njit(cache=True)
-    def _run_stats_njit(n):  # pragma: no cover - thin jit wrapper
-        size = 1 << n
-        rho = np.empty(size, dtype=np.uint8)
-        mu = np.empty(size, dtype=np.uint8)
-        for x in range(size):
-            r = 1
-            m = 0
-            prev_diff = False
-            for i in range(n - 1):
-                diff = ((x >> i) & 1) != ((x >> (i + 1)) & 1)
-                if diff:
-                    r += 1
-                    if prev_diff:
-                        m += 1
-                prev_diff = diff
-            rho[x] = r
-            mu[x] = m
-        return rho, mu
-
-    @njit(cache=True)
-    def _deletion_targets_njit(n):  # pragma: no cover - thin jit wrapper
-        out = np.empty((1 << n, n), dtype=np.int64)
-        for x in range(1 << n):
-            for i in range(n):
-                low = x & ((1 << i) - 1)
-                high = x >> (i + 1)
-                out[x, i] = (high << i) | low
-        return out
-
-    @njit(cache=True)
-    def _grain_targets_njit(n):  # pragma: no cover - thin jit wrapper
-        width = n - 1 if n > 1 else 1
-        out = np.full((1 << n, width), -1, dtype=np.int64)
-        for x in range(1 << n):
-            for i in range(n - 1):
-                if ((x >> i) & 1) != ((x >> (i + 1)) & 1):
-                    out[x, i] = x ^ (1 << i)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
-
-def popcounts(n: int) -> np.ndarray:
-    """Hamming weight of every word in {0,1}^n, indexed by integer value."""
-    if BACKEND == "njit":
-        return _popcounts_njit(n)
-    return _popcounts_numpy(n)
-
-
-def run_stats(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(runs, middle-1-runs) of every word in {0,1}^n.
-
-    A middle-1-run is a maximal block of length one that is neither the
-    first nor the last run of the word.
-    """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    if BACKEND == "njit":
-        return _run_stats_njit(n)
-    return _run_stats_numpy(n)
-
-
 def deletion_targets(n: int) -> np.ndarray:
     """(2^n, n) array: entry [x, i] is x with bit i removed (length n-1 word).
 
@@ -170,9 +53,13 @@ def deletion_targets(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if BACKEND == "njit":
-        return _deletion_targets_njit(n)
-    return _deletion_targets_numpy(n)
+    words = np.arange(1 << n, dtype=np.int64)
+    out = np.empty((1 << n, n), dtype=np.int64)
+    for i in range(n):
+        low = words & ((1 << i) - 1)
+        high = words >> (i + 1)
+        out[:, i] = (high << i) | low
+    return out
 
 
 def grain_targets(n: int) -> np.ndarray:
@@ -183,9 +70,12 @@ def grain_targets(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if BACKEND == "njit":
-        return _grain_targets_njit(n)
-    return _grain_targets_numpy(n)
+    words = np.arange(1 << n, dtype=np.int64)
+    out = np.full((1 << n, max(n - 1, 1)), -1, dtype=np.int64)
+    for i in range(n - 1):
+        differ = ((words >> i) & 1) != ((words >> (i + 1)) & 1)
+        out[:, i] = np.where(differ, words ^ (1 << i), -1)
+    return out
 
 
 __all__ = ["BACKEND", "popcounts", "run_stats", "deletion_targets", "grain_targets"]

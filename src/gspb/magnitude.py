@@ -39,16 +39,12 @@ def sym_quotient(n: int, q: int) -> reduction.QuotientLP:
     return _quotient(ChannelSpec("mag_sym", n=n, q=q))
 
 
-def asym_gspb(n: int, q: int,
-              pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> exactlp.LPSolution:
-    return exactlp.solve_min_transversal(asym_quotient(n, q).to_covering_lp(),
-                                         pivot_cap=pivot_cap)
+def asym_gspb(n: int, q: int) -> exactlp.LPSolution:
+    return exactlp.solve_min_transversal(asym_quotient(n, q).to_covering_lp())
 
 
-def sym_gspb(n: int, q: int,
-             pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> exactlp.LPSolution:
-    return exactlp.solve_min_transversal(sym_quotient(n, q).to_covering_lp(),
-                                         pivot_cap=pivot_cap)
+def sym_gspb(n: int, q: int) -> exactlp.LPSolution:
+    return exactlp.solve_min_transversal(sym_quotient(n, q).to_covering_lp())
 
 
 def asym_mb(n: int, q: int) -> Fraction:
@@ -64,7 +60,7 @@ def sym_aspv(n: int, q: int) -> Fraction:
     return Fraction(q ** n) / (2 * n + 1 - Fraction(2 * n, q))
 
 
-def asym_improved_transversal(n: int, q: int, verify: bool = True) -> ClassTransversal:
+def asym_improved_transversal(n: int, q: int) -> ClassTransversal:
     """Reciprocal weights sharpened by the count of ones in the word.
 
     w = 1/(n - i0 + 1 + (i1 - 1)/(2(n - i0))) on classes with a nonzero
@@ -80,10 +76,10 @@ def asym_improved_transversal(n: int, q: int, verify: bool = True) -> ClassTrans
         else:
             m = n - c[0]
             weights.append(1 / (m + 1 + Fraction(c[1] - 1, 2 * m)))
-    return _finish(qlp, weights, verify)
+    return _finish(qlp, weights)
 
 
-def sym_transversal(n: int, q: int, verify: bool = True) -> ClassTransversal:
+def sym_transversal(n: int, q: int) -> ClassTransversal:
     """Weights 1/(ball size - 1); the ball size is 2n+1 minus the count of
     extreme-valued positions, so the weight is constant on folded classes."""
     qlp = sym_quotient(n, q)
@@ -94,19 +90,15 @@ def sym_transversal(n: int, q: int, verify: bool = True) -> ClassTransversal:
         if denom <= 0:
             raise GspbError("degenerate degree-one vertex; transversal undefined")
         weights.append(Fraction(1, denom))
-    return _finish(qlp, weights, verify)
+    return _finish(qlp, weights)
 
 
-def _finish(qlp: reduction.QuotientLP, weights, verify: bool) -> ClassTransversal:
+def _finish(qlp: reduction.QuotientLP, weights) -> ClassTransversal:
     part = qlp.partition
     bound = sum(
         (s * w for s, w in zip(part.sizes, weights)), Fraction(0)
     )
-    feasible = True
-    if verify:
-        report = exactlp.verify_transversal(qlp.to_covering_lp(), weights)
-        feasible = report.feasible
-        if not feasible:
-            raise AssertionError("class transversal failed its exact check")
+    if not exactlp.verify_transversal(qlp.to_covering_lp(), weights).feasible:
+        raise AssertionError("class transversal failed its exact check")
     return ClassTransversal(labels=list(part.labels), weights=weights,
-                            bound=bound, feasible=feasible)
+                            bound=bound, feasible=True)

@@ -167,15 +167,14 @@ def projective_certificate(n: int) -> ProjectiveCertificate:
     return _certificate(lp, greedy_weights(n), sol)
 
 
-def projective_gspb(n: int,
-                    pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> ProjectiveGspb:
+def projective_gspb(n: int) -> ProjectiveGspb:
     """Exact covering optimum with greedy cross-check and certificate."""
     if n < 2:
         raise ValueError("need n >= 2")
     weights = greedy_weights(n)
     greedy_value = weights.bound()
     lp = projective_lp(n)
-    sol = exactlp.solve_min_transversal(lp, pivot_cap=pivot_cap)
+    sol = exactlp.solve_min_transversal(lp)
     cert = _certificate(lp, weights, sol)
     matches = greedy_value == sol.optimum
     flag = ""

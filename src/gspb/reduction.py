@@ -309,11 +309,10 @@ def quotient_matrix(spec: ChannelSpec, partition: ClassPartition | None = None,
     return QuotientLP(partition=partition, matrix=mat, r=r)
 
 
-def reduced_gspb(spec: ChannelSpec, r: int | None = None,
-                 pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> exactlp.LPSolution:
+def reduced_gspb(spec: ChannelSpec, r: int | None = None) -> exactlp.LPSolution:
     """Covering optimum of the reduced LP; equals the full optimum exactly."""
     qlp = quotient_matrix(spec, r=r)
-    return exactlp.solve_min_transversal(qlp.to_covering_lp(), pivot_cap=pivot_cap)
+    return exactlp.solve_min_transversal(qlp.to_covering_lp())
 
 
 def lift_class_weights(partition: ClassPartition, class_weights,

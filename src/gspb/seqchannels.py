@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from . import exactlp
-from .channels import ChannelSpec, GspbError
+from .channels import CapExceeded, ChannelSpec
 from .kernels import deletion_targets, grain_targets, run_stats
 
 DEFAULT_LP_CAP = 12
@@ -175,8 +175,7 @@ def grain_full_lp(n: int) -> exactlp.CoveringLP:
     )
 
 
-def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
-                       pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> exactlp.LPSolution:
+def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full deletion LP, capped by size.
 
     Larger instances route through the reversal/complement orbit quotient;
@@ -185,27 +184,26 @@ def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
     argument itself.
     """
     if n > lp_cap:
-        raise GspbError(
+        raise CapExceeded(
             f"full deletion LP capped at n <= {lp_cap}; "
             "closed-form bounds remain available"
         )
     if n >= 10:
-        return _orbit_reduced_solve(n, "deletion", pivot_cap)
-    return exactlp.solve_min_transversal(deletion_full_lp(n), pivot_cap=pivot_cap)
+        return _orbit_reduced_solve(n, "deletion")
+    return exactlp.solve_min_transversal(deletion_full_lp(n))
 
 
-def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
-                    pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> exactlp.LPSolution:
+def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full grain LP (artifact-computed; no
     published column exists for it), capped by size."""
     if n > lp_cap:
-        raise GspbError(
+        raise CapExceeded(
             f"full grain LP capped at n <= {lp_cap}; "
             "closed-form bounds remain available"
         )
     if n >= 10:
-        return _orbit_reduced_solve(n, "grain", pivot_cap)
-    return exactlp.solve_min_transversal(grain_full_lp(n), pivot_cap=pivot_cap)
+        return _orbit_reduced_solve(n, "grain")
+    return exactlp.solve_min_transversal(grain_full_lp(n))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,7 @@ def _word_orbits(m: int, use_reversal: bool):
     return reps, orbit_of, sizes
 
 
-def _orbit_reduced_solve(n: int, family: str, pivot_cap: int) -> exactlp.LPSolution:
+def _orbit_reduced_solve(n: int, family: str) -> exactlp.LPSolution:
     # reversal commutes with deletion but not with the rightward smear
     use_rev = family == "deletion"
     if family == "deletion":
@@ -262,7 +260,7 @@ def _orbit_reduced_solve(n: int, family: str, pivot_cap: int) -> exactlp.LPSolut
         num_vars=len(v_reps), objective=list(v_sizes), rows=rows,
         name=f"{family}-orbit-n{n}",
     )
-    sol = exactlp.solve_min_transversal(qlp, pivot_cap=pivot_cap)
+    sol = exactlp.solve_min_transversal(qlp)
     if sol.status != "optimal":
         return sol
 

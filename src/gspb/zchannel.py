@@ -152,7 +152,7 @@ def z_optimality_certificate(n: int, r: int) -> ZCertificate:
     return ZCertificate(n, r, y, "optimal-certified")
 
 
-def z_gspb(n: int, r: int, pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> ZGspbResult:
+def z_gspb(n: int, r: int) -> ZGspbResult:
     """Exact covering optimum with per-instance certification.
 
     The closed-form weights and the triangular dual are checked as a pair
@@ -165,7 +165,7 @@ def z_gspb(n: int, r: int, pivot_cap: int = exactlp.DEFAULT_PIVOT_CAP) -> ZGspbR
     value = exactlp.check_certificate(lp, weights.w, cert.lp_dual())
     if value is not None:
         return ZGspbResult(n, r, value, True, "closed-form", weights, cert)
-    sol = exactlp.solve_min_transversal(lp, pivot_cap=pivot_cap)
+    sol = exactlp.solve_min_transversal(lp)
     return ZGspbResult(n, r, sol.optimum, sol.certified, "lp-fallback",
                        weights, cert)
 

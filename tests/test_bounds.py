@@ -126,13 +126,13 @@ def test_report_grain11():
     assert rep.entry("aspv").floor == 341
     assert rep.entry("closed").floor == 358
     assert rep.entry("gspb").value is None  # capped, absent with reason
-    assert "cap" in rep.entry("gspb").note
+    assert "cap" in rep.entry("gspb").note and rep.entry("gspb").capped
     assert rep.reference_values == {"GYD13b": 210}
 
 
 def test_report_absent_mb_for_sym():
     rep = bounds.assemble_report(ChannelSpec("mag_sym", n=4, q=3))
-    assert rep.entry("mb").value is None
+    assert rep.entry("mb").value is None and not rep.entry("mb").capped
     assert rep.entry("aspv").value is not None
     assert rep.entry("gspb").value is not None
 

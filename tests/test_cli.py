@@ -58,6 +58,10 @@ def test_cap_exit_4(capsys):
     code, _, err = run(capsys, "compute", "--family", "deletion", "--n", "14",
                        "--bound", "gspb")
     assert code == 4 and "cap" in err
+    # the message names no cap; the exit code comes from the exception type
+    code, _, err = run(capsys, "compute", "--family", "deletion", "--n", "30",
+                       "--r", "2", "--bound", "aspv")
+    assert code == 4 and "too many deletion centers" in err
     code, _, err = run(capsys, "oracle", "--family", "z", "--n", "13",
                        "--enum-cap", "4096")
     assert code == 4

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
-from gspb import kernels
+from gspb import kernels, reduction, seqchannels
+from gspb.channels import ChannelSpec
 
 
 def scan_runs(word: str) -> tuple[int, int]:
@@ -24,13 +24,17 @@ def test_run_stats_match_string_scan(n):
         assert (rho[x], mu[x]) == scan_runs(word), word
 
 
-def test_backends_agree():
-    for n in (1, 2, 6, 10):
-        assert np.array_equal(kernels._run_stats_numpy(n)[0], kernels.run_stats(n)[0])
-        assert np.array_equal(kernels._run_stats_numpy(n)[1], kernels.run_stats(n)[1])
-        assert np.array_equal(kernels._popcounts_numpy(n), kernels.popcounts(n))
-        assert np.array_equal(kernels._deletion_targets_numpy(n), kernels.deletion_targets(n))
-        assert np.array_equal(kernels._grain_targets_numpy(n), kernels.grain_targets(n))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_deletion_rows_match_ball_enumeration(n):
+    # kernel-built rows against rows from the channel's own ball enumeration
+    spec = ChannelSpec("deletion", n=n)
+    assert seqchannels.deletion_full_lp(n).rows == reduction.full_hypergraph_lp(spec).rows
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_grain_rows_match_ball_enumeration(n):
+    spec = ChannelSpec("grain", n=n)
+    assert seqchannels.grain_full_lp(n).rows == reduction.full_hypergraph_lp(spec).rows
 
 
 def test_deletion_targets_by_hand():
@@ -51,18 +55,5 @@ def test_grain_targets_by_hand():
 def test_popcounts():
     pc = kernels.popcounts(6)
     assert pc[0] == 0 and pc[63] == 6 and pc[0b101010] == 3
-
-
-def test_env_flag_selects_numpy_backend():
-    import os
-    import subprocess
-    import sys
-    env = dict(os.environ, GSPB_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from gspb import kernels; print(kernels.BACKEND); "
-         "print(int(kernels.run_stats(6)[0][0b010101]))"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    backend, runs = out.stdout.split()
-    assert backend == "numpy" and runs == "6"
+    for n in range(1, 11):
+        assert kernels.popcounts(n).tolist() == [x.bit_count() for x in range(1 << n)]

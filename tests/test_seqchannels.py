@@ -111,10 +111,10 @@ def test_deletion_full_gspb_small():
 
 
 def test_full_lp_cap():
-    from gspb.channels import GspbError
-    with pytest.raises(GspbError):
+    from gspb.channels import CapExceeded
+    with pytest.raises(CapExceeded):
         seq.deletion_full_gspb(13, lp_cap=12)
-    with pytest.raises(GspbError):
+    with pytest.raises(CapExceeded):
         seq.grain_full_gspb(13, lp_cap=12)
 
 
@@ -134,10 +134,10 @@ def test_ordering_chain():
 def test_orbit_route_matches_direct():
     # the symmetry-reduced path must reproduce the plain full-LP optimum
     direct = exactlp.solve_min_transversal(seq.deletion_full_lp(10))
-    orbit = seq._orbit_reduced_solve(10, "deletion", exactlp.DEFAULT_PIVOT_CAP)
+    orbit = seq._orbit_reduced_solve(10, "deletion")
     assert direct.optimum == orbit.optimum
     gd = exactlp.solve_min_transversal(seq.grain_full_lp(8))
-    go = seq._orbit_reduced_solve(8, "grain", exactlp.DEFAULT_PIVOT_CAP)
+    go = seq._orbit_reduced_solve(8, "grain")
     assert gd.optimum == go.optimum
 
 
