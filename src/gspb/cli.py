@@ -241,8 +241,7 @@ def _certificate_line(spec: ChannelSpec) -> str:
         return f"{tag}, value {fmt_frac(res.value)} " \
                f"(floor {res.value.numerator // res.value.denominator})"
     if spec.family == "projective":
-        cert = projective.projective_certificate(spec.n)
-        return f"certificate: {cert.status}"
+        return f"certificate: {projective.projective_gspb(spec.n).certificate.status}"
     return ""
 
 

@@ -2,13 +2,17 @@
 
 The covering problem is  min c.w  s.t.  A w >= 1, w >= 0  with nonnegative
 sparse data; its dual is the fractional packing problem
-max sum(z) s.t. A^T z <= c, z >= 0.  Two solution paths exist:
+max sum(z) s.t. A^T z <= c, z >= 0.  Every LP with integral data takes one
+path: a float presolve (HiGHS) followed by an exact crossover, which reads
+the optimal supports off the float vertex and solves the
+complementary-slackness square systems exactly.
 
-* an exact tableau simplex under Bland's rule, run on the dual (the all-slack
-  basis is feasible there, so no phase one is needed);
-* a float presolve (HiGHS) followed by an exact crossover: read the optimal
-  supports off the float vertex and solve the complementary-slackness square
-  systems exactly.
+An exact tableau simplex under Bland's rule, run on the dual (the all-slack
+basis is feasible there, so no phase one is needed), solves LPs with
+non-integral coefficients, serves as the reference (``method="simplex"``),
+and takes over when the crossover fails.  Its dense ``Fraction`` tableau is
+bounded: beyond ``_SIMPLEX_MAX_CELLS`` entries it raises ``CapExceeded``
+before allocating anything.
 
 Either way the returned optimum carries exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
@@ -23,10 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linsolve
-from .channels import GspbError
+from .channels import CapExceeded, GspbError
 
 DEFAULT_PIVOT_CAP = 10_000_000
-_CROSSOVER_MIN_VARS = 60
+# largest dense simplex tableau, num_vars * (num_rows + num_vars) entries
+_SIMPLEX_MAX_CELLS = 1 << 18
 
 
 @dataclass
@@ -183,6 +188,10 @@ def _simplex_dual_form(lp: CoveringLP, pivot_cap: int) -> LPSolution:
     m = lp.num_rows
     n = lp.num_vars
     ncols = m + n
+    if n * ncols > _SIMPLEX_MAX_CELLS:
+        raise CapExceeded(
+            f"exact simplex tableau of {n}x{ncols} = {n * ncols} entries exceeds "
+            f"the cap of {_SIMPLEX_MAX_CELLS}")
     zero = Fraction(0)
     tableau = [[zero] * ncols for _ in range(n)]
     for i, row in enumerate(lp.rows):
@@ -412,21 +421,23 @@ def complementary_dual(lp: CoveringLP, rows: list[int],
 
 def solve_min_transversal(lp: CoveringLP, pivot_cap: int = DEFAULT_PIVOT_CAP,
                           method: str = "auto") -> LPSolution:
-    """Exact minimum fractional transversal with primal and dual witnesses."""
+    """Exact minimum fractional transversal with primal and dual witnesses.
+
+    ``method="auto"`` sends an integral LP through the float presolve and
+    the exact crossover, and anything else to the bounded exact simplex,
+    which also takes over if the crossover fails; ``method="simplex"``
+    forces the simplex.  Raises ``CapExceeded`` when the simplex would need
+    a tableau above ``_SIMPLEX_MAX_CELLS`` entries.
+    """
     lp.validate()
-    if method not in ("auto", "simplex", "crossover"):
+    if method not in ("auto", "simplex"):
         raise ValueError(f"unknown method {method!r}")
-    want_crossover = method == "crossover" or (
-        method == "auto" and lp.num_vars >= _CROSSOVER_MIN_VARS and lp.is_integral()
-    )
-    if want_crossover:
+    if method == "auto" and lp.is_integral():
         pres = float_presolve(lp)
         if pres.converged:
             sol = _crossover(lp, pres)
             if sol is not None:
                 return sol
-        if method == "crossover":
-            raise GspbError("crossover failed and was explicitly requested")
     return _simplex_dual_form(lp, pivot_cap)
 
 

@@ -158,15 +158,6 @@ def _certificate(lp: exactlp.CoveringLP, weights: ProjectiveWeights,
     return ProjectiveCertificate(n, sol.dual, "optimal-certified-lp-dual", agrees)
 
 
-def projective_certificate(n: int) -> ProjectiveCertificate:
-    """Exact dual certificate; block construction first, LP dual fallback."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    lp = projective_lp(n)
-    sol = exactlp.solve_min_transversal(lp, method="simplex")
-    return _certificate(lp, greedy_weights(n), sol)
-
-
 def projective_gspb(n: int) -> ProjectiveGspb:
     """Exact covering optimum with greedy cross-check and certificate."""
     if n < 2:

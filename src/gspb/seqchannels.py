@@ -7,7 +7,7 @@ where mu counts the middle length-1 runs.  Counting words by profile keeps
 every bound closed-form; the full covering LPs (capped, default n <= 12) are
 solved exactly through the shared LP core.
 
-From n = 10 the full LP is solved on its orbit quotient under word
+At every n the full LP is solved on its orbit quotient under word
 complementation (and reversal, for deletion); run-profile classes are not
 used, since they do not have constant ball membership counts.  The quotient
 witnesses are lifted back and checked against the full LP.
@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from . import exactlp
-from .channels import CapExceeded, ChannelSpec
+from .channels import CapExceeded
 from .kernels import deletion_targets, grain_targets, run_stats
 
 DEFAULT_LP_CAP = 12
@@ -178,32 +178,18 @@ def grain_full_lp(n: int) -> exactlp.CoveringLP:
 def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full deletion LP, capped by size.
 
-    Larger instances route through the reversal/complement orbit quotient;
-    the witnesses are lifted back and re-verified against every row and
-    column of the full LP, so the certificate never leans on the symmetry
-    argument itself.
+    Solved on the reversal/complement orbit quotient; the witnesses are
+    lifted back and re-verified against every row and column of the full
+    LP, so the certificate never leans on the symmetry argument itself.
     """
-    if n > lp_cap:
-        raise CapExceeded(
-            f"full deletion LP capped at n <= {lp_cap}; "
-            "closed-form bounds remain available"
-        )
-    if n >= 10:
-        return _orbit_reduced_solve(n, "deletion")
-    return exactlp.solve_min_transversal(deletion_full_lp(n))
+    return _orbit_reduced_solve(n, "deletion", lp_cap)
 
 
 def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full grain LP (artifact-computed; no
-    published column exists for it), capped by size."""
-    if n > lp_cap:
-        raise CapExceeded(
-            f"full grain LP capped at n <= {lp_cap}; "
-            "closed-form bounds remain available"
-        )
-    if n >= 10:
-        return _orbit_reduced_solve(n, "grain")
-    return exactlp.solve_min_transversal(grain_full_lp(n))
+    published column exists for it), capped by size; solved like
+    deletion_full_gspb on the complement orbit quotient."""
+    return _orbit_reduced_solve(n, "grain", lp_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,12 @@ def _word_orbits(m: int, use_reversal: bool):
     return reps, orbit_of, sizes
 
 
-def _orbit_reduced_solve(n: int, family: str) -> exactlp.LPSolution:
+def _orbit_reduced_solve(n: int, family: str, lp_cap: int) -> exactlp.LPSolution:
+    if n > lp_cap:
+        raise CapExceeded(
+            f"full {family} LP capped at n <= {lp_cap}; "
+            "closed-form bounds remain available"
+        )
     # reversal commutes with deletion but not with the rightward smear
     use_rev = family == "deletion"
     if family == "deletion":
@@ -286,11 +277,3 @@ def verify_grain_transversal(n: int) -> exactlp.TransversalReport:
     """Exact check of the profile weights against all 2^n grain rows."""
     lp = grain_full_lp(n)
     return exactlp.verify_transversal(lp, theorem_weight_vector(n))
-
-
-def deletion_spec(n: int) -> ChannelSpec:
-    return ChannelSpec("deletion", n=n)
-
-
-def grain_spec(n: int) -> ChannelSpec:
-    return ChannelSpec("grain", n=n)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspb import channels as ch
-from gspb import exactlp, linsolve
+from gspb import exactlp, linsolve, magnitude, projective, seqchannels, zchannel
 
 
 def hypergraph_lp(spec, r=1):
@@ -90,10 +91,10 @@ def test_float_presolve_deletion10_floor():
 
 
 def test_crossover_matches_simplex():
-    # force both paths on the same medium LP and compare exact optima
+    # the default path and the simplex reference agree on a medium LP
     lp = hypergraph_lp(ch.ChannelSpec("z", n=6))
     a = exactlp.solve_min_transversal(lp, method="simplex")
-    b = exactlp.solve_min_transversal(lp, method="crossover")
+    b = exactlp.solve_min_transversal(lp)
     assert a.optimum == b.optimum
     assert a.certified and b.certified
     assert b.method == "presolve+crossover"
@@ -102,16 +103,51 @@ def test_crossover_matches_simplex():
 def test_crossover_deletion_small():
     lp = hypergraph_lp(ch.ChannelSpec("deletion", n=6))
     a = exactlp.solve_min_transversal(lp, method="simplex")
-    b = exactlp.solve_min_transversal(lp, method="crossover")
+    b = exactlp.solve_min_transversal(lp)
+    assert b.method == "presolve+crossover"
     assert a.optimum == b.optimum == Fraction(41, 4)  # floor 10
 
 
-@pytest.mark.parametrize("build", ["deletion_full_lp", "grain_full_lp"])
+# one quotient LP per family, each small enough for the simplex reference
+QUOTIENT_LPS = {
+    "asym_quotient(5,4)": lambda: magnitude.asym_quotient(5, 4).to_covering_lp(),
+    "sym_quotient(7,5)": lambda: magnitude.sym_quotient(7, 5).to_covering_lp(),
+    "z_quotient_lp(12,2)": lambda: zchannel.z_quotient_lp(12, 2),
+    "projective_lp(6)": lambda: projective.projective_lp(6),
+}
+
+
+@pytest.mark.parametrize("build", ["deletion_full_lp", "grain_full_lp", *QUOTIENT_LPS])
 def test_auto_certifies_full_lps_by_crossover(build):
-    # a presolve change must not fall back silently to the dense Fraction simplex
-    from gspb import seqchannels
-    sol = exactlp.solve_min_transversal(getattr(seqchannels, build)(9))
+    # every integral LP, however small, is certified by the crossover; a
+    # presolve change must not fall back silently to the dense Fraction simplex
+    quotient = QUOTIENT_LPS.get(build)
+    lp = quotient() if quotient else getattr(seqchannels, build)(9)
+    sol = exactlp.solve_min_transversal(lp)
     assert sol.certified and sol.method == "presolve+crossover"
+    if quotient:
+        assert sol.optimum == exactlp.solve_min_transversal(lp, method="simplex").optimum
+
+
+def test_failed_crossover_falls_back_within_a_cap(monkeypatch):
+    # with no float vertex every LP goes to the simplex, whose tableau is
+    # refused by size before it is built: exit 4, not a long Fraction solve
+    from gspb import cli
+    monkeypatch.setattr(exactlp, "float_presolve", lambda lp: exactlp.PresolveResult(
+        False, None, None, None, "forced failure"))
+    small = hypergraph_lp(ch.ChannelSpec("z", n=4))
+    assert exactlp.solve_min_transversal(small).method == "simplex"
+    lp = seqchannels.grain_full_lp(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ch.CapExceeded):
+            exactlp.solve_min_transversal(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22  # the 1024x2048 tableau alone is 16 MB of pointers
+    assert cli.main(["compute", "--family", "grain", "--n", "10",
+                     "--bound", "gspb"]) == 4
 
 
 def test_pivot_cap():
@@ -165,6 +201,9 @@ def test_strong_duality_random_covers(data):
     sol = exactlp.solve_min_transversal(lp, method="simplex")
     assert sol.status == "optimal"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+    auto = exactlp.solve_min_transversal(lp)
+    assert auto.optimum == sol.optimum
+    assert exactlp.check_certificate(lp, auto.primal, auto.dual) == sol.optimum
 
 
 @settings(max_examples=50, deadline=None)

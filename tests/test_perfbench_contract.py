@@ -1,8 +1,9 @@
 """The names the benchmark harness in ``perfbench/`` reads from gspb.
 
-The harness wraps the functions listed in ``perfbench/spans.py`` and records
-``gspb.kernels.BACKEND``; a rename or deletion of any of them breaks every
-benchmark run, so it is caught here.
+The harness wraps the functions listed in ``perfbench/spans.py``, records
+``gspb.kernels.BACKEND`` and sorts solves by their ``method`` string; a
+rename or deletion of any of them breaks every benchmark run, so it is
+caught here.
 """
 
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gspb import kernels
+from gspb import exactlp, kernels
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 TIMED = runpy.run_path(str(SPANS_PATH))["TIMED"]
@@ -25,3 +26,11 @@ def test_timed_name_resolves(name):
 
 def test_kernels_backend_is_recorded():
     assert isinstance(kernels.BACKEND, str)
+
+
+def test_solve_method_strings():
+    # spans.py counts simplex solves by result.method == "simplex" and
+    # every other solve as a crossover
+    lp = exactlp.CoveringLP(3, [1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
+    assert exactlp.solve_min_transversal(lp).method == "presolve+crossover"
+    assert exactlp.solve_min_transversal(lp, method="simplex").method == "simplex"

@@ -79,10 +79,10 @@ def test_greedy_feasible_folded_up_to_24():
 
 def test_certificates():
     for n in (4, 5, 8):
-        cert = proj.projective_certificate(n)
-        assert cert.status.startswith("optimal-certified"), n
-        assert sum(cert.y, Fraction(0)) == proj.projective_gspb(n).value
-    assert proj.projective_certificate(2).status == "flagged"
+        res = proj.projective_gspb(n)
+        assert res.certificate.status.startswith("optimal-certified"), n
+        assert sum(res.certificate.y, Fraction(0)) == res.value
+    assert proj.projective_gspb(2).certificate.status == "flagged"
 
 
 def test_aspv_values():

@@ -133,12 +133,12 @@ def test_ordering_chain():
 
 def test_orbit_route_matches_direct():
     # the symmetry-reduced path must reproduce the plain full-LP optimum
-    direct = exactlp.solve_min_transversal(seq.deletion_full_lp(10))
-    orbit = seq._orbit_reduced_solve(10, "deletion")
-    assert direct.optimum == orbit.optimum
-    gd = exactlp.solve_min_transversal(seq.grain_full_lp(8))
-    go = seq._orbit_reduced_solve(8, "grain")
-    assert gd.optimum == go.optimum
+    for n in range(2, 11):
+        direct = exactlp.solve_min_transversal(seq.deletion_full_lp(n))
+        assert seq.deletion_full_gspb(n).optimum == direct.optimum, n
+    for n in range(1, 10):
+        direct = exactlp.solve_min_transversal(seq.grain_full_lp(n))
+        assert seq.grain_full_gspb(n).optimum == direct.optimum, n
 
 
 def test_theorem_transversals_feasible():
