@@ -5,7 +5,9 @@ sparse data; its dual is the fractional packing problem
 max sum(z) s.t. A^T z <= c, z >= 0.  Every LP with integral data takes one
 path: a float presolve (HiGHS) followed by an exact crossover, which reads
 the optimal supports off the float vertex and solves the
-complementary-slackness square systems exactly.
+complementary-slackness systems A[R,S] w = 1 and A[R,S]^T z = c exactly.
+Both go through one support solve (``_support_solve``) on one int64 matrix
+(``_int_matrix``), as does the subspace block dual (``complementary_dual``).
 
 An exact tableau simplex under Bland's rule, run on the dual (the all-slack
 basis is feasible there, so no phase one is needed), solves LPs with
@@ -25,6 +27,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import linsolve
 from .channels import CapExceeded, GspbError
@@ -266,34 +270,28 @@ def _simplex_dual_form(lp: CoveringLP, pivot_cap: int) -> LPSolution:
 # float presolve and exact crossover
 # ---------------------------------------------------------------------------
 
-def _scipy_matrices(lp: CoveringLP):
-    import numpy as np
+def _int_matrix(lp: CoveringLP):
+    """The constraint matrix of an integral LP as an int64 CSR matrix."""
     from scipy.sparse import csr_matrix
 
-    data, ri, ci = [], [], []
-    for i, row in enumerate(lp.rows):
-        for j, a in row:
-            ri.append(i)
-            ci.append(j)
-            data.append(float(a))
-    A = csr_matrix((data, (ri, ci)), shape=(lp.num_rows, lp.num_vars))
-    c = np.array([float(v) for v in lp.objective])
-    return A, c
+    lengths = [len(row) for row in lp.rows]
+    ri = np.repeat(np.arange(lp.num_rows), lengths)
+    ci = np.fromiter((j for row in lp.rows for j, _ in row), np.int64, len(ri))
+    data = np.fromiter((int(a) for row in lp.rows for _, a in row), np.int64, len(ri))
+    return csr_matrix((data, (ri, ci)), shape=(lp.num_rows, lp.num_vars))
 
 
 def float_presolve(lp: CoveringLP) -> PresolveResult:
-    """Floating-point solve; advisory only, never certified.
+    """Floating-point solve of an integral LP; advisory only, never certified.
 
     Runs the HiGHS interior-point method, whose crossover (on by default)
     turns the interior optimum into a basic solution; the exact crossover
     reads its supports off that vertex.
     """
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except ImportError:
-        return PresolveResult(False, None, None, None, "scipy unavailable")
-    A, c = _scipy_matrices(lp)
+    from scipy.optimize import linprog
+
+    A = _int_matrix(lp).astype(np.float64)
+    c = np.array([float(v) for v in lp.objective])
     res = linprog(c, A_ub=-A, b_ub=-np.ones(lp.num_rows),
                   bounds=(0, None), method="highs-ipm")
     if not res.success:
@@ -302,117 +300,74 @@ def float_presolve(lp: CoveringLP) -> PresolveResult:
     return PresolveResult(True, float(res.fun), res.x.tolist(), dual, "ok")
 
 
-def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
-    """Exact optimum from float supports via complementary-slackness systems."""
-    import numpy as np
+def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
+                   size: int) -> list[Fraction] | None:
+    """Exact x of length ``size``, zero off ``unknowns``, with
+    (matrix x)_i = rhs[i] on an independent subset of the equations ``eqs``.
+    ``matrix`` is an int64 CSR matrix, ``rhs`` is indexed by its rows.
 
+    The subset and the unknowns it determines are picked by elimination mod
+    a word prime, taking equations in the order given (callers list preferred
+    ones first); the square subsystem is solved by Dixon lifting and the
+    other unknowns get zero; at rank 0 (no unknowns, say) that is the zero
+    vector.  Returns None when the subsystem does not solve; a returned x
+    is unchecked, so pass it to check_certificate.
+    """
+    x = [Fraction(0)] * size
+    sub = matrix[eqs][:, unknowns]
+    piv_rows, piv_cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIMES[0])
+    if not piv_cols:
+        return x
+    solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols),
+                                  [int(rhs[eqs[r]]) for r in piv_rows])
+    if solved is None:
+        return None
+    for c, v in zip(piv_cols, solved):
+        x[unknowns[c]] = v
+    return x
+
+
+def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
+    """Exact optimum from float supports via complementary-slackness systems.
+
+    The dual is solved once on the float dual support; the primal is tried
+    on the float support at three tolerances.
+    """
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
-    A, _ = _scipy_matrices(lp)
+    A = _int_matrix(lp)
+    At = A.T.tocsr()
     rowsum = A @ wt
-    p = linsolve.PRIMES[0]
+    colsum = At @ zt
     obj = [int(c) for c in lp.objective]
-    int_rows = [[(j, int(a)) for j, a in row] for row in lp.rows]
-
-    colsum = (A.T @ zt)
-    for tol in (1e-7, 1e-9, 1e-5):
-        support = [j for j in range(lp.num_vars) if wt[j] > tol]
-        if not support:
-            continue
-        tight = [i for i in range(lp.num_rows) if rowsum[i] < 1 + 1e-6]
-        tight.sort(key=lambda i: -zt[i])
-        dual_eqs = [
-            j for j in range(lp.num_vars)
-            if colsum[j] > obj[j] - 1e-6 - 1e-9 * obj[j]
-        ]
-        sol = _crossover_attempt(lp, int_rows, support, tight, dual_eqs, zt, p)
-        if sol is not None:
-            return sol
-    return None
-
-
-def _crossover_attempt(lp, int_rows, support, tight, dual_eqs, zt, p):
-    import numpy as np
-
-    ns = len(support)
-    col_of = {j: k for k, j in enumerate(support)}
-
-    # --- primal: pick ns independent tight rows, solve A[R, S] w_S = 1
-    tight_mat = np.zeros((len(tight), ns), dtype=np.int64)
-    for r, i in enumerate(tight):
-        for j, a in int_rows[i]:
-            if j in col_of:
-                tight_mat[r, col_of[j]] = a % p
-    piv_rows, piv_cols = linsolve.select_pivots_mod(tight_mat, p)
-    if len(piv_cols) < ns:
-        return None
-    sel = [tight[r] for r in piv_rows]
-    square = [
-        [(col_of[j], a) for j, a in int_rows[i] if j in col_of]
-        for i in sel
-    ]
-    w_s = linsolve.dixon_solve(square, ns, [1] * ns)
-    if w_s is None:
-        return None
-    w = [Fraction(0)] * lp.num_vars
-    for k, j in enumerate(support):
-        w[j] = w_s[k]
-
-    # --- dual: unknowns on the float dual support, one equation per tight
-    # dual constraint
-    z = complementary_dual(lp, [i for i in tight if zt[i] > 1e-9], dual_eqs)
+    tight = sorted((i for i in range(lp.num_rows) if rowsum[i] < 1 + 1e-6),
+                   key=lambda i: -zt[i])
+    dual_eqs = [j for j in range(lp.num_vars)
+                if colsum[j] > obj[j] - 1e-6 - 1e-9 * obj[j]]
+    z = _support_solve(At, dual_eqs, [i for i in tight if zt[i] > 1e-9], obj,
+                       lp.num_rows)
     if z is None:
         return None
-    optimum = check_certificate(lp, w, z)
-    if optimum is None:
-        return None
-    return LPSolution(
-        status="optimal", optimum=optimum, primal=w, dual=z,
-        certified=True, method="presolve+crossover",
-        notes=f"supports {len(support)}/{sum(1 for v in z if v)}",
-    )
+    ones = [1] * lp.num_rows
+    for tol in (1e-7, 1e-9, 1e-5):
+        support = [j for j in range(lp.num_vars) if wt[j] > tol]
+        w = _support_solve(A, tight, support, ones, lp.num_vars)
+        optimum = None if w is None else check_certificate(lp, w, z)
+        if optimum is not None:
+            return LPSolution(
+                status="optimal", optimum=optimum, primal=w, dual=z,
+                certified=True, method="presolve+crossover",
+                notes=f"supports {len(support)}/{sum(1 for v in z if v)}",
+            )
+    return None
 
 
 def complementary_dual(lp: CoveringLP, rows: list[int],
                        cols: list[int]) -> list[Fraction] | None:
-    """Packing vector z supported on ``rows`` with (A^T z)_j = c_j on ``cols``.
-
-    For integral LPs.  An independent square subsystem is picked mod a word
-    prime, taking rows in the order given (callers list preferred rows
-    first), and solved exactly by Dixon lifting; the other rows get zero.
-    Returns None when no such subsystem solves; a returned z is unchecked,
-    so pass it to check_certificate.
-    """
-    import numpy as np
-
-    if not rows or not cols:
-        return None
-    p = linsolve.PRIMES[0]
-    eq_of = {j: r for r, j in enumerate(cols)}
-    eq_mat = np.zeros((len(cols), len(rows)), dtype=np.int64)
-    for k, i in enumerate(rows):
-        for j, a in lp.rows[i]:
-            r = eq_of.get(j)
-            if r is not None:
-                eq_mat[r, k] = int(a) % p
-    eq_rows, eq_cols = linsolve.select_pivots_mod(eq_mat, p)
-    if not eq_rows:
-        return None
-    chosen = [rows[c] for c in eq_cols]
-    colmap: dict[int, list[tuple[int, int]]] = {}
-    for k, i in enumerate(chosen):
-        for j, a in lp.rows[i]:
-            if j in eq_of:
-                colmap.setdefault(j, []).append((k, int(a)))
-    square_t = [colmap.get(cols[rk], []) for rk in eq_rows]
-    rhs = [int(lp.objective[cols[rk]]) for rk in eq_rows]
-    z_c = linsolve.dixon_solve(square_t, len(chosen), rhs)
-    if z_c is None:
-        return None
-    z = [Fraction(0)] * lp.num_rows
-    for k, i in enumerate(chosen):
-        z[i] = z_c[k]
-    return z
+    """Packing vector z supported on ``rows`` with (A^T z)_j = c_j on ``cols``,
+    for integral LPs: the crossover's dual support solve.  Unchecked."""
+    return _support_solve(_int_matrix(lp).T.tocsr(), cols, rows, lp.objective,
+                          lp.num_rows)
 
 
 # ---------------------------------------------------------------------------

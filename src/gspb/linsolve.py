@@ -1,12 +1,14 @@
 """Exact rational solutions of integer linear systems via p-adic lifting.
 
 The LP crossover needs exact solutions of square integer systems whose size
-reaches a few thousand.  Dense exact Gaussian elimination is hopeless there,
-so we invert the matrix modulo a word-sized prime, lift the solution
-p-adically (Dixon), and recover rationals by lattice reduction of the
-residues.  Every candidate is verified exactly against the sparse input
-system before being returned, so a failed reconstruction can only cost time,
-never correctness.
+reaches a few thousand: one support solve picks an independent square
+subsystem with ``select_pivots_mod`` and hands it to ``dixon_solve``.  Dense
+exact Gaussian elimination is hopeless there, so we invert the matrix modulo
+a word-sized prime, lift the solution p-adically (Dixon), and recover
+rationals by lattice reduction of the residues.  Every candidate is checked
+against the sparse input system in Python ints, scaled by the LCM of its
+denominators, before being returned, so a failed reconstruction can only
+cost time, never correctness.
 
 Elimination mod p is blocked and runs on float64 residues, so that the bulk
 of the work is BLAS ``gemm`` (Dumas, Giorgi and Pernet, "Dense linear algebra
@@ -162,41 +164,36 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _sparse_to_csr(rows: list[list[tuple[int, int]]], k: int):
-    from scipy.sparse import csr_matrix
+def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
+    """Exact solution of the square sparse integer system matrix * x = rhs.
 
-    data, ri, ci = [], [], []
-    for i, row in enumerate(rows):
-        for j, a in row:
-            ri.append(i)
-            ci.append(j)
-            data.append(a)
-    return csr_matrix((data, (ri, ci)), shape=(len(rows), k), dtype=np.int64)
-
-
-def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
-                rhs: list[int]) -> list[Fraction] | None:
-    """Exact solution of the square sparse integer system rows * x = rhs.
-
-    rows: k sparse rows of (column, integer coefficient).  Returns None when
-    the matrix is singular or the lifting budget runs out; any returned
-    vector satisfies the system exactly (verified here).
+    matrix: a k x k ``scipy.sparse`` CSR matrix of int64.  Returns None when
+    the matrix is singular or the lifting budget runs out.  A candidate x is
+    returned only if A.X == d.rhs holds in Python ints, where d is the LCM of
+    its denominators and X = d.x.
     """
-    if len(rows) != k or len(rhs) != k:
-        raise ValueError(f"system is {len(rows)}x{k} with {len(rhs)} right-hand "
-                         "sides; dixon_solve needs a square system")
-    max_coeff = max((abs(a) for row in rows for _, a in row), default=1) or 1
+    if matrix.shape != (k, k) or len(rhs) != k:
+        raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
+                         f"{len(rhs)} right-hand sides; dixon_solve needs a "
+                         f"square {k}x{k} system")
+    indptr = matrix.indptr.tolist()
+    cols = matrix.indices.tolist()
+    vals = matrix.data.tolist()
+    spans = list(zip(indptr, indptr[1:]))
+    # the int64 lifting product A @ digit stays exact while every row's
+    # L1 norm times the largest digit is below 2^63
+    norm = max((sum(map(abs, vals[s:e])) for s, e in spans), default=0)
+    if norm * (max(PRIMES) - 1) >= 1 << 63:
+        raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
+                         "lifting product")
+    max_coeff = max(map(abs, vals), default=1) or 1
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
     # Hadamard-style budget on numerator/denominator bits, plus slack
     det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
     need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
 
-    csr = _sparse_to_csr(rows, k)
+    dense = matrix.toarray()
     for p in PRIMES:
-        dense = np.zeros((k, k), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, a in row:
-                dense[i, j] = a % p
         inv = _inverse_mod(dense, p)
         if inv is None:
             continue  # singular mod this prime; a true singular matrix fails all
@@ -210,7 +207,7 @@ def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
         while step < max_steps:
             rmod = np.array([ri % p for ri in residual], dtype=np.float64)
             digit = np.remainder(inv @ rmod, p).astype(np.int64)
-            bx = csr @ digit  # exact: coeffs and digits are word-sized
+            bx = matrix @ digit  # exact: the row norms were checked above
             for i in range(k):
                 quotient, rem = divmod(residual[i] - int(bx[i]), p)
                 if rem:
@@ -224,9 +221,14 @@ def dixon_solve(rows: list[list[tuple[int, int]]], k: int,
             step += 1
             if step >= next_attempt or step == max_steps:
                 next_attempt = step + max(8, step // 2)
-                candidate = _try_reconstruct(solution_mod, modulus)
-                if candidate is not None and _verify_system(rows, candidate, rhs):
-                    return candidate
+                x = _try_reconstruct(solution_mod, modulus)
+                if x is None:
+                    continue
+                d = math.lcm(*(v.denominator for v in x))
+                scaled = [v.numerator * (d // v.denominator) for v in x]
+                if all(sum(a * scaled[j] for j, a in zip(cols[s:e], vals[s:e])) == d * b
+                       for (s, e), b in zip(spans, rhs)):
+                    return x
         # lifting budget exhausted for this prime: supports were likely wrong
         return None
     return None
@@ -240,14 +242,3 @@ def _try_reconstruct(residues: list[int], modulus: int) -> list[Fraction] | None
             return None
         out.append(f)
     return out
-
-
-def _verify_system(rows, x: list[Fraction], rhs) -> bool:
-    for row, b in zip(rows, rhs):
-        total = Fraction(0)
-        for j, a in row:
-            if x[j]:
-                total += a * x[j]
-        if total != b:
-            return False
-    return True

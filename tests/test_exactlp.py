@@ -1,12 +1,15 @@
+import random
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from gspb import channels as ch
 from gspb import exactlp, linsolve, magnitude, projective, seqchannels, zchannel
@@ -217,14 +220,36 @@ def test_rational_reconstruction_roundtrip(den, data):
 
 
 def test_dixon_small_system():
-    rows = [[(0, 2), (1, 1)], [(0, 1), (1, 3)]]
-    x = linsolve.dixon_solve(rows, 2, [5, 7])
+    matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
+    x = linsolve.dixon_solve(matrix, 2, [5, 7])
     assert x == [Fraction(8, 5), Fraction(9, 5)]
 
 
 def test_dixon_singular_returns_none():
-    rows = [[(0, 1), (1, 2)], [(0, 2), (1, 4)]]
-    assert linsolve.dixon_solve(rows, 2, [1, 1]) is None
+    matrix = csr_matrix([[1, 2], [2, 4]], dtype=np.int64)
+    assert linsolve.dixon_solve(matrix, 2, [1, 1]) is None
+
+
+def test_optimum_zero_certifies_by_crossover():
+    # the float dual is all zero; the dual support solve returns z = 0
+    lp = exactlp.CoveringLP(2, [0, 1], [[(0, 1)], [(0, 1), (1, 1)]])
+    sol = exactlp.solve_min_transversal(lp)
+    assert sol.optimum == 0 and sol.certified and sol.method == "presolve+crossover"
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == 0
+
+
+def test_random_covers_take_no_fallback():
+    # every integral cover, optimum 0 included, certifies by the crossover
+    rng = random.Random(1)
+    for _ in range(400):
+        nv = rng.randint(1, 7)
+        rows = [[(j, rng.randint(1, 3))
+                 for j in sorted(rng.sample(range(nv), rng.randint(1, nv)))]
+                for _ in range(rng.randint(1, 7))]
+        lp = exactlp.CoveringLP(nv, [rng.randint(0, 5) for _ in range(nv)], rows)
+        sol = exactlp.solve_min_transversal(lp)
+        assert sol.method == "presolve+crossover", exactlp.lp_to_text(lp)
+        assert sol.optimum == exactlp.solve_min_transversal(lp, method="simplex").optimum
 
 
 def small_lp():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gspb import linsolve
 
@@ -151,7 +152,30 @@ def test_dixon_across_panels():
     dense = np.eye(k, dtype=np.int64) * 3 + random_matrix(rng, k, k, 5 / k)
     rows = [[(j, int(a)) for j, a in enumerate(row) if a] for row in dense]
     rhs = [int(b) for b in rng.integers(-5, 6, k)]
-    x = linsolve.dixon_solve(rows, k, rhs)
+    x = linsolve.dixon_solve(csr_matrix(dense), k, rhs)
     assert x is not None
     assert all(sum(a * x[j] for j, a in row) == b for row, b in zip(rows, rhs))
     assert any(v.denominator > 1 for v in x) and all(isinstance(v, Fraction) for v in x)
+
+
+def test_dixon_refuses_a_row_norm_that_overflows_int64():
+    # each coefficient fits, but their row sum times p - 1 passes 2^63
+    matrix = csr_matrix([[1 << 43, 1 << 43], [0, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow"):
+        linsolve.dixon_solve(matrix, 2, [1, 1])
+
+
+def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
+    # the integer check, not the reconstruction, decides what is returned
+    real = linsolve._try_reconstruct
+    calls = []
+
+    def perturbed(residues, modulus):
+        x = real(residues, modulus)
+        calls.append(x)
+        return None if x is None else [x[0] + 1, *x[1:]]
+
+    monkeypatch.setattr(linsolve, "_try_reconstruct", perturbed)
+    matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
+    assert linsolve.dixon_solve(matrix, 2, [5, 7]) is None
+    assert any(x is not None for x in calls)

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from gspb import exactlp, kernels
+from gspb import exactlp, kernels, magnitude
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-TIMED = runpy.run_path(str(SPANS_PATH))["TIMED"]
+SPANS = runpy.run_path(str(SPANS_PATH))
+TIMED = SPANS["TIMED"]
 
 
 @pytest.mark.parametrize("name", sorted(TIMED))
@@ -34,3 +35,15 @@ def test_solve_method_strings():
     lp = exactlp.CoveringLP(3, [1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
     assert exactlp.solve_min_transversal(lp).method == "presolve+crossover"
     assert exactlp.solve_min_transversal(lp, method="simplex").method == "simplex"
+
+
+def test_every_pivot_selection_feeds_one_dixon_solve():
+    # spans.py sizes a Dixon solve by args[1] and a pivot selection by the
+    # rank it returns; one support solve lifts exactly the pivot subsystem
+    lp = magnitude.sym_quotient(7, 5).to_covering_lp()
+    tracer = SPANS["Tracer"]()
+    with tracer, tracer.instance("sym_quotient(7,5)"):
+        exactlp.solve_min_transversal(lp)
+    metrics = SPANS["layer_metrics"](tracer.spans, lambda t0, t1: 0.0,
+                                     {"sym_quotient(7,5)": 1.0})
+    assert metrics["linsolve.dixon_dim_sum"] == metrics["linsolve.pivots_rank_sum"] > 0
