@@ -9,7 +9,8 @@ Four quantities appear per instance, each exact:
 * GSPB   -- the covering-LP optimum itself
 
 Reports keep exact rationals and integer floors side by side and attach the
-published comparison columns with their source tags.
+published comparison columns with their source tags.  MB, CLOSED and GSPB
+pass ``channels.check_radius``; ASPV enumerates balls at any radius.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from fractions import Fraction
 
 from . import exactlp, magnitude, projective, refdata, seqchannels, zchannel
 from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
-                       NotMonotoneError, ball_centers,
+                       NotMonotoneError, ball_centers, check_radius,
                        enumerate_vertices, in_ball, out_ball, vertex_count)
-
-MONOTONE_FAMILIES = ("z", "mag_asym", "deletion", "grain")
 
 
 @dataclass
@@ -48,7 +47,6 @@ class BoundEntry:
 @dataclass
 class BoundReport:
     spec: ChannelSpec
-    r: int
     entries: dict[str, BoundEntry] = field(default_factory=dict)
     reference_values: dict[str, int] = field(default_factory=dict)
 
@@ -74,7 +72,7 @@ class BoundReport:
         return {
             "family": self.spec.family,
             "n": self.spec.n,
-            "r": self.r,
+            "r": self.spec.r,
             "q": self.spec.q,
             "bounds": {name: enc(e) for name, e in self.entries.items()},
             "refs": dict(self.reference_values),
@@ -88,16 +86,15 @@ class BoundReport:
 # monotonicity
 # ---------------------------------------------------------------------------
 
-def check_monotone(spec: ChannelSpec, r: int | None = None,
-                   cap: int = DEFAULT_ENUM_CAP) -> bool:
+def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True iff every ball member has degree at most its center's.
 
     The deletion channel is checked through the run-count analogue (ball
     members have no balls of their own there); everything else compares
     out-ball sizes directly by enumeration.
     """
-    r = spec.r if r is None else r
     if spec.family == "deletion":
+        check_radius(spec)
         from .kernels import run_stats
         n = spec.n
         rho_small, _ = run_stats(n - 1)
@@ -112,75 +109,66 @@ def check_monotone(spec: ChannelSpec, r: int | None = None,
     degs: dict = {}
     vertices = enumerate_vertices(spec, cap)
     for x in vertices:
-        degs[x] = len(out_ball(spec, x, r))
+        degs[x] = len(out_ball(spec, x))
     for x in vertices:
         dx = degs[x]
-        for y in out_ball(spec, x, r):
+        for y in out_ball(spec, x):
             if degs[y] > dx:
                 return False
     return True
 
 
-def monotonicity_bound(spec: ChannelSpec, r: int | None = None,
-                       cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+def monotonicity_bound(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Sum of reciprocal degrees; refused when the graph is not monotone."""
-    r = spec.r if r is None else r
+    check_radius(spec)
     fam = spec.family
     if fam == "z":
-        return zchannel.z_mb(spec.n, r)
+        return zchannel.z_mb(spec.n, spec.r)
     if fam == "mag_asym":
-        if r != 1:
-            raise GspbError("magnitude bounds cover radius 1 only")
         return magnitude.asym_mb(spec.n, spec.q)
     if fam == "deletion":
         return seqchannels.deletion_mb(spec.n)
     if fam == "grain":
-        if r != 1:
-            raise GspbError("grain bounds cover radius 1 only")
         return seqchannels.grain_mb(spec.n)
     if fam in ("mag_sym", "projective"):
         raise NotMonotoneError(f"{fam} graphs are not monotone; no MB")
-    if not check_monotone(spec, r, cap):
+    if not check_monotone(spec, cap):
         raise NotMonotoneError("graph fails the monotonicity check; no MB")
     return sum(
-        (Fraction(1, len(out_ball(spec, x, r)))
+        (Fraction(1, len(out_ball(spec, x)))
          for x in enumerate_vertices(spec, cap)),
         Fraction(0),
     )
 
 
-def lemma3_transversal(spec: ChannelSpec, r: int | None = None,
-                       cap: int = DEFAULT_ENUM_CAP):
+def lemma3_transversal(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP):
     """Always-feasible weights 1/min{deg(x) : x reaches the vertex}.
 
     Returns (vertices, weights, bound).  For the deletion channel the
     minimum ranges over the length-n words whose ball contains the vertex.
     """
-    r = spec.r if r is None else r
     vertices = enumerate_vertices(spec, cap)
     if spec.family == "deletion":
         from .channels import predecessors
         weights = []
         for v in vertices:
-            deg_min = min(len(out_ball(spec, c, 1)) for c in predecessors(spec, v))
+            deg_min = min(len(out_ball(spec, c)) for c in predecessors(spec, v))
             weights.append(Fraction(1, deg_min))
     else:
-        degs = {x: len(out_ball(spec, x, r)) for x in vertices}
+        degs = {x: len(out_ball(spec, x)) for x in vertices}
         weights = [
-            Fraction(1, min(degs[x] for x in in_ball(spec, v, r)))
+            Fraction(1, min(degs[x] for x in in_ball(spec, v)))
             for v in vertices
         ]
     return vertices, weights, sum(weights, Fraction(0))
 
 
-def aspv(spec: ChannelSpec, r: int | None = None,
-         cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+def aspv(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Vertex count over mean ball size; a value, not automatically a bound."""
-    r = spec.r if r is None else r
     fam = spec.family
     if fam == "z":
-        return zchannel.z_aspv(spec.n, r)
-    if r == 1:
+        return zchannel.z_aspv(spec.n, spec.r)
+    if spec.r == 1:
         if fam == "mag_asym":
             return magnitude.asym_aspv(spec.n, spec.q)
         if fam == "mag_sym":
@@ -193,7 +181,7 @@ def aspv(spec: ChannelSpec, r: int | None = None,
             return projective.projective_aspv(spec.n)
     # explicit graphs and larger radii: direct enumeration
     centers = ball_centers(spec, cap)
-    total = sum(len(out_ball(spec, c, r)) for c in centers)
+    total = sum(len(out_ball(spec, c)) for c in centers)
     return Fraction(vertex_count(spec) * len(centers), total)
 
 
@@ -201,7 +189,7 @@ def aspv(spec: ChannelSpec, r: int | None = None,
 # report assembly
 # ---------------------------------------------------------------------------
 
-def assemble_report(spec: ChannelSpec, r: int | None = None,
+def assemble_report(spec: ChannelSpec,
                     lp_cap: int = seqchannels.DEFAULT_LP_CAP,
                     enum_cap: int = DEFAULT_ENUM_CAP,
                     include_gspb: bool = True) -> BoundReport:
@@ -211,13 +199,14 @@ def assemble_report(spec: ChannelSpec, r: int | None = None,
     reason; nothing is fabricated.  The grain MB is the even-rounded variant,
     matching the published column.
     """
-    r = spec.r if r is None else r
-    report = BoundReport(spec=spec, r=r)
+    report = BoundReport(spec=spec)
     report.reference_values = refdata.reference_values(
-        spec.family, spec.n, r, spec.q)
+        spec.family, spec.n, spec.r)
 
-    def put(name, thunk, certified=True, note=""):
+    def put(name, thunk, certified=True, note="", any_radius=False):
         try:
+            if not any_radius:
+                check_radius(spec)
             value = thunk()
         except GspbError as exc:
             report.entries[name] = _refused(name, exc)
@@ -229,43 +218,45 @@ def assemble_report(spec: ChannelSpec, r: int | None = None,
         put("mb", lambda: Fraction(seqchannels.grain_mb(spec.n, True)),
             note="even-rounded variant")
     else:
-        put("mb", lambda: monotonicity_bound(spec, r, enum_cap))
-    put("aspv", lambda: aspv(spec, r, enum_cap), note="value, not bound")
+        put("mb", lambda: monotonicity_bound(spec, enum_cap))
+    put("aspv", lambda: aspv(spec, enum_cap), note="value, not bound",
+        any_radius=True)
 
-    if fam == "mag_asym" and r == 1:
+    if fam == "mag_asym":
         put("closed", lambda: magnitude.asym_improved_transversal(spec.n, spec.q).bound)
-    elif fam == "mag_sym" and r == 1:
+    elif fam == "mag_sym":
         put("closed", lambda: magnitude.sym_transversal(spec.n, spec.q).bound)
     elif fam == "deletion":
         put("closed", lambda: seqchannels.deletion_bound(spec.n))
-    elif fam == "grain" and r == 1:
+    elif fam == "grain":
         put("closed", lambda: seqchannels.grain_bound(spec.n))
 
     if include_gspb:
-        _put_gspb(report, spec, r, lp_cap, enum_cap)
+        _put_gspb(report, spec, lp_cap, enum_cap)
     return report
 
 
-def _put_gspb(report: BoundReport, spec: ChannelSpec, r: int,
-              lp_cap: int, enum_cap: int) -> None:
+def _put_gspb(report: BoundReport, spec: ChannelSpec, lp_cap: int,
+              enum_cap: int) -> None:
     name = "gspb"
     fam = spec.family
     try:
+        check_radius(spec)
         if fam == "z":
-            res = zchannel.z_gspb(spec.n, r)
+            res = zchannel.z_gspb(spec.n, spec.r)
             report.entries[name] = BoundEntry(
                 name, res.value, res.certified, f"path: {res.path}")
-        elif fam == "mag_asym" and r == 1:
+        elif fam == "mag_asym":
             sol = magnitude.asym_gspb(spec.n, spec.q)
             report.entries[name] = BoundEntry(name, sol.optimum, sol.certified)
-        elif fam == "mag_sym" and r == 1:
+        elif fam == "mag_sym":
             sol = magnitude.sym_gspb(spec.n, spec.q)
             report.entries[name] = BoundEntry(name, sol.optimum, sol.certified)
         elif fam == "deletion":
             sol = seqchannels.deletion_full_gspb(spec.n, lp_cap)
             report.entries[name] = BoundEntry(name, sol.optimum, sol.certified,
                                               "full covering LP")
-        elif fam == "grain" and r == 1:
+        elif fam == "grain":
             sol = seqchannels.grain_full_gspb(spec.n, lp_cap)
             report.entries[name] = BoundEntry(
                 name, sol.optimum, sol.certified,
@@ -274,14 +265,11 @@ def _put_gspb(report: BoundReport, spec: ChannelSpec, r: int,
             res = projective.projective_gspb(spec.n)
             report.entries[name] = BoundEntry(name, res.value, res.certified,
                                               res.flag)
-        elif fam == "explicit":
+        else:  # explicit graphs: the unreduced covering LP
             from .reduction import full_hypergraph_lp
             sol = exactlp.solve_min_transversal(
-                full_hypergraph_lp(spec, r, cap=enum_cap))
+                full_hypergraph_lp(spec, cap=enum_cap))
             report.entries[name] = BoundEntry(name, sol.optimum, sol.certified)
-        else:
-            report.entries[name] = BoundEntry(
-                name, None, False, f"no covering-LP route for {fam} at r={r}")
     except GspbError as exc:
         report.entries[name] = _refused(name, exc)
 

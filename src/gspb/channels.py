@@ -3,7 +3,8 @@
 Each error channel is a directed graph on its word space; the radius-r
 out-ball of x collects every word reachable from x by at most r single-error
 steps.  The hypergraph whose edges are these balls is what all bound
-computations consume.
+computations consume.  The radius is ``ChannelSpec.r`` alone; a route that
+covers radius 1 only asks ``check_radius`` before it answers.
 
 Vertex encodings (canonical, one encoding per vertex):
 
@@ -352,34 +353,34 @@ def predecessors(spec: ChannelSpec, y) -> list:
     return [a for (a, b) in spec.explicit_edges if b == y]
 
 
-def out_ball(spec: ChannelSpec, x, r: int | None = None) -> set:
+def check_radius(spec: ChannelSpec) -> None:
+    """Refuse r != 1 unless the family is z or an explicit graph: every
+    other family's formulas and quotients are single-error."""
+    if spec.r != 1 and spec.family not in ("z", "explicit"):
+        raise GspbError(f"{spec.family} bounds cover radius 1 only")
+
+
+def out_ball(spec: ChannelSpec, x) -> set:
     """All y with directed path distance d(x, y) <= r; x always included."""
-    r = spec.r if r is None else r
-    if spec.family == "deletion" and r != 1:
-        raise GspbError("deletion channel supports radius 1 only")
     if spec.family == "deletion":
+        check_radius(spec)
         return set(successors(spec, x))  # ground set excludes length-n words
-    frontier = {x}
-    ball = {x}
-    for _ in range(r):
-        frontier = {y for v in frontier for y in successors(spec, v)} - ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
+    return _ball(x, spec.r, lambda v: successors(spec, v))
 
 
-def in_ball(spec: ChannelSpec, x, r: int | None = None) -> set:
+def in_ball(spec: ChannelSpec, x) -> set:
     """All y with d(y, x) <= r, by reverse breadth-first expansion."""
-    r = spec.r if r is None else r
-    if spec.family == "deletion" and r != 1:
-        raise GspbError("deletion channel supports radius 1 only")
     if spec.family == "deletion":
+        check_radius(spec)
         return set(predecessors(spec, x))
+    return _ball(x, spec.r, lambda v: predecessors(spec, v))
+
+
+def _ball(x, r: int, step) -> set:
     frontier = {x}
     ball = {x}
     for _ in range(r):
-        frontier = {y for v in frontier for y in predecessors(spec, v)} - ball
+        frontier = {y for v in frontier for y in step(v)} - ball
         if not frontier:
             break
         ball |= frontier
@@ -411,19 +412,17 @@ def ball_centers(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     return enumerate_vertices(spec, cap)
 
 
-def build_hypergraph(spec: ChannelSpec, r: int | None = None,
-                     cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
+def build_hypergraph(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
     """Ball hypergraph: one edge per center.
 
     For the deletion channel the ground set is the length-(n-1) words while
     centers range over the length-n words.
     """
-    r = spec.r if r is None else r
     vertices = enumerate_vertices(spec, cap)
     index = {v: i for i, v in enumerate(vertices)}
     centers = ball_centers(spec, cap)
     edges = [
-        tuple(sorted(index[y] for y in out_ball(spec, c, r)))
+        tuple(sorted(index[y] for y in out_ball(spec, c)))
         for c in centers
     ]
     return Hypergraph(vertices=vertices, edges=edges, centers=centers, index=index)
@@ -482,12 +481,10 @@ FIXTURES = {
 }
 
 
-def average_ball_size(spec: ChannelSpec, r: int | None = None,
-                      cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+def average_ball_size(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Mean out-ball size over ball centers, by enumeration."""
-    r = spec.r if r is None else r
     centers = ball_centers(spec, cap)
-    total = sum(len(out_ball(spec, c, r)) for c in centers)
+    total = sum(len(out_ball(spec, c)) for c in centers)
     return Fraction(total, len(centers))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import bounds, exactlp, magnitude, oracle, projective, refdata, seqchannels, zchannel
 from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
-                       FIXTURES, GspbError, DEFAULT_ENUM_CAP)
+                       FIXTURES, GspbError, DEFAULT_ENUM_CAP, check_radius)
 from .exactlp import fmt_frac
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ class Refusal(Exception):
     pass
 
 
-def _spec_from_args(args) -> ChannelSpec:
+def _spec_from_args(args, n: int) -> ChannelSpec:
     family = FAMILY_NAMES[args.family]
     q = args.q
     if family in ("mag_asym", "mag_sym"):
@@ -52,7 +52,7 @@ def _spec_from_args(args) -> ChannelSpec:
             raise Refusal(f"--q is required for {args.family}")
     elif q is not None:
         raise Refusal(f"--q does not apply to {args.family}")
-    return ChannelSpec(family, n=args.n, r=args.r, q=q)
+    return ChannelSpec(family, n=n, r=args.r, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +60,8 @@ def _spec_from_args(args) -> ChannelSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_compute(args) -> int:
-    spec = _spec_from_args(args)
-    report = bounds.assemble_report(spec, args.r, lp_cap=args.lp_cap,
+    spec = _spec_from_args(args, args.n)
+    report = bounds.assemble_report(spec, lp_cap=args.lp_cap,
                                     enum_cap=args.enum_cap)
     name = _COLUMN_TO_ENTRY.get(args.bound.upper())
     if name is None or name not in report.entries:
@@ -87,10 +87,9 @@ def cmd_compute(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _table_reports(args, family: str):
-    jobs = [(family, n, args.r, args.q, args.lp_cap, args.enum_cap,
-             "GSPB" in args.columns_list)
-            for n in range(args.n_from, args.n_to + 1)]
+def _table_reports(args, specs: list[ChannelSpec]):
+    jobs = [(spec, args.lp_cap, args.enum_cap, "GSPB" in args.columns_list)
+            for spec in specs]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -99,16 +98,15 @@ def _table_reports(args, family: str):
 
 
 def _table_worker(job):
-    family, n, r, q, lp_cap, enum_cap, include_gspb = job
-    spec = ChannelSpec(family, n=n, r=r, q=q)
-    return bounds.assemble_report(spec, r, lp_cap=lp_cap, enum_cap=enum_cap,
+    spec, lp_cap, enum_cap, include_gspb = job
+    return bounds.assemble_report(spec, lp_cap=lp_cap, enum_cap=enum_cap,
                                   include_gspb=include_gspb)
 
 
 def _cell(report, column: str, exact: bool) -> str:
     if column == "REF":
         ref = refdata.primary_reference(report.spec.family, report.spec.n,
-                                        report.r, report.spec.q)
+                                        report.spec.r)
         return "?" if ref is None else str(ref[1])
     entry = report.entries.get(_COLUMN_TO_ENTRY[column])
     if entry is None or entry.value is None:
@@ -118,15 +116,15 @@ def _cell(report, column: str, exact: bool) -> str:
 
 def cmd_table(args) -> int:
     family = FAMILY_NAMES[args.family]
-    if family in ("mag_asym", "mag_sym") and args.q is None:
-        raise Refusal(f"--q is required for {args.family}")
+    specs = [_spec_from_args(args, n)
+             for n in range(args.n_from, args.n_to + 1)]
     valid = VALID_COLUMNS[family]
     args.columns_list = ([c.strip().upper() for c in args.columns.split(",")]
                          if args.columns else list(valid))
     for c in args.columns_list:
         if c not in valid:
             raise Refusal(f"column {c} is not valid for {args.family}")
-    reports = _table_reports(args, family)
+    reports = _table_reports(args, specs)
 
     header = ["n"] + args.columns_list
     lines = []
@@ -163,6 +161,7 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
+    check_radius(spec)
     fam = spec.family
     if fam in ("deletion", "grain") and (1 << spec.n) > enum_cap:
         raise EnumerationCapExceeded(
@@ -200,7 +199,7 @@ def _default_weights(spec: ChannelSpec):
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, args.n)
     lp = _family_lp(spec, args.enum_cap)
     if args.weights_file:
         with open(args.weights_file) as fh:
@@ -261,8 +260,8 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     if not args.family or args.n is None:
         raise Refusal("oracle needs --fixture or --family with --n")
-    spec = _spec_from_args(args)
-    res = oracle.oracle_result(spec, args.r, cap=args.enum_cap)
+    spec = _spec_from_args(args, args.n)
+    res = oracle.oracle_result(spec, cap=args.enum_cap)
     floor = res.tau_star_full.numerator // res.tau_star_full.denominator
     print(f"{args.family} n={args.n} r={args.r}: "
           f"tau* = {fmt_frac(res.tau_star_full)} (~{float(res.tau_star_full):.4f}), "

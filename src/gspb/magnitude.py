@@ -25,18 +25,14 @@ class ClassTransversal:
     feasible: bool
 
 
-def _quotient(spec: ChannelSpec) -> reduction.QuotientLP:
-    return reduction.quotient_matrix(spec, r=1)
-
-
 def asym_quotient(n: int, q: int) -> reduction.QuotientLP:
     """Reduced covering LP over value-count compositions."""
-    return _quotient(ChannelSpec("mag_asym", n=n, q=q))
+    return reduction.quotient_matrix(ChannelSpec("mag_asym", n=n, q=q))
 
 
 def sym_quotient(n: int, q: int) -> reduction.QuotientLP:
     """Reduced covering LP over folded compositions."""
-    return _quotient(ChannelSpec("mag_sym", n=n, q=q))
+    return reduction.quotient_matrix(ChannelSpec("mag_sym", n=n, q=q))
 
 
 def asym_gspb(n: int, q: int) -> exactlp.LPSolution:

@@ -21,15 +21,17 @@ from .reduction import full_hypergraph_lp
 
 DEFAULT_ORACLE_CAP = 4096
 
+# both searches in brute_force_matching recurse once per ball; this keeps
+# them well inside Python's default recursion limit of 1000 frames
+MAX_SEARCH_BALLS = 512
+
 
 @dataclass
 class OracleResult:
     spec: ChannelSpec
-    r: int
     tau_star_full: Fraction
     nu_integral: int
     witness: list            # centers of a maximum disjoint ball family
-    notes: str = ""
 
 
 def _check_cap(spec: ChannelSpec, cap: int) -> None:
@@ -39,16 +41,20 @@ def _check_cap(spec: ChannelSpec, cap: int) -> None:
             f"{count} vertices exceed the oracle cap {cap}")
 
 
-def brute_force_tau(spec: ChannelSpec, r: int | None = None,
-                    cap: int = DEFAULT_ORACLE_CAP) -> Fraction:
+def _check_search_depth(spec: ChannelSpec) -> None:
+    balls = 1 << spec.n if spec.family == "deletion" else vertex_count(spec)
+    if balls > MAX_SEARCH_BALLS:
+        raise OracleCapExceeded(
+            f"{balls} balls exceed the matching search cap {MAX_SEARCH_BALLS}")
+
+
+def brute_force_tau(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP) -> Fraction:
     """Covering optimum of the full hypergraph, no reductions."""
-    r = spec.r if r is None else r
     _check_cap(spec, cap)
-    return exactlp.solve_min_transversal(full_hypergraph_lp(spec, r)).optimum
+    return exactlp.solve_min_transversal(full_hypergraph_lp(spec)).optimum
 
 
-def brute_force_matching(spec: ChannelSpec, r: int | None = None,
-                         cap: int = DEFAULT_ORACLE_CAP,
+def brute_force_matching(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP,
                          tau: Fraction | None = None) -> tuple[int, list]:
     """Exact maximum family of pairwise disjoint balls, with witness.
 
@@ -59,11 +65,11 @@ def brute_force_matching(spec: ChannelSpec, r: int | None = None,
     solution is the lexicographically least witness.  ``tau``, the covering
     optimum from brute_force_tau, is solved here when not passed.
     """
-    r = spec.r if r is None else r
     _check_cap(spec, cap)
+    _check_search_depth(spec)
     if tau is None:
-        tau = brute_force_tau(spec, r, cap)
-    hg = build_hypergraph(spec, r)
+        tau = brute_force_tau(spec, cap)
+    hg = build_hypergraph(spec)
     global_cap = tau.numerator // tau.denominator
 
     order = sorted(range(hg.num_edges),
@@ -115,14 +121,13 @@ def brute_force_matching(spec: ChannelSpec, r: int | None = None,
     return best_size, witness
 
 
-def oracle_result(spec: ChannelSpec, r: int | None = None,
-                  cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
-    r = spec.r if r is None else r
-    tau = brute_force_tau(spec, r, cap)
-    nu, witness = brute_force_matching(spec, r, cap, tau)
+def oracle_result(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
+    _check_search_depth(spec)
+    tau = brute_force_tau(spec, cap)
+    nu, witness = brute_force_matching(spec, cap, tau)
     if nu > tau.numerator // tau.denominator:
         raise AssertionError(f"matching size {nu} exceeds floor of tau* {tau}")
-    return OracleResult(spec=spec, r=r, tau_star_full=tau, nu_integral=nu,
+    return OracleResult(spec=spec, tau_star_full=tau, nu_integral=nu,
                         witness=witness)
 
 
@@ -153,9 +158,9 @@ def counterexample_suite() -> list[FixtureFacts]:
         ("example3", example_three(), None),
         ("example4", example_four(3), None),
     ):
-        tau = brute_force_tau(spec, 1)
-        nu, _ = brute_force_matching(spec, 1, tau=tau)
-        value = aspv(spec, 1)
+        tau = brute_force_tau(spec)
+        nu, _ = brute_force_matching(spec, tau=tau)
+        value = aspv(spec)
         naive = (Fraction(spec.explicit_num_vertices, regular_ball)
                  if regular_ball else None)
         if name == "example2":

@@ -26,7 +26,7 @@ from .channels import ChannelSpec, gaussian_binomial
 class ProjectiveWeights:
     n: int
     w: list[Fraction]             # folded, indices 0..floor(n/2)
-    source: str                   # "greedy" | "closed-form" | "lp"
+    source: str                   # "greedy" | "closed-form"
     matches_greedy: bool | None = None
 
     def unfolded(self) -> list[Fraction]:
@@ -46,7 +46,6 @@ class ProjectiveCertificate:
     y: list[Fraction] | None      # dual over the floor(n/2)+1 folded rows
     status: str                   # "optimal-certified-block" |
     #                               "optimal-certified-lp-dual" | "flagged"
-    block_agrees_with_lp: bool
 
 
 @dataclass
@@ -150,12 +149,11 @@ def _certificate(lp: exactlp.CoveringLP, weights: ProjectiveWeights,
     n = weights.n
     block = _block_certificate(lp, weights)
     value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
-    agrees = value == sol.optimum
-    if agrees:
-        return ProjectiveCertificate(n, block, "optimal-certified-block", agrees)
+    if value == sol.optimum:
+        return ProjectiveCertificate(n, block, "optimal-certified-block")
     if weights.bound() != sol.optimum:
-        return ProjectiveCertificate(n, sol.dual, "flagged", agrees)
-    return ProjectiveCertificate(n, sol.dual, "optimal-certified-lp-dual", agrees)
+        return ProjectiveCertificate(n, sol.dual, "flagged")
+    return ProjectiveCertificate(n, sol.dual, "optimal-certified-lp-dual")
 
 
 def projective_gspb(n: int) -> ProjectiveGspb:

@@ -19,8 +19,9 @@ complementation and reversal in ``seqchannels``, which lifts its witnesses
 back to the full LP; explicit graphs have no quotient.  Asking this module
 for a partition of any of the three raises QuotientUnavailable.
 
-Quotient rows are validated against direct ball enumeration at small n the
-first time each family/q combination is used; a mismatch raises immediately.
+Only the z rows hold beyond radius 1 (``channels.check_radius``).  Rows are
+checked against ball enumeration at small n once per family, q and r; a
+mismatch raises on every call.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from fractions import Fraction
 from math import comb
 
 from . import exactlp
-from .channels import (ChannelSpec, QuotientUnavailable, build_hypergraph,
-                       gaussian_binomial)
-
-QUOTIENT_FAMILIES = ("z", "mag_asym", "mag_sym", "projective")
+from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, QuotientUnavailable,
+                       build_hypergraph, check_radius, gaussian_binomial,
+                       out_ball)
 
 
 @dataclass
@@ -65,7 +65,6 @@ class QuotientLP:
 
     partition: ClassPartition
     matrix: list[list[int]]       # dense, num_classes square
-    r: int
 
     def to_covering_lp(self) -> exactlp.CoveringLP:
         rows = [
@@ -118,12 +117,8 @@ def _invariant(spec: ChannelSpec, vertex):
         for v in vertex:
             counts[min(v, spec.q - 1 - v)] += 1
         return tuple(counts)
-    if fam == "projective":
-        k = len(vertex)
-        return min(k, spec.n - k)
-    raise QuotientUnavailable(
-        f"family {fam!r} has no built-in partition; use the full LP"
-    )
+    k = len(vertex)  # projective; partitions exist for these four only
+    return min(k, spec.n - k)
 
 
 def partition_by_canonical_form(spec: ChannelSpec) -> ClassPartition:
@@ -251,68 +246,57 @@ def _projective_matrix(n: int) -> list[list[int]]:
 _VALIDATED: set = set()
 
 
-def _validate_rules(spec: ChannelSpec, r: int) -> None:
-    """Cross-check quotient rows against ball enumeration once per family."""
-    key = (spec.family, spec.q, r)
+def _validate_rules(spec: ChannelSpec) -> None:
+    """Cross-check quotient rows against ball enumeration once per family;
+    the key is recorded only after the rows agree."""
+    key = (spec.family, spec.q, spec.r)
     if key in _VALIDATED:
         return
-    _VALIDATED.add(key)
     small_n = min(spec.n, 4 if spec.family != "mag_sym" else 3)
-    probe = ChannelSpec(spec.family, n=small_n, r=r, q=spec.q)
+    probe = ChannelSpec(spec.family, n=small_n, r=spec.r, q=spec.q)
     part = partition_by_canonical_form(probe)
-    expected = _matrix_by_enumeration(probe, part, r)
-    got = _family_matrix(probe, part, r)
+    got = _family_matrix(probe, part)
+    expected = _matrix_by_enumeration(probe, part)
     if got != expected:
         raise AssertionError(
             f"quotient row rule for {spec.family} disagrees with ball "
             f"enumeration at n={small_n}: {got} != {expected}"
         )
+    _VALIDATED.add(key)
 
 
-def _matrix_by_enumeration(spec: ChannelSpec, part: ClassPartition,
-                           r: int) -> list[list[int]]:
-    from .channels import out_ball
+def _matrix_by_enumeration(spec: ChannelSpec, part: ClassPartition) -> list[list[int]]:
     mat = [[0] * part.num_classes for _ in range(part.num_classes)]
     for i, rep in enumerate(part.representatives):
-        for y in out_ball(spec, rep, r):
+        for y in out_ball(spec, rep):
             mat[i][part.classify(y)] += 1
     return mat
 
 
-def _family_matrix(spec: ChannelSpec, part: ClassPartition, r: int) -> list[list[int]]:
+def _family_matrix(spec: ChannelSpec, part: ClassPartition) -> list[list[int]]:
+    check_radius(spec)
     fam = spec.family
     if fam == "z":
-        return _z_matrix(spec.n, r)
+        return _z_matrix(spec.n, spec.r)
     if fam == "mag_asym":
-        if r != 1:
-            raise QuotientUnavailable("magnitude quotients cover radius 1 only")
         return _asym_matrix(part.labels, part.label_to_id, spec.q)
     if fam == "mag_sym":
-        if r != 1:
-            raise QuotientUnavailable("magnitude quotients cover radius 1 only")
         return _sym_matrix(part.labels, part.label_to_id, spec.q)
     if fam == "projective":
-        if r != 1:
-            raise QuotientUnavailable("subspace quotient covers radius 1 only")
         return _projective_matrix(spec.n)
     raise QuotientUnavailable(f"family {fam!r} has no quotient")
 
 
-def quotient_matrix(spec: ChannelSpec, partition: ClassPartition | None = None,
-                    r: int | None = None) -> QuotientLP:
+def quotient_matrix(spec: ChannelSpec) -> QuotientLP:
     """Quotient LP from the family's closed-form row rules."""
-    r = spec.r if r is None else r
-    if partition is None:
-        partition = partition_by_canonical_form(spec)
-    _validate_rules(spec, r)
-    mat = _family_matrix(spec, partition, r)
-    return QuotientLP(partition=partition, matrix=mat, r=r)
+    partition = partition_by_canonical_form(spec)
+    _validate_rules(spec)
+    return QuotientLP(partition, _family_matrix(spec, partition))
 
 
-def reduced_gspb(spec: ChannelSpec, r: int | None = None) -> exactlp.LPSolution:
+def reduced_gspb(spec: ChannelSpec) -> exactlp.LPSolution:
     """Covering optimum of the reduced LP; equals the full optimum exactly."""
-    qlp = quotient_matrix(spec, r=r)
-    return exactlp.solve_min_transversal(qlp.to_covering_lp())
+    return exactlp.solve_min_transversal(quotient_matrix(spec).to_covering_lp())
 
 
 def lift_class_weights(partition: ClassPartition, class_weights,
@@ -321,11 +305,9 @@ def lift_class_weights(partition: ClassPartition, class_weights,
     return [Fraction(class_weights[partition.classify(v)]) for v in vertices]
 
 
-def full_hypergraph_lp(spec: ChannelSpec, r: int | None = None,
-                       cap: int | None = None) -> exactlp.CoveringLP:
+def full_hypergraph_lp(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Unreduced unit-objective covering LP of the ball hypergraph."""
-    kwargs = {} if cap is None else {"cap": cap}
-    hg = build_hypergraph(spec, r, **kwargs)
+    hg = build_hypergraph(spec, cap)
     return exactlp.CoveringLP(
         num_vars=hg.num_vertices,
         objective=[1] * hg.num_vertices,

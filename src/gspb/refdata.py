@@ -38,8 +38,7 @@ _GRAIN_LB = [
 _BVP = [6, 20, 124, 776, 9268, 107419]
 
 
-def reference_values(family: str, n: int, r: int = 1,
-                     q: int | None = None) -> dict[str, int]:
+def reference_values(family: str, n: int, r: int = 1) -> dict[str, int]:
     """Source-tagged external column values for one instance; may be empty."""
     out: dict[str, int] = {}
     if family == "z" and r in _WVB88 and 5 <= n <= 23:
@@ -57,10 +56,10 @@ def reference_values(family: str, n: int, r: int = 1,
     return out
 
 
-def primary_reference(family: str, n: int, r: int = 1,
-                      q: int | None = None) -> tuple[str, int] | None:
+def primary_reference(family: str, n: int,
+                      r: int = 1) -> tuple[str, int] | None:
     """The single REF-column value for table output, or None ("?")."""
-    refs = reference_values(family, n, r, q)
+    refs = reference_values(family, n, r)
     if not refs:
         return None
     if family == "deletion":

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from gspb import bounds, exactlp, reduction
-from gspb.channels import (ChannelSpec, NotMonotoneError, enumerate_vertices,
-                           example_three)
+from gspb.channels import (ChannelSpec, GspbError, NotMonotoneError,
+                           enumerate_vertices, example_three)
 
 
 def fl(x):
@@ -37,7 +37,7 @@ def test_mb_matches_enumeration():
     from gspb.channels import out_ball
     for spec in (ChannelSpec("z", n=6, r=2), ChannelSpec("grain", n=6)):
         direct = sum(
-            (Fraction(1, len(out_ball(spec, x, spec.r)))
+            (Fraction(1, len(out_ball(spec, x)))
              for x in enumerate_vertices(spec)),
             Fraction(0),
         )
@@ -51,7 +51,7 @@ def test_asym_mb_overshoots_sum_by_known_gap():
     for (n, q) in ((4, 3), (3, 4), (5, 2)):
         spec = ChannelSpec("mag_asym", n=n, q=q)
         direct = sum(
-            (Fraction(1, len(out_ball(spec, x, 1)))
+            (Fraction(1, len(out_ball(spec, x)))
              for x in enumerate_vertices(spec)),
             Fraction(0),
         )
@@ -71,7 +71,7 @@ def test_aspv_matches_enumeration():
     for spec in (ChannelSpec("z", n=6), ChannelSpec("deletion", n=6),
                  ChannelSpec("grain", n=5), ChannelSpec("mag_sym", n=3, q=4),
                  ChannelSpec("projective", n=4)):
-        direct = vertex_count(spec) / average_ball_size(spec, 1)
+        direct = vertex_count(spec) / average_ball_size(spec)
         assert bounds.aspv(spec) == direct, spec
 
 
@@ -92,7 +92,7 @@ def test_lemma3_monotone_collapse():
     spec = ChannelSpec("z", n=3)
     vertices, weights, _ = bounds.lemma3_transversal(spec)
     for v, w in zip(vertices, weights):
-        assert w == Fraction(1, len(out_ball(spec, v, 1)))
+        assert w == Fraction(1, len(out_ball(spec, v)))
 
 
 def test_lemma3_regular_symmetric():
@@ -164,3 +164,22 @@ def test_mb_at_least_gspb_monotone_families():
     for n in (5, 8, 11):
         assert seqchannels.deletion_mb(n) >= seqchannels.deletion_full_gspb(n).optimum
     assert seqchannels.grain_mb(6) >= seqchannels.grain_full_gspb(6).optimum
+
+
+def test_report_radius_two_carries_no_radius_one_value():
+    # every entry but the enumerated ASPV refuses; the JSON "r" is spec.r
+    for spec in (ChannelSpec("deletion", n=6, r=2), ChannelSpec("grain", n=6, r=2),
+                 ChannelSpec("mag_asym", n=3, r=2, q=3),
+                 ChannelSpec("mag_sym", n=3, r=2, q=3),
+                 ChannelSpec("projective", n=4, r=2)):
+        rep = bounds.assemble_report(spec)
+        assert rep.to_json_dict()["r"] == 2
+        for name, entry in rep.entries.items():
+            if name == "aspv" and spec.family != "deletion":
+                assert entry.value == bounds.aspv(spec) != bounds.aspv(
+                    ChannelSpec(spec.family, n=spec.n, q=spec.q))
+            else:
+                assert entry.value is None and "radius 1 only" in entry.note, (
+                    spec, name)
+        with pytest.raises(GspbError, match="radius 1 only"):
+            bounds.monotonicity_bound(spec)

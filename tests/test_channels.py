@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -54,10 +55,10 @@ def test_enum_cap():
 
 def test_z_balls():
     spec = ch.ChannelSpec("z", n=2)
-    assert ch.out_ball(spec, 0b11, 1) == {0b11, 0b01, 0b10}
-    assert ch.out_ball(spec, 0b00, 1) == {0b00}
-    assert ch.in_ball(spec, 0b00, 1) == {0b00, 0b01, 0b10}
-    assert ch.in_ball(spec, 0b11, 1) == {0b11}
+    assert ch.out_ball(spec, 0b11) == {0b11, 0b01, 0b10}
+    assert ch.out_ball(spec, 0b00) == {0b00}
+    assert ch.in_ball(spec, 0b00) == {0b00, 0b01, 0b10}
+    assert ch.in_ball(spec, 0b11) == {0b11}
 
 
 def test_z_degree_formula():
@@ -67,26 +68,26 @@ def test_z_degree_formula():
             spec = ch.ChannelSpec("z", n=n, r=r)
             for x in (0, (1 << n) - 1, 0b1011 % (1 << n)):
                 w = bin(x).count("1")
-                assert len(ch.out_ball(spec, x, r)) == ch.z_degree(n, w, r)
+                assert len(ch.out_ball(spec, x)) == ch.z_degree(n, w, r)
 
 
 def test_deletion_ball_of_known_word():
     # the word 001010010 has 7 runs, so 7 distinct deletions
     spec = ch.ChannelSpec("deletion", n=9)
     x = int("001010010", 2)
-    assert len(ch.out_ball(spec, x, 1)) == 7
+    assert len(ch.out_ball(spec, x)) == 7
 
 
 def test_example3_in_ball():
     spec = ch.example_three()
-    assert ch.in_ball(spec, 1, 1) == {0, 1}
+    assert ch.in_ball(spec, 1) == {0, 1}
 
 
 def test_build_hypergraph_shapes():
-    assert ch.build_hypergraph(ch.ChannelSpec("z", n=2), 1).num_edges == 4
-    hg = ch.build_hypergraph(ch.ChannelSpec("deletion", n=3), 1)
+    assert ch.build_hypergraph(ch.ChannelSpec("z", n=2)).num_edges == 4
+    hg = ch.build_hypergraph(ch.ChannelSpec("deletion", n=3))
     assert hg.num_vertices == 4 and hg.num_edges == 8
-    hg2 = ch.build_hypergraph(ch.example_two(), 1)
+    hg2 = ch.build_hypergraph(ch.example_two())
     assert hg2.num_edges == 6 and all(len(e) == 2 for e in hg2.edges)
 
 
@@ -96,7 +97,7 @@ def test_grain_degree_is_runs():
         spec = ch.ChannelSpec("grain", n=n)
         rho, _ = run_stats(n)
         for x in range(1 << n):
-            assert len(ch.out_ball(spec, x, 1)) == rho[x]
+            assert len(ch.out_ball(spec, x)) == rho[x]
 
 
 def test_projective_ball_size():
@@ -105,7 +106,7 @@ def test_projective_ball_size():
         for sub in ch.enumerate_subspaces(n):
             k = len(sub)
             expect = (2**k - 1) + (2**(n - k) - 1) + 1
-            assert len(ch.out_ball(spec, sub, 1)) == expect
+            assert len(ch.out_ball(spec, sub)) == expect
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,25 +121,26 @@ def test_ball_adjointness_random_graphs(nv, data):
     edges = tuple(e for e in edges if e[0] != e[1])
     spec = ch.ChannelSpec("explicit", n=nv, r=1, explicit_edges=edges,
                           explicit_num_vertices=nv)
-    r = data.draw(st.integers(1, 3))
+    spec = dataclasses.replace(spec, r=data.draw(st.integers(1, 3)))
     verts = ch.enumerate_vertices(spec)
     for x in verts:
-        for y in ch.out_ball(spec, x, r):
-            assert x in ch.in_ball(spec, y, r)
+        for y in ch.out_ball(spec, x):
+            assert x in ch.in_ball(spec, y)
 
 
 @pytest.mark.parametrize("family,n,q", [
     ("z", 5, None), ("grain", 5, None), ("mag_asym", 3, 3), ("mag_sym", 3, 3),
 ])
 def test_ball_adjointness_families(family, n, q):
-    spec = ch.ChannelSpec(family, n=n, q=q)
-    verts = ch.enumerate_vertices(spec)
+    base = ch.ChannelSpec(family, n=n, q=q)
+    verts = ch.enumerate_vertices(base)
     for r in (1, 2):
+        spec = dataclasses.replace(base, r=r)
         for x in verts:
-            ob = ch.out_ball(spec, x, r)
-            assert x in ob and x in ch.in_ball(spec, x, r)
+            ob = ch.out_ball(spec, x)
+            assert x in ob and x in ch.in_ball(spec, x)
             for y in ob:
-                assert x in ch.in_ball(spec, y, r)
+                assert x in ch.in_ball(spec, y)
 
 
 def test_distance_unreachable():
@@ -152,9 +154,9 @@ def test_distance_unreachable():
 def test_example4_structure():
     spec = ch.example_four(3)
     assert spec.explicit_num_vertices == 9
-    sizes = [len(ch.out_ball(spec, v, 1)) for v in range(9)]
+    sizes = [len(ch.out_ball(spec, v)) for v in range(9)]
     assert sizes[:3] == [3, 3, 3] and sizes[3:] == [7] * 6
-    assert ch.average_ball_size(spec, 1) == Fraction(3 * 3 + 6 * 7, 9)
+    assert ch.average_ball_size(spec) == Fraction(3 * 3 + 6 * 7, 9)
 
 
 def test_spec_validation():
@@ -167,3 +169,23 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ch.ChannelSpec("explicit", n=2, explicit_edges=((0, 1), (0, 1)),
                        explicit_num_vertices=2)
+
+
+def test_check_radius_is_the_one_radius_rule():
+    specs = [ch.ChannelSpec("z", n=4), ch.ChannelSpec("grain", n=4),
+             ch.ChannelSpec("deletion", n=4), ch.ChannelSpec("projective", n=4),
+             ch.ChannelSpec("mag_asym", n=3, q=3),
+             ch.ChannelSpec("mag_sym", n=3, q=3), ch.example_two()]
+    for spec in specs:
+        ch.check_radius(spec)
+        wide = dataclasses.replace(spec, r=2)
+        if spec.family in ("z", "explicit"):
+            ch.check_radius(wide)
+        else:
+            with pytest.raises(ch.GspbError,
+                               match=f"{spec.family} bounds cover radius 1 only"):
+                ch.check_radius(wide)
+    # deletion balls exist at radius 1 only; the others enumerate at any r
+    with pytest.raises(ch.GspbError):
+        ch.out_ball(ch.ChannelSpec("deletion", n=4, r=2), 0)
+    assert len(ch.out_ball(ch.ChannelSpec("grain", n=4, r=2), 0b0101)) == 7

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -147,3 +148,105 @@ def test_table_jobs_parallel_matches_serial(capsys):
     code, b, _ = run(capsys, "table", "--family", "z", "--n-from", "5",
                      "--n-to", "7", "--format", "csv", "--jobs", "2")
     assert a == b
+
+
+# radius: z serves every r; the other families' MB, CLOSED, GSPB and verify
+# cover r=1 only and refuse r=2 with no value, instead of answering for r=1
+_RADIUS_ONE_FAMILIES = [
+    ("deletion", (), ("mb", "closed", "gspb")),
+    ("grain", (), ("mb", "closed", "gspb")),
+    ("mag-asym", ("--q", "3"), ("mb", "closed", "gspb")),
+    ("mag-sym", ("--q", "3"), ("closed", "gspb")),
+    ("projective", (), ("gspb",)),
+]
+
+
+@pytest.mark.parametrize("family,extra,bounds", _RADIUS_ONE_FAMILIES)
+def test_radius_two_refuses_family_routes(capsys, family, extra, bounds):
+    n = "5" if family == "projective" else "4"
+    for bound in bounds:
+        code, out, err = run(capsys, "compute", "--family", family, "--n", n,
+                             *extra, "--r", "2", "--bound", bound, "--exact")
+        assert code == 3 and out == "", (family, bound, out)
+        assert "cover radius 1 only" in err
+    code, out, err = run(capsys, "verify", "--family", family, "--n", n,
+                         *extra, "--r", "2")
+    assert code == 3 and out == "" and "cover radius 1 only" in err
+
+
+def test_radius_two_aspv_enumerates(capsys):
+    import dataclasses
+    from gspb.channels import ChannelSpec, average_ball_size, vertex_count
+    for family, extra, spec, pinned in (
+        ("grain", (), ChannelSpec("grain", n=8, r=2), "1024/45"),
+        ("mag-asym", ("--q", "3"), ChannelSpec("mag_asym", n=4, r=2, q=3),
+         "243/23"),
+        ("projective", (), ChannelSpec("projective", n=5, r=2), "34969/6092"),
+    ):
+        code, out, _ = run(capsys, "compute", "--family", family, "--n",
+                           str(spec.n), *extra, "--r", "2", "--bound", "aspv",
+                           "--exact")
+        direct = vertex_count(spec) / average_ball_size(spec)
+        assert code == 0 and f"exact {pinned} " in out
+        assert direct == Fraction(pinned)
+        # the radius-1 value differs, so this is not a radius-1 answer
+        assert direct != vertex_count(spec) / average_ball_size(
+            dataclasses.replace(spec, r=1))
+    # deletion balls are single-deletion balls; r=2 has none to enumerate
+    code, out, _ = run(capsys, "compute", "--family", "deletion", "--n", "8",
+                       "--r", "2", "--bound", "aspv")
+    assert code == 3 and out == ""
+
+
+def test_radius_two_deletion_table_is_unknown(capsys):
+    code, out, _ = run(capsys, "table", "--family", "deletion", "--r", "2",
+                       "--n-from", "4", "--n-to", "7", "--format", "csv",
+                       "--columns", "MB,CLOSED,GSPB")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,MB,CLOSED,GSPB"
+    assert lines[1:] == [f"{n},?,?,?" for n in range(4, 8)]
+
+
+@pytest.mark.parametrize("r,gspb,mb", [
+    ("2", "138  exact 1917151/13860  [path: closed-form]",
+     "238  exact 871479711499/3657526516"),
+    ("3", "48  exact 301121/6160  [path: closed-form]",
+     "156  exact 168034489/1075204"),
+])
+def test_z_serves_larger_radii(capsys, r, gspb, mb):
+    code, out, _ = run(capsys, "compute", "--family", "z", "--n", "12",
+                       "--r", r, "--bound", "gspb", "--exact")
+    assert code == 0 and out == gspb + "\n"
+    code, out, _ = run(capsys, "compute", "--family", "z", "--n", "12",
+                       "--r", r, "--bound", "mb", "--exact")
+    assert code == 0 and out == mb + "\n"
+    code, out, _ = run(capsys, "verify", "--family", "z", "--n", "12",
+                       "--r", r)
+    assert code == 0 and f"r={r}: closed-form weights feasible" in out
+
+
+def test_table_q_rule_matches_compute(capsys):
+    code, _, err = run(capsys, "table", "--family", "z", "--q", "3",
+                       "--n-from", "2", "--n-to", "4")
+    assert code == 3 and "--q does not apply to z" in err
+    code, _, err = run(capsys, "table", "--family", "mag-asym",
+                       "--n-from", "2", "--n-to", "4")
+    assert code == 3 and "--q is required" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "z", "--n", "10"),
+    ("--family", "deletion", "--n", "10"),
+    ("--family", "mag-sym", "--q", "3", "--n", "7"),
+])
+def test_oracle_refuses_deep_searches(capsys, argv):
+    code, out, err = run(capsys, "oracle", *argv)
+    assert code == 4 and out == "" and "balls exceed" in err
+
+
+def test_oracle_small_output_unchanged(capsys):
+    code, out, _ = run(capsys, "oracle", "--family", "z", "--n", "4")
+    assert code == 0
+    assert out == ("z n=4 r=1: tau* = 5 (~5.0000), nu = 4, nu <= 5\n"
+                   "  witness centers: [0, 3, 12, 15]\n")

@@ -15,8 +15,8 @@ from gspb import channels as ch
 from gspb import exactlp, linsolve, magnitude, projective, seqchannels, zchannel
 
 
-def hypergraph_lp(spec, r=1):
-    hg = ch.build_hypergraph(spec, r)
+def hypergraph_lp(spec):
+    hg = ch.build_hypergraph(spec)
     return exactlp.CoveringLP(
         num_vars=hg.num_vertices,
         objective=[1] * hg.num_vertices,

@@ -73,8 +73,8 @@ def test_matrix_matches_enumeration_all_families():
     for spec in (ChannelSpec("z", n=5, r=2), ChannelSpec("mag_asym", n=3, q=4),
                  ChannelSpec("mag_sym", n=3, q=5), ChannelSpec("projective", n=5)):
         part = reduction.partition_by_canonical_form(spec)
-        got = reduction._family_matrix(spec, part, spec.r)
-        want = reduction._matrix_by_enumeration(spec, part, spec.r)
+        got = reduction._family_matrix(spec, part)
+        want = reduction._matrix_by_enumeration(spec, part)
         assert got == want, spec
 
 
@@ -84,7 +84,7 @@ def test_row_sums_are_degrees():
     part = reduction.partition_by_canonical_form(spec)
     qlp = reduction.quotient_matrix(spec)
     for i, rep in enumerate(part.representatives):
-        assert sum(qlp.matrix[i]) == len(out_ball(spec, rep, 1))
+        assert sum(qlp.matrix[i]) == len(out_ball(spec, rep))
 
 
 def test_reduced_equals_full_tau():
@@ -129,3 +129,28 @@ def test_quotient_serialization():
     back = exactlp.lp_from_text(text)
     assert exactlp.solve_min_transversal(back).optimum == \
         reduction.reduced_gspb(ChannelSpec("z", n=4, r=1)).optimum
+
+
+def test_failed_rule_check_fails_every_time(monkeypatch):
+    # a rule that disagrees with ball enumeration must never be cached as valid
+    right = reduction._sym_matrix
+
+    def wrong(labels, label_to_id, q):
+        mat = right(labels, label_to_id, q)
+        mat[0][0] += 1
+        return mat
+
+    monkeypatch.setattr(reduction, "_VALIDATED", set())
+    monkeypatch.setattr(reduction, "_sym_matrix", wrong)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="disagrees"):
+            reduction.quotient_matrix(ChannelSpec("mag_sym", n=4, q=3))
+
+
+def test_quotients_refuse_radius_two():
+    from gspb.channels import GspbError
+    for spec in (ChannelSpec("mag_asym", n=3, r=2, q=3),
+                 ChannelSpec("mag_sym", n=3, r=2, q=3),
+                 ChannelSpec("projective", n=4, r=2)):
+        with pytest.raises(GspbError, match="cover radius 1 only"):
+            reduction.quotient_matrix(spec)

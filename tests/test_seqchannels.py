@@ -156,8 +156,8 @@ def test_ball_size_is_run_count():
         dspec = ChannelSpec("deletion", n=n)
         gspec = ChannelSpec("grain", n=n)
         for x in range(1 << n):
-            assert len(out_ball(dspec, x, 1)) == rho_n[x]
-            assert len(out_ball(gspec, x, 1)) == rho_n[x]
+            assert len(out_ball(dspec, x)) == rho_n[x]
+            assert len(out_ball(gspec, x)) == rho_n[x]
 
 
 def test_ball_members_have_fewer_runs():
