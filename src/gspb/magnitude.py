@@ -17,12 +17,12 @@ from .channels import ChannelSpec, GspbError
 
 @dataclass
 class ClassTransversal:
-    """Class-constant weights plus the bound they certify."""
+    """Class-constant weights that passed verify_transversal, and their
+    total."""
 
     labels: list
     weights: list[Fraction]
     bound: Fraction
-    feasible: bool
 
 
 def asym_quotient(n: int, q: int) -> reduction.QuotientLP:
@@ -90,11 +90,8 @@ def sym_transversal(n: int, q: int) -> ClassTransversal:
 
 
 def _finish(qlp: reduction.QuotientLP, weights) -> ClassTransversal:
-    part = qlp.partition
-    bound = sum(
-        (s * w for s, w in zip(part.sizes, weights)), Fraction(0)
-    )
-    if not exactlp.verify_transversal(qlp.to_covering_lp(), weights).feasible:
+    report = exactlp.verify_transversal(qlp.to_covering_lp(), weights)
+    if not report.feasible:
         raise AssertionError("class transversal failed its exact check")
-    return ClassTransversal(labels=list(part.labels), weights=weights,
-                            bound=bound, feasible=True)
+    return ClassTransversal(labels=list(qlp.partition.labels), weights=weights,
+                            bound=report.bound)

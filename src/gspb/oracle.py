@@ -24,6 +24,10 @@ DEFAULT_ORACLE_CAP = 4096
 # both searches in brute_force_matching recurse once per ball; this keeps
 # them well inside Python's default recursion limit of 1000 frames
 MAX_SEARCH_BALLS = 512
+# search nodes both phases of brute_force_matching may visit together; the
+# size search is exponential in the ball count, so instances far below
+# MAX_SEARCH_BALLS can already run for hours
+MAX_SEARCH_NODES = 6_000_000
 
 
 @dataclass
@@ -62,13 +66,20 @@ def brute_force_matching(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP,
     ball-size order, pruned by the remaining-edge count and stopped early
     when the fractional optimum's floor is reached.  Phase two re-searches
     in ascending center order, include-branch first, so the first complete
-    solution is the lexicographically least witness.  ``tau``, the covering
-    optimum from brute_force_tau, is solved here when not passed.
+    solution is the lexicographically least witness.  The two phases share
+    a budget of ``MAX_SEARCH_NODES`` nodes; past it ``OracleCapExceeded``
+    is raised.  ``tau``, the covering optimum from brute_force_tau, is
+    solved here when not passed.
     """
     _check_cap(spec, cap)
     _check_search_depth(spec)
     if tau is None:
         tau = brute_force_tau(spec, cap)
+    return _max_disjoint_balls(spec, tau)
+
+
+def _max_disjoint_balls(spec: ChannelSpec, tau: Fraction) -> tuple[int, list]:
+    """The two searches of brute_force_matching, after its checks."""
     hg = build_hypergraph(spec)
     global_cap = tau.numerator // tau.denominator
 
@@ -76,9 +87,19 @@ def brute_force_matching(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP,
                    key=lambda e: (-len(hg.edges[e]), hg.edges[e]))
     edge_sets = [frozenset(hg.edges[e]) for e in order]
     best_size = 0
+    nodes = 0
+
+    def count_node():
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise OracleCapExceeded(
+                f"the disjoint-ball search passed its budget of "
+                f"{MAX_SEARCH_NODES} nodes")
 
     def search_size(idx: int, used: frozenset, size: int):
         nonlocal best_size
+        count_node()
         if size > best_size:
             best_size = size
         if idx >= len(edge_sets) or best_size >= global_cap:
@@ -96,6 +117,7 @@ def brute_force_matching(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP,
     lex_sets = [frozenset(hg.edges[e]) for e in lex]
 
     def search_witness(idx: int, used: frozenset, chosen: list) -> list | None:
+        count_node()
         if len(chosen) == best_size:
             return chosen
         if idx >= len(lex_sets) or len(chosen) + (len(lex_sets) - idx) < best_size:
@@ -122,11 +144,9 @@ def brute_force_matching(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP,
 
 
 def oracle_result(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
-    _check_search_depth(spec)
+    _check_search_depth(spec)  # before the covering LP is solved
     tau = brute_force_tau(spec, cap)
-    nu, witness = brute_force_matching(spec, cap, tau)
-    if nu > tau.numerator // tau.denominator:
-        raise AssertionError(f"matching size {nu} exceeds floor of tau* {tau}")
+    nu, witness = _max_disjoint_balls(spec, tau)
     return OracleResult(spec=spec, tau_star_full=tau, nu_integral=nu,
                         witness=witness)
 

@@ -3,14 +3,16 @@
 Vertices are the subspaces of GF(2)^n; one error step moves to a subspace
 one dimension away (contained or containing).  Equal dimensions share an
 orbit and dimensions k and n-k fold together, leaving floor(n/2)+1 weight
-variables under as many constraints (reduction.quotient_matrix).  A greedy tail-first assignment solves the
-LP exactly for n >= 3; each value is cross-checked against the exact LP
-solve and certified by an exact dual vector found by complementary
-slackness on the greedy support.
+variables under as many constraints (reduction.quotient_matrix).  A greedy
+tail-first assignment solves the LP exactly for n >= 3: each value is the
+greedy total, certified through exactlp.check_certificate by an exact dual
+vector found by complementary slackness on the greedy support.  The LP is
+solved only where that check fails.
 
 n = 2 is a flagged special case: there the greedy recursion's output is not
-feasible and its total (1) undercuts the true covering optimum 7/5; results
-carry both numbers and a flag instead of forcing agreement.
+feasible and its total (1) undercuts the true covering optimum 7/5, which the
+LP solve supplies; results carry both numbers and a flag instead of forcing
+agreement.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ class ProjectiveWeights:
 @dataclass
 class ProjectiveCertificate:
     n: int
-    y: list[Fraction] | None      # dual over the floor(n/2)+1 folded rows
-    status: str                   # "optimal-certified-block" |
-    #                               "optimal-certified-lp-dual" | "flagged"
+    y: list[Fraction]             # dual over the floor(n/2)+1 folded rows
+    status: str                   # "optimal-certified-block" | "flagged"
 
 
 @dataclass
@@ -53,7 +54,6 @@ class ProjectiveGspb:
     n: int
     value: Fraction               # exact covering optimum (LP)
     greedy_value: Fraction
-    certified: bool
     greedy_matches_lp: bool
     certificate: ProjectiveCertificate
     flag: str = ""
@@ -144,36 +144,33 @@ def _block_certificate(lp: exactlp.CoveringLP,
     return exactlp.complementary_dual(lp, tight, positive)
 
 
-def _certificate(lp: exactlp.CoveringLP, weights: ProjectiveWeights,
-                 sol: exactlp.LPSolution) -> ProjectiveCertificate:
-    n = weights.n
-    block = _block_certificate(lp, weights)
-    value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
-    if value == sol.optimum:
-        return ProjectiveCertificate(n, block, "optimal-certified-block")
-    if weights.bound() != sol.optimum:
-        return ProjectiveCertificate(n, sol.dual, "flagged")
-    return ProjectiveCertificate(n, sol.dual, "optimal-certified-lp-dual")
-
-
 def projective_gspb(n: int) -> ProjectiveGspb:
-    """Exact covering optimum with greedy cross-check and certificate."""
+    """Exact covering optimum, certified like z_gspb.
+
+    The greedy weights and their block dual are checked as a pair against
+    the folded LP; if the check fails the LP is solved outright and the
+    result is flagged.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     weights = greedy_weights(n)
     greedy_value = weights.bound()
     lp = projective_lp(n)
-    sol = exactlp.solve_min_transversal(lp)
-    cert = _certificate(lp, weights, sol)
-    matches = greedy_value == sol.optimum
-    flag = ""
-    if not matches:
-        flag = (
-            "greedy output is not optimal here (known flagged case n=2): "
-            f"greedy total {greedy_value}, exact LP optimum {sol.optimum}"
+    block = _block_certificate(lp, weights)
+    value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
+    if value is not None:
+        return ProjectiveGspb(
+            n=n, value=value, greedy_value=greedy_value, greedy_matches_lp=True,
+            certificate=ProjectiveCertificate(n, block, "optimal-certified-block"),
         )
+    sol = exactlp.solve_min_transversal(lp)
+    matches = greedy_value == sol.optimum
+    flag = "" if matches else (
+        "greedy output is not optimal here (known flagged case n=2): "
+        f"greedy total {greedy_value}, exact LP optimum {sol.optimum}"
+    )
     return ProjectiveGspb(
         n=n, value=sol.optimum, greedy_value=greedy_value,
-        certified=sol.certified, greedy_matches_lp=matches,
-        certificate=cert, flag=flag,
+        greedy_matches_lp=matches,
+        certificate=ProjectiveCertificate(n, sol.dual, "flagged"), flag=flag,
     )

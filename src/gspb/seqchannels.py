@@ -252,18 +252,14 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int) -> exactlp.LPSolution
         name=f"{family}-orbit-n{n}",
     )
     sol = exactlp.solve_min_transversal(qlp)
-    if sol.status != "optimal":
-        return sol
-
     w_full = [sol.primal[v_orbit[v]] for v in range(full_lp.num_vars)]
     z_full = [sol.dual[c_orbit[c]] / c_sizes[c_orbit[c]]
               for c in range(full_lp.num_rows)]
     if exactlp.check_certificate(full_lp, w_full, z_full) != sol.optimum:
         raise AssertionError("orbit lift failed the exact certificate check")
     return exactlp.LPSolution(
-        status="optimal", optimum=sol.optimum, primal=w_full, dual=z_full,
-        certified=True, method=f"orbit+{sol.method}", pivots=sol.pivots,
-        notes=f"orbit quotient {len(v_reps)}x{len(c_reps)}, lift re-verified",
+        sol.optimum, w_full, z_full, f"orbit+{sol.method}", sol.pivots,
+        f"orbit quotient {len(v_reps)}x{len(c_reps)}, lift re-verified",
     )
 
 

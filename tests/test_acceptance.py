@@ -59,7 +59,7 @@ def test_criterion_1_z_tables():
                 bad.append(f"r={r} n={n} ASPV: exact floor {got_aspv}, table {aspv}")
             if got_gspb != gspb:
                 bad.append(f"r={r} n={n} GSPB: exact floor {got_gspb}, table {gspb} "
-                           f"(exact ~{float(res.value):.6f}, certified={res.certified})")
+                           f"(exact ~{float(res.value):.6f}, path={res.path})")
     _finish("criterion 1 (z-channel tables, r=1..4, n=5..32)", t0, 5.0, bad)
 
 
@@ -119,9 +119,12 @@ def test_criterion_5_deletion():
                 bad.append(f"n={n} {label}: exact floor {g}, table {want}")
         if gspb is not None and n <= 12:
             sol = seq.deletion_full_gspb(n)
-            if fl(sol.optimum) != gspb or not sol.certified:
-                bad.append(f"n={n} GSPB: exact floor {fl(sol.optimum)} "
-                           f"(certified={sol.certified}), table {gspb}")
+            if fl(sol.optimum) != gspb:
+                bad.append(f"n={n} GSPB: exact floor {fl(sol.optimum)}, "
+                           f"table {gspb}")
+            if exactlp.check_certificate(seq.deletion_full_lp(n), sol.primal,
+                                         sol.dual) != sol.optimum:
+                bad.append(f"n={n} GSPB: witnesses fail the exact re-check")
     _finish("criterion 5 (deletion table n=5..23, full LP n=5..12)",
             t0, 1800.0, bad)
 
@@ -194,16 +197,18 @@ def test_criterion_8_property_suites():
     bad = []
 
     # strong duality holds exactly on every LP the solver certifies
+    z_lp, proj_lp = z.z_quotient_lp(12, 2), proj.projective_lp(9)
     solved = [
-        exactlp.solve_min_transversal(z.z_quotient_lp(12, 2)),
-        mag.asym_gspb(6, 3),
-        mag.sym_gspb(6, 4),
-        seq.deletion_full_gspb(8),
-        exactlp.solve_min_transversal(proj.projective_lp(9)),
+        (z_lp, exactlp.solve_min_transversal(z_lp)),
+        (mag.asym_quotient(6, 3).to_covering_lp(), mag.asym_gspb(6, 3)),
+        (mag.sym_quotient(6, 4).to_covering_lp(), mag.sym_gspb(6, 4)),
+        (seq.deletion_full_lp(8), seq.deletion_full_gspb(8)),
+        (proj_lp, exactlp.solve_min_transversal(proj_lp)),
     ]
-    for sol in solved:
+    for lp, sol in solved:
         dual_total = sum(sol.dual, Fraction(0))
-        if not (sol.certified and dual_total == sol.optimum):
+        if not (exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+                and dual_total == sol.optimum):
             bad.append(f"strong duality violated: {sol.method} {sol.notes}")
 
     # quotient optimum equals the full-hypergraph optimum (full side within
@@ -230,12 +235,15 @@ def test_criterion_8_property_suites():
             if not rep.feasible:
                 bad.append(f"z weights infeasible at n={n} r={r}")
     for n in range(1, 17):
-        if not mag.asym_improved_transversal(n, 3).feasible:
-            bad.append(f"asym transversal infeasible at n={n}")
-        if not mag.sym_transversal(n, 3).feasible:
-            bad.append(f"sym q=3 transversal infeasible at n={n}")
-        if not mag.sym_transversal(n, 4).feasible:
-            bad.append(f"sym q=4 transversal infeasible at n={n}")
+        for label, quotient, build, q in (
+                ("asym", mag.asym_quotient, mag.asym_improved_transversal, 3),
+                ("sym q=3", mag.sym_quotient, mag.sym_transversal, 3),
+                ("sym q=4", mag.sym_quotient, mag.sym_transversal, 4)):
+            t = build(n, q)
+            rep = exactlp.verify_transversal(
+                quotient(n, q).to_covering_lp(), t.weights)
+            if not (rep.feasible and rep.bound == t.bound):
+                bad.append(f"{label} transversal infeasible at n={n}")
     for n in range(2, 17):
         if not seq.verify_deletion_transversal(n).feasible:
             bad.append(f"deletion profile weights infeasible at n={n}")

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +246,18 @@ def test_table_q_rule_matches_compute(capsys):
 def test_oracle_refuses_deep_searches(capsys, argv):
     code, out, err = run(capsys, "oracle", *argv)
     assert code == 4 and out == "" and "balls exceed" in err
+
+
+def test_oracle_search_budget_exit_4():
+    # 64 balls pass the depth guard, but the disjoint-ball search would run
+    # for minutes; the node budget refuses it with exit 4
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "gspb.cli", "oracle", "--family", "mag-asym",
+         "--q", "4", "--n", "3"],
+        cwd=src, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 4 and out.stdout == ""
+    assert "budget" in out.stderr
 
 
 def test_oracle_small_output_unchanged(capsys):

@@ -30,8 +30,9 @@ def singleton_lp(n):
 
 
 def test_example2_optimum_one():
-    sol = exactlp.solve_min_transversal(hypergraph_lp(ch.example_two()))
-    assert sol.status == "optimal" and sol.certified
+    lp = hypergraph_lp(ch.example_two())
+    sol = exactlp.solve_min_transversal(lp)
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     assert sol.optimum == 1
     assert sol.primal[0] == 1 and all(v == 0 for v in sol.primal[1:])
 
@@ -99,7 +100,8 @@ def test_crossover_matches_simplex():
     a = exactlp.solve_min_transversal(lp, method="simplex")
     b = exactlp.solve_min_transversal(lp)
     assert a.optimum == b.optimum
-    assert a.certified and b.certified
+    for sol in (a, b):
+        assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     assert b.method == "presolve+crossover"
 
 
@@ -127,7 +129,8 @@ def test_auto_certifies_full_lps_by_crossover(build):
     quotient = QUOTIENT_LPS.get(build)
     lp = quotient() if quotient else getattr(seqchannels, build)(9)
     sol = exactlp.solve_min_transversal(lp)
-    assert sol.certified and sol.method == "presolve+crossover"
+    assert sol.method == "presolve+crossover"
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     if quotient:
         assert sol.optimum == exactlp.solve_min_transversal(lp, method="simplex").optimum
 
@@ -151,12 +154,6 @@ def test_failed_crossover_falls_back_within_a_cap(monkeypatch):
     assert peak < 1 << 22  # the 1024x2048 tableau alone is 16 MB of pointers
     assert cli.main(["compute", "--family", "grain", "--n", "10",
                      "--bound", "gspb"]) == 4
-
-
-def test_pivot_cap():
-    lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
-    sol = exactlp.solve_min_transversal(lp, pivot_cap=1, method="simplex")
-    assert sol.status == "cap_exceeded" and not sol.certified
 
 
 def test_scaling_exactness():
@@ -202,7 +199,6 @@ def test_strong_duality_random_covers(data):
     obj = [data.draw(st.integers(0, 5)) for _ in range(nv)]
     lp = exactlp.CoveringLP(num_vars=nv, objective=obj, rows=rows)
     sol = exactlp.solve_min_transversal(lp, method="simplex")
-    assert sol.status == "optimal"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     auto = exactlp.solve_min_transversal(lp)
     assert auto.optimum == sol.optimum
@@ -234,7 +230,7 @@ def test_optimum_zero_certifies_by_crossover():
     # the float dual is all zero; the dual support solve returns z = 0
     lp = exactlp.CoveringLP(2, [0, 1], [[(0, 1)], [(0, 1), (1, 1)]])
     sol = exactlp.solve_min_transversal(lp)
-    assert sol.optimum == 0 and sol.certified and sol.method == "presolve+crossover"
+    assert sol.optimum == 0 and sol.method == "presolve+crossover"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == 0
 
 

@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 
 from gspb import linsolve
 
-P = linsolve.PRIMES[0]
+P = linsolve.PRIME
 P23 = 8388593  # largest prime below 2^23: 64*(p-1)^2 < 2^53 < 128*(p-1)^2
 
 
@@ -105,6 +105,14 @@ def test_inverse_matches_reference(name, matrix):
     assert (product == np.eye(k, dtype=np.int64)).all()
 
 
+@pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
+def test_selected_block_inverts_mod_the_same_prime(name, matrix):
+    # dixon_solve needs no second prime: the block the pivot selection picks
+    # is nonsingular modulo the prime it was picked with
+    rows, cols = linsolve.select_pivots_mod(matrix, P)
+    assert linsolve._inverse_mod(matrix[np.ix_(rows, cols)], P) is not None
+
+
 def test_row_preference_order():
     # column 0 swaps row 2 to the front and row 0 to position 2, so row 1
     # now precedes row 0 and wins column 1; row 0 then pivots on column 2
@@ -142,8 +150,8 @@ def test_primes():
     def is_prime(n):
         return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
-    assert len(set(linsolve.PRIMES)) == 5
-    assert all(is_prime(p) and p < 1 << 20 for p in linsolve.PRIMES)
+    assert is_prime(P) and P < 1 << 20
+    assert not any(is_prime(q) for q in range(P + 1, 1 << 20))
 
 
 def test_dixon_across_panels():

@@ -10,6 +10,12 @@ def fl(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+def recheck(qlp, t: mag.ClassTransversal) -> bool:
+    """The class weights are feasible and total the returned bound."""
+    rep = exactlp.verify_transversal(qlp.to_covering_lp(), t.weights)
+    return rep.feasible and rep.bound == t.bound
+
+
 def test_asym_closed_forms():
     assert mag.asym_mb(5, 3) == Fraction(729, 12)
     assert fl(mag.asym_mb(5, 3)) == 60
@@ -46,7 +52,7 @@ def test_sym_quotient_solves():
 
 def test_asym_improved_transversal():
     t = mag.asym_improved_transversal(5, 3)
-    assert t.feasible
+    assert recheck(mag.asym_quotient(5, 3), t)
     assert fl(t.bound) == 60
     assert fl(mag.asym_improved_transversal(8, 3).bound) == 1070
     # the all-zero class carries weight one
@@ -68,7 +74,7 @@ def test_asym_improved_below_mb():
 
 def test_sym_transversal():
     t = mag.sym_transversal(5, 3)
-    assert t.feasible
+    assert recheck(mag.sym_quotient(5, 3), t)
     assert fl(t.bound) == 37
     assert fl(mag.sym_transversal(12, 4).bound) == 940934
 

@@ -1,9 +1,9 @@
 """The names the benchmark harness in ``perfbench/`` reads from gspb.
 
 The harness wraps the functions listed in ``perfbench/spans.py``, records
-``gspb.kernels.BACKEND`` and sorts solves by their ``method`` string; a
-rename or deletion of any of them breaks every benchmark run, so it is
-caught here.
+``gspb.kernels.BACKEND``, sorts solves by their ``method`` string and reads
+the result attributes in ``HARNESS_READS``; a rename or deletion of any of
+them breaks every benchmark run, so it is caught here.
 """
 
 import importlib
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from gspb import exactlp, kernels, magnitude
+from gspb import (ChannelSpec, bounds, exactlp, kernels, magnitude, reduction,
+                  seqchannels, zchannel)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SPANS = runpy.run_path(str(SPANS_PATH))
@@ -27,6 +28,41 @@ def test_timed_name_resolves(name):
 
 def test_kernels_backend_is_recorded():
     assert isinstance(kernels.BACKEND, str)
+
+
+# result attributes read by perfbench/spans.py and perfbench/workloads.py
+HARNESS_READS = (
+    "LPSolution.method", "LPSolution.pivots", "LPSolution.primal",
+    "LPSolution.dual", "PresolveResult.converged", "BoundEntry.value",
+    "BoundEntry.certified", "TransversalReport.feasible",
+    "TransversalReport.num_violated", "TransversalReport.bound",
+    "ZGspbResult.path", "ClassPartition.num_classes",
+)
+
+
+@pytest.fixture(scope="module")
+def results():
+    lp = exactlp.CoveringLP(3, [1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
+    return {
+        "LPSolution": exactlp.solve_min_transversal(lp),
+        "PresolveResult": exactlp.float_presolve(lp),
+        "BoundEntry": bounds.assemble_report(ChannelSpec("z", n=6)).entry("gspb"),
+        "TransversalReport": seqchannels.verify_grain_transversal(6),
+        "ZGspbResult": zchannel.z_gspb(6, 1),
+        "ClassPartition": reduction.quotient_matrix(
+            ChannelSpec("mag_sym", n=4, q=3)).partition,
+    }
+
+
+@pytest.mark.parametrize("name", HARNESS_READS)
+def test_result_attribute_resolves(results, name):
+    kind, attr = name.split(".")
+    assert getattr(results[kind], attr) is not None, name
+
+
+def test_certified_entry_reads_true(results):
+    # workloads.outcome counts a report as certified by this flag
+    assert results["BoundEntry"].certified is True
 
 
 def test_solve_method_strings():

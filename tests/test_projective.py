@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from gspb import exactlp, oracle, projective as proj
+from gspb import exactlp, oracle, projective as proj, zchannel
 from gspb.channels import ChannelSpec, gaussian_binomial
 
 
@@ -83,6 +84,21 @@ def test_certificates():
         assert res.certificate.status.startswith("optimal-certified"), n
         assert sum(res.certificate.y, Fraction(0)) == res.value
     assert proj.projective_gspb(2).certificate.status == "flagged"
+
+
+@pytest.mark.parametrize("call, solves", [
+    *((partial(proj.projective_gspb, n), int(n == 2)) for n in range(2, 13)),
+    (partial(zchannel.z_gspb, 20, 2), 0),
+], ids=[*(f"projective-{n}" for n in range(2, 13)), "z-20-2"])
+def test_lp_solved_only_where_the_closed_route_fails(monkeypatch, call, solves):
+    # the greedy (or closed-form) weights certify through check_certificate
+    # with their own dual; the LP is solved only where that check fails
+    calls = []
+    real = exactlp.solve_min_transversal
+    monkeypatch.setattr(exactlp, "solve_min_transversal",
+                        lambda lp, **kw: calls.append(lp) or real(lp, **kw))
+    call()
+    assert len(calls) == solves
 
 
 def test_aspv_values():

@@ -32,7 +32,9 @@ def test_z_gspb_r1_n26():
     # table prints 4638907; the exact optimum floors to 4638908, confirmed
     # by the dual certificate and by an independent simplex solve
     res = z.z_gspb(26, 1)
-    assert res.certified and res.path == "closed-form"
+    assert res.path == "closed-form"
+    assert exactlp.check_certificate(z.z_quotient_lp(26, 1), res.weights.w,
+                                     res.certificate.lp_dual()) == res.value
     assert fl(res.value) == 4638908
     cert = z.z_optimality_certificate(26, 1)
     assert cert.status == "optimal-certified"

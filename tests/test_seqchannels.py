@@ -107,7 +107,9 @@ def test_grain_aspv():
 def test_deletion_full_gspb_small():
     assert seq.deletion_full_gspb(5).optimum == 6
     sol = seq.deletion_full_gspb(7)
-    assert fl(sol.optimum) == 17 and sol.certified
+    assert fl(sol.optimum) == 17
+    lp = seq.deletion_full_lp(7)
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 
 
 def test_full_lp_cap():

@@ -72,6 +72,13 @@ def feasibility(w: z.ZWeights) -> exactlp.TransversalReport:
     return exactlp.verify_transversal(z.z_quotient_lp(w.n, w.r), w.w)
 
 
+def recheck(res: z.ZGspbResult) -> bool:
+    """The closed-form weights and triangular dual re-certify the value."""
+    lp = z.z_quotient_lp(res.n, res.r)
+    return exactlp.check_certificate(lp, res.weights.w,
+                                     res.certificate.lp_dual()) == res.value
+
+
 def test_feasibility_checks():
     rep = feasibility(z.z_weights_recursive(5, 1))
     assert rep.feasible
@@ -115,14 +122,14 @@ def test_certificate_identity():
 def test_gspb_values():
     assert z.z_gspb(5, 1).value == Fraction(17, 2)
     res = z.z_gspb(23, 3)
-    assert res.certified and res.value.numerator // res.value.denominator == 20507
+    assert recheck(res) and res.value.numerator // res.value.denominator == 20507
     res = z.z_gspb(32, 4)
-    assert res.certified and res.value.numerator // res.value.denominator == 928919
+    assert recheck(res) and res.value.numerator // res.value.denominator == 928919
 
 
 def test_gspb_certified_path():
     res = z.z_gspb(20, 2)
-    assert res.path == "closed-form" and res.certified
+    assert res.path == "closed-form" and recheck(res)
     assert res.value.numerator // res.value.denominator == 15260
 
 
