@@ -10,8 +10,7 @@ binary subspaces, and explicit installed graphs.
 from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
                        GspbError, Hypergraph, NotMonotoneError,
                        OracleCapExceeded, QuotientUnavailable, build_hypergraph,
-                       enumerate_vertices, gaussian_binomial, in_ball,
-                       out_ball)
+                       enumerate_vertices, gaussian_binomial, out_ball)
 from .exactlp import (CoveringLP, LPSolution, TransversalReport,
                       check_certificate, float_presolve, lp_from_text,
                       lp_to_text, solve_max_matching_lp,

@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from . import exactlp, magnitude, projective, refdata, seqchannels, zchannel
 from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
-                       NotMonotoneError, ball_centers, check_radius,
-                       enumerate_vertices, in_ball, out_ball, vertex_count)
+                       NotMonotoneError, average_ball_size, ball_centers,
+                       check_radius, enumerate_vertices, out_ball,
+                       vertex_count)
 
 
 @dataclass
@@ -147,22 +148,18 @@ def monotonicity_bound(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fracti
 def lemma3_transversal(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP):
     """Always-feasible weights 1/min{deg(x) : x reaches the vertex}.
 
-    Returns (vertices, weights, bound).  For the deletion channel the
-    minimum ranges over the length-n words whose ball contains the vertex.
+    Returns (vertices, weights, bound).  One pass over the balls: each
+    center's out-ball offers its size to its members and every vertex keeps
+    the least size offered (for the deletion channel the centers are the
+    length-n words).
     """
+    least: dict = {}
+    for c in ball_centers(spec, cap):
+        ball = out_ball(spec, c)
+        for v in ball:
+            least[v] = min(least.get(v, len(ball)), len(ball))
     vertices = enumerate_vertices(spec, cap)
-    if spec.family == "deletion":
-        from .channels import predecessors
-        weights = []
-        for v in vertices:
-            deg_min = min(len(out_ball(spec, c)) for c in predecessors(spec, v))
-            weights.append(Fraction(1, deg_min))
-    else:
-        degs = {x: len(out_ball(spec, x)) for x in vertices}
-        weights = [
-            Fraction(1, min(degs[x] for x in in_ball(spec, v)))
-            for v in vertices
-        ]
+    weights = [Fraction(1, least[v]) for v in vertices]
     return vertices, weights, sum(weights, Fraction(0))
 
 
@@ -183,9 +180,7 @@ def aspv(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
         if fam == "projective":
             return projective.projective_aspv(spec.n)
     # explicit graphs and larger radii: direct enumeration
-    centers = ball_centers(spec, cap)
-    total = sum(len(out_ball(spec, c)) for c in centers)
-    return Fraction(vertex_count(spec) * len(centers), total)
+    return vertex_count(spec) / average_ball_size(spec, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +252,11 @@ def _gspb_value(spec: ChannelSpec, lp_cap: int,
     if fam == "mag_sym":
         return magnitude.sym_gspb(spec.n, spec.q).optimum, ""
     if fam == "deletion":
-        return seqchannels.deletion_full_gspb(spec.n, lp_cap).optimum, \
-            "full covering LP"
+        sol = seqchannels.deletion_full_gspb(spec.n, lp_cap, enum_cap)
+        return sol.optimum, "full covering LP"
     if fam == "grain":
-        return seqchannels.grain_full_gspb(spec.n, lp_cap).optimum, \
+        sol = seqchannels.grain_full_gspb(spec.n, lp_cap, enum_cap)
+        return sol.optimum, \
             "full covering LP (artifact-computed; no published column)"
     if fam == "projective":
         res = projective.projective_gspb(spec.n)

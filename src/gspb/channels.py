@@ -1,10 +1,12 @@
 """Channel graphs: vertex enumeration, directed radius-r balls, hypergraphs.
 
-Each error channel is a directed graph on its word space; the radius-r
-out-ball of x collects every word reachable from x by at most r single-error
-steps.  The hypergraph whose edges are these balls is what all bound
-computations consume.  The radius is ``ChannelSpec.r`` alone; a route that
-covers radius 1 only asks ``check_radius`` before it answers.
+Each error channel is a directed graph on its word space, given by one
+step rule, ``successors``: the words one error away from x.  The radius-r
+out-ball of x collects every word reachable from x by at most r such steps,
+and the hypergraph whose edges are these balls is what all bound
+computations consume; no reverse step is defined.  The radius is
+``ChannelSpec.r`` alone; a route that covers radius 1 only asks
+``check_radius`` before it answers.
 
 Vertex encodings (canonical, one encoding per vertex):
 
@@ -19,7 +21,6 @@ Vertex encodings (canonical, one encoding per vertex):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -109,11 +110,7 @@ class Hypergraph:
     vertices: list
     edges: list[tuple[int, ...]]   # sorted vertex-id tuples
     centers: list                  # generating vertex of each edge
-    index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {v: i for i, v in enumerate(self.vertices)}
+    index: dict = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -279,7 +276,7 @@ def _subspace_neighbors(n: int, x: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# single-error steps, forward and reverse
+# the single-error step and the out-balls built from it
 # ---------------------------------------------------------------------------
 
 def successors(spec: ChannelSpec, x) -> list:
@@ -320,39 +317,6 @@ def successors(spec: ChannelSpec, x) -> list:
     return [b for (a, b) in spec.explicit_edges if a == x]
 
 
-def predecessors(spec: ChannelSpec, y) -> list:
-    """Words with an edge into y (reverse single-error step)."""
-    fam = spec.family
-    if fam == "z":
-        return [y ^ (1 << i) for i in range(spec.n) if not (y >> i) & 1]
-    if fam == "grain":
-        # x = y with bit i flipped is valid when y_i == y_{i+1}
-        return [
-            y ^ (1 << i)
-            for i in range(spec.n - 1)
-            if ((y >> i) & 1) == ((y >> (i + 1)) & 1)
-        ]
-    if fam == "deletion":
-        # insertions of one bit into a length-(n-1) word
-        n = spec.n
-        out = set()
-        for i in range(n):
-            low = y & ((1 << i) - 1)
-            high = (y >> i) << (i + 1)
-            out.add(high | low)
-            out.add(high | (1 << i) | low)
-        return sorted(out)
-    if fam == "mag_asym":
-        return [
-            y[:i] + (y[i] + 1,) + y[i + 1:]
-            for i in range(spec.n)
-            if y[i] < spec.q - 1
-        ]
-    if fam in ("mag_sym", "projective"):
-        return successors(spec, y)  # symmetric graphs
-    return [a for (a, b) in spec.explicit_edges if b == y]
-
-
 def check_radius(spec: ChannelSpec) -> None:
     """Refuse r != 1 unless the family is z or an explicit graph: every
     other family's formulas and quotients are single-error."""
@@ -365,42 +329,14 @@ def out_ball(spec: ChannelSpec, x) -> set:
     if spec.family == "deletion":
         check_radius(spec)
         return set(successors(spec, x))  # ground set excludes length-n words
-    return _ball(x, spec.r, lambda v: successors(spec, v))
-
-
-def in_ball(spec: ChannelSpec, x) -> set:
-    """All y with d(y, x) <= r, by reverse breadth-first expansion."""
-    if spec.family == "deletion":
-        check_radius(spec)
-        return set(predecessors(spec, x))
-    return _ball(x, spec.r, lambda v: predecessors(spec, v))
-
-
-def _ball(x, r: int, step) -> set:
     frontier = {x}
     ball = {x}
-    for _ in range(r):
-        frontier = {y for v in frontier for y in step(v)} - ball
+    for _ in range(spec.r):
+        frontier = {y for v in frontier for y in successors(spec, v)} - ball
         if not frontier:
             break
         ball |= frontier
     return ball
-
-
-def distance(spec: ChannelSpec, x, y) -> int | float:
-    """Directed path distance; math.inf when y is unreachable from x."""
-    if x == y:
-        return 0
-    frontier = {x}
-    seen = {x}
-    d = 0
-    while frontier:
-        d += 1
-        frontier = {t for v in frontier for t in successors(spec, v)} - seen
-        if y in frontier:
-            return d
-        seen |= frontier
-    return math.inf
 
 
 def ball_centers(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> list:

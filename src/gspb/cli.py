@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import bounds, exactlp, magnitude, oracle, projective, refdata, seqchannels, zchannel
-from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
-                       FIXTURES, GspbError, DEFAULT_ENUM_CAP, check_radius)
+from .channels import (CapExceeded, ChannelSpec, FIXTURES, GspbError,
+                       DEFAULT_ENUM_CAP, check_radius)
 from .exactlp import fmt_frac
 
 EXIT_OK = 0
@@ -163,9 +163,6 @@ def cmd_table(args) -> int:
 def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
     check_radius(spec)
     fam = spec.family
-    if fam in ("deletion", "grain") and (1 << spec.n) > enum_cap:
-        raise EnumerationCapExceeded(
-            f"{1 << spec.n} {fam} rows exceed the enumeration cap {enum_cap}")
     if fam == "z":
         return zchannel.z_quotient_lp(spec.n, spec.r)
     if fam == "mag_asym":
@@ -173,9 +170,9 @@ def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
     if fam == "mag_sym":
         return magnitude.sym_quotient(spec.n, spec.q).to_covering_lp()
     if fam == "deletion":
-        return seqchannels.deletion_full_lp(spec.n)
+        return seqchannels.deletion_full_lp(spec.n, enum_cap)
     if fam == "grain":
-        return seqchannels.grain_full_lp(spec.n)
+        return seqchannels.grain_full_lp(spec.n, enum_cap)
     return projective.projective_lp(spec.n)
 
 

@@ -5,9 +5,10 @@ sparse data; its dual is the fractional packing problem
 max sum(z) s.t. A^T z <= c, z >= 0.  Every LP with integral data takes one
 path: a float presolve (HiGHS) followed by an exact crossover, which reads
 the optimal supports off the float vertex and solves the
-complementary-slackness systems A[R,S] w = 1 and A[R,S]^T z = c exactly.
-Both go through one support solve (``_support_solve``) on one int64 matrix
-(``_int_matrix``), as does the subspace block dual (``complementary_dual``).
+complementary-slackness systems A[R,S] w = 1 and A[R,S]^T z = c exactly,
+each once.  Both go through one support solve (``_support_solve``) on one
+int64 matrix (``_int_matrix``), as does the subspace block dual
+(``complementary_dual``).
 
 An exact tableau simplex under Bland's rule, run on the dual (the all-slack
 basis is feasible there, so no phase one is needed), solves LPs with
@@ -321,8 +322,9 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     """Exact optimum from float supports via complementary-slackness systems.
 
-    The dual is solved once on the float dual support; the primal is tried
-    on the float support at three tolerances.
+    The dual is solved once on the float dual support and the primal once
+    on the float primal support (entries above 1e-7); None when either
+    system fails or the pair fails ``check_certificate``.
     """
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
@@ -339,17 +341,13 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
                        lp.num_rows)
     if z is None:
         return None
-    ones = [1] * lp.num_rows
-    for tol in (1e-7, 1e-9, 1e-5):
-        support = [j for j in range(lp.num_vars) if wt[j] > tol]
-        w = _support_solve(A, tight, support, ones, lp.num_vars)
-        optimum = None if w is None else check_certificate(lp, w, z)
-        if optimum is not None:
-            return LPSolution(
-                optimum, w, z, "presolve+crossover",
-                notes=f"supports {len(support)}/{sum(1 for v in z if v)}",
-            )
-    return None
+    support = [j for j in range(lp.num_vars) if wt[j] > 1e-7]
+    w = _support_solve(A, tight, support, [1] * lp.num_rows, lp.num_vars)
+    optimum = None if w is None else check_certificate(lp, w, z)
+    if optimum is None:
+        return None
+    return LPSolution(optimum, w, z, "presolve+crossover",
+                      notes=f"supports {len(support)}/{sum(1 for v in z if v)}")
 
 
 def complementary_dual(lp: CoveringLP, rows: list[int],

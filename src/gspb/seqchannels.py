@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from . import exactlp
-from .channels import CapExceeded
+from .channels import DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded
 from .kernels import deletion_targets, grain_targets, run_stats
 
 DEFAULT_LP_CAP = 12
@@ -154,8 +154,17 @@ def _ball_rows(cand: np.ndarray, num_vars: int) -> list[list[tuple[int, int]]]:
     return [row[k:] for row, k in zip(pairs[cand].tolist(), skip)]
 
 
-def deletion_full_lp(n: int) -> exactlp.CoveringLP:
+def _check_rows(n: int, family: str, cap: int) -> None:
+    """Refuse a full LP of 2^n rows above the enumeration cap, before the
+    kernels allocate them."""
+    if (1 << n) > cap:
+        raise EnumerationCapExceeded(
+            f"{1 << n} {family} rows exceed the enumeration cap {cap}")
+
+
+def deletion_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
+    _check_rows(n, "deletion", cap)
     return exactlp.CoveringLP(
         num_vars=1 << (n - 1),
         objective=[1] * (1 << (n - 1)),
@@ -164,8 +173,9 @@ def deletion_full_lp(n: int) -> exactlp.CoveringLP:
     )
 
 
-def grain_full_lp(n: int) -> exactlp.CoveringLP:
+def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP over {0,1}^n; each ball is the word plus its smears."""
+    _check_rows(n, "grain", cap)
     words = np.arange(1 << n, dtype=np.int64)[:, None]
     return exactlp.CoveringLP(
         num_vars=1 << n,
@@ -175,21 +185,23 @@ def grain_full_lp(n: int) -> exactlp.CoveringLP:
     )
 
 
-def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP) -> exactlp.LPSolution:
+def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
+                       enum_cap: int = DEFAULT_ENUM_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full deletion LP, capped by size.
 
     Solved on the reversal/complement orbit quotient; the witnesses are
     lifted back and re-verified against every row and column of the full
     LP, so the certificate never leans on the symmetry argument itself.
     """
-    return _orbit_reduced_solve(n, "deletion", lp_cap)
+    return _orbit_reduced_solve(n, "deletion", lp_cap, enum_cap)
 
 
-def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP) -> exactlp.LPSolution:
+def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
+                    enum_cap: int = DEFAULT_ENUM_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full grain LP (artifact-computed; no
     published column exists for it), capped by size; solved like
     deletion_full_gspb on the complement orbit quotient."""
-    return _orbit_reduced_solve(n, "grain", lp_cap)
+    return _orbit_reduced_solve(n, "grain", lp_cap, enum_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,8 @@ def _word_orbits(m: int, use_reversal: bool):
     return reps, orbit_of, sizes
 
 
-def _orbit_reduced_solve(n: int, family: str, lp_cap: int) -> exactlp.LPSolution:
+def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
+                         enum_cap: int) -> exactlp.LPSolution:
     if n > lp_cap:
         raise CapExceeded(
             f"full {family} LP capped at n <= {lp_cap}; "
@@ -234,9 +247,9 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int) -> exactlp.LPSolution
     # reversal commutes with deletion but not with the rightward smear
     use_rev = family == "deletion"
     if family == "deletion":
-        ground_m, full_lp = n - 1, deletion_full_lp(n)
+        ground_m, full_lp = n - 1, deletion_full_lp(n, enum_cap)
     else:
-        ground_m, full_lp = n, grain_full_lp(n)
+        ground_m, full_lp = n, grain_full_lp(n, enum_cap)
     v_reps, v_orbit, v_sizes = _word_orbits(ground_m, use_rev)
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
 

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspb import bounds, exactlp, reduction
 from gspb.channels import (ChannelSpec, GspbError, NotMonotoneError,
-                           enumerate_vertices, example_three)
+                           enumerate_vertices, example_four, example_three,
+                           example_two, out_ball)
 
 
 def fl(x):
@@ -86,9 +89,59 @@ def test_lemma3_transversal_feasible():
         assert bound >= exactlp.solve_min_transversal(lp).optimum
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 16), st.integers(1, 3), st.data())
+def test_lemma3_random_graphs(nv, r, data):
+    edges = data.draw(st.sets(
+        st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+        max_size=nv * 3))
+    spec = ChannelSpec("explicit", n=nv, r=r, explicit_num_vertices=nv,
+                       explicit_edges=tuple(e for e in edges if e[0] != e[1]))
+    vertices, weights, bound = bounds.lemma3_transversal(spec)
+    for v, w in zip(vertices, weights):
+        assert w >= Fraction(1, len(out_ball(spec, v)))
+    lp = reduction.full_hypergraph_lp(spec)
+    assert exactlp.verify_transversal(lp, weights).feasible
+    assert bound >= exactlp.solve_min_transversal(lp).optimum
+
+
+# lemma3_transversal per instance: its bound and the denominator of each
+# weight (every weight is 1/d), in enumerate_vertices order
+LEMMA3_PINS = {
+    "z-4-r1": (ChannelSpec("z", n=4), "31/5",
+               [1, 2, 2, 3, 2, 3, 3, 4, 2, 3, 3, 4, 3, 4, 4, 5]),
+    "z-4-r2": (ChannelSpec("z", n=4, r=2), "795/154",
+               [1, 2, 2, 4, 2, 4, 4, 7, 2, 4, 4, 7, 4, 7, 7, 11]),
+    "grain-5": (ChannelSpec("grain", n=5), "62/5",
+                [1, 2, 3, 2, 3, 4, 3, 2, 3, 4, 5, 4, 3, 4, 3, 2,
+                 2, 3, 4, 3, 4, 5, 4, 3, 2, 3, 4, 3, 2, 3, 2, 1]),
+    "deletion-5": (ChannelSpec("deletion", n=5), "15/2",
+                   [1, 2, 3, 2, 3, 4, 3, 2, 2, 3, 4, 3, 2, 3, 2, 1]),
+    "mag_asym-q3-n3-r2": (ChannelSpec("mag_asym", n=3, q=3, r=2), "5797/840",
+                          [1, 2, 3, 2, 4, 5, 3, 5, 6, 2, 4, 5, 4, 7, 8, 5, 8, 9,
+                           3, 5, 6, 5, 8, 9, 6, 9, 10]),
+    "mag_sym-q3-n3": (ChannelSpec("mag_sym", n=3, q=3), "191/30",
+                      [4, 4, 4, 4, 5, 4, 4, 4, 4, 4, 5, 4, 5, 6, 5, 4, 5, 4,
+                       4, 4, 4, 4, 5, 4, 4, 4, 4]),
+    "projective-4": (ChannelSpec("projective", n=4), "599/63",
+                     [9] + [7] * 65 + [9]),
+    "example2": (example_two(), "3", [2] * 6),
+    "example3": (example_three(), "21/5", [5, 1, 1, 1, 1]),
+    "example4": (example_four(), "3", [3] * 9),
+}
+
+
+@pytest.mark.parametrize("name", LEMMA3_PINS)
+def test_lemma3_pinned(name):
+    spec, bound, dens = LEMMA3_PINS[name]
+    vertices, weights, value = bounds.lemma3_transversal(spec)
+    assert vertices == enumerate_vertices(spec)
+    assert weights == [Fraction(1, d) for d in dens]
+    assert value == Fraction(bound)
+
+
 def test_lemma3_monotone_collapse():
     # on a monotone graph the weights collapse to reciprocal degrees
-    from gspb.channels import out_ball
     spec = ChannelSpec("z", n=3)
     vertices, weights, _ = bounds.lemma3_transversal(spec)
     for v, w in zip(vertices, weights):

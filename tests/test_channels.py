@@ -1,10 +1,7 @@
 import dataclasses
 from fractions import Fraction
-from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gspb import channels as ch
 
@@ -57,8 +54,6 @@ def test_z_balls():
     spec = ch.ChannelSpec("z", n=2)
     assert ch.out_ball(spec, 0b11) == {0b11, 0b01, 0b10}
     assert ch.out_ball(spec, 0b00) == {0b00}
-    assert ch.in_ball(spec, 0b00) == {0b00, 0b01, 0b10}
-    assert ch.in_ball(spec, 0b11) == {0b11}
 
 
 def test_z_degree_formula():
@@ -76,11 +71,6 @@ def test_deletion_ball_of_known_word():
     spec = ch.ChannelSpec("deletion", n=9)
     x = int("001010010", 2)
     assert len(ch.out_ball(spec, x)) == 7
-
-
-def test_example3_in_ball():
-    spec = ch.example_three()
-    assert ch.in_ball(spec, 1) == {0, 1}
 
 
 def test_build_hypergraph_shapes():
@@ -109,46 +99,16 @@ def test_projective_ball_size():
             assert len(ch.out_ball(spec, sub)) == expect
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 16), st.data())
-def test_ball_adjointness_random_graphs(nv, data):
-    edges = data.draw(
-        st.sets(
-            st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
-            max_size=nv * 3,
-        )
-    )
-    edges = tuple(e for e in edges if e[0] != e[1])
-    spec = ch.ChannelSpec("explicit", n=nv, r=1, explicit_edges=edges,
-                          explicit_num_vertices=nv)
-    spec = dataclasses.replace(spec, r=data.draw(st.integers(1, 3)))
-    verts = ch.enumerate_vertices(spec)
-    for x in verts:
-        for y in ch.out_ball(spec, x):
-            assert x in ch.in_ball(spec, y)
-
-
 @pytest.mark.parametrize("family,n,q", [
     ("z", 5, None), ("grain", 5, None), ("mag_asym", 3, 3), ("mag_sym", 3, 3),
+    ("projective", 4, None),
 ])
-def test_ball_adjointness_families(family, n, q):
+def test_out_ball_contains_center(family, n, q):
     base = ch.ChannelSpec(family, n=n, q=q)
-    verts = ch.enumerate_vertices(base)
     for r in (1, 2):
         spec = dataclasses.replace(base, r=r)
-        for x in verts:
-            ob = ch.out_ball(spec, x)
-            assert x in ob and x in ch.in_ball(spec, x)
-            for y in ob:
-                assert x in ch.in_ball(spec, y)
-
-
-def test_distance_unreachable():
-    import math
-    spec = ch.ChannelSpec("z", n=2)
-    assert ch.distance(spec, 0b00, 0b01) is not None
-    assert ch.distance(spec, 0b00, 0b11) == math.inf
-    assert ch.distance(spec, 0b11, 0b00) == 2
+        for x in ch.enumerate_vertices(spec):
+            assert x in ch.out_ball(spec, x)
 
 
 def test_example4_structure():

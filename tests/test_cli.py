@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,6 +74,13 @@ def test_cap_exit_4(capsys):
         code, _, err = run(capsys, "verify", "--family", family, "--n", "16",
                            "--enum-cap", "1000")
         assert code == 4 and "cap" in err
+        # the full-LP GSPB route builds the same rows under the same cap
+        code, out, err = run(capsys, "compute", "--family", family, "--n", "13",
+                             "--lp-cap", "13", "--enum-cap", "100",
+                             "--bound", "gspb")
+        assert code == 4 and out == ""
+        assert err == (f"resource cap: 8192 {family} rows exceed "
+                       "the enumeration cap 100\n")
 
 
 def test_table_csv_roundtrip(capsys, tmp_path):
@@ -258,6 +266,41 @@ def test_oracle_search_budget_exit_4():
         cwd=src, capture_output=True, text=True, timeout=60)
     assert out.returncode == 4 and out.stdout == ""
     assert "budget" in out.stderr
+
+
+ROW_CAP_CHILD = """
+import resource
+from gspb import cli, seqchannels
+from gspb.channels import EnumerationCapExceeded
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for verify in (seqchannels.verify_deletion_transversal,
+               seqchannels.verify_grain_transversal):
+    try:
+        verify(23)
+    except EnumerationCapExceeded as exc:
+        print(exc)
+for family in ("deletion", "grain"):
+    print(cli.main(["compute", "--family", family, "--n", "23",
+                    "--lp-cap", "30", "--bound", "gspb"]))
+"""
+
+
+def test_row_cap_refuses_before_allocating():
+    # 2^23 rows would need arrays of about 1.4 GiB; under a 1 GiB address
+    # space the row builders must refuse first, and the CLI exits 4. The
+    # limit is set after the imports, and BLAS runs one thread, so the
+    # address space of the import itself does not depend on the core count
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", ROW_CAP_CHILD], cwd=src,
+                         env=env, capture_output=True, text=True, timeout=120)
+    cap = "8388608 {} rows exceed the enumeration cap 4194304"
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (f"{cap.format('deletion')}\n{cap.format('grain')}\n"
+                          "4\n4\n")
+    assert out.stderr == (f"resource cap: {cap.format('deletion')}\n"
+                          f"resource cap: {cap.format('grain')}\n")
 
 
 def test_oracle_small_output_unchanged(capsys):

@@ -113,11 +113,20 @@ def test_deletion_full_gspb_small():
 
 
 def test_full_lp_cap():
-    from gspb.channels import CapExceeded
+    from gspb.channels import CapExceeded, EnumerationCapExceeded
     with pytest.raises(CapExceeded):
         seq.deletion_full_gspb(13, lp_cap=12)
     with pytest.raises(CapExceeded):
         seq.grain_full_gspb(13, lp_cap=12)
+    # 2^n rows against the enumeration cap, checked before any row is built
+    for build, solve in ((seq.deletion_full_lp, seq.deletion_full_gspb),
+                         (seq.grain_full_lp, seq.grain_full_gspb)):
+        assert build(10, cap=1024).num_rows == 1024
+        with pytest.raises(EnumerationCapExceeded,
+                           match="1024 .* rows exceed the enumeration cap 1023"):
+            build(10, cap=1023)
+        with pytest.raises(EnumerationCapExceeded):
+            solve(10, enum_cap=1023)
 
 
 def test_grain_full_gspb_sandwich():
