@@ -1,8 +1,8 @@
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,54 @@ def hypergraph_lp(spec):
 def singleton_lp(n):
     return exactlp.CoveringLP(num_vars=n, objective=[1] * n,
                               rows=[[(j, 1)] for j in range(n)])
+
+
+def _solve_square(matrix):
+    """x with matrix x = 1 by Gauss-Jordan elimination in Fractions, or None
+    when the matrix is singular."""
+    k = len(matrix)
+    aug = [[Fraction(a) for a in row] + [Fraction(1)] for row in matrix]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(k):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [v - f * pv for v, pv in zip(aug[r], aug[col])]
+    return [row[k] for row in aug]
+
+
+def brute_force_optimum(lp):
+    """Reference optimum by vertex enumeration, independent of exactlp.
+
+    A vertex of {w >= 0, A w >= 1} is zero off a support S and makes |S|
+    rows R tight, so it solves A[R,S] w_S = 1.  Every such square system is
+    solved exactly; the least objective over the feasible solutions is the
+    optimum, since the region has no lines and c >= 0.
+    """
+    assert lp.num_vars <= 5 and lp.num_rows <= 6
+    dense = [[0] * lp.num_vars for _ in lp.rows]
+    for i, row in enumerate(lp.rows):
+        for j, a in row:
+            dense[i][j] = a
+    best = None
+    for k in range(1, lp.num_vars + 1):
+        for cols in combinations(range(lp.num_vars), k):
+            for rows in combinations(range(lp.num_rows), k):
+                x = _solve_square([[dense[i][j] for j in cols] for i in rows])
+                if x is None or min(x) < 0:
+                    continue
+                w = [Fraction(0)] * lp.num_vars
+                for j, v in zip(cols, x):
+                    w[j] = v
+                if all(sum(a * w[j] for j, a in row) >= 1 for row in lp.rows):
+                    value = sum(c * v for c, v in zip(lp.objective, w))
+                    best = value if best is None else min(best, value)
+    return best
 
 
 def test_example2_optimum_one():
@@ -94,72 +142,85 @@ def test_float_presolve_deletion10_floor():
     assert pres.converged and int(pres.value + 1e-9) == 96
 
 
-def test_crossover_matches_simplex():
-    # the default path and the simplex reference agree on a medium LP
+def test_crossover_matches_closed_form():
+    # the full z n=6 LP against the independent closed-form z optimum
     lp = hypergraph_lp(ch.ChannelSpec("z", n=6))
-    a = exactlp.solve_min_transversal(lp, method="simplex")
-    b = exactlp.solve_min_transversal(lp)
-    assert a.optimum == b.optimum
-    for sol in (a, b):
-        assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
-    assert b.method == "presolve+crossover"
+    sol = exactlp.solve_min_transversal(lp)
+    assert sol.method == "presolve+crossover"
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+    closed = zchannel.z_gspb(6, 1)
+    assert closed.path == "closed-form" and sol.optimum == closed.value
 
 
 def test_crossover_deletion_small():
     lp = hypergraph_lp(ch.ChannelSpec("deletion", n=6))
-    a = exactlp.solve_min_transversal(lp, method="simplex")
-    b = exactlp.solve_min_transversal(lp)
-    assert b.method == "presolve+crossover"
-    assert a.optimum == b.optimum == Fraction(41, 4)  # floor 10
+    sol = exactlp.solve_min_transversal(lp)
+    assert sol.method == "presolve+crossover"
+    assert sol.optimum == Fraction(41, 4)  # floor 10
 
 
-# one quotient LP per family, each small enough for the simplex reference
+# one quotient LP per family with its optimum, pinned from an exact tableau
+# simplex that agreed with the crossover on each
 QUOTIENT_LPS = {
-    "asym_quotient(5,4)": lambda: magnitude.asym_quotient(5, 4).to_covering_lp(),
-    "sym_quotient(7,5)": lambda: magnitude.sym_quotient(7, 5).to_covering_lp(),
-    "z_quotient_lp(12,2)": lambda: zchannel.z_quotient_lp(12, 2),
-    "projective_lp(6)": lambda: projective.projective_lp(6),
+    "asym_quotient(5,4)": (lambda: magnitude.asym_quotient(5, 4).to_covering_lp(),
+                           Fraction(29576353, 138600)),
+    "sym_quotient(7,5)": (lambda: magnitude.sym_quotient(7, 5).to_covering_lp(),
+                          Fraction(35972164434, 5539393)),
+    "z_quotient_lp(12,2)": (lambda: zchannel.z_quotient_lp(12, 2),
+                            Fraction(1917151, 13860)),
+    "projective_lp(6)": (lambda: projective.projective_lp(6), Fraction(132)),
 }
 
 
 @pytest.mark.parametrize("build", ["deletion_full_lp", "grain_full_lp", *QUOTIENT_LPS])
 def test_auto_certifies_full_lps_by_crossover(build):
-    # every integral LP, however small, is certified by the crossover; a
-    # presolve change must not fall back silently to the dense Fraction simplex
-    quotient = QUOTIENT_LPS.get(build)
-    lp = quotient() if quotient else getattr(seqchannels, build)(9)
+    # every LP, however small, is certified by the crossover
+    if build in QUOTIENT_LPS:
+        make, optimum = QUOTIENT_LPS[build]
+        lp = make()
+    else:
+        lp, optimum = getattr(seqchannels, build)(9), None
     sol = exactlp.solve_min_transversal(lp)
     assert sol.method == "presolve+crossover"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
-    if quotient:
-        assert sol.optimum == exactlp.solve_min_transversal(lp, method="simplex").optimum
+    assert optimum is None or sol.optimum == optimum
 
 
-def test_failed_crossover_falls_back_within_a_cap(monkeypatch):
-    # with no float vertex every LP goes to the simplex, whose tableau is
-    # refused by size before it is built: exit 4, not a long Fraction solve
+def test_failed_solve_raises(monkeypatch):
+    # certified or raised: a failed stage is a GspbError naming it, exit 3
     from gspb import cli
-    monkeypatch.setattr(exactlp, "float_presolve", lambda lp: exactlp.PresolveResult(
-        False, None, None, None, "forced failure"))
-    small = hypergraph_lp(ch.ChannelSpec("z", n=4))
-    assert exactlp.solve_min_transversal(small).method == "simplex"
-    lp = seqchannels.grain_full_lp(10)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ch.CapExceeded):
+    lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
+    with monkeypatch.context() as m:
+        m.setattr(exactlp, "float_presolve", lambda lp: exactlp.PresolveResult(
+            False, None, None, None, "forced failure"))
+        with pytest.raises(ch.GspbError, match="forced failure"):
             exactlp.solve_min_transversal(lp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 22  # the 1024x2048 tableau alone is 16 MB of pointers
-    assert cli.main(["compute", "--family", "grain", "--n", "10",
-                     "--bound", "gspb"]) == 4
+        assert cli.main(["compute", "--family", "grain", "--n", "10",
+                         "--bound", "gspb"]) == 3
+    monkeypatch.setattr(exactlp, "_support_solve", lambda *args: None)
+    with pytest.raises(ch.GspbError, match="crossover"):
+        exactlp.solve_min_transversal(lp)
+
+
+def test_non_integer_data_refused(monkeypatch):
+    # validate is the one integer check; the CLI reports it as usage, exit 2
+    from gspb import cli, oracle
+    lp = hypergraph_lp(ch.ChannelSpec("z", n=3))
+    lp.objective[2] = Fraction(5, 3)
+    with pytest.raises(ValueError, match="integers"):
+        exactlp.solve_min_transversal(lp)
+    monkeypatch.setattr(oracle, "full_hypergraph_lp", lambda spec: lp)
+    assert cli.main(["oracle", "--family", "z", "--n", "3"]) == 2
+    row_lp = small_lp()
+    row_lp.rows[1] = [(0, 1), (1, 0.5)]
+    with pytest.raises(ValueError, match="coefficient 0.5"):
+        row_lp.validate()
 
 
 def test_scaling_exactness():
     lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
     base = exactlp.solve_min_transversal(lp)
-    lam = Fraction(7, 3)
+    lam = 7
     scaled = exactlp.CoveringLP(
         num_vars=lp.num_vars,
         objective=[lam * c for c in lp.objective],
@@ -170,39 +231,25 @@ def test_scaling_exactness():
 
 def test_determinism():
     lp = hypergraph_lp(ch.ChannelSpec("z", n=5))
-    a = exactlp.solve_min_transversal(lp, method="simplex")
-    b = exactlp.solve_min_transversal(lp, method="simplex")
-    assert a.primal == b.primal and a.pivots == b.pivots
-
-
-def test_serialization_roundtrip():
-    lp = hypergraph_lp(ch.ChannelSpec("z", n=3))
-    lp.objective[2] = Fraction(5, 3)
-    text = exactlp.lp_to_text(lp)
-    back = exactlp.lp_from_text(text)
-    assert back.num_vars == lp.num_vars
-    assert [Fraction(c) for c in lp.objective] == back.objective
-    assert [[(j, Fraction(a)) for j, a in row] for row in lp.rows] == back.rows
-    assert exactlp.solve_min_transversal(back).optimum == \
-        exactlp.solve_min_transversal(lp).optimum
+    a = exactlp.solve_min_transversal(lp)
+    b = exactlp.solve_min_transversal(lp)
+    assert a.primal == b.primal and a.dual == b.dual
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_strong_duality_random_covers(data):
-    nv = data.draw(st.integers(1, 7))
-    nrows = data.draw(st.integers(1, 9))
+    nv = data.draw(st.integers(1, 5))
+    nrows = data.draw(st.integers(1, 6))
     rows = []
     for _ in range(nrows):
         members = data.draw(st.sets(st.integers(0, nv - 1), min_size=1, max_size=nv))
         rows.append([(j, data.draw(st.integers(1, 3))) for j in sorted(members)])
     obj = [data.draw(st.integers(0, 5)) for _ in range(nv)]
     lp = exactlp.CoveringLP(num_vars=nv, objective=obj, rows=rows)
-    sol = exactlp.solve_min_transversal(lp, method="simplex")
+    sol = exactlp.solve_min_transversal(lp)
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
-    auto = exactlp.solve_min_transversal(lp)
-    assert auto.optimum == sol.optimum
-    assert exactlp.check_certificate(lp, auto.primal, auto.dual) == sol.optimum
+    assert sol.optimum == brute_force_optimum(lp)
 
 
 @settings(max_examples=50, deadline=None)
@@ -235,30 +282,29 @@ def test_optimum_zero_certifies_by_crossover():
 
 
 def test_random_covers_take_no_fallback():
-    # every integral cover, optimum 0 included, certifies by the crossover
+    # every cover, optimum 0 included, certifies by the crossover
     rng = random.Random(1)
     for _ in range(400):
-        nv = rng.randint(1, 7)
+        nv = rng.randint(1, 5)
         rows = [[(j, rng.randint(1, 3))
                  for j in sorted(rng.sample(range(nv), rng.randint(1, nv)))]
-                for _ in range(rng.randint(1, 7))]
+                for _ in range(rng.randint(1, 6))]
         lp = exactlp.CoveringLP(nv, [rng.randint(0, 5) for _ in range(nv)], rows)
         sol = exactlp.solve_min_transversal(lp)
-        assert sol.method == "presolve+crossover", exactlp.lp_to_text(lp)
-        assert sol.optimum == exactlp.solve_min_transversal(lp, method="simplex").optimum
+        assert sol.method == "presolve+crossover", lp
+        assert sol.optimum == brute_force_optimum(lp), lp
 
 
-def small_lp():
-    # min w0 + 2 w1  s.t.  w0 >= 1,  w0 + w1 >= 1;  optimum 1
-    return exactlp.CoveringLP(num_vars=2, objective=[1, 2],
-                              rows=[[(0, 1)], [(0, 1), (1, 1)]])
+def small_lp(scale=1):
+    # min w0 + 2 w1  s.t.  w0 >= 1,  w0 + w1 >= 1;  optimum 1.  Scaling A
+    # and c by an integer scales the feasible w by its inverse and keeps z.
+    return exactlp.CoveringLP(num_vars=2, objective=[scale, 2 * scale],
+                              rows=[[(0, scale)], [(0, scale), (1, scale)]])
 
 
 def test_check_certificate_accepts_optimal_pair():
-    lp = small_lp()
-    assert exactlp.check_certificate(lp, [1, 0], [1, 0]) == 1
-    fraction_lp = exactlp.lp_from_text(exactlp.lp_to_text(lp))
-    assert exactlp.check_certificate(fraction_lp, [1, 0], [Fraction(1, 2)] * 2) == 1
+    assert exactlp.check_certificate(small_lp(), [1, 0], [1, 0]) == 1
+    assert exactlp.check_certificate(small_lp(2), [Fraction(1, 2), 0], [1, 0]) == 1
 
 
 # each pair fails exactly one condition of check_certificate
@@ -269,12 +315,11 @@ def test_check_certificate_accepts_optimal_pair():
     ([1, 1], [3, 0]),                               # column 0 over-full
     ([1, 1], [1, 0]),                               # c.w = 3 != sum(z) = 1
 ], ids=["negative-w", "short-row", "negative-z", "overfull-column", "objectives"])
-@pytest.mark.parametrize("coeffs", ["int", "fraction"])
+@pytest.mark.parametrize("coeffs", ["int", "doubled"])
 def test_check_certificate_rejects(w, z, coeffs):
-    lp = small_lp()
-    if coeffs == "fraction":
-        lp = exactlp.lp_from_text(exactlp.lp_to_text(lp))
-    assert exactlp.check_certificate(lp, w, z) is None
+    scale = 2 if coeffs == "doubled" else 1
+    lp = small_lp(scale)
+    assert exactlp.check_certificate(lp, [Fraction(x, scale) for x in w], z) is None
 
 
 def test_check_certificate_survives_optimize_flag():

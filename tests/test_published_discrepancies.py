@@ -30,7 +30,8 @@ def test_z_mb_r1_closed_form_drift():
 
 def test_z_gspb_r1_n26():
     # table prints 4638907; the exact optimum floors to 4638908, confirmed
-    # by the dual certificate and by an independent simplex solve
+    # by the closed form's dual certificate and by the crossover solve of
+    # the quotient LP
     res = z.z_gspb(26, 1)
     assert res.path == "closed-form"
     assert exactlp.check_certificate(z.z_quotient_lp(26, 1), res.weights.w,

@@ -123,14 +123,6 @@ def test_lifted_weights_feasible_on_full_lp():
         assert rep.feasible and rep.bound == red.optimum, spec
 
 
-def test_quotient_serialization():
-    qlp = reduction.quotient_matrix(ChannelSpec("z", n=4, r=1))
-    text = exactlp.lp_to_text(qlp.to_covering_lp())
-    back = exactlp.lp_from_text(text)
-    assert exactlp.solve_min_transversal(back).optimum == \
-        reduction.reduced_gspb(ChannelSpec("z", n=4, r=1)).optimum
-
-
 def test_failed_rule_check_fails_every_time(monkeypatch):
     # a rule that disagrees with ball enumeration must never be cached as valid
     right = reduction._sym_matrix
