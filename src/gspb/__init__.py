@@ -12,8 +12,8 @@ from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
                        OracleCapExceeded, QuotientUnavailable, build_hypergraph,
                        enumerate_vertices, gaussian_binomial, out_ball)
 from .exactlp import (CoveringLP, LPSolution, TransversalReport,
-                      check_certificate, float_presolve, solve_max_matching_lp,
-                      solve_min_transversal, verify_transversal)
+                      check_certificate, float_presolve, solve_min_transversal,
+                      verify_transversal)
 from .bounds import BoundReport, assemble_report, aspv, check_monotone, \
     lemma3_transversal, monotonicity_bound
 from .reduction import (ClassPartition, QuotientLP,

@@ -43,10 +43,6 @@ class BoundEntry:
             return None
         return self.value.numerator // self.value.denominator
 
-    @property
-    def approx(self) -> float | None:
-        return None if self.value is None else float(self.value)
-
 
 @dataclass
 class BoundReport:
@@ -243,28 +239,27 @@ def _gspb_value(spec: ChannelSpec, lp_cap: int,
                 enum_cap: int) -> tuple[Fraction, str]:
     """The certified covering optimum of one instance, and its note."""
     check_radius(spec)
-    fam = spec.family
+    fam, note = spec.family, ""
     if fam == "z":
-        res = zchannel.z_gspb(spec.n, spec.r)
-        return res.value, f"path: {res.path}"
-    if fam == "mag_asym":
-        return magnitude.asym_gspb(spec.n, spec.q).optimum, ""
-    if fam == "mag_sym":
-        return magnitude.sym_gspb(spec.n, spec.q).optimum, ""
-    if fam == "deletion":
+        sol = zchannel.z_gspb(spec.n, spec.r)
+        note = f"path: {sol.method}"
+    elif fam == "mag_asym":
+        sol = magnitude.asym_gspb(spec.n, spec.q)
+    elif fam == "mag_sym":
+        sol = magnitude.sym_gspb(spec.n, spec.q)
+    elif fam == "deletion":
         sol = seqchannels.deletion_full_gspb(spec.n, lp_cap, enum_cap)
-        return sol.optimum, "full covering LP"
-    if fam == "grain":
+        note = "full covering LP"
+    elif fam == "grain":
         sol = seqchannels.grain_full_gspb(spec.n, lp_cap, enum_cap)
-        return sol.optimum, \
-            "full covering LP (artifact-computed; no published column)"
-    if fam == "projective":
-        res = projective.projective_gspb(spec.n)
-        return res.value, res.flag
-    # explicit graphs: the unreduced covering LP
-    from .reduction import full_hypergraph_lp
-    return exactlp.solve_min_transversal(
-        full_hypergraph_lp(spec, cap=enum_cap)).optimum, ""
+        note = "full covering LP (artifact-computed; no published column)"
+    elif fam == "projective":
+        sol = projective.projective_gspb(spec.n)
+        note = sol.notes
+    else:  # explicit graphs: the unreduced covering LP
+        from .reduction import full_hypergraph_lp
+        sol = exactlp.solve_min_transversal(full_hypergraph_lp(spec, cap=enum_cap))
+    return sol.optimum, note
 
 
 def _refused(name: str, exc: GspbError) -> BoundEntry:

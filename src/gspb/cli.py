@@ -61,8 +61,9 @@ def _spec_from_args(args, n: int) -> ChannelSpec:
 
 def cmd_compute(args) -> int:
     spec = _spec_from_args(args, args.n)
-    report = bounds.assemble_report(spec, lp_cap=args.lp_cap,
-                                    enum_cap=args.enum_cap)
+    report = bounds.assemble_report(
+        spec, lp_cap=args.lp_cap, enum_cap=args.enum_cap,
+        include_gspb=args.bound == "gspb" or args.format == "json")
     name = _COLUMN_TO_ENTRY.get(args.bound.upper())
     if name is None or name not in report.entries:
         raise Refusal(f"bound {args.bound!r} is not available for {args.family}")
@@ -232,11 +233,11 @@ def cmd_verify(args) -> int:
 
 def _certificate_line(spec: ChannelSpec) -> str:
     if spec.family == "z":
-        value = zchannel.z_gspb(spec.n, spec.r).value
+        value = zchannel.z_gspb(spec.n, spec.r).optimum
         return f"certified optimal, value {fmt_frac(value)} " \
                f"(floor {value.numerator // value.denominator})"
     if spec.family == "projective":
-        return f"certificate: {projective.projective_gspb(spec.n).certificate.status}"
+        return f"certificate: {projective.projective_gspb(spec.n).method}"
     return ""
 
 

@@ -62,10 +62,15 @@ class LPSolution:
     optimum: Fraction
     primal: list                      # exact w over variables
     dual: list                        # exact z over rows
-    method: str                       # "presolve+crossover", or prefixed
-    #                                   "orbit+" (seqchannels)
+    method: str                       # "presolve+crossover", prefixed
+    #                                   "orbit+" (seqchannels), "closed-form"
+    #                                   (zchannel) or "greedy" (projective)
     pivots: int = 0                   # always 0; kept for the benchmark harness
     notes: str = ""
+
+    @property
+    def path(self) -> str:            # method; kept for the benchmark harness
+        return self.method
 
 
 @dataclass
@@ -277,13 +282,6 @@ def solve_min_transversal(lp: CoveringLP) -> LPSolution:
     if sol is None:
         raise GspbError(f"exact crossover failed to certify LP {lp.name!r}")
     return sol
-
-
-def solve_max_matching_lp(lp: CoveringLP) -> LPSolution:
-    """Fractional matching optimum; equals the transversal optimum exactly."""
-    sol = solve_min_transversal(lp)
-    return LPSolution(sol.optimum, sol.dual, sol.primal, sol.method, sol.pivots,
-                      "packing side of the covering solve")
 
 
 def fmt_frac(x) -> str:

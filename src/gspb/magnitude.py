@@ -92,6 +92,6 @@ def sym_transversal(n: int, q: int) -> ClassTransversal:
 def _finish(qlp: reduction.QuotientLP, weights) -> ClassTransversal:
     report = exactlp.verify_transversal(qlp.to_covering_lp(), weights)
     if not report.feasible:
-        raise AssertionError("class transversal failed its exact check")
+        raise GspbError("class transversal failed its exact check")
     return ClassTransversal(labels=list(qlp.partition.labels), weights=weights,
                             bound=report.bound)

@@ -4,20 +4,20 @@ Vertices are the subspaces of GF(2)^n; one error step moves to a subspace
 one dimension away (contained or containing).  Equal dimensions share an
 orbit and dimensions k and n-k fold together, leaving floor(n/2)+1 weight
 variables under as many constraints (reduction.quotient_matrix).  A greedy
-tail-first assignment solves the LP exactly for n >= 3: each value is the
-greedy total, certified through exactlp.check_certificate by an exact dual
-vector found by complementary slackness on the greedy support.  The LP is
-solved only where that check fails.
+tail-first assignment solves the LP exactly for n >= 3: projective_gspb
+returns the greedy weights and an exact dual vector, found by complementary
+slackness on the greedy support, as an exactlp.LPSolution with method
+"greedy" once exactlp.check_certificate accepts the pair.  The LP is solved
+only where that check fails.
 
 n = 2 is a flagged special case: there the greedy recursion's output is not
 feasible and its total (1) undercuts the true covering optimum 7/5, which the
-LP solve supplies; results carry both numbers and a flag instead of forcing
-agreement.
+LP solve supplies; its notes name both numbers instead of forcing agreement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import exactlp, reduction
@@ -28,8 +28,6 @@ from .channels import ChannelSpec, gaussian_binomial
 class ProjectiveWeights:
     n: int
     w: list[Fraction]             # folded, indices 0..floor(n/2)
-    source: str                   # "greedy" | "closed-form"
-    matches_greedy: bool | None = None
 
     def unfolded(self) -> list[Fraction]:
         return [self.w[min(k, self.n - k)] for k in range(self.n + 1)]
@@ -40,23 +38,6 @@ class ProjectiveWeights:
              for k, wk in enumerate(self.unfolded()) if wk),
             Fraction(0),
         )
-
-
-@dataclass
-class ProjectiveCertificate:
-    n: int
-    y: list[Fraction]             # dual over the floor(n/2)+1 folded rows
-    status: str                   # "optimal-certified-block" | "flagged"
-
-
-@dataclass
-class ProjectiveGspb:
-    n: int
-    value: Fraction               # exact covering optimum (LP)
-    greedy_value: Fraction
-    greedy_matches_lp: bool
-    certificate: ProjectiveCertificate
-    flag: str = ""
 
 
 def projective_lp(n: int) -> exactlp.CoveringLP:
@@ -87,12 +68,12 @@ def greedy_weights(n: int) -> ProjectiveWeights:
         w[k] = max(val, Fraction(0))
     if w[0] == 0 and half >= 1 and w[1] == 0:
         w[0] = Fraction(1)
-    return ProjectiveWeights(n=n, w=w, source="greedy")
+    return ProjectiveWeights(n=n, w=w)
 
 
 def closed_form_weights(n: int) -> ProjectiveWeights:
     """Four-periodic pattern keyed to the middle index, with even-n
-    exceptions beside the middle; checked against the greedy recursion.
+    exceptions beside the middle; it reproduces the greedy recursion.
 
     The second even-n exception is (2^{k+3}-3)/((2^{k+2}-1)(2^{k+2}-2)):
     both denominator factors carry exponent k+2, which is what reproduces
@@ -114,9 +95,7 @@ def closed_form_weights(n: int) -> ProjectiveWeights:
             w[k] = Fraction(2, (1 << (k + 2)) - 1)
     if w[0] == 0 and half >= 1 and w[1] == 0:
         w[0] = Fraction(1)
-    matches = (w == greedy_weights(n).w)
-    return ProjectiveWeights(n=n, w=w, source="closed-form",
-                             matches_greedy=matches)
+    return ProjectiveWeights(n=n, w=w)
 
 
 def projective_aspv(n: int) -> Fraction:
@@ -132,45 +111,35 @@ def projective_aspv(n: int) -> Fraction:
 
 
 def _block_certificate(lp: exactlp.CoveringLP,
-                       weights: ProjectiveWeights) -> list[Fraction] | None:
-    """Dual vector by complementary slackness on the greedy support.
+                       w: list[Fraction]) -> list[Fraction] | None:
+    """Dual vector by complementary slackness on the support of ``w``.
 
-    The rows the greedy weights make tight carry the unknowns; the columns
-    of positive weight give the equations.  The result is unchecked.
+    The rows the weights make tight carry the unknowns; the columns of
+    positive weight give the equations.  The result is unchecked.
     """
-    slacks = exactlp.verify_transversal(lp, weights.w).slacks
+    slacks = exactlp.verify_transversal(lp, w).slacks
     tight = [i for i, s in enumerate(slacks) if s == 0]
-    positive = [j for j, x in enumerate(weights.w) if x > 0]
+    positive = [j for j, x in enumerate(w) if x > 0]
     return exactlp.complementary_dual(lp, tight, positive)
 
 
-def projective_gspb(n: int) -> ProjectiveGspb:
+def projective_gspb(n: int) -> exactlp.LPSolution:
     """Exact covering optimum, certified like z_gspb.
 
     The greedy weights and their block dual are checked as a pair against
-    the folded LP; if the check fails the LP is solved outright and the
-    result is flagged.
+    the folded LP; if the check fails the LP is solved outright and its
+    notes say whether the greedy total differs from the optimum.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     weights = greedy_weights(n)
-    greedy_value = weights.bound()
     lp = projective_lp(n)
-    block = _block_certificate(lp, weights)
+    block = _block_certificate(lp, weights.w)
     value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
     if value is not None:
-        return ProjectiveGspb(
-            n=n, value=value, greedy_value=greedy_value, greedy_matches_lp=True,
-            certificate=ProjectiveCertificate(n, block, "optimal-certified-block"),
-        )
+        return exactlp.LPSolution(value, weights.w, block, "greedy")
     sol = exactlp.solve_min_transversal(lp)
-    matches = greedy_value == sol.optimum
-    flag = "" if matches else (
+    greedy_value = weights.bound()
+    return replace(sol, notes="" if greedy_value == sol.optimum else (
         "greedy output is not optimal here (known flagged case n=2): "
-        f"greedy total {greedy_value}, exact LP optimum {sol.optimum}"
-    )
-    return ProjectiveGspb(
-        n=n, value=sol.optimum, greedy_value=greedy_value,
-        greedy_matches_lp=matches,
-        certificate=ProjectiveCertificate(n, sol.dual, "flagged"), flag=flag,
-    )
+        f"greedy total {greedy_value}, exact LP optimum {sol.optimum}"))

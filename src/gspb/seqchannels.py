@@ -21,7 +21,8 @@ from math import comb
 import numpy as np
 
 from . import exactlp
-from .channels import DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded
+from .channels import (DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded,
+                       GspbError)
 from .kernels import deletion_targets, grain_targets, run_stats
 
 DEFAULT_LP_CAP = 12
@@ -269,7 +270,8 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     z_full = [sol.dual[c_orbit[c]] / c_sizes[c_orbit[c]]
               for c in range(full_lp.num_rows)]
     if exactlp.check_certificate(full_lp, w_full, z_full) != sol.optimum:
-        raise AssertionError("orbit lift failed the exact certificate check")
+        raise GspbError(f"orbit lift of the {family} n={n} quotient failed the "
+                        "exact certificate check against the full LP")
     return exactlp.LPSolution(
         sol.optimum, w_full, z_full, f"orbit+{sol.method}", sol.pivots,
         f"orbit quotient {len(v_reps)}x{len(c_reps)}, lift re-verified",

@@ -4,9 +4,10 @@ After weight-class reduction the covering LP has n+1 variables; its optimum
 is produced in closed form by a backward recursion on the class weights and
 certified per instance by an exact dual solve of an upper-triangular system.
 The weights and the dual are checked together by exactlp.check_certificate
-for the concrete (n, r) at hand, so no analytic radius horizon is assumed:
-where that check fails the LP is solved outright, and every returned value
-is certified either way.
+for the concrete (n, r) at hand, so no analytic radius horizon is assumed.
+z_gspb returns the pair as an exactlp.LPSolution with method "closed-form";
+where the check fails it returns the LP solve itself, so every value is
+certified either way and its method says which route produced it.
 """
 
 from __future__ import annotations
@@ -24,17 +25,10 @@ class ZWeights:
     n: int
     r: int
     w: list[Fraction]            # indexed 0..n by Hamming weight class
-    source: str                  # "recursive" | "explicit"
 
     def bound(self) -> Fraction:
         return sum((comb(self.n, k) * wk for k, wk in enumerate(self.w) if wk),
                    Fraction(0))
-
-
-@dataclass
-class DSequence:
-    r: int
-    values: list[Fraction]       # D_0 .. D_m
 
 
 @dataclass
@@ -43,7 +37,6 @@ class ZCertificate:
     r: int
     y: list[Fraction]
     status: str                  # "optimal-certified" | "nonnegativity-failed"
-    failed_index: int | None = None
 
     def dual_value(self) -> Fraction:
         return sum(self.y[: self.n - self.r + 1], Fraction(0))
@@ -55,16 +48,6 @@ class ZCertificate:
         z[0] = self.y[0]
         z[self.r + 1:] = self.y[1: self.n - self.r + 1]
         return z
-
-
-@dataclass
-class ZGspbResult:
-    n: int
-    r: int
-    value: Fraction
-    path: str                    # "closed-form" | "lp-fallback"
-    weights: ZWeights
-    certificate: ZCertificate
 
 
 def z_quotient_lp(n: int, r: int) -> exactlp.CoveringLP:
@@ -84,10 +67,10 @@ def z_weights_recursive(n: int, r: int) -> ZWeights:
         )
         w[k] = s / comb(k + r, r)
     w[0] = Fraction(1)
-    return ZWeights(n=n, r=r, w=w, source="recursive")
+    return ZWeights(n=n, r=r, w=w)
 
 
-def d_sequence(r: int, length: int) -> DSequence:
+def d_sequence(r: int, length: int) -> list[Fraction]:
     """n-independent companion sequence: D_{r-1}=1 after r-1 zeros, then the
     factorial-weighted window of the last r+1 terms vanishes."""
     if r < 1:
@@ -102,14 +85,14 @@ def d_sequence(r: int, length: int) -> DSequence:
             Fraction(0),
         )
         vals[i] = -rf * acc
-    return DSequence(r=r, values=vals[:length])
+    return vals[:length]
 
 
 def z_weights_explicit(n: int, r: int) -> ZWeights:
     """Closed-form weights from the companion sequence; equals the recursion."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    ds = d_sequence(r, n).values
+    ds = d_sequence(r, n)
     rf = factorial(r)
     w = [Fraction(0)] * (n + 1)
     w[0] = Fraction(1)
@@ -120,7 +103,7 @@ def z_weights_explicit(n: int, r: int) -> ZWeights:
             Fraction(0),
         )
         w[k] = rf * factorial(k) * acc
-    return ZWeights(n=n, r=r, w=w, source="explicit")
+    return ZWeights(n=n, r=r, w=w)
 
 
 def z_optimality_certificate(n: int, r: int) -> ZCertificate:
@@ -135,7 +118,6 @@ def z_optimality_certificate(n: int, r: int) -> ZCertificate:
         raise ValueError("need 1 <= r <= n")
     y = [Fraction(0)] * (n + 1)
     y[0] = Fraction(1)  # corner entry of the triangular system
-    failed = None
     for j in range(1, n + 1):
         acc = Fraction(0)
         for i in range(max(1, j - r), min(j - 1, n - r) + 1):
@@ -145,28 +127,25 @@ def z_optimality_certificate(n: int, r: int) -> ZCertificate:
             y[j] = (comb(n, j) - acc) / comb(j + r, j)
         else:
             y[j] = comb(n, j) - acc
-        if y[j] < 0 and failed is None:
-            failed = j
-    if failed is not None:
-        return ZCertificate(n, r, y, "nonnegativity-failed", failed)
+    if any(v < 0 for v in y):
+        return ZCertificate(n, r, y, "nonnegativity-failed")
     return ZCertificate(n, r, y, "optimal-certified")
 
 
-def z_gspb(n: int, r: int) -> ZGspbResult:
+def z_gspb(n: int, r: int) -> exactlp.LPSolution:
     """Exact covering optimum with per-instance certification.
 
     The closed-form weights and the triangular dual are checked as a pair
-    against the weight-class LP; if the check fails the LP is solved
-    outright and the result says which path produced the value.
+    against z_quotient_lp(n, r); if the check fails the LP is solved
+    outright and that solution, with its own method, is returned.
     """
-    weights = z_weights_recursive(n, r)
-    cert = z_optimality_certificate(n, r)
+    w = z_weights_recursive(n, r).w
+    y = z_optimality_certificate(n, r).lp_dual()
     lp = z_quotient_lp(n, r)
-    value = exactlp.check_certificate(lp, weights.w, cert.lp_dual())
-    if value is not None:
-        return ZGspbResult(n, r, value, "closed-form", weights, cert)
-    sol = exactlp.solve_min_transversal(lp)
-    return ZGspbResult(n, r, sol.optimum, "lp-fallback", weights, cert)
+    value = exactlp.check_certificate(lp, w, y)
+    if value is None:
+        return exactlp.solve_min_transversal(lp)
+    return exactlp.LPSolution(value, w, y, "closed-form")
 
 
 def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:

@@ -51,7 +51,7 @@ def test_criterion_1_z_tables():
             got_mb = fl(z.z_mb(n, r))
             got_aspv = fl(z.z_aspv(n, r))
             res = z.z_gspb(n, r)
-            got_gspb = fl(res.value)
+            got_gspb = fl(res.optimum)
             if got_mb != mb:
                 bad.append(f"r={r} n={n} MB: exact floor {got_mb}, table {mb} "
                            f"(exact {z.z_mb(n, r)})")
@@ -59,7 +59,7 @@ def test_criterion_1_z_tables():
                 bad.append(f"r={r} n={n} ASPV: exact floor {got_aspv}, table {aspv}")
             if got_gspb != gspb:
                 bad.append(f"r={r} n={n} GSPB: exact floor {got_gspb}, table {gspb} "
-                           f"(exact ~{float(res.value):.6f}, path={res.path})")
+                           f"(exact ~{float(res.optimum):.6f}, path={res.method})")
     _finish("criterion 1 (z-channel tables, r=1..4, n=5..32)", t0, 5.0, bad)
 
 
@@ -70,8 +70,8 @@ def test_criterion_2_z_optimality():
         for n in range(r, 21):
             res = z.z_gspb(n, r)
             lp_opt = exactlp.solve_min_transversal(z.z_quotient_lp(n, r)).optimum
-            if res.value != lp_opt:
-                bad.append(f"n={n} r={r}: closed form {res.value} != LP {lp_opt}")
+            if res.optimum != lp_opt:
+                bad.append(f"n={n} r={r}: closed form {res.optimum} != LP {lp_opt}")
             cert = z.z_optimality_certificate(n, r)
             if cert.status != "optimal-certified":
                 bad.append(f"n={n} r={r}: certificate {cert.status}")
@@ -172,16 +172,17 @@ def test_criterion_7_projective():
         if n == 2:
             # flagged row: the greedy output disagrees with the LP there,
             # but the exact optimum 7/5 still floors to the printed 1
-            if fl(res.value) != gspb:
-                bad.append(f"n=2 GSPB: exact floor {fl(res.value)}, table {gspb}")
-            if res.greedy_matches_lp:
+            if fl(res.optimum) != gspb:
+                bad.append(f"n=2 GSPB: exact floor {fl(res.optimum)}, table {gspb}")
+            if proj.greedy_weights(n).bound() == res.optimum:
                 bad.append("n=2: expected the flagged greedy/LP disagreement")
             continue
-        if fl(res.value) != gspb:
-            bad.append(f"n={n} GSPB: exact floor {fl(res.value)}, table {gspb}")
-        if not res.greedy_matches_lp:
-            bad.append(f"n={n}: greedy bound {res.greedy_value} != LP {res.value}")
-        gw = proj.greedy_weights(n).w
+        if fl(res.optimum) != gspb:
+            bad.append(f"n={n} GSPB: exact floor {fl(res.optimum)}, table {gspb}")
+        greedy = proj.greedy_weights(n)
+        if greedy.bound() != res.optimum:
+            bad.append(f"n={n}: greedy bound {greedy.bound()} != LP {res.optimum}")
+        gw = greedy.w
         if len(gw) != len(weights):
             bad.append(f"n={n}: weight vector length {len(gw)} vs {len(weights)}")
             continue
@@ -266,7 +267,7 @@ def test_criterion_8_property_suites():
 
     # companion sequence growth bound
     for r in range(1, 21):
-        vals = z.d_sequence(r, 201).values
+        vals = z.d_sequence(r, 201)
         for m, dm in enumerate(vals):
             if abs(dm) > (2 * r) ** (m - r + 1):
                 bad.append(f"companion bound fails at r={r} m={m}")

@@ -204,7 +204,7 @@ def test_z_aspv_floor_above_gspb_floor():
     # regression on the one family where the average value is a proven bound
     from gspb import zchannel
     for n in range(5, 33):
-        assert fl(zchannel.z_aspv(n, 1)) >= fl(zchannel.z_gspb(n, 1).value)
+        assert fl(zchannel.z_aspv(n, 1)) >= fl(zchannel.z_gspb(n, 1).optimum)
 
 
 def test_mb_at_least_gspb_monotone_families():
@@ -212,7 +212,7 @@ def test_mb_at_least_gspb_monotone_families():
     from gspb import magnitude, seqchannels, zchannel
     for n in (5, 9, 14):
         for r in (1, 2):
-            assert zchannel.z_mb(n, r) >= zchannel.z_gspb(n, r).value
+            assert zchannel.z_mb(n, r) >= zchannel.z_gspb(n, r).optimum
         assert magnitude.asym_mb(n, 3) >= magnitude.asym_gspb(n, 3).optimum
     for n in (5, 8, 11):
         assert seqchannels.deletion_mb(n) >= seqchannels.deletion_full_gspb(n).optimum

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gspb import cli
+from gspb import bounds, cli, exactlp, seqchannels
+from gspb.channels import ChannelSpec
 
 
 def run(capsys, *argv):
@@ -45,6 +47,41 @@ def test_compute_grain_mb(capsys):
     code, out, _ = run(capsys, "compute", "--family", "grain", "--n", "5",
                        "--bound", "mb")
     assert code == 0 and out.split()[0] == "12"
+
+
+def test_compute_skips_the_gspb_solve_unless_asked(capsys, monkeypatch):
+    code, expected, _ = run(capsys, "compute", "--family", "grain", "--n", "9",
+                            "--bound", "mb")
+
+    def unasked(*args, **kwargs):
+        raise AssertionError("GSPB solved for an MB query")
+
+    monkeypatch.setattr(seqchannels, "grain_full_gspb", unasked)
+    assert run(capsys, "compute", "--family", "grain", "--n", "9",
+               "--bound", "mb") == (0, expected, "")
+    assert code == 0 and expected.split()[0] == "112"
+
+
+def test_failed_orbit_lift_is_a_typed_refusal(capsys, monkeypatch):
+    # the quotient solve certifies; its lift is refused on the full LP
+    real = exactlp.check_certificate
+    monkeypatch.setattr(exactlp, "check_certificate", lambda lp, w, z: (
+        None if lp.name.startswith("deletion-full") else real(lp, w, z)))
+    code, out, err = run(capsys, "compute", "--family", "deletion", "--n", "6",
+                         "--bound", "gspb")
+    assert code == 3 and out == "" and "orbit lift" in err
+    entry = bounds.assemble_report(ChannelSpec("deletion", n=6)).entry("gspb")
+    assert entry.value is None and not entry.capped
+    assert "orbit lift" in entry.note
+
+
+def test_failed_class_transversal_is_a_typed_refusal(capsys, monkeypatch):
+    real = exactlp.verify_transversal
+    monkeypatch.setattr(exactlp, "verify_transversal",
+                        lambda lp, w: dataclasses.replace(real(lp, w), feasible=False))
+    code, out, err = run(capsys, "compute", "--family", "mag-asym", "--q", "3",
+                         "--n", "5", "--bound", "closed")
+    assert code == 3 and out == "" and "class transversal" in err
 
 
 def test_refusals_exit_3(capsys):

@@ -94,15 +94,14 @@ def test_singleton_balls():
     for n in (1, 4, 9):
         sol = exactlp.solve_min_transversal(singleton_lp(n))
         assert sol.optimum == n
-        match = exactlp.solve_max_matching_lp(singleton_lp(n))
-        assert match.optimum == n
+        assert sum(sol.dual) == n
 
 
 def test_matching_duality():
-    lp = hypergraph_lp(ch.example_two())
-    assert exactlp.solve_max_matching_lp(lp).optimum == 1
-    lp = hypergraph_lp(ch.ChannelSpec("z", n=2))
-    assert exactlp.solve_max_matching_lp(lp).optimum == 2
+    # the packing optimum sum(z) equals the covering optimum exactly
+    for spec, optimum in ((ch.example_two(), 1), (ch.ChannelSpec("z", n=2), 2)):
+        sol = exactlp.solve_min_transversal(hypergraph_lp(spec))
+        assert sum(sol.dual) == sol.optimum == optimum
 
 
 def test_verify_transversal_z2():
@@ -149,7 +148,7 @@ def test_crossover_matches_closed_form():
     assert sol.method == "presolve+crossover"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     closed = zchannel.z_gspb(6, 1)
-    assert closed.path == "closed-form" and sol.optimum == closed.value
+    assert closed.method == "closed-form" and sol.optimum == closed.optimum
 
 
 def test_crossover_deletion_small():

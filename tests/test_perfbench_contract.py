@@ -36,7 +36,7 @@ HARNESS_READS = (
     "LPSolution.dual", "PresolveResult.converged", "BoundEntry.value",
     "BoundEntry.certified", "TransversalReport.feasible",
     "TransversalReport.num_violated", "TransversalReport.bound",
-    "ZGspbResult.path", "ClassPartition.num_classes",
+    "LPSolution.path", "ClassPartition.num_classes",
 )
 
 
@@ -48,7 +48,6 @@ def results():
         "PresolveResult": exactlp.float_presolve(lp),
         "BoundEntry": bounds.assemble_report(ChannelSpec("z", n=6)).entry("gspb"),
         "TransversalReport": seqchannels.verify_grain_transversal(6),
-        "ZGspbResult": zchannel.z_gspb(6, 1),
         "ClassPartition": reduction.quotient_matrix(
             ChannelSpec("mag_sym", n=4, q=3)).partition,
     }
@@ -63,6 +62,11 @@ def test_result_attribute_resolves(results, name):
 def test_certified_entry_reads_true(results):
     # workloads.outcome counts a report as certified by this flag
     assert results["BoundEntry"].certified is True
+
+
+def test_z_closed_form_reads_by_path():
+    # spans.py counts zchannel.closed_form_hits by the path of z_gspb's result
+    assert zchannel.z_gspb(6, 1).path == "closed-form"
 
 
 def test_solve_method_strings():

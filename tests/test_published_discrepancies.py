@@ -33,15 +33,15 @@ def test_z_gspb_r1_n26():
     # by the closed form's dual certificate and by the crossover solve of
     # the quotient LP
     res = z.z_gspb(26, 1)
-    assert res.path == "closed-form"
-    assert exactlp.check_certificate(z.z_quotient_lp(26, 1), res.weights.w,
-                                     res.certificate.lp_dual()) == res.value
-    assert fl(res.value) == 4638908
+    assert res.method == "closed-form"
+    assert exactlp.check_certificate(z.z_quotient_lp(26, 1), res.primal,
+                                     res.dual) == res.optimum
+    assert fl(res.optimum) == 4638908
     cert = z.z_optimality_certificate(26, 1)
     assert cert.status == "optimal-certified"
-    assert cert.dual_value() == res.value
+    assert cert.dual_value() == res.optimum
     lp = exactlp.solve_min_transversal(z.z_quotient_lp(26, 1))
-    assert lp.optimum == res.value
+    assert lp.optimum == res.optimum
 
 
 def test_asym_q3_aspv_n11_typo():
@@ -116,9 +116,8 @@ def test_projective_n2_flagged_row():
     # the true covering optimum is 7/5, whose floor 1 happens to match the
     # printed value
     res = proj.projective_gspb(2)
-    assert res.value == Fraction(7, 5)
-    assert res.greedy_value == 1
-    assert not res.greedy_matches_lp
+    assert res.optimum == Fraction(7, 5)
+    assert proj.greedy_weights(2).bound() == 1
     rep = exactlp.verify_transversal(proj.projective_lp(2),
                                      proj.greedy_weights(2).w)
     assert not rep.feasible

@@ -35,23 +35,23 @@ def test_weights_n2_r1():
 
 def test_d_sequence_r1_alternates():
     ds = z.d_sequence(1, 10)
-    assert ds.values == [Fraction((-1) ** i) for i in range(10)]
+    assert ds == [Fraction((-1) ** i) for i in range(10)]
 
 
 def test_d_sequence_r2():
     ds = z.d_sequence(2, 4)
-    assert ds.values[:3] == [0, 1, -2]
+    assert ds[:3] == [0, 1, -2]
 
 
 def test_d_sequence_initial_one():
     for r in (1, 2, 5, 9):
-        assert z.d_sequence(r, r + 1).values[r - 1] == 1
+        assert z.d_sequence(r, r + 1)[r - 1] == 1
 
 
 def test_d_sequence_bound():
     # |D_m| <= (2r)^(m-r+1) across the full required grid
     for r in range(1, 21):
-        vals = z.d_sequence(r, 201).values
+        vals = z.d_sequence(r, 201)
         for m, dm in enumerate(vals):
             assert abs(dm) <= (2 * r) ** (m - r + 1), (r, m)
 
@@ -72,13 +72,6 @@ def feasibility(w: z.ZWeights) -> exactlp.TransversalReport:
     return exactlp.verify_transversal(z.z_quotient_lp(w.n, w.r), w.w)
 
 
-def recheck(res: z.ZGspbResult) -> bool:
-    """The closed-form weights and triangular dual re-certify the value."""
-    lp = z.z_quotient_lp(res.n, res.r)
-    return exactlp.check_certificate(lp, res.weights.w,
-                                     res.certificate.lp_dual()) == res.value
-
-
 def test_feasibility_checks():
     rep = feasibility(z.z_weights_recursive(5, 1))
     assert rep.feasible
@@ -92,8 +85,7 @@ def test_feasibility_checks():
 
 
 def test_feasibility_flags_negative():
-    w = z.ZWeights(n=2, r=1, w=[Fraction(1), Fraction(-1, 2), Fraction(0)],
-                   source="recursive")
+    w = z.ZWeights(n=2, r=1, w=[Fraction(1), Fraction(-1, 2), Fraction(0)])
     assert not feasibility(w).feasible
 
 
@@ -120,32 +112,44 @@ def test_certificate_identity():
 
 
 def test_gspb_values():
-    assert z.z_gspb(5, 1).value == Fraction(17, 2)
+    # the witnesses of these routes are re-checked in test_witnesses.py
+    assert z.z_gspb(5, 1).optimum == Fraction(17, 2)
     res = z.z_gspb(23, 3)
-    assert recheck(res) and res.value.numerator // res.value.denominator == 20507
+    assert res.optimum.numerator // res.optimum.denominator == 20507
     res = z.z_gspb(32, 4)
-    assert recheck(res) and res.value.numerator // res.value.denominator == 928919
+    assert res.optimum.numerator // res.optimum.denominator == 928919
 
 
 def test_gspb_certified_path():
     res = z.z_gspb(20, 2)
-    assert res.path == "closed-form" and recheck(res)
-    assert res.value.numerator // res.value.denominator == 15260
+    assert res.method == "closed-form"
+    assert res.primal == z.z_weights_recursive(20, 2).w
+    assert res.dual == z.z_optimality_certificate(20, 2).lp_dual()
+    assert res.optimum.numerator // res.optimum.denominator == 15260
+
+
+def test_gspb_falls_back_to_the_lp_solve(monkeypatch):
+    # infeasible closed-form weights fail the check; the LP solve is returned
+    monkeypatch.setattr(z, "z_weights_recursive",
+                        lambda n, r: z.ZWeights(n, r, [Fraction(0)] * (n + 1)))
+    res = z.z_gspb(9, 2)
+    assert res.method == "presolve+crossover"
+    assert res.optimum == exactlp.solve_min_transversal(z.z_quotient_lp(9, 2)).optimum
 
 
 def test_gspb_equals_lp():
     for (n, r) in [(5, 1), (7, 2), (9, 3), (6, 5)]:
         lp_sol = exactlp.solve_min_transversal(z.z_quotient_lp(n, r))
-        assert z.z_gspb(n, r).value == lp_sol.optimum, (n, r)
+        assert z.z_gspb(n, r).optimum == lp_sol.optimum, (n, r)
 
 
 def test_example_wprime():
     w, bound = z.z_example_wprime(5)
     assert w[0] == 1
     assert bound <= z.z_aspv(5, 1) == Fraction(64, 7)
-    assert bound >= z.z_gspb(5, 1).value
+    assert bound >= z.z_gspb(5, 1).optimum
     w10, b10 = z.z_example_wprime(10)
-    assert b10 >= z.z_gspb(10, 1).value
+    assert b10 >= z.z_gspb(10, 1).optimum
 
 
 def test_mb_aspv_closed_forms():
