@@ -17,8 +17,7 @@ from .exactlp import (CoveringLP, LPSolution, TransversalReport,
 from .bounds import BoundReport, assemble_report, aspv, check_monotone, \
     lemma3_transversal, monotonicity_bound
 from .reduction import (ClassPartition, QuotientLP,
-                        partition_by_canonical_form, quotient_matrix,
-                        reduced_gspb)
+                        partition_by_canonical_form, quotient_matrix)
 from .zchannel import z_gspb
 from .projective import projective_gspb
 

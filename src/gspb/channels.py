@@ -16,7 +16,7 @@ Vertex encodings (canonical, one encoding per vertex):
 * ``mag_asym``/``mag_sym`` -- tuples over range(q), length n
 * ``projective``         -- tuple of GF(2) row masks in reduced row echelon
                             form (sorted descending); () is the zero space
-* ``explicit``           -- ints 0..num_vertices-1 with a supplied edge list
+* ``explicit``           -- ints 0..n-1 with a supplied edge list
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class ChannelSpec:
     """One channel instance: family plus parameters.
 
     ``q`` is required for the magnitude families and fixed at 2 for
-    ``projective``.  Explicit graphs carry their directed edge list, every
-    edge listed exactly once.
+    ``projective``.  Explicit graphs carry their directed edge list on the
+    vertices 0..n-1, every edge listed exactly once.
     """
 
     family: str
@@ -69,7 +69,6 @@ class ChannelSpec:
     r: int = 1
     q: int | None = None
     explicit_edges: tuple[tuple[int, int], ...] | None = None
-    explicit_num_vertices: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -87,17 +86,17 @@ class ChannelSpec:
         elif self.q is not None:
             raise ValueError(f"q is not a parameter of family {self.family!r}")
         if self.family == "explicit":
-            if self.explicit_edges is None or self.explicit_num_vertices is None:
-                raise ValueError("explicit graphs need edges and a vertex count")
+            if self.explicit_edges is None:
+                raise ValueError("explicit graphs need an edge list")
             seen = set()
             for e in self.explicit_edges:
                 if e in seen:
                     raise ValueError(f"edge {e} listed twice")
                 seen.add(e)
                 for v in e:
-                    if not 0 <= v < self.explicit_num_vertices:
+                    if not 0 <= v < self.n:
                         raise ValueError(f"edge {e} leaves the vertex range")
-        elif self.explicit_edges is not None or self.explicit_num_vertices is not None:
+        elif self.explicit_edges is not None:
             raise ValueError("explicit_edges only apply to the explicit family")
         if self.family == "deletion" and self.n < 2:
             raise ValueError("deletion channel needs n >= 2")
@@ -135,7 +134,7 @@ def vertex_count(spec: ChannelSpec) -> int:
         return spec.q ** spec.n
     if spec.family == "projective":
         return sum(gaussian_binomial(spec.n, k) for k in range(spec.n + 1))
-    return spec.explicit_num_vertices
+    return spec.n
 
 
 def enumerate_vertices(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
@@ -153,7 +152,7 @@ def enumerate_vertices(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
         return _qary_words(spec.n, spec.q)
     if spec.family == "projective":
         return enumerate_subspaces(spec.n)
-    return list(range(spec.explicit_num_vertices))
+    return list(range(spec.n))
 
 
 def _qary_words(n: int, q: int) -> list[tuple[int, ...]]:
@@ -177,7 +176,7 @@ def gaussian_binomial(n: int, m: int) -> int:
         den *= (1 << (m - t)) - 1
     q, rem = divmod(num, den)
     if rem:
-        raise AssertionError(f"Gaussian binomial [{n} choose {m}] is not integral")
+        raise GspbError(f"Gaussian binomial [{n} choose {m}] is not integral")
     return q
 
 
@@ -374,7 +373,7 @@ def example_two() -> ChannelSpec:
     naive |X|/ball-size value is 3."""
     edges = [(i, 0) for i in range(1, 6)] + [(0, 1)]
     return ChannelSpec(family="explicit", n=6, r=1,
-                       explicit_edges=tuple(edges), explicit_num_vertices=6)
+                       explicit_edges=tuple(edges))
 
 
 def example_three() -> ChannelSpec:
@@ -382,7 +381,7 @@ def example_three() -> ChannelSpec:
     distance, beating the average-ball-size value 25/9."""
     edges = [(0, i) for i in range(1, 5)]
     return ChannelSpec(family="explicit", n=5, r=1,
-                       explicit_edges=tuple(edges), explicit_num_vertices=5)
+                       explicit_edges=tuple(edges))
 
 
 def example_four(k: int = 3) -> ChannelSpec:
@@ -407,7 +406,7 @@ def example_four(k: int = 3) -> ChannelSpec:
             if u != v:
                 edges.append((u, v))
     return ChannelSpec(family="explicit", n=n, r=1,
-                       explicit_edges=tuple(edges), explicit_num_vertices=n)
+                       explicit_edges=tuple(edges))
 
 
 FIXTURES = {

@@ -40,18 +40,14 @@ VALID_COLUMNS = {
 _COLUMN_TO_ENTRY = {"MB": "mb", "ASPV": "aspv", "CLOSED": "closed", "GSPB": "gspb"}
 
 
-class Refusal(Exception):
-    pass
-
-
 def _spec_from_args(args, n: int) -> ChannelSpec:
     family = FAMILY_NAMES[args.family]
     q = args.q
     if family in ("mag_asym", "mag_sym"):
         if q is None:
-            raise Refusal(f"--q is required for {args.family}")
+            raise GspbError(f"--q is required for {args.family}")
     elif q is not None:
-        raise Refusal(f"--q does not apply to {args.family}")
+        raise GspbError(f"--q does not apply to {args.family}")
     return ChannelSpec(family, n=n, r=args.r, q=q)
 
 
@@ -66,12 +62,12 @@ def cmd_compute(args) -> int:
         include_gspb=args.bound == "gspb" or args.format == "json")
     name = _COLUMN_TO_ENTRY.get(args.bound.upper())
     if name is None or name not in report.entries:
-        raise Refusal(f"bound {args.bound!r} is not available for {args.family}")
+        raise GspbError(f"bound {args.bound!r} is not available for {args.family}")
     entry = report.entry(name)
     if entry.value is None:
         if entry.capped:
             raise CapExceeded(entry.note)
-        raise Refusal(entry.note or f"{args.bound} unavailable")
+        raise GspbError(entry.note or f"{args.bound} unavailable")
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -124,7 +120,7 @@ def cmd_table(args) -> int:
                          if args.columns else list(valid))
     for c in args.columns_list:
         if c not in valid:
-            raise Refusal(f"column {c} is not valid for {args.family}")
+            raise GspbError(f"column {c} is not valid for {args.family}")
     reports = _table_reports(args, specs)
 
     header = ["n"] + args.columns_list
@@ -167,9 +163,9 @@ def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
     if fam == "z":
         return zchannel.z_quotient_lp(spec.n, spec.r)
     if fam == "mag_asym":
-        return magnitude.asym_quotient(spec.n, spec.q).to_covering_lp()
+        return magnitude.asym_quotient(spec.n, spec.q).lp
     if fam == "mag_sym":
-        return magnitude.sym_quotient(spec.n, spec.q).to_covering_lp()
+        return magnitude.sym_quotient(spec.n, spec.q).lp
     if fam == "deletion":
         return seqchannels.deletion_full_lp(spec.n, enum_cap)
     if fam == "grain":
@@ -205,7 +201,7 @@ def cmd_verify(args) -> int:
         try:
             weights = [Fraction(t) for t in tokens]
         except ValueError as exc:
-            raise Refusal(f"malformed weights file: {exc}") from exc
+            raise GspbError(f"malformed weights file: {exc}") from exc
         label = args.weights_file
     else:
         weights, label = _default_weights(spec)
@@ -248,15 +244,15 @@ def _certificate_line(spec: ChannelSpec) -> str:
 def cmd_oracle(args) -> int:
     if args.fixture:
         if args.fixture not in FIXTURES:
-            raise Refusal(f"unknown fixture {args.fixture!r}; "
-                          f"known: {', '.join(sorted(FIXTURES))}")
+            raise GspbError(f"unknown fixture {args.fixture!r}; "
+                            f"known: {', '.join(sorted(FIXTURES))}")
         facts = {f.name: f for f in oracle.counterexample_suite()}[args.fixture]
         print(f"{facts.name}: {facts.summary}")
         print(f"  covering optimum {fmt_frac(facts.tau_star)}; "
               f"ASPV {fmt_frac(facts.aspv)}; max code {facts.max_code}")
         return EXIT_OK
     if not args.family or args.n is None:
-        raise Refusal("oracle needs --fixture or --family with --n")
+        raise GspbError("oracle needs --fixture or --family with --n")
     spec = _spec_from_args(args, args.n)
     res = oracle.oracle_result(spec, cap=args.enum_cap)
     floor = res.tau_star_full.numerator // res.tau_star_full.denominator
@@ -343,7 +339,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (Refusal, GspbError) as exc:
+    except GspbError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:

@@ -105,9 +105,30 @@ def _scaled(values) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _row_sums(lp: CoveringLP, scaled_w: list[int]) -> list:
-    """A.W for integer-scaled weights W, as Python ints."""
-    return [sum(a * scaled_w[j] for j, a in row) for row in lp.rows]
+def _primal(lp: CoveringLP, w) -> tuple[int, list[int], int, Fraction]:
+    """For the weights scaled to integers W = d*w: the scale d, the row sums
+    A.W as Python ints, the number of negative weights, and c.w; w is
+    feasible when no weight is negative and every row sum is at least d."""
+    scaled, d = _scaled(w)
+    sums = [sum(a * scaled[j] for j, a in row) for row in lp.rows]
+    return (d, sums, sum(1 for x in scaled if x < 0),
+            Fraction(sum(c * x for c, x in zip(lp.objective, scaled)), d))
+
+
+def _dual(lp: CoveringLP, z) -> Fraction | None:
+    """sum(z) when z >= 0 and A^T.z <= c, else None; z is scaled to
+    integers by the LCM of its denominators."""
+    scaled, d = _scaled(z)
+    if any(x < 0 for x in scaled):
+        return None
+    colsum = [0] * lp.num_vars
+    for row, zi in zip(lp.rows, scaled):
+        if zi:
+            for j, a in row:
+                colsum[j] += a * zi
+    if any(s > c * d for s, c in zip(colsum, lp.objective)):
+        return None
+    return Fraction(sum(scaled), d)
 
 
 def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
@@ -118,18 +139,14 @@ def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
     """
     if len(w) != lp.num_vars:
         raise ValueError(f"weight vector has {len(w)} entries, LP has {lp.num_vars}")
-    scaled, d = _scaled(w)
-    nonneg = all(x >= 0 for x in scaled)
-    sums = _row_sums(lp, scaled)
+    d, sums, negative, value = _primal(lp, w)
     violated = [i for i, s in enumerate(sums) if s < d]
-    feasible = nonneg and not violated
-    bound = (Fraction(sum(c * x for c, x in zip(lp.objective, scaled)), d)
-             if feasible else None)
+    feasible = not negative and not violated
     return TransversalReport(
         feasible=feasible,
-        bound=bound,
+        bound=value if feasible else None,
         min_slack=Fraction(min(sums) - d, d) if sums else Fraction(0),
-        num_violated=len(violated) + (0 if nonneg else sum(1 for x in scaled if x < 0)),
+        num_violated=len(violated) + negative,
         violated_rows=violated[:32],
         row_sums=sums,
         scale=d,
@@ -146,23 +163,10 @@ def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
     if len(w) != lp.num_vars or len(z) != lp.num_rows:
         raise ValueError(f"witness lengths {len(w)}/{len(z)} do not match "
                          f"the LP's {lp.num_vars} variables/{lp.num_rows} rows")
-    scaled_w, dw = _scaled(w)
-    scaled_z, dz = _scaled(z)
-    if any(x < 0 for x in scaled_w) or any(x < 0 for x in scaled_z):
+    d, sums, negative, value = _primal(lp, w)
+    if negative or any(s < d for s in sums) or _dual(lp, z) != value:
         return None
-    if any(s < dw for s in _row_sums(lp, scaled_w)):
-        return None
-    colsum = [0] * lp.num_vars
-    for row, zi in zip(lp.rows, scaled_z):
-        if zi:
-            for j, a in row:
-                colsum[j] += a * zi
-    if any(s > c * dz for s, c in zip(colsum, lp.objective)):
-        return None
-    dual = sum(scaled_z)
-    if sum(c * x for c, x in zip(lp.objective, scaled_w)) * dz != dual * dw:
-        return None
-    return Fraction(dual, dz)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .channels import GspbError
+
 # the largest prime below 2^20 (a test checks it by trial division)
 PRIME = 1048573
 
@@ -212,8 +214,8 @@ def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
         for i in range(k):
             quotient, rem = divmod(residual[i] - int(bx[i]), p)
             if rem:
-                raise AssertionError("p-adic lifting step left a residual "
-                                     f"not divisible by {p}")
+                raise GspbError("Dixon lifting: a p-adic step left a "
+                                f"residual not divisible by {p}")
             residual[i] = quotient
         dlist = digit.tolist()
         for i in range(k):

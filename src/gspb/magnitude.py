@@ -36,11 +36,11 @@ def sym_quotient(n: int, q: int) -> reduction.QuotientLP:
 
 
 def asym_gspb(n: int, q: int) -> exactlp.LPSolution:
-    return exactlp.solve_min_transversal(asym_quotient(n, q).to_covering_lp())
+    return exactlp.solve_min_transversal(asym_quotient(n, q).lp)
 
 
 def sym_gspb(n: int, q: int) -> exactlp.LPSolution:
-    return exactlp.solve_min_transversal(sym_quotient(n, q).to_covering_lp())
+    return exactlp.solve_min_transversal(sym_quotient(n, q).lp)
 
 
 def asym_mb(n: int, q: int) -> Fraction:
@@ -90,7 +90,7 @@ def sym_transversal(n: int, q: int) -> ClassTransversal:
 
 
 def _finish(qlp: reduction.QuotientLP, weights) -> ClassTransversal:
-    report = exactlp.verify_transversal(qlp.to_covering_lp(), weights)
+    report = exactlp.verify_transversal(qlp.lp, weights)
     if not report.feasible:
         raise GspbError("class transversal failed its exact check")
     return ClassTransversal(labels=list(qlp.partition.labels), weights=weights,

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import exactlp
 from .bounds import aspv
-from .channels import (ChannelSpec, OracleCapExceeded, build_hypergraph,
-                       example_four, example_three, example_two, vertex_count)
+from .channels import (ChannelSpec, GspbError, OracleCapExceeded,
+                       build_hypergraph, example_four, example_three,
+                       example_two, vertex_count)
 from .reduction import full_hypergraph_lp
 
 DEFAULT_ORACLE_CAP = 4096
@@ -135,11 +136,11 @@ def _max_disjoint_balls(spec: ChannelSpec, tau: Fraction) -> tuple[int, list]:
     for a in range(len(picks)):
         for b in range(a + 1, len(picks)):
             if lex_sets[picks[a]] & lex_sets[picks[b]]:
-                raise AssertionError(f"witness balls {witness[a]} and "
-                                     f"{witness[b]} intersect")
+                raise GspbError(f"oracle witness check: balls {witness[a]} "
+                                f"and {witness[b]} intersect")
     if best_size > global_cap:
-        raise AssertionError(f"{best_size} disjoint balls exceed the covering "
-                             f"bound floor {global_cap}")
+        raise GspbError(f"oracle witness check: {best_size} disjoint balls "
+                        f"exceed the covering bound floor {global_cap}")
     return best_size, witness
 
 
@@ -181,7 +182,7 @@ def counterexample_suite() -> list[FixtureFacts]:
         tau = brute_force_tau(spec)
         nu, _ = brute_force_matching(spec, tau=tau)
         value = aspv(spec)
-        naive = (Fraction(spec.explicit_num_vertices, regular_ball)
+        naive = (Fraction(spec.n, regular_ball)
                  if regular_ball else None)
         if name == "example2":
             summary = f"regular non-symmetric: naive packing value {naive}, covering optimum {tau}"

@@ -42,7 +42,7 @@ class ProjectiveWeights:
 
 def projective_lp(n: int) -> exactlp.CoveringLP:
     """Folded covering LP: floor(n/2)+1 dimension rows and variables."""
-    return reduction.quotient_matrix(ChannelSpec("projective", n=n)).to_covering_lp()
+    return reduction.quotient_matrix(ChannelSpec("projective", n=n)).lp
 
 
 def greedy_weights(n: int) -> ProjectiveWeights:

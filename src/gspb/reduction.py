@@ -12,28 +12,32 @@ polynomially small without enumerating the word space:
 * ``mag_sym``  -- folded composition (value v and q-1-v share a label)
 * ``projective`` -- subspace dimension with k and n-k folded together
 
-These quotients are the only source of the z and subspace rows
+A quotient LP is a sparse ``exactlp.CoveringLP``: one variable per class,
+weighted by the class size, and one row per class listing how many members
+of each class lie in the ball of that class's representative.  These
+quotients are the only source of the z and subspace rows
 (``zchannel.z_quotient_lp`` and ``projective.projective_lp`` read them from
 here).  Deletion and grain are reduced by the orbit quotient under word
-complementation and reversal in ``seqchannels``, which lifts its witnesses
-back to the full LP; explicit graphs have no quotient.  Asking this module
-for a partition of any of the three raises QuotientUnavailable.
+complementation and reversal in ``seqchannels``, which counts its rows with
+``count_rows`` and lifts its witnesses back to the full LP; explicit graphs
+have no quotient.  Asking this module for a partition of any of the three
+raises QuotientUnavailable.
 
-Only the z rows hold beyond radius 1 (``channels.check_radius``).  Rows are
-checked against ball enumeration at small n once per family, q and r; a
-mismatch raises on every call.
+Only the z rows hold beyond radius 1 (``channels.check_radius``).  On every
+call the closed-form rows are checked against ``count_rows`` over enumerated
+balls at small n; a mismatch raises ``GspbError``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import exactlp
-from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, QuotientUnavailable,
-                       build_hypergraph, check_radius, gaussian_binomial,
-                       out_ball)
+from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, GspbError,
+                       QuotientUnavailable, build_hypergraph, check_radius,
+                       gaussian_binomial, out_ball)
 
 
 @dataclass
@@ -59,24 +63,13 @@ class ClassPartition:
 class QuotientLP:
     """Reduced covering LP over equivalence classes.
 
-    ``matrix[i][j]`` counts the members of class j inside the ball of any
-    class-i representative; the objective is the class sizes.
+    Row i of ``lp`` lists, per class j meeting it, the members of class j
+    inside the ball of the class-i representative; the objective is the
+    class sizes.
     """
 
     partition: ClassPartition
-    matrix: list[list[int]]       # dense, num_classes square
-
-    def to_covering_lp(self) -> exactlp.CoveringLP:
-        rows = [
-            [(j, a) for j, a in enumerate(row) if a]
-            for row in self.matrix
-        ]
-        return exactlp.CoveringLP(
-            num_vars=self.partition.num_classes,
-            objective=list(self.partition.sizes),
-            rows=rows,
-            name=f"quotient-{self.partition.spec.family}-n{self.partition.spec.n}",
-        )
+    lp: exactlp.CoveringLP
 
 
 def _compositions(total: int, parts: int):
@@ -134,19 +127,10 @@ def partition_by_canonical_form(spec: ChannelSpec) -> ClassPartition:
         sizes = [_multinomial(n, c) for c in labels]
         reps = [_composition_rep(c) for c in labels]
     elif fam == "mag_sym":
-        L = _folded_labels(spec.q)
-        labels = sorted(_compositions(n, L))
-        sizes = []
-        reps = []
-        for c in labels:
-            size = _multinomial(n, c)
-            for lab, cnt in enumerate(c):
-                mult = 1 if (spec.q % 2 == 1 and lab == L - 1) else 2
-                size *= mult ** cnt
-            sizes.append(size)
-            reps.append(_composition_rep(c))
-        return ClassPartition(spec, labels, sizes, reps,
-                              {c: i for i, c in enumerate(labels)})
+        labels = sorted(_compositions(n, _folded_labels(spec.q)))
+        # a label stands for two values, except the middle value of odd q
+        sizes = [_multinomial(n, c) << (n - spec.q % 2 * c[-1]) for c in labels]
+        reps = [_composition_rep(c) for c in labels]
     elif fam == "projective":
         labels = list(range(n // 2 + 1))
         sizes = []
@@ -175,28 +159,31 @@ def _composition_rep(c) -> tuple[int, ...]:
 # quotient rows per family
 # ---------------------------------------------------------------------------
 
-def _z_matrix(n: int, r: int) -> list[list[int]]:
-    mat = [[0] * (n + 1) for _ in range(n + 1)]
-    for ell in range(n + 1):
-        for i in range(min(ell, r) + 1):
-            mat[ell][ell - i] += comb(ell, i)
-    return mat
+def _z_rows(n: int, r: int) -> list[list[tuple[int, int]]]:
+    return [[(ell - i, comb(ell, i)) for i in range(min(ell, r), -1, -1)]
+            for ell in range(n + 1)]
 
 
-def _asym_matrix(labels, label_to_id, q: int) -> list[list[int]]:
-    mat = [[0] * len(labels) for _ in labels]
+def _moved(c, label_to_id, src: int, dst: int) -> int:
+    """Class id of composition c with one count moved from src to dst."""
+    moved = list(c)
+    moved[src] -= 1
+    moved[dst] += 1
+    return label_to_id[tuple(moved)]
+
+
+def _asym_rows(labels, label_to_id, q: int) -> list[list[tuple[int, int]]]:
+    rows = []
     for i, c in enumerate(labels):
-        mat[i][i] += 1
+        row = Counter({i: 1})
         for k in range(1, q):
             if c[k] > 0:
-                moved = list(c)
-                moved[k] -= 1
-                moved[k - 1] += 1
-                mat[i][label_to_id[tuple(moved)]] += c[k]
-    return mat
+                row[_moved(c, label_to_id, k, k - 1)] += c[k]
+        rows.append(sorted(row.items()))
+    return rows
 
 
-def _sym_matrix(labels, label_to_id, q: int) -> list[list[int]]:
+def _sym_rows(labels, label_to_id, q: int) -> list[list[tuple[int, int]]]:
     """Ball member counts per folded class.
 
     A position holding an extreme value (folded label 0, q >= 3) moves one
@@ -206,103 +193,83 @@ def _sym_matrix(labels, label_to_id, q: int) -> list[list[int]]:
     same class.
     """
     L = _folded_labels(q)
-    mat = [[0] * len(labels) for _ in labels]
+    rows = []
     for i, c in enumerate(labels):
-        diag = 1
+        row = Counter({i: 1})
         for lab in range(L):
             if c[lab] == 0:
                 continue
             if lab + 1 <= L - 1:
-                moved = list(c)
-                moved[lab] -= 1
-                moved[lab + 1] += 1
-                mat[i][label_to_id[tuple(moved)]] += c[lab]
+                row[_moved(c, label_to_id, lab, lab + 1)] += c[lab]
             if lab >= 1:
                 mult = 2 if (q % 2 == 1 and lab == L - 1) else 1
-                moved = list(c)
-                moved[lab] -= 1
-                moved[lab - 1] += 1
-                mat[i][label_to_id[tuple(moved)]] += mult * c[lab]
+                row[_moved(c, label_to_id, lab, lab - 1)] += mult * c[lab]
             if q % 2 == 0 and lab == L - 1:
-                diag += c[lab]
-        mat[i][i] += diag
-    return mat
+                row[i] += c[lab]
+        rows.append(sorted(row.items()))
+    return rows
 
 
-def _projective_matrix(n: int) -> list[list[int]]:
-    half = n // 2
-    mat = [[0] * (half + 1) for _ in range(half + 1)]
-    for k in range(half + 1):
-        def fold(d):
-            return min(d, n - d)
-        mat[k][k] += 1
+def _projective_rows(n: int) -> list[list[tuple[int, int]]]:
+    """Dimension k meets k-1 in 2^k - 1 and k+1 in 2^(n-k) - 1 subspaces;
+    dimensions d and n-d share a class."""
+    rows = []
+    for k in range(n // 2 + 1):
+        row = Counter({k: 1})
+        row[min(k + 1, n - k - 1)] += (1 << (n - k)) - 1
         if k >= 1:
-            mat[k][fold(k - 1)] += (1 << k) - 1
-        if k <= n - 1:
-            mat[k][fold(k + 1)] += (1 << (n - k)) - 1
-    return mat
+            row[k - 1] += (1 << k) - 1
+        rows.append(sorted(row.items()))
+    return rows
 
 
-_VALIDATED: set = set()
+def count_rows(balls, class_of) -> list[list[tuple[int, int]]]:
+    """One row per ball: each class meeting it, with the number of the
+    ball's members in that class, sorted by class."""
+    return [sorted(Counter(map(class_of, ball)).items()) for ball in balls]
 
 
-def _validate_rules(spec: ChannelSpec) -> None:
-    """Cross-check quotient rows against ball enumeration once per family;
-    the key is recorded only after the rows agree."""
-    key = (spec.family, spec.q, spec.r)
-    if key in _VALIDATED:
-        return
+def _check_rules(spec: ChannelSpec) -> None:
+    """Cross-check the family's row rule against ball enumeration at small n."""
     small_n = min(spec.n, 4 if spec.family != "mag_sym" else 3)
     probe = ChannelSpec(spec.family, n=small_n, r=spec.r, q=spec.q)
     part = partition_by_canonical_form(probe)
-    got = _family_matrix(probe, part)
-    expected = _matrix_by_enumeration(probe, part)
-    if got != expected:
-        raise AssertionError(
+    got = _family_rows(probe, part)
+    want = count_rows((out_ball(probe, rep) for rep in part.representatives),
+                      part.classify)
+    if got != want:
+        raise GspbError(
             f"quotient row rule for {spec.family} disagrees with ball "
-            f"enumeration at n={small_n}: {got} != {expected}"
+            f"enumeration at n={small_n}: {got} != {want}"
         )
-    _VALIDATED.add(key)
 
 
-def _matrix_by_enumeration(spec: ChannelSpec, part: ClassPartition) -> list[list[int]]:
-    mat = [[0] * part.num_classes for _ in range(part.num_classes)]
-    for i, rep in enumerate(part.representatives):
-        for y in out_ball(spec, rep):
-            mat[i][part.classify(y)] += 1
-    return mat
-
-
-def _family_matrix(spec: ChannelSpec, part: ClassPartition) -> list[list[int]]:
+def _family_rows(spec: ChannelSpec, part: ClassPartition) -> list[list[tuple[int, int]]]:
     check_radius(spec)
     fam = spec.family
     if fam == "z":
-        return _z_matrix(spec.n, spec.r)
+        return _z_rows(spec.n, spec.r)
     if fam == "mag_asym":
-        return _asym_matrix(part.labels, part.label_to_id, spec.q)
+        return _asym_rows(part.labels, part.label_to_id, spec.q)
     if fam == "mag_sym":
-        return _sym_matrix(part.labels, part.label_to_id, spec.q)
+        return _sym_rows(part.labels, part.label_to_id, spec.q)
     if fam == "projective":
-        return _projective_matrix(spec.n)
+        return _projective_rows(spec.n)
     raise QuotientUnavailable(f"family {fam!r} has no quotient")
 
 
 def quotient_matrix(spec: ChannelSpec) -> QuotientLP:
-    """Quotient LP from the family's closed-form row rules."""
+    """Quotient LP from the family's closed-form row rules, checked against
+    ball enumeration at small n on every call."""
     partition = partition_by_canonical_form(spec)
-    _validate_rules(spec)
-    return QuotientLP(partition, _family_matrix(spec, partition))
-
-
-def reduced_gspb(spec: ChannelSpec) -> exactlp.LPSolution:
-    """Covering optimum of the reduced LP; equals the full optimum exactly."""
-    return exactlp.solve_min_transversal(quotient_matrix(spec).to_covering_lp())
-
-
-def lift_class_weights(partition: ClassPartition, class_weights,
-                       vertices) -> list[Fraction]:
-    """Expand per-class weights to a full vertex weight vector."""
-    return [Fraction(class_weights[partition.classify(v)]) for v in vertices]
+    _check_rules(spec)
+    lp = exactlp.CoveringLP(
+        num_vars=partition.num_classes,
+        objective=list(partition.sizes),
+        rows=_family_rows(spec, partition),
+        name=f"quotient-{spec.family}-n{spec.n}",
+    )
+    return QuotientLP(partition, lp)
 
 
 def full_hypergraph_lp(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:

@@ -9,8 +9,11 @@ solved exactly through the shared LP core.
 
 At every n the full LP is solved on its orbit quotient under word
 complementation (and reversal, for deletion); run-profile classes are not
-used, since they do not have constant ball membership counts.  The quotient
-witnesses are lifted back and checked against the full LP.
+used, since they do not have constant ball membership counts.  The orbits
+are found on arrays (the least member of each word's orbit), and each
+quotient row is ``reduction.count_rows`` over the full-LP row of one center
+per orbit, the counter that also checks the closed-form quotient rules.
+The quotient witnesses are lifted back and checked against the full LP.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from . import exactlp
 from .channels import (DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded,
                        GspbError)
 from .kernels import deletion_targets, grain_targets, run_stats
+from .reduction import count_rows
 
 DEFAULT_LP_CAP = 12
 
@@ -209,33 +213,21 @@ def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
 # orbit quotient under word reversal / complementation
 # ---------------------------------------------------------------------------
 
-def _bit_reverse_table(m: int) -> list[int]:
-    return [int(format(x, f"0{m}b")[::-1], 2) for x in range(1 << m)]
-
-
 def _word_orbits(m: int, use_reversal: bool):
     """Orbits of {0,1}^m under complementation and optional reversal.
 
-    Returns (representatives, orbit_of, orbit_sizes); the representative is
-    the least member.
+    Returns (representatives, orbit_of, orbit_sizes) as lists; the
+    representative is the least member, and orbit ids increase with it.
     """
+    words = np.arange(1 << m, dtype=np.int64)
     full = (1 << m) - 1
-    rev = _bit_reverse_table(m) if use_reversal else None
-    orbit_of = [-1] * (1 << m)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for x in range(1 << m):
-        if orbit_of[x] >= 0:
-            continue
-        members = {x, x ^ full}
-        if use_reversal:
-            members |= {rev[x], rev[x] ^ full}
-        oid = len(reps)
-        reps.append(x)
-        sizes.append(len(members))
-        for y in members:
-            orbit_of[y] = oid
-    return reps, orbit_of, sizes
+    least = np.minimum(words, words ^ full)
+    if use_reversal:
+        rev = sum(((words >> i) & 1) << (m - 1 - i) for i in range(m))
+        least = np.minimum(least, np.minimum(rev, rev ^ full))
+    reps, orbit_of, sizes = np.unique(least, return_inverse=True,
+                                      return_counts=True)
+    return reps.tolist(), orbit_of.tolist(), sizes.tolist()
 
 
 def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
@@ -254,13 +246,8 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     v_reps, v_orbit, v_sizes = _word_orbits(ground_m, use_rev)
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
 
-    rows = []
-    for c in c_reps:
-        counts: dict[int, int] = {}
-        for j, _ in full_lp.rows[c]:
-            o = v_orbit[j]
-            counts[o] = counts.get(o, 0) + 1
-        rows.append(sorted(counts.items()))
+    rows = count_rows(([j for j, _ in full_lp.rows[c]] for c in c_reps),
+                      v_orbit.__getitem__)
     qlp = exactlp.CoveringLP(
         num_vars=len(v_reps), objective=list(v_sizes), rows=rows,
         name=f"{family}-orbit-n{n}",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import exactlp, reduction
-from .channels import ChannelSpec
+from .channels import ChannelSpec, GspbError
 
 
 @dataclass
@@ -52,7 +52,7 @@ class ZCertificate:
 
 def z_quotient_lp(n: int, r: int) -> exactlp.CoveringLP:
     """Weight-class covering LP: row l reads sum_i C(l,i) w_{l-i} >= 1."""
-    return reduction.quotient_matrix(ChannelSpec("z", n=n, r=r)).to_covering_lp()
+    return reduction.quotient_matrix(ChannelSpec("z", n=n, r=r)).lp
 
 
 def z_weights_recursive(n: int, r: int) -> ZWeights:
@@ -158,7 +158,7 @@ def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:
     w += [Fraction(k + 2, (k + 1) * (k + 3)) for k in range(1, n + 1)]
     report = exactlp.verify_transversal(z_quotient_lp(n, 1), w)
     if not report.feasible:
-        raise AssertionError("hand transversal failed its feasibility check")
+        raise GspbError("z hand transversal w' failed its exact check")
     return w, report.bound
 
 

@@ -18,7 +18,7 @@ import pytest
 from gspb import exactlp, magnitude as mag, oracle, projective as proj
 from gspb import seqchannels as seq, zchannel as z
 from gspb.channels import ChannelSpec
-from gspb.reduction import reduced_gspb
+from gspb.reduction import quotient_matrix
 
 import published_tables as pub
 
@@ -201,8 +201,8 @@ def test_criterion_8_property_suites():
     z_lp, proj_lp = z.z_quotient_lp(12, 2), proj.projective_lp(9)
     solved = [
         (z_lp, exactlp.solve_min_transversal(z_lp)),
-        (mag.asym_quotient(6, 3).to_covering_lp(), mag.asym_gspb(6, 3)),
-        (mag.sym_quotient(6, 4).to_covering_lp(), mag.sym_gspb(6, 4)),
+        (mag.asym_quotient(6, 3).lp, mag.asym_gspb(6, 3)),
+        (mag.sym_quotient(6, 4).lp, mag.sym_gspb(6, 4)),
         (seq.deletion_full_lp(8), seq.deletion_full_gspb(8)),
         (proj_lp, exactlp.solve_min_transversal(proj_lp)),
     ]
@@ -223,7 +223,7 @@ def test_criterion_8_property_suites():
         [ChannelSpec("projective", n=n) for n in range(1, 6)]
     )
     for spec in grid:
-        red = reduced_gspb(spec)
+        red = exactlp.solve_min_transversal(quotient_matrix(spec).lp)
         full = oracle.brute_force_tau(spec)
         if red.optimum != full:
             bad.append(f"quotient != full for {spec}: {red.optimum} vs {full}")
@@ -242,7 +242,7 @@ def test_criterion_8_property_suites():
                 ("sym q=4", mag.sym_quotient, mag.sym_transversal, 4)):
             t = build(n, q)
             rep = exactlp.verify_transversal(
-                quotient(n, q).to_covering_lp(), t.weights)
+                quotient(n, q).lp, t.weights)
             if not (rep.feasible and rep.bound == t.bound):
                 bad.append(f"{label} transversal infeasible at n={n}")
     for n in range(2, 17):

@@ -95,7 +95,7 @@ def test_lemma3_random_graphs(nv, r, data):
     edges = data.draw(st.sets(
         st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
         max_size=nv * 3))
-    spec = ChannelSpec("explicit", n=nv, r=r, explicit_num_vertices=nv,
+    spec = ChannelSpec("explicit", n=nv, r=r,
                        explicit_edges=tuple(e for e in edges if e[0] != e[1]))
     vertices, weights, bound = bounds.lemma3_transversal(spec)
     for v, w in zip(vertices, weights):

@@ -113,7 +113,7 @@ def test_out_ball_contains_center(family, n, q):
 
 def test_example4_structure():
     spec = ch.example_four(3)
-    assert spec.explicit_num_vertices == 9
+    assert spec.n == ch.vertex_count(spec) == 9
     sizes = [len(ch.out_ball(spec, v)) for v in range(9)]
     assert sizes[:3] == [3, 3, 3] and sizes[3:] == [7] * 6
     assert ch.average_ball_size(spec) == Fraction(3 * 3 + 6 * 7, 9)
@@ -127,8 +127,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ch.ChannelSpec("z", n=3, q=4)
     with pytest.raises(ValueError):
-        ch.ChannelSpec("explicit", n=2, explicit_edges=((0, 1), (0, 1)),
-                       explicit_num_vertices=2)
+        ch.ChannelSpec("explicit", n=2, explicit_edges=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="leaves the vertex range"):
+        ch.ChannelSpec("explicit", n=2, explicit_edges=((0, 2),))
 
 
 def test_check_radius_is_the_one_radius_rule():

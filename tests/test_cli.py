@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gspb import bounds, cli, exactlp, seqchannels
+from gspb import bounds, cli, exactlp, oracle, seqchannels
 from gspb.channels import ChannelSpec
 
 
@@ -177,6 +177,13 @@ def test_oracle_family(capsys):
     code, out, _ = run(capsys, "oracle", "--family", "z", "--n", "5")
     assert code == 0
     assert "tau* = 17/2" in out and "nu <= 8" in out
+
+
+def test_failed_witness_check_is_a_typed_refusal(capsys, monkeypatch):
+    # a covering optimum below the empty packing fails the witness check
+    monkeypatch.setattr(oracle, "brute_force_tau", lambda spec, cap: Fraction(-1))
+    code, out, err = run(capsys, "oracle", "--family", "z", "--n", "4")
+    assert code == 3 and out == "" and "oracle witness check" in err
 
 
 def test_oracle_fixture_example2(capsys):

@@ -161,9 +161,9 @@ def test_crossover_deletion_small():
 # one quotient LP per family with its optimum, pinned from an exact tableau
 # simplex that agreed with the crossover on each
 QUOTIENT_LPS = {
-    "asym_quotient(5,4)": (lambda: magnitude.asym_quotient(5, 4).to_covering_lp(),
+    "asym_quotient(5,4)": (lambda: magnitude.asym_quotient(5, 4).lp,
                            Fraction(29576353, 138600)),
-    "sym_quotient(7,5)": (lambda: magnitude.sym_quotient(7, 5).to_covering_lp(),
+    "sym_quotient(7,5)": (lambda: magnitude.sym_quotient(7, 5).lp,
                           Fraction(35972164434, 5539393)),
     "z_quotient_lp(12,2)": (lambda: zchannel.z_quotient_lp(12, 2),
                             Fraction(1917151, 13860)),

@@ -12,7 +12,7 @@ def fl(x: Fraction) -> int:
 
 def recheck(qlp, t: mag.ClassTransversal) -> bool:
     """The class weights are feasible and total the returned bound."""
-    rep = exactlp.verify_transversal(qlp.to_covering_lp(), t.weights)
+    rep = exactlp.verify_transversal(qlp.lp, t.weights)
     return rep.feasible and rep.bound == t.bound
 
 

@@ -33,8 +33,7 @@ def test_matching_example3():
 
 def test_matching_singletons():
     # a graph with no edges has singleton balls: all of them fit
-    spec = ChannelSpec("explicit", n=5, explicit_edges=(),
-                       explicit_num_vertices=5)
+    spec = ChannelSpec("explicit", n=5, explicit_edges=())
     nu, witness = oracle.brute_force_matching(spec)
     assert nu == 5 and witness == [0, 1, 2, 3, 4]
 

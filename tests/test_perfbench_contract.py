@@ -78,7 +78,7 @@ def test_solve_method_strings():
 def test_every_pivot_selection_feeds_one_dixon_solve():
     # spans.py sizes a Dixon solve by args[1] and a pivot selection by the
     # rank it returns; one support solve lifts exactly the pivot subsystem
-    lp = magnitude.sym_quotient(7, 5).to_covering_lp()
+    lp = magnitude.sym_quotient(7, 5).lp
     tracer = SPANS["Tracer"]()
     with tracer, tracer.instance("sym_quotient(7,5)"):
         exactlp.solve_min_transversal(lp)

@@ -3,8 +3,9 @@ from math import comb
 
 import pytest
 
-from gspb import exactlp, oracle, reduction
-from gspb.channels import ChannelSpec, QuotientUnavailable, enumerate_vertices
+from gspb import cli, exactlp, oracle, reduction
+from gspb.channels import (ChannelSpec, GspbError, QuotientUnavailable,
+                           enumerate_vertices, out_ball)
 
 
 def test_z_partition_sizes():
@@ -42,16 +43,21 @@ def test_no_quotient_families():
             reduction.partition_by_canonical_form(ChannelSpec(fam, n=n))
 
 
+def _solve(spec):
+    return exactlp.solve_min_transversal(reduction.quotient_matrix(spec).lp)
+
+
 def test_z_quotient_row():
     qlp = reduction.quotient_matrix(ChannelSpec("z", n=3, r=1))
     # weight-2 row: two weight-1 members plus itself
-    assert qlp.matrix[2] == [0, 2, 1, 0]
+    assert qlp.lp.rows[2] == [(1, 2), (2, 1)]
+    assert qlp.lp.objective == qlp.partition.sizes == [1, 3, 3, 1]
 
 
 def test_projective_quotient_row():
     qlp = reduction.quotient_matrix(ChannelSpec("projective", n=4))
     # dimension-1 row: 1 onto dim 0, itself, and 7 onto dim 2
-    assert qlp.matrix[1] == [1, 1, 7]
+    assert qlp.lp.rows[1] == [(0, 1), (1, 1), (2, 7)]
 
 
 def test_asym_q2_equals_z():
@@ -60,31 +66,37 @@ def test_asym_q2_equals_z():
         z = reduction.quotient_matrix(ChannelSpec("z", n=n, r=1))
         a = reduction.quotient_matrix(ChannelSpec("mag_asym", n=n, q=2))
         perm = [a.partition.label_to_id[(n - w, w)] for w in range(n + 1)]
-        realigned = [[a.matrix[perm[i]][perm[j]] for j in range(n + 1)]
+        weight = {p: w for w, p in enumerate(perm)}
+        realigned = [sorted((weight[j], c) for j, c in a.lp.rows[perm[i]])
                      for i in range(n + 1)]
-        assert z.matrix == realigned
-        assert z.partition.sizes == [a.partition.sizes[p] for p in perm]
-        zs = reduction.reduced_gspb(ChannelSpec("z", n=n, r=1))
-        asym = reduction.reduced_gspb(ChannelSpec("mag_asym", n=n, q=2))
-        assert zs.optimum == asym.optimum
+        assert z.lp.rows == realigned
+        assert z.lp.objective == [a.lp.objective[p] for p in perm]
+        assert (exactlp.solve_min_transversal(z.lp).optimum
+                == exactlp.solve_min_transversal(a.lp).optimum)
+
+
+def test_count_rows_hand_example():
+    balls = [[4, 3, 2, 7], [3], [], [6, 0]]
+    assert reduction.count_rows(balls, lambda v: v % 3) == [
+        [(0, 1), (1, 2), (2, 1)], [(0, 1)], [], [(0, 2)]]
 
 
 def test_matrix_matches_enumeration_all_families():
     for spec in (ChannelSpec("z", n=5, r=2), ChannelSpec("mag_asym", n=3, q=4),
                  ChannelSpec("mag_sym", n=3, q=5), ChannelSpec("projective", n=5)):
         part = reduction.partition_by_canonical_form(spec)
-        got = reduction._family_matrix(spec, part)
-        want = reduction._matrix_by_enumeration(spec, part)
+        got = reduction._family_rows(spec, part)
+        want = reduction.count_rows(
+            (out_ball(spec, rep) for rep in part.representatives), part.classify)
         assert got == want, spec
 
 
 def test_row_sums_are_degrees():
-    from gspb.channels import out_ball
     spec = ChannelSpec("mag_sym", n=4, q=3)
     part = reduction.partition_by_canonical_form(spec)
     qlp = reduction.quotient_matrix(spec)
     for i, rep in enumerate(part.representatives):
-        assert sum(qlp.matrix[i]) == len(out_ball(spec, rep))
+        assert sum(a for _, a in qlp.lp.rows[i]) == len(out_ball(spec, rep))
 
 
 def test_reduced_equals_full_tau():
@@ -94,20 +106,20 @@ def test_reduced_equals_full_tau():
         ChannelSpec("mag_sym", n=3, q=4), ChannelSpec("projective", n=4),
     ]
     for spec in cases:
-        red = reduction.reduced_gspb(spec)
+        red = _solve(spec)
         full = oracle.brute_force_tau(spec)
         assert red.optimum == full, spec
 
 
 def test_z5_reduced_value():
-    sol = reduction.reduced_gspb(ChannelSpec("z", n=5, r=1))
+    sol = _solve(ChannelSpec("z", n=5, r=1))
     assert sol.optimum == Fraction(17, 2)
-    sol2 = reduction.reduced_gspb(ChannelSpec("z", n=5, r=2))
+    sol2 = _solve(ChannelSpec("z", n=5, r=2))
     assert sol2.optimum.numerator // sol2.optimum.denominator == 4
 
 
 def test_projective_n5_reduced_value():
-    sol = reduction.reduced_gspb(ChannelSpec("projective", n=5))
+    sol = _solve(ChannelSpec("projective", n=5))
     assert sol.optimum == 22
 
 
@@ -115,32 +127,33 @@ def test_lifted_weights_feasible_on_full_lp():
     for spec in (ChannelSpec("z", n=5, r=1), ChannelSpec("mag_asym", n=3, q=3),
                  ChannelSpec("mag_sym", n=3, q=4), ChannelSpec("projective", n=4)):
         part = reduction.partition_by_canonical_form(spec)
-        red = reduction.reduced_gspb(spec)
-        vertices = enumerate_vertices(spec)
-        lifted = reduction.lift_class_weights(part, red.primal, vertices)
+        red = _solve(spec)
+        lifted = [red.primal[part.classify(v)] for v in enumerate_vertices(spec)]
         lp = reduction.full_hypergraph_lp(spec)
         rep = exactlp.verify_transversal(lp, lifted)
         assert rep.feasible and rep.bound == red.optimum, spec
 
 
-def test_failed_rule_check_fails_every_time(monkeypatch):
-    # a rule that disagrees with ball enumeration must never be cached as valid
-    right = reduction._sym_matrix
+def test_failed_rule_check_fails_every_time(monkeypatch, capsys):
+    # the rule check runs on every call; a wrong rule is never trusted
+    right = reduction._sym_rows
 
     def wrong(labels, label_to_id, q):
-        mat = right(labels, label_to_id, q)
-        mat[0][0] += 1
-        return mat
+        rows = right(labels, label_to_id, q)
+        j, a = rows[0][0]
+        rows[0][0] = (j, a + 1)
+        return rows
 
-    monkeypatch.setattr(reduction, "_VALIDATED", set())
-    monkeypatch.setattr(reduction, "_sym_matrix", wrong)
+    monkeypatch.setattr(reduction, "_sym_rows", wrong)
     for _ in range(2):
-        with pytest.raises(AssertionError, match="disagrees"):
+        with pytest.raises(GspbError, match="disagrees"):
             reduction.quotient_matrix(ChannelSpec("mag_sym", n=4, q=3))
+    code = cli.main(["compute", "--family", "mag-sym", "--q", "3", "--n", "4",
+                     "--bound", "gspb"])
+    assert code == 3 and "disagrees" in capsys.readouterr().err
 
 
 def test_quotients_refuse_radius_two():
-    from gspb.channels import GspbError
     for spec in (ChannelSpec("mag_asym", n=3, r=2, q=3),
                  ChannelSpec("mag_sym", n=3, r=2, q=3),
                  ChannelSpec("projective", n=4, r=2)):

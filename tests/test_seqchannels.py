@@ -152,6 +152,70 @@ def test_orbit_route_matches_direct():
         assert seq.grain_full_gspb(n).optimum == direct.optimum, n
 
 
+def _reference_word_orbits(m, use_reversal):
+    """The orbit search as a plain loop over words: the reference for
+    seqchannels._word_orbits."""
+    full = (1 << m) - 1
+    rev = [int(format(x, f"0{m}b")[::-1], 2) for x in range(1 << m)]
+    orbit_of = [-1] * (1 << m)
+    reps, sizes = [], []
+    for x in range(1 << m):
+        if orbit_of[x] >= 0:
+            continue
+        members = {x, x ^ full}
+        if use_reversal:
+            members |= {rev[x], rev[x] ^ full}
+        oid = len(reps)
+        reps.append(x)
+        sizes.append(len(members))
+        for y in members:
+            orbit_of[y] = oid
+    return reps, orbit_of, sizes
+
+
+@pytest.mark.parametrize("use_reversal", [False, True])
+def test_word_orbits_match_reference(use_reversal):
+    for m in range(1, 13):
+        assert (seq._word_orbits(m, use_reversal)
+                == _reference_word_orbits(m, use_reversal)), m
+
+
+class _Captured(Exception):
+    pass
+
+
+def _orbit_quotient(monkeypatch, family, n):
+    """The quotient LP the orbit route hands to the solver, unsolved."""
+    def capture(lp):
+        raise _Captured(lp)
+
+    monkeypatch.setattr(exactlp, "solve_min_transversal", capture)
+    route = seq.deletion_full_gspb if family == "deletion" else seq.grain_full_gspb
+    with pytest.raises(_Captured) as caught:
+        route(n)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("family,ns", [("deletion", range(2, 13)),
+                                       ("grain", range(1, 13))])
+def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
+    for n in ns:
+        if family == "deletion":
+            m, full = n - 1, seq.deletion_full_lp(n)
+        else:
+            m, full = n, seq.grain_full_lp(n)
+        _, v_orbit, v_sizes = _reference_word_orbits(m, family == "deletion")
+        c_reps, _, _ = _reference_word_orbits(n, family == "deletion")
+        rows = []
+        for c in c_reps:
+            counts = {}
+            for j, _ in full.rows[c]:
+                counts[v_orbit[j]] = counts.get(v_orbit[j], 0) + 1
+            rows.append(sorted(counts.items()))
+        lp = _orbit_quotient(monkeypatch, family, n)
+        assert (lp.rows, lp.objective) == (rows, v_sizes), (family, n)
+
+
 def test_theorem_transversals_feasible():
     for n in (5, 9, 12):
         assert seq.verify_deletion_transversal(n).feasible

@@ -19,6 +19,18 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assertion_errors_raised(path):
+    # a failed check raises GspbError naming its stage, which the command
+    # line maps to exit 3; an AssertionError would escape as a traceback
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "AssertionError" in {n.id for n in ast.walk(node.exc)
+                                      if isinstance(n, ast.Name)}]
+    assert not lines, f"{path.name}: raise AssertionError at lines {lines}"
+
+
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 

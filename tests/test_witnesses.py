@@ -26,10 +26,10 @@ CASES = {
     "z-32-4": (partial(zchannel.z_gspb, 32, 4),
                partial(zchannel.z_quotient_lp, 32, 4), ChannelSpec("z", n=32, r=4)),
     "mag-asym-6-3": (partial(magnitude.asym_gspb, 6, 3),
-                     lambda: magnitude.asym_quotient(6, 3).to_covering_lp(),
+                     lambda: magnitude.asym_quotient(6, 3).lp,
                      ChannelSpec("mag_asym", n=6, q=3)),
     "mag-sym-6-4": (partial(magnitude.sym_gspb, 6, 4),
-                    lambda: magnitude.sym_quotient(6, 4).to_covering_lp(),
+                    lambda: magnitude.sym_quotient(6, 4).lp,
                     ChannelSpec("mag_sym", n=6, q=4)),
     "deletion-8": (partial(seqchannels.deletion_full_gspb, 8),
                    partial(seqchannels.deletion_full_lp, 8),
