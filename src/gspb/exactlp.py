@@ -5,9 +5,13 @@ sparse integer data; its dual is the fractional packing problem
 max sum(z) s.t. A^T z <= c, z >= 0.  Every LP takes one path: a float
 presolve (HiGHS) followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
-systems A[R,S] w = 1 and A[R,S]^T z = c exactly, each once.  Both go
-through one support solve (``_support_solve``) on one int64 matrix
-(``_int_matrix``), as does the subspace block dual (``complementary_dual``).
+systems B w = 1 and B^T z = c exactly on one basis B of A[R,S], selected
+and factored once mod p (``linsolve.dixon_solve`` lifts both sides).  At a
+degenerate vertex, where that pair fails the certificate check, the dual
+and the primal are solved on their own supports, each by one support solve
+(``_support_solve``), as is the subspace block dual
+(``complementary_dual``); all of these read one int64 matrix
+(``_int_matrix``).
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
@@ -203,6 +207,14 @@ def float_presolve(lp: CoveringLP) -> PresolveResult:
     return PresolveResult(True, float(res.fun), res.x.tolist(), dual, "ok")
 
 
+def _scatter(values, at: list[int], size: int) -> list[Fraction]:
+    """A length-``size`` vector with values[t] at position at[t], zero elsewhere."""
+    x = [Fraction(0)] * size
+    for i, v in zip(at, values):
+        x[i] = v
+    return x
+
+
 def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
                    size: int) -> list[Fraction] | None:
     """Exact x of length ``size``, zero off ``unknowns``, with
@@ -213,47 +225,69 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     ``linsolve.PRIME``, taking equations in the order given (callers list
     preferred ones first); the square subsystem is solved by Dixon lifting
     and the other unknowns get zero; at rank 0 (no unknowns, say) that is
-    the zero vector.  Returns None when the subsystem does not solve; a returned x
-    is unchecked, so pass it to check_certificate.
+    the zero vector.  Returns None when the subsystem does not solve; a
+    returned x is unchecked, so pass it to check_certificate.  It serves the
+    crossover at a degenerate vertex and the subspace block dual.
     """
-    x = [Fraction(0)] * size
     sub = matrix[eqs][:, unknowns]
     piv_rows, piv_cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
     if not piv_cols:
-        return x
+        return [Fraction(0)] * size
     solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols),
                                   [rhs[eqs[r]] for r in piv_rows])
     if solved is None:
         return None
-    for c, v in zip(piv_cols, solved):
-        x[unknowns[c]] = v
-    return x
+    return _scatter(solved, [unknowns[c] for c in piv_cols], size)
 
 
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
-    """Exact optimum from float supports via complementary-slackness systems.
+    """Exact optimum from the float vertex via complementary slackness.
 
-    The dual is solved once on the float dual support and the primal once
-    on the float primal support (entries above 1e-7); None when either
-    system fails or the pair fails ``check_certificate``.
+    The primal support S holds the float weights above 1e-7 and the tight
+    rows R are ordered by decreasing float dual.  Pivots selected once mod
+    ``linsolve.PRIME`` on A[R,S] pick a square basis B; when it spans S, one
+    ``dixon_solve`` lifts both B w_S = 1 and B^T z_B = c_S from one
+    factorisation, with w zero off S and z zero off B's rows (the basis
+    sharing of exact LP solvers: Applegate, Cook, Dash and Espinoza, "Exact
+    solutions to linear programming problems", Oper. Res. Lett. 35(6), 2007).
+    At a degenerate vertex that pair can fail ``check_certificate``; then
+    the dual is solved on the float dual support and the primal on S, by
+    two support solves.  None when those fail too.
     """
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
     A = _int_matrix(lp)
-    At = A.T.tocsr()
     rowsum = A @ wt
-    colsum = At @ zt
     tight = sorted((i for i in range(lp.num_rows) if rowsum[i] < 1 + 1e-6),
                    key=lambda i: -zt[i])
+    support = [j for j in range(lp.num_vars) if wt[j] > 1e-7]
+    sub = A[tight][:, support]
+    rows, cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
+    if len(cols) == len(support):
+        pair = linsolve.dixon_solve(sub[rows], len(cols), [1] * len(cols),
+                                    [lp.objective[j] for j in support])
+        if pair is not None:
+            w = _scatter(pair[0], support, lp.num_vars)
+            z = _scatter(pair[1], [tight[r] for r in rows], lp.num_rows)
+            sol = _certified(lp, w, z, support)
+            if sol is not None:
+                return sol
+    # degenerate vertex: solve the dual and the primal on their own supports
+    At = A.T.tocsr()
+    colsum = At @ zt
     dual_eqs = [j for j, c in enumerate(lp.objective)
                 if colsum[j] > c - 1e-6 - 1e-9 * c]
     z = _support_solve(At, dual_eqs, [i for i in tight if zt[i] > 1e-9],
                        lp.objective, lp.num_rows)
     if z is None:
         return None
-    support = [j for j in range(lp.num_vars) if wt[j] > 1e-7]
     w = _support_solve(A, tight, support, [1] * lp.num_rows, lp.num_vars)
-    optimum = None if w is None else check_certificate(lp, w, z)
+    return None if w is None else _certified(lp, w, z, support)
+
+
+def _certified(lp: CoveringLP, w, z, support: list[int]) -> LPSolution | None:
+    """The crossover's LPSolution when (w, z) passes check_certificate."""
+    optimum = check_certificate(lp, w, z)
     if optimum is None:
         return None
     return LPSolution(optimum, w, z, "presolve+crossover",

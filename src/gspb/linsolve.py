@@ -1,16 +1,18 @@
 """Exact rational solutions of integer linear systems via p-adic lifting.
 
 The LP crossover needs exact solutions of square integer systems whose size
-reaches a few thousand: one support solve picks an independent square
-subsystem with ``select_pivots_mod`` and hands it to ``dixon_solve``.  Dense
-exact Gaussian elimination is hopeless there, so we invert the matrix modulo
-one word-sized prime ``PRIME``, lift the solution p-adically (Dixon), and
-recover rationals by lattice reduction of the residues.  The pivots are
-selected modulo the same prime, so the subsystem is nonsingular modulo it by
-construction and no second prime is ever needed.  Every candidate is checked
-against the sparse input system in Python ints, scaled by the LCM of its
-denominators, before being returned, so a failed reconstruction can only
-cost time, never correctness.
+reaches a few thousand: ``select_pivots_mod`` picks an independent square
+subsystem B and ``dixon_solve`` solves it, together with its transpose
+when asked, since the primal B w = 1 and the dual B^T z = c of one LP basis
+share B.  Dense exact Gaussian elimination is hopeless there, so we invert B
+modulo one word-sized prime ``PRIME`` once, lift each solution p-adically
+(Dixon) from that inverse, and recover rationals over a running common
+denominator, with an extended Euclid only for entries it does not already
+explain.  The pivots are selected modulo the same prime, so the subsystem
+is nonsingular modulo it by construction and no second prime is ever
+needed.  Every candidate is checked against the sparse input system in
+Python ints, scaled by the LCM of its denominators, before being returned,
+so a failed reconstruction can only cost time, never correctness.
 
 Elimination mod p is blocked and runs on float64 residues, so that the bulk
 of the work is BLAS ``gemm`` (Dumas, Giorgi and Pernet, "Dense linear algebra
@@ -168,34 +170,61 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
+def dixon_solve(matrix, k: int, rhs: list[int], rhs_t: list[int] | None = None):
     """Exact solution of the square sparse integer system matrix * x = rhs.
 
-    matrix: a k x k ``scipy.sparse`` CSR matrix of int64.  Returns None when
-    the matrix is singular modulo ``PRIME`` or the lifting budget runs out.
-    A candidate x is returned only if A.X == d.rhs holds in Python ints,
-    where d is the LCM of its denominators and X = d.x.
+    matrix: a k x k ``scipy.sparse`` CSR matrix of int64.  With ``rhs_t`` the
+    transposed system matrix^T y = rhs_t is solved too, from the same inverse
+    mod ``PRIME`` (the inverse of A^T is (A^-1)^T), and the pair (x, y) is
+    returned.  Returns None when the matrix is singular modulo ``PRIME`` or a
+    lifting budget runs out.  A candidate x is returned only if A.X == d.rhs
+    holds in Python ints, where d is the LCM of its denominators and X = d.x;
+    y is checked the same way against A^T.
     """
-    if matrix.shape != (k, k) or len(rhs) != k:
+    if (matrix.shape != (k, k) or len(rhs) != k
+            or rhs_t is not None and len(rhs_t) != k):
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
     p = PRIME
-    indptr = matrix.indptr.tolist()
-    cols = matrix.indices.tolist()
-    vals = matrix.data.tolist()
-    spans = list(zip(indptr, indptr[1:]))
-    # the int64 lifting product A @ digit stays exact while every row's
-    # L1 norm times the largest digit is below 2^63
-    norm = max((sum(map(abs, vals[s:e])) for s, e in spans), default=0)
-    if norm * (p - 1) >= 1 << 63:
-        raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
-                         "lifting product")
+    rows = _sparse_rows(matrix)
+    if rhs_t is not None:
+        transposed = matrix.T.tocsr()
+        t_rows = _sparse_rows(transposed)
     inv = _inverse_mod(matrix.toarray(), p)
     if inv is None:
         return None
     _check_exact(k, p)  # one float64 matvec per lifting step
-    max_coeff = max(map(abs, vals), default=1) or 1
+    x = _lift(matrix, rows, rhs, lambda r: inv @ r)
+    if x is None or rhs_t is None:
+        return x
+    # (A^T)^-1 r is r @ A^-1: the transposed lift reads the one inverse as is
+    y = _lift(transposed, t_rows, rhs_t, lambda r: r @ inv)
+    return None if y is None else (x, y)
+
+
+def _sparse_rows(matrix) -> list[tuple[list[int], list[int]]]:
+    """The (columns, values) of each row of a CSR int64 matrix as Python ints;
+    raises unless the int64 lifting product ``matrix @ digit`` is exact, that
+    is, every row's L1 norm times the largest digit is below 2^63."""
+    indptr = matrix.indptr.tolist()
+    cols = matrix.indices.tolist()
+    vals = matrix.data.tolist()
+    rows = [(cols[s:e], vals[s:e]) for s, e in zip(indptr, indptr[1:])]
+    norm = max((sum(map(abs, v)) for _, v in rows), default=0)
+    if norm * (PRIME - 1) >= 1 << 63:
+        raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
+                         "lifting product")
+    return rows
+
+
+def _lift(matrix, rows, rhs: list[int], solve_mod) -> list[Fraction] | None:
+    """Dixon lifting of matrix x = rhs, where ``solve_mod(r)`` is
+    matrix^-1 r mod ``PRIME`` (unreduced, float64) and ``rows`` are the
+    matrix's sparse rows; None when the lifting budget runs out."""
+    p = PRIME
+    k = len(rhs)
+    max_coeff = max((abs(a) for _, v in rows for a in v), default=1) or 1
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
     # Hadamard-style budget on numerator/denominator bits, plus slack
     det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
@@ -209,8 +238,8 @@ def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
     step = 0
     while step < max_steps:
         rmod = np.array([ri % p for ri in residual], dtype=np.float64)
-        digit = np.remainder(inv @ rmod, p).astype(np.int64)
-        bx = matrix @ digit  # exact: the row norms were checked above
+        digit = np.remainder(solve_mod(rmod), p).astype(np.int64)
+        bx = matrix @ digit  # exact: the row norms were checked
         for i in range(k):
             quotient, rem = divmod(residual[i] - int(bx[i]), p)
             if rem:
@@ -229,18 +258,39 @@ def dixon_solve(matrix, k: int, rhs: list[int]) -> list[Fraction] | None:
                 continue
             d = math.lcm(*(v.denominator for v in x))
             scaled = [v.numerator * (d // v.denominator) for v in x]
-            if all(sum(a * scaled[j] for j, a in zip(cols[s:e], vals[s:e])) == d * b
-                   for (s, e), b in zip(spans, rhs)):
+            if all(sum(a * scaled[j] for j, a in zip(c, v)) == d * b
+                   for (c, v), b in zip(rows, rhs)):
                 return x
     # lifting budget exhausted: the supports were likely wrong
     return None
 
 
 def _try_reconstruct(residues: list[int], modulus: int) -> list[Fraction] | None:
+    """Rationals congruent to ``residues`` mod ``modulus``, or None.
+
+    Entries share a running denominator d, the LCM of the denominators found
+    so far (Steffy, "Exact solutions to linear systems of equations using
+    output sensitive lifting", ACM Commun. Comput. Algebra 44(4), 2010).
+    When the balanced residue n of a*d is at most sqrt(modulus/2), as is d,
+    the entry is n/d with no extended Euclid: by the uniqueness of bounded
+    reconstruction it is the entry ``rational_reconstruct`` would return.
+    Otherwise the entry is reconstructed alone and d grows.  Coordinates of
+    one LP vertex mostly share a denominator, so most entries take one
+    multiplication.
+    """
+    bound = math.isqrt(modulus // 2)
+    d = 1
     out = []
     for a in residues:
+        n = a * d % modulus
+        if n > modulus // 2:
+            n -= modulus
+        if abs(n) <= bound and d <= bound:
+            out.append(Fraction(n, d))
+            continue
         f = rational_reconstruct(a, modulus)
         if f is None:
             return None
         out.append(f)
+        d = math.lcm(d, f.denominator)
     return out

@@ -294,6 +294,26 @@ def test_random_covers_take_no_fallback():
         assert sol.optimum == brute_force_optimum(lp), lp
 
 
+def test_degenerate_vertex_falls_back_to_two_support_solves(monkeypatch):
+    # one of the random covers above: w = (0, 0, 1, 0) is degenerate (one
+    # variable, two tight rows), so the dual lifted on the primal's basis
+    # overfills a column; the dual and primal support solves then certify
+    lp = exactlp.CoveringLP(4, [3, 3, 4, 5], [[(0, 1), (2, 1)], [(2, 1), (3, 3)]])
+    calls = {"check_certificate": [], "select_pivots_mod": [], "_support_solve": []}
+    for mod, name in ((exactlp, "check_certificate"), (linsolve, "select_pivots_mod"),
+                      (exactlp, "_support_solve")):
+        def spy(*args, real=getattr(mod, name), log=calls[name]):
+            log.append(real(*args))
+            return log[-1]
+        monkeypatch.setattr(mod, name, spy)
+    sol = exactlp.solve_min_transversal(lp)
+    assert calls["check_certificate"] == [None, 4]
+    # one selection for the shared basis, then one per support solve
+    assert len(calls["_support_solve"]) == 2
+    assert len(calls["select_pivots_mod"]) == 3
+    assert sol.optimum == brute_force_optimum(lp) == 4
+
+
 def small_lp(scale=1):
     # min w0 + 2 w1  s.t.  w0 >= 1,  w0 + w1 >= 1;  optimum 1.  Scaling A
     # and c by an integer scales the feasible w by its inverse and keeps z.

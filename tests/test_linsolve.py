@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from gspb import linsolve
@@ -166,6 +168,26 @@ def test_dixon_across_panels():
     assert any(v.denominator > 1 for v in x) and all(isinstance(v, Fraction) for v in x)
 
 
+@pytest.mark.parametrize("name,matrix",
+                         [c for c in CASES if c[1].shape[0] == c[1].shape[1]],
+                         ids=[c[0] for c in CASES if c[1].shape[0] == c[1].shape[1]])
+def test_transposed_lift_from_the_one_inverse(name, matrix):
+    # the dual lift reads the primal's inverse; B^T y = c holds in Python ints
+    k = matrix.shape[0]
+    rng = np.random.default_rng(k)
+    rhs = [int(b) for b in rng.integers(-5, 6, k)]
+    c = [int(b) for b in rng.integers(0, 6, k)]
+    pair = linsolve.dixon_solve(csr_matrix(matrix), k, rhs, c)
+    if linsolve._inverse_mod(matrix, P) is None:
+        assert pair is None
+        return
+    x, y = pair
+    dense = matrix.tolist()
+    assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(dense, rhs))
+    assert all(sum(dense[i][j] * y[i] for i in range(k)) == c[j] for j in range(k))
+    assert x == linsolve.dixon_solve(csr_matrix(matrix), k, rhs)
+
+
 def test_dixon_refuses_a_row_norm_that_overflows_int64():
     # each coefficient fits, but their row sum times p - 1 passes 2^63
     matrix = csr_matrix([[1 << 43, 1 << 43], [0, 1]], dtype=np.int64)
@@ -187,3 +209,45 @@ def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
     assert linsolve.dixon_solve(matrix, 2, [5, 7]) is None
     assert any(x is not None for x in calls)
+
+
+def _encode(values, modulus):
+    return [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_common_denominator_reconstruction(data):
+    # shared or unrelated denominators, zeros and negatives, mod P^s
+    size = data.draw(st.integers(1, 12))
+    base = data.draw(st.integers(1, 10**6))
+    shared = data.draw(st.booleans())
+    values = []
+    for _ in range(size):
+        num = data.draw(st.one_of(st.just(0), st.integers(-10**9, 10**9)))
+        den = (base * data.draw(st.sampled_from([1, 1, 2, 3])) if shared
+               else data.draw(st.integers(1, 10**6)))
+        values.append(Fraction(num, den))
+    # bounded reconstruction is unique once 2 max(|n|, d)^2 < modulus
+    top = max(max(abs(v.numerator), v.denominator) for v in values)
+    s = 1
+    while P ** s <= 2 * top ** 2:
+        s += 1
+    modulus = P ** (s + data.draw(st.integers(0, 2)))
+    assert linsolve._try_reconstruct(_encode(values, modulus), modulus) == values
+    if s > 1:
+        # below the bound: None or congruent entries, never a non-residue
+        low = P ** data.draw(st.integers(1, s - 1))
+        residues = _encode(values, low)
+        out = linsolve._try_reconstruct(residues, low)
+        assert out is None or all(
+            v.denominator % P and (v.numerator - a * v.denominator) % low == 0
+            for v, a in zip(out, residues))
+
+
+def test_reconstruction_past_a_large_common_denominator():
+    # the running denominator 100003 * 100019 passes sqrt(P^2 / 2), and
+    # 173134 times it is small mod P^2, yet 173134 is not that over it
+    m = P ** 2
+    values = [Fraction(1, 100003), Fraction(1, 100019), Fraction(173134)]
+    assert linsolve._try_reconstruct(_encode(values, m), m) == values

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspb import exactlp, seqchannels as seq
+from gspb import exactlp, linsolve, magnitude, seqchannels as seq
 
 
 def fl(x: Fraction) -> int:
@@ -214,6 +214,51 @@ def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
             rows.append(sorted(counts.items()))
         lp = _orbit_quotient(monkeypatch, family, n)
         assert (lp.rows, lp.objective) == (rows, v_sizes), (family, n)
+
+
+@pytest.mark.parametrize("name", ["grain-9", "deletion-10", "mag-sym(7,5)"])
+def test_one_factorisation_per_basis(monkeypatch, name):
+    # the crossover's primal and dual share one pivot selection, one
+    # inverse mod p and one Dixon solve
+    if name.startswith("mag"):
+        lp = magnitude.sym_quotient(7, 5).lp
+    else:
+        family, n = name.split("-")
+        lp = _orbit_quotient(monkeypatch, family, int(n))
+        monkeypatch.undo()
+    counts = dict.fromkeys(("select_pivots_mod", "_inverse_mod", "dixon_solve"), 0)
+    for fn in counts:
+        def spy(*args, real=getattr(linsolve, fn), fn=fn):
+            counts[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(linsolve, fn, spy)
+    sol = exactlp.solve_min_transversal(lp)
+    assert counts == {"select_pivots_mod": 1, "_inverse_mod": 1, "dixon_solve": 1}
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+
+
+# the exact grain n=12 GSPB optimum, the largest exact instance
+GRAIN_12 = Fraction(
+    int("5069950927925760648285531558743541564219216083284928369316351584"
+        "8655962280985776873449138242653840751171423142645400171149936375"
+        "9841613947713209628765958253395533775117680001195794037480951944"
+        "6096349929211419845882578147618316496313564559497899483754577166"
+        "4581410415702164385853337466854533566496968685504477135933248647"
+        "36260783754459168"),
+    int("8601203987249444148158919156130784150901362572941206728297837531"
+        "5580590301222590021550391169536740642401218290406583437832113167"
+        "0289320260055489640144704706347227777560881262213052836852644607"
+        "4900854007067210677407501564761016504405873498038294280346381299"
+        "8208578178606412446661888946149463733805538959640072237410109565"
+        "38287059397533"))
+
+
+def test_grain_12_optimum_pinned():
+    # the largest exact instance; its witnesses hold on the full 4096-row LP
+    sol = seq.grain_full_gspb(12)
+    assert sol.optimum == GRAIN_12
+    assert exactlp.check_certificate(seq.grain_full_lp(12), sol.primal,
+                                     sol.dual) == GRAIN_12
 
 
 def test_theorem_transversals_feasible():
