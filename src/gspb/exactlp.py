@@ -6,12 +6,13 @@ max sum(z) s.t. A^T z <= c, z >= 0.  Every LP takes one path: a float
 presolve (HiGHS) followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
 systems B w = 1 and B^T z = c exactly on one basis B of A[R,S], selected
-and factored once mod p (``linsolve.dixon_solve`` lifts both sides).  At a
-degenerate vertex, where that pair fails the certificate check, the dual
-and the primal are solved on their own supports, each by one support solve
-(``_support_solve``), as is the subspace block dual
-(``complementary_dual``); all of these read one int64 matrix
-(``_int_matrix``).
+and factored once mod p: the one elimination that selects B also gives
+B^-1 mod p from its own LU factors, and ``linsolve.dixon_solve`` lifts both
+sides from that inverse.  At a degenerate vertex, where that pair fails the
+certificate check, the dual and the primal are solved on their own
+supports, each by one support solve (``_support_solve``), as is the
+subspace block dual (``complementary_dual``); all of these read one int64
+matrix (``_int_matrix``).
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
@@ -224,16 +225,18 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     The subset and the unknowns it determines are picked by elimination mod
     ``linsolve.PRIME``, taking equations in the order given (callers list
     preferred ones first); the square subsystem is solved by Dixon lifting
-    and the other unknowns get zero; at rank 0 (no unknowns, say) that is
-    the zero vector.  Returns None when the subsystem does not solve; a
-    returned x is unchecked, so pass it to check_certificate.  It serves the
-    crossover at a degenerate vertex and the subspace block dual.
+    from the inverse that elimination returns, and the other unknowns get
+    zero; at rank 0 (no unknowns, say) that is the zero vector.  Returns
+    None when the subsystem does not solve; a returned x is unchecked, so
+    pass it to check_certificate.  It serves the crossover at a degenerate
+    vertex and the subspace block dual.
     """
     sub = matrix[eqs][:, unknowns]
-    piv_rows, piv_cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
+    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(sub.toarray(),
+                                                         linsolve.PRIME)
     if not piv_cols:
         return [Fraction(0)] * size
-    solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols),
+    solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols), inv,
                                   [rhs[eqs[r]] for r in piv_rows])
     if solved is None:
         return None
@@ -245,9 +248,9 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
 
     The primal support S holds the float weights above 1e-7 and the tight
     rows R are ordered by decreasing float dual.  Pivots selected once mod
-    ``linsolve.PRIME`` on A[R,S] pick a square basis B; when it spans S, one
-    ``dixon_solve`` lifts both B w_S = 1 and B^T z_B = c_S from one
-    factorisation, with w zero off S and z zero off B's rows (the basis
+    ``linsolve.PRIME`` on A[R,S] pick a square basis B and give its inverse
+    mod p; when B spans S, one ``dixon_solve`` lifts both B w_S = 1 and
+    B^T z_B = c_S from that inverse, with w zero off S and z zero off B's rows (the basis
     sharing of exact LP solvers: Applegate, Cook, Dash and Espinoza, "Exact
     solutions to linear programming problems", Oper. Res. Lett. 35(6), 2007).
     At a degenerate vertex that pair can fail ``check_certificate``; then
@@ -262,9 +265,9 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
                    key=lambda i: -zt[i])
     support = [j for j in range(lp.num_vars) if wt[j] > 1e-7]
     sub = A[tight][:, support]
-    rows, cols = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
+    rows, cols, inv = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
     if len(cols) == len(support):
-        pair = linsolve.dixon_solve(sub[rows], len(cols), [1] * len(cols),
+        pair = linsolve.dixon_solve(sub[rows], len(cols), inv, [1] * len(cols),
                                     [lp.objective[j] for j in support])
         if pair is not None:
             w = _scatter(pair[0], support, lp.num_vars)

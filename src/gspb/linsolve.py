@@ -4,22 +4,26 @@ The LP crossover needs exact solutions of square integer systems whose size
 reaches a few thousand: ``select_pivots_mod`` picks an independent square
 subsystem B and ``dixon_solve`` solves it, together with its transpose
 when asked, since the primal B w = 1 and the dual B^T z = c of one LP basis
-share B.  Dense exact Gaussian elimination is hopeless there, so we invert B
-modulo one word-sized prime ``PRIME`` once, lift each solution p-adically
-(Dixon) from that inverse, and recover rationals over a running common
-denominator, with an extended Euclid only for entries it does not already
-explain.  The pivots are selected modulo the same prime, so the subsystem
-is nonsingular modulo it by construction and no second prime is ever
-needed.  Every candidate is checked against the sparse input system in
-Python ints, scaled by the LCM of its denominators, before being returned,
-so a failed reconstruction can only cost time, never correctness.
+share B.  Dense exact Gaussian elimination is hopeless there, so B is
+selected and factored by one forward elimination modulo one word-sized prime
+``PRIME``, which keeps its LU factors in place; the selection returns
+B^-1 = U^-1 L^-1 mod p from those factors, and ``dixon_solve`` lifts each
+solution p-adically (Dixon) from that inverse and recovers rationals over a
+running common denominator, with an extended Euclid only for entries it does
+not already explain.  B is nonsingular modulo the prime it was selected
+with by construction, so no second prime is ever needed.  Every candidate
+is checked against the sparse input system in Python ints, scaled by the
+LCM of its denominators, before being returned, so a failed reconstruction
+can only cost time, never correctness.
 
-Elimination mod p is blocked and runs on float64 residues, so that the bulk
-of the work is BLAS ``gemm`` (Dumas, Giorgi and Pernet, "Dense linear algebra
-over word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
-2008).  float64 holds every integer below 2^53 exactly, so a product of
-matrices with entries in [0, p) and inner width w is exact while
-w*(p-1)^2 < 2^53.  The primes stay below 2^20, which allows w up to 8192;
+Elimination and triangular inversion mod p are blocked and run on float64
+residues, so that the bulk of the work is BLAS ``gemm`` (Dumas, Giorgi and
+Pernet, "Dense linear algebra over word-size prime fields: the FFLAS and
+FFPACK packages", ACM TOMS 35(3), 2008).  float64 holds every integer below
+2^53 exactly, so a product of matrices with entries in [0, p) and inner
+width w is exact while w*(p-1)^2 < 2^53.  The primes stay below 2^20, which
+allows w up to 8192; every reduced product goes through ``_product_mod``,
+which cuts wider inner dimensions into chunks and reduces between them, and
 ``_check_exact`` raises before any product that could round.
 """
 
@@ -47,6 +51,25 @@ def _check_exact(width: int, p: int) -> None:
                          "2^53 and round; use a smaller prime")
 
 
+def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p for float64 residues in [0, p), exact at any inner width.
+
+    The inner width is cut into the widest chunks that ``_check_exact``
+    allows with one term to spare, so that a chunk's product plus the reduced
+    sum of the chunks before it stays below 2^53; the sum is reduced after
+    every chunk.  Either factor may be a vector.
+    """
+    width = a.shape[-1]
+    chunk = max(1, (_EXACT - 1) // (p - 1) ** 2 - 1)
+    _check_exact(chunk + 1, p)
+    out = a[..., :chunk] @ b[:chunk]
+    np.remainder(out, p, out=out)
+    for s in range(chunk, width, chunk):
+        out += a[..., s:s + chunk] @ b[s:s + chunk]
+        np.remainder(out, p, out=out)
+    return out
+
+
 def _eliminate(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Forward elimination mod p of a float64 matrix of residues, in place.
 
@@ -54,14 +77,20 @@ def _eliminate(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     below the frontier is skipped, otherwise the first such row is swapped
     with the frontier row and becomes the pivot row.  Returns the row order
     after the swaps (``order[t]`` is the input row now at position t) and the
-    pivot columns.  On return the first ``len(cols)`` rows of ``work`` hold
-    the reduced echelon rows, each scaled so that its pivot entry is 1, with
-    every row operation applied across the full width.
+    pivot columns.  Every row operation is applied across the full width.
 
-    Each 64-column panel is factored unblocked in int64; its row operations
-    reach the columns to its right as one small triangular transform and a
-    gemm on the pivot rows, and one gemm ``X -= L @ U`` on the rows below.
-    Those rows are reduced only when their entries could otherwise pass 2^53.
+    On return ``work`` holds the LU factors in the LAPACK ``getrf`` layout.
+    Row t < k = ``len(cols)`` is the t-th echelon row scaled so that its pivot
+    entry is 1: U, whose unit diagonal is implied.  Column ``cols[t]`` holds,
+    from row t down, the multipliers L of pivot t, the unscaled pivot on the
+    diagonal.  So ``matrix[order[:k]][:, cols] = L U`` with L the lower
+    triangle of ``work[:k, cols]`` and U its strict upper triangle plus I.
+
+    Each 64-column panel is factored unblocked in int64, and its multipliers
+    are written back once per panel; its row operations reach the columns to
+    its right as one small triangular transform and a gemm on the pivot rows,
+    and one gemm ``X -= L @ U`` on the rows below.  Those rows are reduced
+    only when their entries could otherwise pass 2^53.
     """
     m, n = work.shape
     _check_exact(_PANEL, p)
@@ -94,10 +123,14 @@ def _eliminate(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 panel[hit, c:] = (panel[hit, c:] - lower[hit, r, None] * prow) % p
             cols.append(c0 + c)
             r += 1
+        # below the diagonal of the pivot columns the panel holds zeros and
+        # on it ones: L replaces both, U above it stays
+        at = [c - c0 for c in cols[len(cols) - r:]]
+        panel[:, at] = np.triu(panel[:, at], 1) + lower[:, :r]
         work[f:, c0:c1] = panel
         # pivot rows: U12 = L11^-1 A12; rows below: X -= L21 U12
-        u12 = _lower_inverse(lower[:r, :r], p) @ np.remainder(work[f:f + r, c1:], p)
-        np.remainder(u12, p, out=u12)
+        u12 = _product_mod(_lower_inverse(lower[:r, :r], p),
+                           np.remainder(work[f:f + r, c1:], p), p)
         work[f:f + r, c1:] = u12
         trail = work[f + r:, c1:]
         if bound + r * (p - 1) ** 2 >= _EXACT:
@@ -110,7 +143,8 @@ def _eliminate(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of a small lower triangular int64 matrix, as float64."""
+    """Inverse mod p of a small lower triangular int64 matrix, as float64.
+    Entries above the diagonal are not read."""
     r = lower.shape[0]
     inv = np.zeros((r, r), dtype=np.int64)
     for i in range(r):
@@ -120,37 +154,57 @@ def _lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     return inv.astype(np.float64)
 
 
-def _inverse_mod(matrix: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of a square integer matrix mod p as float64 residues, or None
-    when it is singular mod p.
+def _triangular_inverse(t: np.ndarray, p: int, unit: bool, out: np.ndarray) -> None:
+    """Write the inverse mod p of the lower triangle of the square float64
+    residue matrix ``t`` into ``out``, which is zero above its diagonal.
+    With ``unit`` the diagonal of t is read as ones; entries of t above its
+    diagonal are never read.
 
-    Elimination of [A | I] leaves [U | B] with U unit upper triangular and
-    A^-1 = U^-1 B.  Reversing the rows and columns of U makes it unit lower
-    triangular, so the same elimination run on [JUJ | JB] does the back
-    substitution and leaves J U^-1 B on the right.
+    Recursive, by [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+    down to blocks of at most 64 rows, which ``_lower_inverse`` inverts.
     """
-    k = matrix.shape[0]
-    aug = np.zeros((k, 2 * k))
-    aug[:, :k] = np.remainder(matrix, p)
-    aug[np.arange(k), k + np.arange(k)] = 1
-    _, cols = _eliminate(aug, p)
-    if cols != list(range(k)):
-        return None
-    back = np.concatenate([aug[::-1, k - 1::-1], aug[::-1, k:]], axis=1)
-    _eliminate(back, p)
-    return np.ascontiguousarray(back[::-1, k:])
+    k = t.shape[0]
+    if k <= _PANEL:
+        base = t.astype(np.int64)
+        if unit:
+            np.fill_diagonal(base, 1)
+        out[:] = _lower_inverse(base, p)
+        return
+    h = k // 2
+    _triangular_inverse(t[:h, :h], p, unit, out[:h, :h])
+    _triangular_inverse(t[h:, h:], p, unit, out[h:, h:])
+    left = _product_mod(out[h:, h:], _product_mod(t[h:, :h], out[:h, :h], p), p)
+    np.negative(left, out=left)
+    np.remainder(left, p, out=out[h:, :h])
 
 
-def select_pivots_mod(matrix: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """Row/column pivot indices of a forward elimination mod p.
+def select_pivots_mod(matrix: np.ndarray,
+                      p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Pivots of a forward elimination mod p, and the inverse of the block
+    they select.
 
     Rows are taken first-nonzero-first, so pre-ordering the matrix rows by
     preference makes the selection honor that preference.  Returns original
-    (row, column) index lists of equal length (the rank).
+    (row, column) index lists of equal length k (the rank) and the inverse
+    mod p of ``matrix[rows][:, cols]``, in that row and column order, as a
+    k x k float64 array of residues.
+
+    The inverse is U^-1 L^-1, built from the LU factors of the one
+    elimination (Dumas, Giorgi and Pernet 2008): L is inverted as lower
+    triangular, and U, unit upper triangular, with its rows and columns
+    reversed, which makes it unit lower triangular.
     """
     work = np.remainder(matrix, p).astype(np.float64)
     order, cols = _eliminate(work, p)
-    return order[:len(cols)].tolist(), cols
+    k = len(cols)
+    lu = work[:k, cols]
+    del work  # the m x n array goes before the k x k inverses are made
+    l_inv = np.zeros((k, k))
+    _triangular_inverse(lu, p, False, l_inv)
+    u_inv = np.zeros((k, k))  # U^-1 with its rows and columns reversed
+    _triangular_inverse(lu[::-1, ::-1], p, True, u_inv)
+    del lu
+    return order[:k].tolist(), cols, _product_mod(u_inv[::-1, ::-1], l_inv, p)
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -170,20 +224,23 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def dixon_solve(matrix, k: int, rhs: list[int], rhs_t: list[int] | None = None):
+def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int],
+                rhs_t: list[int] | None = None):
     """Exact solution of the square sparse integer system matrix * x = rhs.
 
-    matrix: a k x k ``scipy.sparse`` CSR matrix of int64.  With ``rhs_t`` the
-    transposed system matrix^T y = rhs_t is solved too, from the same inverse
-    mod ``PRIME`` (the inverse of A^T is (A^-1)^T), and the pair (x, y) is
-    returned.  Returns None when the matrix is singular modulo ``PRIME`` or a
-    lifting budget runs out.  A candidate x is returned only if A.X == d.rhs
-    holds in Python ints, where d is the LCM of its denominators and X = d.x;
-    y is checked the same way against A^T.
+    matrix: a k x k ``scipy.sparse`` CSR matrix of int64; inv: its inverse
+    mod ``PRIME`` as float64 residues, the one ``select_pivots_mod`` returns
+    with the block.  With ``rhs_t`` the transposed system matrix^T y = rhs_t
+    is solved too, from the same inverse (the inverse of A^T is (A^-1)^T),
+    and the pair (x, y) is returned.  Returns None when a lifting budget runs
+    out.  A candidate x is returned only if A.X == d.rhs holds in Python
+    ints, where d is the LCM of its denominators and X = d.x; y is checked
+    the same way against A^T.
     """
-    if (matrix.shape != (k, k) or len(rhs) != k
+    if (matrix.shape != (k, k) or inv.shape != (k, k) or len(rhs) != k
             or rhs_t is not None and len(rhs_t) != k):
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
+                         f"a {inv.shape[0]}x{inv.shape[1]} inverse and "
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
     p = PRIME
@@ -191,15 +248,11 @@ def dixon_solve(matrix, k: int, rhs: list[int], rhs_t: list[int] | None = None):
     if rhs_t is not None:
         transposed = matrix.T.tocsr()
         t_rows = _sparse_rows(transposed)
-    inv = _inverse_mod(matrix.toarray(), p)
-    if inv is None:
-        return None
-    _check_exact(k, p)  # one float64 matvec per lifting step
-    x = _lift(matrix, rows, rhs, lambda r: inv @ r)
+    x = _lift(matrix, rows, rhs, lambda r: _product_mod(inv, r, p))
     if x is None or rhs_t is None:
         return x
     # (A^T)^-1 r is r @ A^-1: the transposed lift reads the one inverse as is
-    y = _lift(transposed, t_rows, rhs_t, lambda r: r @ inv)
+    y = _lift(transposed, t_rows, rhs_t, lambda r: _product_mod(r, inv, p))
     return None if y is None else (x, y)
 
 
@@ -220,7 +273,7 @@ def _sparse_rows(matrix) -> list[tuple[list[int], list[int]]]:
 
 def _lift(matrix, rows, rhs: list[int], solve_mod) -> list[Fraction] | None:
     """Dixon lifting of matrix x = rhs, where ``solve_mod(r)`` is
-    matrix^-1 r mod ``PRIME`` (unreduced, float64) and ``rows`` are the
+    matrix^-1 r mod ``PRIME`` (float64 residues) and ``rows`` are the
     matrix's sparse rows; None when the lifting budget runs out."""
     p = PRIME
     k = len(rhs)
@@ -238,7 +291,7 @@ def _lift(matrix, rows, rhs: list[int], solve_mod) -> list[Fraction] | None:
     step = 0
     while step < max_steps:
         rmod = np.array([ri % p for ri in residual], dtype=np.float64)
-        digit = np.remainder(solve_mod(rmod), p).astype(np.int64)
+        digit = solve_mod(rmod).astype(np.int64)
         bx = matrix @ digit  # exact: the row norms were checked
         for i in range(k):
             quotient, rem = divmod(residual[i] - int(bx[i]), p)

@@ -263,13 +263,16 @@ def test_rational_reconstruction_roundtrip(den, data):
 
 def test_dixon_small_system():
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
-    x = linsolve.dixon_solve(matrix, 2, [5, 7])
+    inv = linsolve.select_pivots_mod(matrix.toarray(), linsolve.PRIME)[2]
+    x = linsolve.dixon_solve(matrix, 2, inv, [5, 7])
     assert x == [Fraction(8, 5), Fraction(9, 5)]
 
 
-def test_dixon_singular_returns_none():
-    matrix = csr_matrix([[1, 2], [2, 4]], dtype=np.int64)
-    assert linsolve.dixon_solve(matrix, 2, [1, 1]) is None
+def test_singular_system_selects_rank_below_k():
+    # a singular system never reaches dixon_solve: its selection is smaller
+    rows, cols, inv = linsolve.select_pivots_mod(np.array([[1, 2], [2, 4]]),
+                                                 linsolve.PRIME)
+    assert (rows, cols, inv.tolist()) == ([0], [0], [[1.0]])
 
 
 def test_optimum_zero_certifies_by_crossover():

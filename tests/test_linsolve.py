@@ -1,5 +1,6 @@
 """The blocked mod-p elimination against a plain Python-int reference."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.sparse import csr_matrix
 from gspb import linsolve
 
 P = linsolve.PRIME
-P23 = 8388593  # largest prime below 2^23: 64*(p-1)^2 < 2^53 < 128*(p-1)^2
+P23 = 8388593  # largest prime below 2^23: 64*(p-1)^2 < 2^53 < 129*(p-1)^2
 
 
 def ref_eliminate(matrix, p):
@@ -86,61 +87,101 @@ def cases():
 CASES = list(cases())
 
 
+def is_identity_mod(block, inv, p):
+    """inv @ block == I mod p, in Python ints."""
+    product = (inv.astype(np.int64).astype(object) @ block.astype(object)) % p
+    return (product == np.eye(block.shape[0], dtype=np.int64)).all()
+
+
 @pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
 def test_select_pivots_matches_reference(name, matrix):
     order, cols, _ = ref_eliminate(matrix.tolist(), P)
-    assert linsolve.select_pivots_mod(matrix, P) == (order[:len(cols)], cols)
+    assert linsolve.select_pivots_mod(matrix, P)[:2] == (order[:len(cols)], cols)
 
 
-@pytest.mark.parametrize("name,matrix",
-                         [c for c in CASES if c[1].shape[0] == c[1].shape[1]],
-                         ids=[c[0] for c in CASES if c[1].shape[0] == c[1].shape[1]])
+@pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
 def test_inverse_matches_reference(name, matrix):
-    ref = ref_inverse(matrix.tolist(), P)
-    inv = linsolve._inverse_mod(matrix, P)
-    assert (inv is None) == (ref is None)
-    if ref is None:
-        return
+    # tall, wide and rank-deficient matrices skip columns, so L sits at
+    # non-contiguous pivot columns
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    if matrix.shape[0] == matrix.shape[1]:
+        singular = ref_inverse(matrix.tolist(), P) is None
+        assert (len(cols) < matrix.shape[0]) == singular
+    block = matrix[np.ix_(rows, cols)]
+    ref = ref_inverse(block.tolist(), P)
+    assert ref is not None
     assert inv.astype(np.int64).tolist() == ref
-    k = matrix.shape[0]
-    product = (matrix.astype(object) @ inv.astype(np.int64).astype(object)) % P
-    assert (product == np.eye(k, dtype=np.int64)).all()
+    assert is_identity_mod(block, inv, P)
 
 
 @pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
 def test_selected_block_inverts_mod_the_same_prime(name, matrix):
     # dixon_solve needs no second prime: the block the pivot selection picks
-    # is nonsingular modulo the prime it was picked with
-    rows, cols = linsolve.select_pivots_mod(matrix, P)
-    assert linsolve._inverse_mod(matrix[np.ix_(rows, cols)], P) is not None
+    # is nonsingular modulo the prime it was picked with, and the selection
+    # returns its inverse
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    assert inv.shape == (len(rows), len(cols))
+    assert is_identity_mod(matrix[np.ix_(rows, cols)], inv, P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 140), st.integers(1, 140), st.floats(0.0, 1.0),
+       st.sampled_from([P, P23]), st.integers(0, 2**32 - 1))
+def test_selection_inverse_property(m, n, density, p, seed):
+    # sizes on both sides of the 64-column panel edge, at both primes
+    matrix = random_matrix(np.random.default_rng(seed), m, n, density, top=p)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, p)
+    order, ref_cols, _ = ref_eliminate(matrix.tolist(), p)
+    assert (rows, cols) == (order[:len(ref_cols)], ref_cols)
+    assert is_identity_mod(matrix[np.ix_(rows, cols)], inv, p)
+
+
+def test_selection_memory_is_a_few_inverses():
+    # the m x n work array is freed before the k x k triangular inverses are
+    # made, so selection and inverse peak near 3.5 k^2 doubles
+    k = 300
+    matrix = np.random.default_rng(300).integers(0, P, (k, k))
+    tracemalloc.start()
+    try:
+        _, cols, _ = linsolve.select_pivots_mod(matrix, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == k
+    assert peak <= 4.5 * k * k * 8
 
 
 def test_row_preference_order():
     # column 0 swaps row 2 to the front and row 0 to position 2, so row 1
     # now precedes row 0 and wins column 1; row 0 then pivots on column 2
     matrix = np.array([[0, 1, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]])
-    assert linsolve.select_pivots_mod(matrix, P) == ([2, 1, 0], [0, 1, 2])
+    assert linsolve.select_pivots_mod(matrix, P)[:2] == ([2, 1, 0], [0, 1, 2])
     # a column with no entry at or below the frontier is skipped
     matrix = np.array([[1, 1, 0, 0], [2, 2, 0, 1], [0, 0, 0, 3]])
-    assert linsolve.select_pivots_mod(matrix, P) == ([0, 1], [0, 3])
+    assert linsolve.select_pivots_mod(matrix, P)[:2] == ([0, 1], [0, 3])
 
 
 def test_reduction_after_every_panel():
-    # near 2^23 one trailing update fills the float64 budget, so the rows
-    # below the frontier are reduced before each later update
+    # near 2^23 two trailing updates fill the float64 budget, so the rows
+    # below the frontier are reduced before every second update
     rng = np.random.default_rng(7)
     for matrix in (random_matrix(rng, 200, 200, 1.0, top=P23),
                    rank_deficient(rng, 131, 131)):
         order, cols, _ = ref_eliminate(matrix.tolist(), P23)
-        assert linsolve.select_pivots_mod(matrix, P23) == (order[:len(cols)], cols)
+        assert linsolve.select_pivots_mod(matrix, P23)[:2] == (order[:len(cols)], cols)
+    # the inverse's products reduce after every chunk of 127 terms
     matrix = random_matrix(rng, 131, 131, 1.0, top=P23)
-    assert linsolve._inverse_mod(matrix, P23).astype(np.int64).tolist() == \
-        ref_inverse(matrix.tolist(), P23)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P23)
+    assert rows == cols == list(range(131))
+    assert inv.astype(np.int64).tolist() == ref_inverse(matrix.tolist(), P23)
     # eleven panels: unreduced, the trailing entries would pass 2^53 and
     # round; int64 holds the 704-term check sums (each below 2^46)
     matrix = random_matrix(rng, 704, 704, 1.0, top=P23)
-    inv = linsolve._inverse_mod(matrix, P23).astype(np.int64)
-    assert ((matrix @ inv) % P23 == np.eye(704, dtype=np.int64)).all()
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P23)
+    assert len(cols) == 704
+    inv = inv.astype(np.int64)
+    block = matrix[np.ix_(rows, cols)]
+    assert ((block @ inv) % P23 == np.eye(704, dtype=np.int64)).all()
 
 
 def test_exactness_bound_raises():
@@ -162,7 +203,9 @@ def test_dixon_across_panels():
     dense = np.eye(k, dtype=np.int64) * 3 + random_matrix(rng, k, k, 5 / k)
     rows = [[(j, int(a)) for j, a in enumerate(row) if a] for row in dense]
     rhs = [int(b) for b in rng.integers(-5, 6, k)]
-    x = linsolve.dixon_solve(csr_matrix(dense), k, rhs)
+    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(dense, P)
+    assert piv_rows == piv_cols == list(range(k))
+    x = linsolve.dixon_solve(csr_matrix(dense), k, inv, rhs)
     assert x is not None
     assert all(sum(a * x[j] for j, a in row) == b for row, b in zip(rows, rhs))
     assert any(v.denominator > 1 for v in x) and all(isinstance(v, Fraction) for v in x)
@@ -177,22 +220,24 @@ def test_transposed_lift_from_the_one_inverse(name, matrix):
     rng = np.random.default_rng(k)
     rhs = [int(b) for b in rng.integers(-5, 6, k)]
     c = [int(b) for b in rng.integers(0, 6, k)]
-    pair = linsolve.dixon_solve(csr_matrix(matrix), k, rhs, c)
-    if linsolve._inverse_mod(matrix, P) is None:
-        assert pair is None
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    if len(cols) < k:
+        assert ref_inverse(matrix.tolist(), P) is None
         return
-    x, y = pair
-    dense = matrix.tolist()
+    block = csr_matrix(matrix[np.ix_(rows, cols)])
+    x, y = linsolve.dixon_solve(block, k, inv, rhs, c)
+    dense = block.toarray().tolist()
     assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(dense, rhs))
     assert all(sum(dense[i][j] * y[i] for i in range(k)) == c[j] for j in range(k))
-    assert x == linsolve.dixon_solve(csr_matrix(matrix), k, rhs)
+    assert x == linsolve.dixon_solve(block, k, inv, rhs)
 
 
 def test_dixon_refuses_a_row_norm_that_overflows_int64():
     # each coefficient fits, but their row sum times p - 1 passes 2^63
     matrix = csr_matrix([[1 << 43, 1 << 43], [0, 1]], dtype=np.int64)
+    inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
     with pytest.raises(ValueError, match="overflow"):
-        linsolve.dixon_solve(matrix, 2, [1, 1])
+        linsolve.dixon_solve(matrix, 2, inv, [1, 1])
 
 
 def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
@@ -207,7 +252,8 @@ def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
 
     monkeypatch.setattr(linsolve, "_try_reconstruct", perturbed)
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
-    assert linsolve.dixon_solve(matrix, 2, [5, 7]) is None
+    inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
+    assert linsolve.dixon_solve(matrix, 2, inv, [5, 7]) is None
     assert any(x is not None for x in calls)
 
 
