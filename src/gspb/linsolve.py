@@ -8,7 +8,9 @@ share B.  Dense exact Gaussian elimination is hopeless there, so B is
 selected and factored by one forward elimination modulo one word-sized prime
 ``PRIME``, which keeps its LU factors in place; the selection returns
 B^-1 = U^-1 L^-1 mod p from those factors, and ``dixon_solve`` lifts each
-solution p-adically (Dixon) from that inverse and recovers rationals over a
+solution p-adically (Dixon) from that inverse, one numpy pass per step
+(Chen and Storjohann, "A BLAS based C library for exact linear algebra on
+integer matrices", ISSAC 2005), and recovers rationals over a
 running common denominator, with an extended Euclid only for entries it does
 not already explain.  B is nonsingular modulo the prime it was selected
 with by construction, so no second prime is ever needed.  Every candidate
@@ -274,38 +276,52 @@ def _sparse_rows(matrix) -> list[tuple[list[int], list[int]]]:
 def _lift(matrix, rows, rhs: list[int], solve_mod) -> list[Fraction] | None:
     """Dixon lifting of matrix x = rhs, where ``solve_mod(r)`` is
     matrix^-1 r mod ``PRIME`` (float64 residues) and ``rows`` are the
-    matrix's sparse rows; None when the lifting budget runs out."""
+    matrix's sparse rows; None when the lifting budget runs out.
+
+    Each step is one pass over the residual array r: the digit is
+    x_s = matrix^-1 (r mod p), and r becomes (r - matrix x_s) / p, which
+    must divide exactly.  |r| never exceeds max(max|rhs|, N) for N the
+    largest row L1 norm, so r is int64 when max|rhs| + N p < 2^62 and a
+    Python-int object array otherwise, through the same code.  The digits
+    are kept and folded into the p-adic solution only when a reconstruction
+    is tried, three per int64 (p^3 < 2^60), so the per-entry Python loop
+    runs once per three steps.
+    """
     p = PRIME
     k = len(rhs)
     max_coeff = max((abs(a) for _, v in rows for a in v), default=1) or 1
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
+    norm = max((sum(map(abs, v)) for _, v in rows), default=0)
     # Hadamard-style budget on numerator/denominator bits, plus slack
     det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
     need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
     max_steps = int(need_bits / math.log2(p)) + 8
 
-    residual = [int(b) for b in rhs]
+    dtype = np.int64 if max_rhs + norm * p < 1 << 62 else object
+    residual = np.array([int(b) for b in rhs], dtype=dtype)
+    digits: list[np.ndarray] = []  # lifted digits not yet folded
     solution_mod = [0] * k
     modulus = 1
     next_attempt = 8
     step = 0
     while step < max_steps:
-        rmod = np.array([ri % p for ri in residual], dtype=np.float64)
-        digit = solve_mod(rmod).astype(np.int64)
-        bx = matrix @ digit  # exact: the row norms were checked
-        for i in range(k):
-            quotient, rem = divmod(residual[i] - int(bx[i]), p)
-            if rem:
-                raise GspbError("Dixon lifting: a p-adic step left a "
-                                f"residual not divisible by {p}")
-            residual[i] = quotient
-        dlist = digit.tolist()
-        for i in range(k):
-            solution_mod[i] += dlist[i] * modulus
-        modulus *= p
+        digit = solve_mod((residual % p).astype(np.float64)).astype(np.int64)
+        residual -= matrix @ digit  # exact: the row norms were checked
+        if (residual % p).any():
+            raise GspbError("Dixon lifting: a p-adic step left a "
+                            f"residual not divisible by {p}")
+        residual //= p
+        digits.append(digit)
         step += 1
         if step >= next_attempt or step == max_steps:
             next_attempt = step + max(8, step // 2)
+            for s in range(0, len(digits), 3):
+                group = digits[s:s + 3]
+                folded = sum(g * p ** t for t, g in enumerate(group))
+                solution_mod = [a + b * modulus
+                                for a, b in zip(solution_mod, folded.tolist())]
+                modulus *= p ** len(group)
+            digits.clear()
             x = _try_reconstruct(solution_mod, modulus)
             if x is None:
                 continue

@@ -312,6 +312,22 @@ def test_oracle_search_budget_exit_4():
     assert "budget" in out.stderr
 
 
+def test_projective_past_int64_is_a_typed_refusal():
+    # at n=64 the folded subspace LP holds 2^64 - 1, which no int64 matrix
+    # holds: exit 3 with a refusal naming the coefficient, no traceback;
+    # n=63 still certifies
+    src = Path(cli.__file__).resolve().parents[1]
+    out = {n: subprocess.run(
+        [sys.executable, "-m", "gspb.cli", "compute", "--family", "projective",
+         "--n", str(n), "--bound", "gspb"],
+        cwd=src, capture_output=True, text=True, timeout=120) for n in (63, 64)}
+    assert out[64].returncode == 3 and out[64].stdout == ""
+    assert out[64].stderr.startswith("refused: ") and "Traceback" not in out[64].stderr
+    assert "64-bit coefficient" in out[64].stderr
+    assert out[63].returncode == 0 and out[63].stderr == ""
+    assert int(out[63].stdout.split()[0]) > 2**63
+
+
 ROW_CAP_CHILD = """
 import resource
 from gspb import cli, seqchannels

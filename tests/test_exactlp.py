@@ -137,8 +137,12 @@ def test_float_presolve_z10_quotient():
 
 def test_float_presolve_deletion10_floor():
     from gspb import seqchannels
-    pres = exactlp.float_presolve(seqchannels.deletion_full_lp(10))
+    lp = seqchannels.deletion_full_lp(10)
+    pres = exactlp.float_presolve(lp)
     assert pres.converged and int(pres.value + 1e-9) == 96
+    # the covering value c.w read off the packing LP's duals meets sum(z)
+    covering = sum(c * w for c, w in zip(lp.objective, pres.primal))
+    assert abs(covering - sum(pres.dual)) < 1e-6
 
 
 def test_crossover_matches_closed_form():
@@ -283,7 +287,24 @@ def test_optimum_zero_certifies_by_crossover():
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == 0
 
 
-def test_random_covers_take_no_fallback():
+def orbit_quotient(monkeypatch, family, n):
+    """The orbit quotient LP that seqchannels hands to the solver, unsolved."""
+    captured = []
+
+    def capture(lp):
+        captured.append(lp)
+        raise ch.GspbError("captured")
+
+    route = (seqchannels.deletion_full_gspb if family == "deletion"
+             else seqchannels.grain_full_gspb)
+    with monkeypatch.context() as m:
+        m.setattr(exactlp, "solve_min_transversal", capture)
+        with pytest.raises(ch.GspbError, match="captured"):
+            route(n)
+    return captured[0]
+
+
+def test_random_covers_take_no_fallback(monkeypatch):
     # every cover, optimum 0 included, certifies by the crossover
     rng = random.Random(1)
     for _ in range(400):
@@ -295,6 +316,19 @@ def test_random_covers_take_no_fallback():
         sol = exactlp.solve_min_transversal(lp)
         assert sol.method == "presolve+crossover", lp
         assert sol.optimum == brute_force_optimum(lp), lp
+    # the orbit quotients certify on the basis of HiGHS's packing-form
+    # vertex, with no support solve
+    quotients = [orbit_quotient(monkeypatch, family, n)
+                 for family, ns in (("deletion", (9, 10, 11)), ("grain", (9, 10)))
+                 for n in ns]
+    support_solves = []
+    real = exactlp._support_solve
+    monkeypatch.setattr(exactlp, "_support_solve",
+                        lambda *args: support_solves.append(args) or real(*args))
+    for lp in quotients:
+        sol = exactlp.solve_min_transversal(lp)
+        assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+        assert not support_solves, lp.name
 
 
 def test_degenerate_vertex_falls_back_to_two_support_solves(monkeypatch):

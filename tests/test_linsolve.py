@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from gspb import linsolve
+from gspb.channels import GspbError
 
 P = linsolve.PRIME
 P23 = 8388593  # largest prime below 2^23: 64*(p-1)^2 < 2^53 < 129*(p-1)^2
@@ -255,6 +256,46 @@ def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
     inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
     assert linsolve.dixon_solve(matrix, 2, inv, [5, 7]) is None
     assert any(x is not None for x in calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), shift=st.integers(0, 200))
+@example(seed=1, k=5, shift=0)
+@example(seed=1, k=5, shift=58)
+@example(seed=1, k=5, shift=59)
+@example(seed=1, k=5, shift=200)
+def test_scaled_rhs_lifts_to_the_scaled_solution(seed, k, shift):
+    # A x = b and A^T y = c against A x' = 2^s b and A^T y' = 2^s c: the
+    # lift must give x' = 2^s x and y' = 2^s y exactly.  With |b| <= 9 the
+    # residual is int64 at every s <= 58 and Python ints at every s >= 62
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(-4, 5, (k, k))
+    matrix[0, 0] = 1
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    r = len(cols)
+    block = csr_matrix(matrix[np.ix_(rows, cols)])
+    rhs = [int(b) for b in rng.integers(-9, 10, r)]
+    c = [int(b) for b in rng.integers(-9, 10, r)]
+    x, y = linsolve.dixon_solve(block, r, inv, rhs, c)
+    scaled = linsolve.dixon_solve(block, r, inv, [b << shift for b in rhs],
+                                  [b << shift for b in c])
+    assert scaled == ([v * 2**shift for v in x], [v * 2**shift for v in y])
+
+
+@pytest.mark.parametrize("shift", [0, 70], ids=["int64", "object"])
+def test_non_divisible_residual_raises(shift):
+    # a corrupted solve_mod leaves r - A x_s not divisible by p, and the
+    # step raises whether the residual is int64 (shift 0) or Python ints
+    # (shift 70: 2^70 b does not fit in int64)
+    matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
+    inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
+
+    def corrupted(r):
+        return (linsolve._product_mod(inv, r, P) + 1) % P
+
+    with pytest.raises(GspbError, match="not divisible"):
+        linsolve._lift(matrix, linsolve._sparse_rows(matrix),
+                       [5 << shift, 7 << shift], corrupted)
 
 
 def _encode(values, modulus):
