@@ -24,6 +24,7 @@ from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
                        NotMonotoneError, average_ball_size, ball_centers,
                        check_radius, enumerate_vertices, out_ball,
                        vertex_count)
+from .kernels import run_stats
 
 
 @dataclass
@@ -90,32 +91,19 @@ def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True iff every ball member has degree at most its center's.
 
     The deletion channel is checked through the run-count analogue (ball
-    members have no balls of their own there); everything else compares
-    out-ball sizes directly by enumeration.
+    members have no balls of their own there) on the rows of its full LP,
+    which refuses 2^n rows above ``cap``; everything else compares out-ball
+    sizes directly by enumeration.
     """
     if spec.family == "deletion":
         check_radius(spec)
-        from .kernels import run_stats
-        n = spec.n
-        rho_small, _ = run_stats(n - 1)
-        rho_big, _ = run_stats(n)
-        from .kernels import deletion_targets
-        targets = deletion_targets(n)
-        return all(
-            rho_small[y] <= rho_big[x]
-            for x in range(1 << n)
-            for y in set(targets[x].tolist())
-        )
-    degs: dict = {}
-    vertices = enumerate_vertices(spec, cap)
-    for x in vertices:
-        degs[x] = len(out_ball(spec, x))
-    for x in vertices:
-        dx = degs[x]
-        for y in out_ball(spec, x):
-            if degs[y] > dx:
-                return False
-    return True
+        lp = seqchannels.deletion_full_lp(spec.n, cap)
+        rho_small, _ = run_stats(spec.n - 1)
+        rho_big, _ = run_stats(spec.n)
+        return bool((rho_small[lp.indices]
+                     <= rho_big.repeat(lp.indptr[1:] - lp.indptr[:-1])).all())
+    degs = {x: len(out_ball(spec, x)) for x in enumerate_vertices(spec, cap)}
+    return all(degs[y] <= dx for x, dx in degs.items() for y in out_ball(spec, x))
 
 
 def monotonicity_bound(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:

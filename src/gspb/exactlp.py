@@ -1,10 +1,11 @@
 """Exact rational covering/packing LP solver.
 
 The covering problem is  min c.w  s.t.  A w >= 1, w >= 0  with nonnegative
-sparse integer data; its dual is the fractional packing problem
-max sum(z) s.t. A^T z <= c, z >= 0.  Every LP takes one path: a float
-presolve, in which HiGHS solves that packing LP with its own presolve off,
-followed by an exact crossover, which reads the optimal
+integer data; its dual is the fractional packing problem
+max sum(z) s.t. A^T z <= c, z >= 0.  A ``CoveringLP`` keeps A in CSR arrays
+alone, from its builders to HiGHS and every exact check.  Every LP takes one
+path: a float presolve, in which HiGHS solves that packing LP with its own
+presolve off, followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
 systems B w = 1 and B^T z = c exactly on one basis B of A[R,S], selected
 and factored once mod p: the one elimination that selects B also gives
@@ -12,19 +13,21 @@ B^-1 mod p from its own LU factors, and ``linsolve.dixon_solve`` lifts both
 sides from that inverse.  At a degenerate vertex, where that pair fails the
 certificate check, the dual and the primal are solved on their own
 supports, each by one support solve (``_support_solve``), as is the
-subspace block dual (``complementary_dual``); all of these read one int64
-matrix (``_int_matrix``), which refuses a coefficient past int64 with
-``GspbError``.
+subspace block dual (``complementary_dual``); all of these read the arrays
+as one int64 scipy matrix (``_int_matrix``), which refuses a coefficient
+past int64 with ``GspbError``.
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
 in the package goes through, and raises ``GspbError`` naming the failed
-stage otherwise; floats never influence a certified value.
+stage otherwise; its sums are ``linsolve.exact_product``, in Python ints, so
+floats never influence a certified value.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,30 +39,59 @@ from .channels import GspbError
 
 @dataclass
 class CoveringLP:
-    """Sparse covering LP with an implicit all-ones right-hand side."""
+    """Sparse covering LP with an implicit all-ones right-hand side: row i
+    holds ``data[indptr[i]:indptr[i+1]]`` at the variables
+    ``indices[indptr[i]:indptr[i+1]]``."""
 
-    num_vars: int
-    objective: list            # nonnegative ints, one per var
-    rows: list                 # sparse rows: list of (var index, int coeff > 0)
+    objective: list            # nonnegative ints, one per variable
+    indptr: np.ndarray         # int64 row offsets, num_rows + 1 of them
+    indices: np.ndarray        # int64 variable of each coefficient
+    data: np.ndarray           # int coeff > 0: int64, or Python ints past int64
     name: str = ""
 
-    def validate(self) -> None:
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length mismatch")
-        if any(not isinstance(c, int) or c < 0 for c in self.objective):
-            raise ValueError("objective must be nonnegative integers")
-        for i, row in enumerate(self.rows):
-            if not row:
-                raise ValueError(f"row {i} is empty")
-            for j, a in row:
-                if not 0 <= j < self.num_vars:
-                    raise ValueError(f"row {i} references variable {j}")
-                if not isinstance(a, int) or a < 0:
-                    raise ValueError(f"row {i} has coefficient {a!r}, not an int >= 0")
+    @classmethod
+    def from_rows(cls, objective, rows, name: str = "") -> CoveringLP:
+        """The LP whose row i lists the (variable, coefficient) pairs rows[i].
+        Unless every coefficient is an int that fits int64, they are kept as
+        given, so that ``validate`` sees a non-integer one."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
+        coeffs = [a for row in rows for _, a in row]
+        data = np.array(coeffs, dtype=object)
+        if all(isinstance(a, int) and -(1 << 63) <= a < 1 << 63 for a in coeffs):
+            data = data.astype(np.int64)
+        return cls(list(objective), indptr, indices, data, name)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num_rows, self.num_vars
+
+    @property
+    def rows(self) -> list:
+        """The (variable, coefficient) pairs of each row, built on demand."""
+        ptr, cols, vals = (a.tolist() for a in (self.indptr, self.indices, self.data))
+        return [list(zip(cols[s:e], vals[s:e])) for s, e in zip(ptr, ptr[1:])]
+
+    def validate(self) -> None:
+        if any(not isinstance(c, int) or c < 0 for c in self.objective):
+            raise ValueError("objective must be nonnegative integers")
+        row = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+        for i in np.flatnonzero(np.diff(self.indptr) == 0):
+            raise ValueError(f"row {i} is empty")
+        for t in np.flatnonzero((self.indices < 0) | (self.indices >= self.num_vars)):
+            raise ValueError(f"row {row[t]} references variable {self.indices[t]}")
+        for t, a in enumerate(self.data.tolist()):
+            if not isinstance(a, int) or a <= 0:
+                raise ValueError(f"row {row[t]} has coefficient {a!r}, not an int > 0")
 
 
 @dataclass
@@ -117,7 +149,7 @@ def _primal(lp: CoveringLP, w) -> tuple[int, list[int], int, Fraction]:
     A.W as Python ints, the number of negative weights, and c.w; w is
     feasible when no weight is negative and every row sum is at least d."""
     scaled, d = _scaled(w)
-    sums = [sum(a * scaled[j] for j, a in row) for row in lp.rows]
+    sums = linsolve.exact_product(lp, scaled).tolist()
     return (d, sums, sum(1 for x in scaled if x < 0),
             Fraction(sum(c * x for c, x in zip(lp.objective, scaled)), d))
 
@@ -128,12 +160,8 @@ def _dual(lp: CoveringLP, z) -> Fraction | None:
     scaled, d = _scaled(z)
     if any(x < 0 for x in scaled):
         return None
-    colsum = [0] * lp.num_vars
-    for row, zi in zip(lp.rows, scaled):
-        if zi:
-            for j, a in row:
-                colsum[j] += a * zi
-    if any(s > c * d for s, c in zip(colsum, lp.objective)):
+    colsum = linsolve.exact_product(lp, scaled, transpose=True)
+    if any(s > c * d for s, c in zip(colsum.tolist(), lp.objective)):
         return None
     return Fraction(sum(scaled), d)
 
@@ -181,20 +209,15 @@ def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 def _int_matrix(lp: CoveringLP):
-    """The constraint matrix as an int64 CSR matrix; raises ``GspbError``
+    """The LP's arrays as an int64 scipy CSR matrix; raises ``GspbError``
     when a coefficient does not fit in int64."""
     from scipy.sparse import csr_matrix
 
-    lengths = [len(row) for row in lp.rows]
-    ri = np.repeat(np.arange(lp.num_rows), lengths)
-    ci = np.fromiter((j for row in lp.rows for j, _ in row), np.int64, len(ri))
-    try:
-        data = np.fromiter((a for row in lp.rows for _, a in row), np.int64, len(ri))
-    except OverflowError as exc:
-        bits = max(a for row in lp.rows for _, a in row).bit_length()
+    if lp.data.dtype == object:
+        bits = max(map(abs, lp.data.tolist())).bit_length()
         raise GspbError(f"LP {lp.name!r} has a {bits}-bit coefficient, past the "
-                        "int64 matrix of the exact solve") from exc
-    return csr_matrix((data, (ri, ci)), shape=(lp.num_rows, lp.num_vars))
+                        "int64 matrix of the exact solve")
+    return csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape)
 
 
 def float_presolve(lp: CoveringLP) -> PresolveResult:
@@ -215,7 +238,10 @@ def float_presolve(lp: CoveringLP) -> PresolveResult:
     res = linprog(-np.ones(lp.num_rows), A_ub=At, b_ub=c, bounds=(0, None),
                   method="highs-ipm", options={"presolve": False})
     if not res.success:
-        return PresolveResult(False, None, None, None, res.message)
+        # only HiGHS's message carries its own status code
+        code = re.search(r"HiGHS Status (\d+)", res.message or "")
+        return PresolveResult(False, None, None, None,
+                              f"HiGHS status {code[1] if code else '?'}")
     primal = (-res.ineqlin.marginals).tolist()
     return PresolveResult(True, -float(res.fun), primal, res.x.tolist(), "ok")
 
@@ -330,7 +356,10 @@ def solve_min_transversal(lp: CoveringLP) -> LPSolution:
     lp.validate()
     pres = float_presolve(lp)
     if not pres.converged:
-        raise GspbError(f"float presolve failed on LP {lp.name!r}: {pres.message}")
+        # every row holds a positive coefficient, so z_i <= c_j / a_ij bounds
+        # the packing LP: a failure is numerical, whatever HiGHS calls it
+        raise GspbError(f"float presolve failed on LP {lp.name!r} ({pres.message}): "
+                        "a numerical failure, since its packing LP is bounded")
     sol = _crossover(lp, pres)
     if sol is None:
         raise GspbError(f"exact crossover failed to certify LP {lp.name!r}")

@@ -13,10 +13,10 @@ solution p-adically (Dixon) from that inverse, one numpy pass per step
 integer matrices", ISSAC 2005), and recovers rationals over a
 running common denominator, with an extended Euclid only for entries it does
 not already explain.  B is nonsingular modulo the prime it was selected
-with by construction, so no second prime is ever needed.  Every candidate
-is checked against the sparse input system in Python ints, scaled by the
-LCM of its denominators, before being returned, so a failed reconstruction
-can only cost time, never correctness.
+with by construction, so no second prime is ever needed.  Every candidate,
+scaled by the LCM of its denominators, is checked in Python ints by
+``exact_product``, the package's one exact sparse product, before being
+returned, so a failed reconstruction can only cost time, never correctness.
 
 Elimination and triangular inversion mod p are blocked and run on float64
 residues, so that the bulk of the work is BLAS ``gemm`` (Dumas, Giorgi and
@@ -246,52 +246,54 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int],
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
     p = PRIME
-    rows = _sparse_rows(matrix)
-    if rhs_t is not None:
-        transposed = matrix.T.tocsr()
-        t_rows = _sparse_rows(transposed)
-    x = _lift(matrix, rows, rhs, lambda r: _product_mod(inv, r, p))
+    x = _lift(matrix, rhs, lambda r: _product_mod(inv, r, p))
     if x is None or rhs_t is None:
         return x
     # (A^T)^-1 r is r @ A^-1: the transposed lift reads the one inverse as is
-    y = _lift(transposed, t_rows, rhs_t, lambda r: _product_mod(r, inv, p))
+    y = _lift(matrix.T.tocsr(), rhs_t, lambda r: _product_mod(r, inv, p))
     return None if y is None else (x, y)
 
 
-def _sparse_rows(matrix) -> list[tuple[list[int], list[int]]]:
-    """The (columns, values) of each row of a CSR int64 matrix as Python ints;
-    raises unless the int64 lifting product ``matrix @ digit`` is exact, that
-    is, every row's L1 norm times the largest digit is below 2^63."""
-    indptr = matrix.indptr.tolist()
-    cols = matrix.indices.tolist()
-    vals = matrix.data.tolist()
-    rows = [(cols[s:e], vals[s:e]) for s, e in zip(indptr, indptr[1:])]
-    norm = max((sum(map(abs, v)) for _, v in rows), default=0)
-    if norm * (PRIME - 1) >= 1 << 63:
-        raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
-                         "lifting product")
-    return rows
+def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
+    """``matrix @ x``, or ``matrix.T @ x`` with ``transpose``, for integer x,
+    summed in Python ints; an object array.  ``matrix`` is a scipy CSR matrix
+    or an ``exactlp.CoveringLP`` (int64 or Python-int data).  Only entries
+    whose coefficient is not 1 are multiplied, so a 0/1 matrix makes no
+    Python int but the sums; ``np.add.at`` takes those and, unlike
+    ``np.add.reduceat``, leaves an empty row at zero."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    src, dst = (rows, matrix.indices) if transpose else (matrix.indices, rows)
+    terms = np.array(x, dtype=object)[src]
+    not_one = np.flatnonzero(matrix.data != 1)
+    terms[not_one] *= matrix.data[not_one].astype(object)
+    out = np.zeros(matrix.shape[1 if transpose else 0], dtype=object)
+    np.add.at(out, dst, terms)
+    return out
 
 
-def _lift(matrix, rows, rhs: list[int], solve_mod) -> list[Fraction] | None:
-    """Dixon lifting of matrix x = rhs, where ``solve_mod(r)`` is
-    matrix^-1 r mod ``PRIME`` (float64 residues) and ``rows`` are the
-    matrix's sparse rows; None when the lifting budget runs out.
+def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
+    """Dixon lifting of matrix x = rhs, where ``matrix`` is a square int64
+    CSR matrix and ``solve_mod(r)`` is matrix^-1 r mod ``PRIME`` (float64
+    residues); None when the lifting budget runs out.
 
     Each step is one pass over the residual array r: the digit is
     x_s = matrix^-1 (r mod p), and r becomes (r - matrix x_s) / p, which
     must divide exactly.  |r| never exceeds max(max|rhs|, N) for N the
     largest row L1 norm, so r is int64 when max|rhs| + N p < 2^62 and a
-    Python-int object array otherwise, through the same code.  The digits
-    are kept and folded into the p-adic solution only when a reconstruction
-    is tried, three per int64 (p^3 < 2^60), so the per-entry Python loop
-    runs once per three steps.
+    Python-int object array otherwise, through the same code; raises
+    ``ValueError`` unless N (p - 1) < 2^63, which keeps the int64 product
+    ``matrix @ x_s`` exact.  The digits are kept and folded into the p-adic
+    solution only when a reconstruction is tried, three per int64
+    (p^3 < 2^60), so the per-entry Python loop runs once per three steps.
     """
     p = PRIME
     k = len(rhs)
-    max_coeff = max((abs(a) for _, v in rows for a in v), default=1) or 1
+    norm = max(exact_product(abs(matrix), [1] * k), default=0)
+    if norm * (p - 1) >= 1 << 63:
+        raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
+                         "lifting product")
+    max_coeff = int(abs(matrix.data).max(initial=1))
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
-    norm = max((sum(map(abs, v)) for _, v in rows), default=0)
     # Hadamard-style budget on numerator/denominator bits, plus slack
     det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
     need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
@@ -327,8 +329,7 @@ def _lift(matrix, rows, rhs: list[int], solve_mod) -> list[Fraction] | None:
                 continue
             d = math.lcm(*(v.denominator for v in x))
             scaled = [v.numerator * (d // v.denominator) for v in x]
-            if all(sum(a * scaled[j] for j, a in zip(c, v)) == d * b
-                   for (c, v), b in zip(rows, rhs)):
+            if exact_product(matrix, scaled).tolist() == [d * b for b in rhs]:
                 return x
     # lifting budget exhausted: the supports were likely wrong
     return None

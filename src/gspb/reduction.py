@@ -263,21 +263,14 @@ def quotient_matrix(spec: ChannelSpec) -> QuotientLP:
     ball enumeration at small n on every call."""
     partition = partition_by_canonical_form(spec)
     _check_rules(spec)
-    lp = exactlp.CoveringLP(
-        num_vars=partition.num_classes,
-        objective=list(partition.sizes),
-        rows=_family_rows(spec, partition),
-        name=f"quotient-{spec.family}-n{spec.n}",
-    )
+    lp = exactlp.CoveringLP.from_rows(partition.sizes, _family_rows(spec, partition),
+                                      f"quotient-{spec.family}-n{spec.n}")
     return QuotientLP(partition, lp)
 
 
 def full_hypergraph_lp(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Unreduced unit-objective covering LP of the ball hypergraph."""
     hg = build_hypergraph(spec, cap)
-    return exactlp.CoveringLP(
-        num_vars=hg.num_vertices,
-        objective=[1] * hg.num_vertices,
-        rows=[[(j, 1) for j in e] for e in hg.edges],
-        name=f"full-{spec.family}-n{spec.n}",
-    )
+    return exactlp.CoveringLP.from_rows([1] * hg.num_vertices,
+                                        [[(j, 1) for j in e] for e in hg.edges],
+                                        f"full-{spec.family}-n{spec.n}")

@@ -142,21 +142,18 @@ def theorem_weight_vector(m: int) -> list[Fraction]:
     return out
 
 
-def _ball_rows(cand: np.ndarray, num_vars: int) -> list[list[tuple[int, int]]]:
-    """One sorted 0/1 row per line of ``cand``: its distinct entries >= 0.
-
-    Duplicates and the -1 "no target" sentinel both become -1, which a
-    second sort moves to the front of the line; each row is then the slice
-    after them, over one shared (j, 1) tuple per variable.
-    """
+def _ball_lp(cand: np.ndarray, num_vars: int, name: str) -> exactlp.CoveringLP:
+    """Unit-objective covering LP whose row per line of ``cand`` lists its
+    distinct entries >= 0 in order: after a sort of each line, duplicates
+    become -1 like the "no target" sentinel, and the rest are read off."""
     cand = np.sort(cand, axis=1)
     cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = -1
-    cand.sort(axis=1)
-    skip = np.count_nonzero(cand < 0, axis=1).tolist()
-    pairs = np.empty(num_vars + 1, dtype=object)  # index -1 reads the None
-    pairs[:num_vars] = np.fromiter(((j, 1) for j in range(num_vars)),
-                                   dtype=object, count=num_vars)
-    return [row[k:] for row, k in zip(pairs[cand].tolist(), skip)]
+    keep = cand >= 0
+    indptr = np.zeros(len(cand) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    indices = cand[keep]
+    return exactlp.CoveringLP([1] * num_vars, indptr, indices,
+                              np.ones(len(indices), dtype=np.int64), name)
 
 
 def _check_rows(n: int, family: str, cap: int) -> None:
@@ -170,24 +167,15 @@ def _check_rows(n: int, family: str, cap: int) -> None:
 def deletion_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
     _check_rows(n, "deletion", cap)
-    return exactlp.CoveringLP(
-        num_vars=1 << (n - 1),
-        objective=[1] * (1 << (n - 1)),
-        rows=_ball_rows(deletion_targets(n), 1 << (n - 1)),
-        name=f"deletion-full-n{n}",
-    )
+    return _ball_lp(deletion_targets(n), 1 << (n - 1), f"deletion-full-n{n}")
 
 
 def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP over {0,1}^n; each ball is the word plus its smears."""
     _check_rows(n, "grain", cap)
     words = np.arange(1 << n, dtype=np.int64)[:, None]
-    return exactlp.CoveringLP(
-        num_vars=1 << n,
-        objective=[1] * (1 << n),
-        rows=_ball_rows(np.concatenate([words, grain_targets(n)], axis=1), 1 << n),
-        name=f"grain-full-n{n}",
-    )
+    return _ball_lp(np.concatenate([words, grain_targets(n)], axis=1), 1 << n,
+                    f"grain-full-n{n}")
 
 
 def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
@@ -246,12 +234,9 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     v_reps, v_orbit, v_sizes = _word_orbits(ground_m, use_rev)
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
 
-    rows = count_rows(([j for j, _ in full_lp.rows[c]] for c in c_reps),
-                      v_orbit.__getitem__)
-    qlp = exactlp.CoveringLP(
-        num_vars=len(v_reps), objective=list(v_sizes), rows=rows,
-        name=f"{family}-orbit-n{n}",
-    )
+    ptr, cols = full_lp.indptr.tolist(), full_lp.indices.tolist()
+    rows = count_rows((cols[ptr[c]:ptr[c + 1]] for c in c_reps), v_orbit.__getitem__)
+    qlp = exactlp.CoveringLP.from_rows(v_sizes, rows, f"{family}-orbit-n{n}")
     sol = exactlp.solve_min_transversal(qlp)
     w_full = [sol.primal[v_orbit[v]] for v in range(full_lp.num_vars)]
     z_full = [sol.dual[c_orbit[c]] / c_sizes[c_orbit[c]]

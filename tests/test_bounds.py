@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspb import bounds, exactlp, reduction
-from gspb.channels import (ChannelSpec, GspbError, NotMonotoneError,
-                           enumerate_vertices, example_four, example_three,
-                           example_two, out_ball)
+from gspb.channels import (ChannelSpec, EnumerationCapExceeded, GspbError,
+                           NotMonotoneError, enumerate_vertices, example_four,
+                           example_three, example_two, out_ball)
 
 
 def fl(x):
@@ -20,6 +20,13 @@ def test_check_monotone():
     assert bounds.check_monotone(ChannelSpec("grain", n=6))
     assert bounds.check_monotone(ChannelSpec("deletion", n=6))
     assert not bounds.check_monotone(ChannelSpec("projective", n=4))
+
+
+def test_check_monotone_honours_the_cap():
+    # the deletion check reads the rows of the full LP, refused before the
+    # kernels enumerate 2^14 centres
+    with pytest.raises(EnumerationCapExceeded):
+        bounds.check_monotone(ChannelSpec("deletion", n=14), cap=16)
 
 
 def test_mb_values():

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -17,16 +18,12 @@ from gspb import exactlp, linsolve, magnitude, projective, seqchannels, zchannel
 
 def hypergraph_lp(spec):
     hg = ch.build_hypergraph(spec)
-    return exactlp.CoveringLP(
-        num_vars=hg.num_vertices,
-        objective=[1] * hg.num_vertices,
-        rows=[[(j, 1) for j in e] for e in hg.edges],
-    )
+    return exactlp.CoveringLP.from_rows([1] * hg.num_vertices,
+                                        [[(j, 1) for j in e] for e in hg.edges])
 
 
 def singleton_lp(n):
-    return exactlp.CoveringLP(num_vars=n, objective=[1] * n,
-                              rows=[[(j, 1)] for j in range(n)])
+    return exactlp.CoveringLP.from_rows([1] * n, [[(j, 1)] for j in range(n)])
 
 
 def _solve_square(matrix):
@@ -214,21 +211,38 @@ def test_non_integer_data_refused(monkeypatch):
         exactlp.solve_min_transversal(lp)
     monkeypatch.setattr(oracle, "full_hypergraph_lp", lambda spec: lp)
     assert cli.main(["oracle", "--family", "z", "--n", "3"]) == 2
-    row_lp = small_lp()
-    row_lp.rows[1] = [(0, 1), (1, 0.5)]
+    row_lp = exactlp.CoveringLP.from_rows([1, 2], [[(0, 1)], [(0, 1), (1, 0.5)]])
     with pytest.raises(ValueError, match="coefficient 0.5"):
         row_lp.validate()
+
+
+def test_zero_coefficient_refused(monkeypatch):
+    # a zero coefficient would leave the packing LP unbounded in its variable
+    from gspb import cli, oracle
+    lp = exactlp.CoveringLP.from_rows([1, 2], [[(0, 1)], [(0, 1), (1, 0)]])
+    with pytest.raises(ValueError, match="row 1 has coefficient 0, not an int > 0"):
+        lp.validate()
+    monkeypatch.setattr(oracle, "full_hypergraph_lp", lambda spec: lp)
+    assert cli.main(["oracle", "--family", "z", "--n", "3"]) == 2
+
+
+@pytest.mark.parametrize("build", [lambda: zchannel.z_quotient_lp(80, 1),
+                                   lambda: projective.projective_lp(20)],
+                         ids=["z-80", "projective-20"])
+def test_presolve_failure_names_no_false_cause(build):
+    # both packing LPs are bounded; HiGHS fails on them numerically and says
+    # "unbounded", which the refusal must not repeat
+    with pytest.raises(ch.GspbError, match="HiGHS status") as caught:
+        exactlp.solve_min_transversal(build())
+    assert "unbounded" not in str(caught.value).lower()
+    assert "packing LP is bounded" in str(caught.value)
 
 
 def test_scaling_exactness():
     lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
     base = exactlp.solve_min_transversal(lp)
     lam = 7
-    scaled = exactlp.CoveringLP(
-        num_vars=lp.num_vars,
-        objective=[lam * c for c in lp.objective],
-        rows=lp.rows,
-    )
+    scaled = exactlp.CoveringLP.from_rows([lam * c for c in lp.objective], lp.rows)
     assert exactlp.solve_min_transversal(scaled).optimum == lam * base.optimum
 
 
@@ -249,7 +263,7 @@ def test_strong_duality_random_covers(data):
         members = data.draw(st.sets(st.integers(0, nv - 1), min_size=1, max_size=nv))
         rows.append([(j, data.draw(st.integers(1, 3))) for j in sorted(members)])
     obj = [data.draw(st.integers(0, 5)) for _ in range(nv)]
-    lp = exactlp.CoveringLP(num_vars=nv, objective=obj, rows=rows)
+    lp = exactlp.CoveringLP.from_rows(obj, rows)
     sol = exactlp.solve_min_transversal(lp)
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     assert sol.optimum == brute_force_optimum(lp)
@@ -281,7 +295,7 @@ def test_singular_system_selects_rank_below_k():
 
 def test_optimum_zero_certifies_by_crossover():
     # the float dual is all zero; the dual support solve returns z = 0
-    lp = exactlp.CoveringLP(2, [0, 1], [[(0, 1)], [(0, 1), (1, 1)]])
+    lp = exactlp.CoveringLP.from_rows([0, 1], [[(0, 1)], [(0, 1), (1, 1)]])
     sol = exactlp.solve_min_transversal(lp)
     assert sol.optimum == 0 and sol.method == "presolve+crossover"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == 0
@@ -312,7 +326,7 @@ def test_random_covers_take_no_fallback(monkeypatch):
         rows = [[(j, rng.randint(1, 3))
                  for j in sorted(rng.sample(range(nv), rng.randint(1, nv)))]
                 for _ in range(rng.randint(1, 6))]
-        lp = exactlp.CoveringLP(nv, [rng.randint(0, 5) for _ in range(nv)], rows)
+        lp = exactlp.CoveringLP.from_rows([rng.randint(0, 5) for _ in range(nv)], rows)
         sol = exactlp.solve_min_transversal(lp)
         assert sol.method == "presolve+crossover", lp
         assert sol.optimum == brute_force_optimum(lp), lp
@@ -335,7 +349,7 @@ def test_degenerate_vertex_falls_back_to_two_support_solves(monkeypatch):
     # one of the random covers above: w = (0, 0, 1, 0) is degenerate (one
     # variable, two tight rows), so the dual lifted on the primal's basis
     # overfills a column; the dual and primal support solves then certify
-    lp = exactlp.CoveringLP(4, [3, 3, 4, 5], [[(0, 1), (2, 1)], [(2, 1), (3, 3)]])
+    lp = exactlp.CoveringLP.from_rows([3, 3, 4, 5], [[(0, 1), (2, 1)], [(2, 1), (3, 3)]])
     calls = {"check_certificate": [], "select_pivots_mod": [], "_support_solve": []}
     for mod, name in ((exactlp, "check_certificate"), (linsolve, "select_pivots_mod"),
                       (exactlp, "_support_solve")):
@@ -354,8 +368,8 @@ def test_degenerate_vertex_falls_back_to_two_support_solves(monkeypatch):
 def small_lp(scale=1):
     # min w0 + 2 w1  s.t.  w0 >= 1,  w0 + w1 >= 1;  optimum 1.  Scaling A
     # and c by an integer scales the feasible w by its inverse and keeps z.
-    return exactlp.CoveringLP(num_vars=2, objective=[scale, 2 * scale],
-                              rows=[[(0, scale)], [(0, scale), (1, scale)]])
+    return exactlp.CoveringLP.from_rows([scale, 2 * scale],
+                                        [[(0, scale)], [(0, scale), (1, scale)]])
 
 
 def test_check_certificate_accepts_optimal_pair():
@@ -381,7 +395,7 @@ def test_check_certificate_rejects(w, z, coeffs):
 def test_check_certificate_survives_optimize_flag():
     code = (
         "from gspb import exactlp\n"
-        "lp = exactlp.CoveringLP(2, [1, 2], [[(0, 1)], [(0, 1), (1, 1)]])\n"
+        "lp = exactlp.CoveringLP.from_rows([1, 2], [[(0, 1)], [(0, 1), (1, 1)]])\n"
         "print(__debug__, exactlp.check_certificate(lp, [1, 0], [1, 0]),\n"
         "      exactlp.check_certificate(lp, [1, 0], [2, -1]))\n"
     )
@@ -389,3 +403,26 @@ def test_check_certificate_survives_optimize_flag():
     out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.split() == ["False", "1", "None"]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: (zchannel.z_quotient_lp(70, 35), zchannel.z_gspb(70, 35)),
+    lambda: (zchannel.z_quotient_lp(32, 1), zchannel.z_gspb(32, 1)),
+    lambda: (magnitude.sym_quotient(7, 5).lp,
+             exactlp.solve_min_transversal(magnitude.sym_quotient(7, 5).lp)),
+    lambda: (seqchannels.deletion_full_lp(9), seqchannels.deletion_full_gspb(9)),
+], ids=["z-70-35", "z-32-1", "mag-sym-7-5", "deletion-9"])
+def test_check_certificate_rejects_a_numerator_moved_by_one(solve):
+    # a certified pair fails once one numerator, over the common denominator,
+    # of a tight row's dual or of a weight in a tight row moves by 1; z 70/35
+    # has coefficients past int64, where a float product would miss it
+    lp, sol = solve()
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+    for vector, side in ((sol.dual, "dual"), (sol.primal, "primal")):
+        d = math.lcm(*(Fraction(v).denominator for v in vector))
+        at = next(i for i, v in enumerate(vector) if v > 0)
+        for delta in (1, -1):
+            moved = list(vector)
+            moved[at] = Fraction(Fraction(vector[at]) * d + delta, d)
+            pair = (moved, sol.dual) if side == "primal" else (sol.primal, moved)
+            assert exactlp.check_certificate(lp, *pair) is None, (side, delta)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from gspb import linsolve
+from gspb import exactlp, linsolve
 from gspb.channels import GspbError
 
 P = linsolve.PRIME
@@ -282,6 +282,38 @@ def test_scaled_rhs_lifts_to_the_scaled_solution(seed, k, shift):
     assert scaled == ([v * 2**shift for v in x], [v * 2**shift for v in y])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_product_matches_dense_reference(data):
+    # random CSR matrices, some with empty rows, coefficients up to 2^70
+    # (object data past int64) and x of 1 to 600 bits, by A x and A^T x
+    cols = data.draw(st.integers(1, 7))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, cols - 1), coeff,
+                                              max_size=cols),
+                              min_size=1, max_size=7))
+    rows = [sorted(row.items()) for row in rows] + [[]]
+    bits = data.draw(st.integers(1, 600))
+    lp = exactlp.CoveringLP.from_rows([0] * cols, rows)
+    fits = all(abs(a) < 2**63 for row in rows for _, a in row)
+    assert lp.data.dtype == (np.int64 if fits else object)
+    dense = [[0] * cols for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            dense[i][j] = a
+    entry = st.integers(-2**bits, 2**bits)
+    x = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+    y = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    ax = [sum(a * v for a, v in zip(row, x)) for row in dense]
+    aty = [sum(dense[i][j] * y[i] for i in range(len(rows))) for j in range(cols)]
+    assert linsolve.exact_product(lp, x).tolist() == ax
+    assert linsolve.exact_product(lp, y, transpose=True).tolist() == aty
+    if fits:
+        # the scipy form the Dixon lift checks through gives the same sums
+        matrix = csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape)
+        assert linsolve.exact_product(matrix, x).tolist() == ax
+
+
 @pytest.mark.parametrize("shift", [0, 70], ids=["int64", "object"])
 def test_non_divisible_residual_raises(shift):
     # a corrupted solve_mod leaves r - A x_s not divisible by p, and the
@@ -294,8 +326,7 @@ def test_non_divisible_residual_raises(shift):
         return (linsolve._product_mod(inv, r, P) + 1) % P
 
     with pytest.raises(GspbError, match="not divisible"):
-        linsolve._lift(matrix, linsolve._sparse_rows(matrix),
-                       [5 << shift, 7 << shift], corrupted)
+        linsolve._lift(matrix, [5 << shift, 7 << shift], corrupted)
 
 
 def _encode(values, modulus):

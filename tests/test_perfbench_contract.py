@@ -42,7 +42,7 @@ HARNESS_READS = (
 
 @pytest.fixture(scope="module")
 def results():
-    lp = exactlp.CoveringLP(3, [1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
+    lp = exactlp.CoveringLP.from_rows([1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
     return {
         "LPSolution": exactlp.solve_min_transversal(lp),
         "PresolveResult": exactlp.float_presolve(lp),
@@ -71,7 +71,7 @@ def test_z_closed_form_reads_by_path():
 
 def test_solve_method_strings():
     # spans.py counts a solve as a crossover unless its method is "simplex"
-    lp = exactlp.CoveringLP(3, [1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
+    lp = exactlp.CoveringLP.from_rows([1, 1, 1], [[(0, 1), (1, 1)], [(1, 1), (2, 1)]])
     assert exactlp.solve_min_transversal(lp).method == "presolve+crossover"
 
 

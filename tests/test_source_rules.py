@@ -50,3 +50,14 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_row_lists_read(path):
+    # a covering LP is stored as CSR arrays; its ``rows`` property builds
+    # (variable, coefficient) lists for the benchmark harness and the tests,
+    # and no module reads it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "rows"]
+    assert not lines, f"{path.name}: .rows read at lines {lines}"
