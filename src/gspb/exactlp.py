@@ -20,8 +20,10 @@ past int64 with ``GspbError``.
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
 in the package goes through, and raises ``GspbError`` naming the failed
-stage otherwise; its sums are ``linsolve.exact_product``, in Python ints, so
-floats never influence a certified value.
+stage otherwise; its sums are ``linsolve.exact_product``, in int64 where a
+bound on the scaled witness, the coefficients and the longest row or column
+proves that they fit and in Python ints otherwise, so floats never influence
+a certified value.
 """
 
 from __future__ import annotations
@@ -144,12 +146,13 @@ def _scaled(values) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _primal(lp: CoveringLP, w) -> tuple[int, list[int], int, Fraction]:
+def _primal(lp: CoveringLP, w) -> tuple[int, np.ndarray, int, Fraction]:
     """For the weights scaled to integers W = d*w: the scale d, the row sums
-    A.W as Python ints, the number of negative weights, and c.w; w is
-    feasible when no weight is negative and every row sum is at least d."""
+    A.W as an ``exact_product`` array, the number of negative weights, and
+    c.w; w is feasible when no weight is negative and every row sum is at
+    least d."""
     scaled, d = _scaled(w)
-    sums = linsolve.exact_product(lp, scaled).tolist()
+    sums = linsolve.exact_product(lp, scaled)
     return (d, sums, sum(1 for x in scaled if x < 0),
             Fraction(sum(c * x for c, x in zip(lp.objective, scaled)), d))
 
@@ -175,15 +178,15 @@ def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
     if len(w) != lp.num_vars:
         raise ValueError(f"weight vector has {len(w)} entries, LP has {lp.num_vars}")
     d, sums, negative, value = _primal(lp, w)
-    violated = [i for i, s in enumerate(sums) if s < d]
-    feasible = not negative and not violated
+    violated = np.flatnonzero(sums < d)
+    feasible = not negative and not violated.size
     return TransversalReport(
         feasible=feasible,
         bound=value if feasible else None,
-        min_slack=Fraction(min(sums) - d, d) if sums else Fraction(0),
+        min_slack=Fraction(int(sums.min()) - d, d) if sums.size else Fraction(0),
         num_violated=len(violated) + negative,
-        violated_rows=violated[:32],
-        row_sums=sums,
+        violated_rows=violated[:32].tolist(),
+        row_sums=sums.tolist(),
         scale=d,
     )
 
@@ -193,13 +196,13 @@ def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
 
     Accepts when w >= 0 and A.w >= 1, z >= 0 and A^T.z <= c, and c.w equals
     sum(z); the pair then proves that value optimal.  w and z are scaled by
-    the LCM of their denominators and compared as Python ints.
+    the LCM of their denominators and compared as exact integers.
     """
     if len(w) != lp.num_vars or len(z) != lp.num_rows:
         raise ValueError(f"witness lengths {len(w)}/{len(z)} do not match "
                          f"the LP's {lp.num_vars} variables/{lp.num_rows} rows")
     d, sums, negative, value = _primal(lp, w)
-    if negative or any(s < d for s in sums) or _dual(lp, z) != value:
+    if negative or (sums < d).any() or _dual(lp, z) != value:
         return None
     return value
 

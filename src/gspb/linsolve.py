@@ -14,9 +14,11 @@ integer matrices", ISSAC 2005), and recovers rationals over a
 running common denominator, with an extended Euclid only for entries it does
 not already explain.  B is nonsingular modulo the prime it was selected
 with by construction, so no second prime is ever needed.  Every candidate,
-scaled by the LCM of its denominators, is checked in Python ints by
+scaled by the LCM of its denominators, is checked exactly by
 ``exact_product``, the package's one exact sparse product, before being
 returned, so a failed reconstruction can only cost time, never correctness.
+``exact_product`` sums in int64 where a bound on its inputs proves that no
+partial sum can overflow, and in Python ints otherwise.
 
 Elimination and triangular inversion mod p are blocked and run on float64
 residues, so that the bulk of the work is BLAS ``gemm`` (Dumas, Giorgi and
@@ -235,9 +237,9 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int],
     with the block.  With ``rhs_t`` the transposed system matrix^T y = rhs_t
     is solved too, from the same inverse (the inverse of A^T is (A^-1)^T),
     and the pair (x, y) is returned.  Returns None when a lifting budget runs
-    out.  A candidate x is returned only if A.X == d.rhs holds in Python
-    ints, where d is the LCM of its denominators and X = d.x; y is checked
-    the same way against A^T.
+    out.  A candidate x is returned only if A.X == d.rhs holds exactly
+    (``exact_product``), where d is the LCM of its denominators and X = d.x;
+    y is checked the same way against A^T.
     """
     if (matrix.shape != (k, k) or inv.shape != (k, k) or len(rhs) != k
             or rhs_t is not None and len(rhs_t) != k):
@@ -254,19 +256,40 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int],
     return None if y is None else (x, y)
 
 
+def _magnitude(a: np.ndarray) -> int:
+    """max |a_i| as a Python int (0 for an empty array)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     """``matrix @ x``, or ``matrix.T @ x`` with ``transpose``, for integer x,
-    summed in Python ints; an object array.  ``matrix`` is a scipy CSR matrix
-    or an ``exactlp.CoveringLP`` (int64 or Python-int data).  Only entries
-    whose coefficient is not 1 are multiplied, so a 0/1 matrix makes no
-    Python int but the sums; ``np.add.at`` takes those and, unlike
+    exact.  ``matrix`` is a scipy CSR matrix or an ``exactlp.CoveringLP``
+    (int64 or Python-int data); x is a sequence of ints.
+
+    The sums are int64 when max|x| max|a| L < 2^63, for L the longest row
+    (the longest column with ``transpose``): no term or partial sum can then
+    pass int64.  Otherwise they are Python ints in an object array, by the
+    same code; x past int64 goes there without a scan.
+    Only entries whose coefficient is not 1 are multiplied, so a 0/1 matrix
+    makes no Python int but the sums; ``np.add.at`` takes those and, unlike
     ``np.add.reduceat``, leaves an empty row at zero."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    try:
+        x = np.fromiter(x, np.int64, len(x))
+    except OverflowError:
+        x = np.array(x, dtype=object)
+    counts = np.diff(matrix.indptr)
+    rows = np.repeat(np.arange(len(counts)), counts)
     src, dst = (rows, matrix.indices) if transpose else (matrix.indices, rows)
-    terms = np.array(x, dtype=object)[src]
-    not_one = np.flatnonzero(matrix.data != 1)
-    terms[not_one] *= matrix.data[not_one].astype(object)
-    out = np.zeros(matrix.shape[1 if transpose else 0], dtype=object)
+    data = matrix.data
+    if x.dtype == np.int64:
+        lines = np.bincount(matrix.indices) if transpose else counts
+        bound = _magnitude(x) * _magnitude(data) * int(lines.max(initial=0))
+        if data.dtype != np.int64 or bound >= 1 << 63:
+            x = x.astype(object)
+    terms = x[src]
+    not_one = np.flatnonzero(data != 1)
+    terms[not_one] *= data[not_one].astype(x.dtype)
+    out = np.zeros(matrix.shape[1 if transpose else 0], dtype=x.dtype)
     np.add.at(out, dst, terms)
     return out
 
@@ -288,7 +311,8 @@ def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
     """
     p = PRIME
     k = len(rhs)
-    norm = max(exact_product(abs(matrix), [1] * k), default=0)
+    # a Python int: the int64 sums' own product with p could wrap
+    norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
     if norm * (p - 1) >= 1 << 63:
         raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
                          "lifting product")

@@ -129,17 +129,14 @@ def grain_aspv(n: int) -> Fraction:
 
 
 def theorem_weight_vector(m: int) -> list[Fraction]:
-    """seq_weight of every word in {0,1}^m, indexed by integer value."""
+    """seq_weight of every word in {0,1}^m, indexed by integer value: one
+    Fraction per run profile, shared by the words that have it."""
     rho, mu = run_stats(m)
-    cache: dict[tuple[int, int], Fraction] = {}
-    out = []
-    for x in range(1 << m):
-        key = (int(rho[x]), int(mu[x]))
-        w = cache.get(key)
-        if w is None:
-            w = cache[key] = seq_weight(*key)
-        out.append(w)
-    return out
+    profile = rho.astype(np.int64) * (m + 1) + mu
+    table = np.empty(int(profile.max()) + 1, dtype=object)
+    for key in np.flatnonzero(np.bincount(profile)).tolist():
+        table[key] = seq_weight(*divmod(key, m + 1))
+    return table[profile].tolist()
 
 
 def _ball_lp(cand: np.ndarray, num_vars: int, name: str) -> exactlp.CoveringLP:
@@ -238,9 +235,10 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     rows = count_rows((cols[ptr[c]:ptr[c + 1]] for c in c_reps), v_orbit.__getitem__)
     qlp = exactlp.CoveringLP.from_rows(v_sizes, rows, f"{family}-orbit-n{n}")
     sol = exactlp.solve_min_transversal(qlp)
-    w_full = [sol.primal[v_orbit[v]] for v in range(full_lp.num_vars)]
-    z_full = [sol.dual[c_orbit[c]] / c_sizes[c_orbit[c]]
-              for c in range(full_lp.num_rows)]
+    # a row's dual is its orbit's, split evenly: one division per orbit
+    z_orbit = [z / size for z, size in zip(sol.dual, c_sizes)]
+    w_full = [sol.primal[o] for o in v_orbit]
+    z_full = [z_orbit[o] for o in c_orbit]
     if exactlp.check_certificate(full_lp, w_full, z_full) != sol.optimum:
         raise GspbError(f"orbit lift of the {family} n={n} quotient failed the "
                         "exact certificate check against the full LP")

@@ -314,6 +314,54 @@ def test_exact_product_matches_dense_reference(data):
         assert linsolve.exact_product(matrix, x).tolist() == ax
 
 
+# 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657; 2^63 is a power of two
+_BOUND_FACTORS = {2**63 - 1: [7, 7, 73, 127, 337, 92737, 649657], 2**63: [2] * 63}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_product_takes_int64_exactly_below_its_bound(data):
+    # matrices whose bound max|x| max|a| L is exactly 2^63 - 1 (int64 sums)
+    # or 2^63 (Python ints), with the longest line L either a row (A x) or a
+    # column (A^T x), negative x and coefficients, and an empty line
+    target = data.draw(st.sampled_from(sorted(_BOUND_FACTORS)), label="bound")
+    factors = _BOUND_FACTORS[target]
+    picks = data.draw(st.lists(st.integers(0, 2), min_size=len(factors),
+                               max_size=len(factors)))
+    # factor 0 goes to L (kept to at most 64), 1 to max|a|, 2 to max|x|
+    line = a_max = x_max = 1
+    for f, pick in zip(factors, picks):
+        if pick == 0 and line * f <= 64:
+            line *= f
+        elif pick == 1 and a_max * f < 2**63:
+            a_max *= f
+        else:
+            x_max *= f
+    assert line * a_max * x_max == target
+    cols = data.draw(st.integers(line, line + 3))
+    num = data.draw(st.integers(1, 4))
+    sign = st.sampled_from([-1, 1])
+    rows = []
+    for i in range(num):
+        size = line if i == 0 else data.draw(st.integers(0, line))
+        at = data.draw(st.permutations(range(cols)))[:size]
+        rows.append({j: data.draw(sign) * data.draw(st.integers(1, a_max))
+                     for j in at})
+    rows[0][min(rows[0])] = data.draw(sign) * a_max  # the largest coefficient
+    rows.insert(data.draw(st.integers(0, num)), {})  # an empty line
+    x = [data.draw(sign) * data.draw(st.integers(0, x_max)) for _ in range(cols)]
+    x[data.draw(st.integers(0, cols - 1))] = data.draw(sign) * x_max
+    dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
+    ax = [sum(a * v for a, v in zip(row, x)) for row in dense]
+    matrix = csr_matrix(np.array(dense, dtype=np.int64))
+    want = np.int64 if target < 2**63 else object
+    out = linsolve.exact_product(matrix, x)
+    assert out.dtype == want and out.tolist() == ax
+    # the same lines as the columns of A^T
+    out = linsolve.exact_product(matrix.T.tocsr(), x, transpose=True)
+    assert out.dtype == want and out.tolist() == ax
+
+
 @pytest.mark.parametrize("shift", [0, 70], ids=["int64", "object"])
 def test_non_divisible_residual_raises(shift):
     # a corrupted solve_mod leaves r - A x_s not divisible by p, and the

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,6 +268,78 @@ def test_theorem_transversals_feasible():
         assert seq.verify_deletion_transversal(n).feasible
     for n in (5, 9, 12):
         assert seq.verify_grain_transversal(n).feasible
+
+
+def _reference_report(lp, weights):
+    """Per-word Fraction reference of verify_transversal: the scale, the
+    scaled row sums in Python ints, and the fields derived from them."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (scale // w.denominator) for w in weights]
+    ptr, cols = lp.indptr.tolist(), lp.indices.tolist()
+    sums = [sum(scaled[j] for j in cols[s:e]) for s, e in zip(ptr, ptr[1:])]
+    violated = [i for i, v in enumerate(sums) if v < scale]
+    negative = sum(1 for v in scaled if v < 0)
+    feasible = not violated and not negative
+    return {"scale": scale, "row_sums": sums,
+            "min_slack": Fraction(min(sums) - scale, scale),
+            "num_violated": len(violated) + negative,
+            "violated_rows": violated[:32], "feasible": feasible,
+            "bound": sum(weights, Fraction(0)) if feasible else None}
+
+
+def _report_fields(rep):
+    return {"scale": rep.scale, "row_sums": rep.row_sums,
+            "min_slack": rep.min_slack, "num_violated": rep.num_violated,
+            "violated_rows": rep.violated_rows, "feasible": rep.feasible,
+            "bound": rep.bound}
+
+
+@pytest.fixture(scope="module")
+def word_weights():
+    # seq_weight of each word from its own string scan, one Fraction per word
+    def weights(m):
+        return [seq.seq_weight(seq.runs(word), seq.middle_one_runs(word))
+                for word in (format(x, f"0{m}b") for x in range(1 << m))]
+    return {m: weights(m) for m in range(12, 17)}
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in ("deletion", "grain")
+                                      for n in range(13, 17)])
+def test_profile_checks_match_a_per_word_reference(word_weights, family, n):
+    # every report field, on the profile weights and on a copy perturbed so
+    # that rows are violated (a negative weight and a weight cut to zero)
+    m = n - 1 if family == "deletion" else n
+    verify = getattr(seq, f"verify_{family}_transversal")
+    lp = getattr(seq, f"{family}_full_lp")(n)
+    weights = word_weights[m]
+    assert seq.theorem_weight_vector(m) == weights
+    rep = verify(n)
+    assert rep.feasible
+    assert all(type(s) is int for s in rep.row_sums)
+    assert _report_fields(rep) == _reference_report(lp, weights)
+    perturbed = list(weights)
+    perturbed[0] = Fraction(-1, 7)
+    perturbed[(1 << m) // 3] = Fraction(0)
+    rep = exactlp.verify_transversal(lp, perturbed)
+    want = _reference_report(lp, perturbed)
+    assert want["num_violated"] > 1 and not rep.feasible
+    assert _report_fields(rep) == want
+
+
+@pytest.mark.parametrize("n,dtype", [(16, np.int64), (17, object)])
+def test_grain_profile_check_sums_in_int64_up_to_n16(monkeypatch, n, dtype):
+    # the scale has 58 bits at n=16, so max|W| L < 2^63; at n=17 it has 71
+    seen = []
+    real = linsolve.exact_product
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(linsolve, "exact_product", recording)
+    assert seq.verify_grain_transversal(n).feasible
+    assert seen == [dtype]
 
 
 def test_ball_size_is_run_count():

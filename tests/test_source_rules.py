@@ -61,3 +61,24 @@ def test_no_row_lists_read(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "rows"]
     assert not lines, f"{path.name}: .rows read at lines {lines}"
+
+
+
+def _add_at_calls(node) -> int:
+    """Number of ``np.add.at`` calls under a syntax tree node."""
+    return sum(1 for n in ast.walk(node)
+               if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.add.at")
+
+
+def test_one_exact_sparse_product():
+    # every exact sparse sum goes through linsolve.exact_product, whose dtype
+    # rule proves its int64 sums exact; a second np.add.at loop would be a
+    # second product to keep exact
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    product = next(node for node in ast.walk(trees["linsolve.py"])
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "exact_product")
+    calls = {name: _add_at_calls(tree) for name, tree in trees.items()}
+    assert _add_at_calls(product) > 0
+    assert {name: c for name, c in calls.items() if c} == {
+        "linsolve.py": _add_at_calls(product)}
