@@ -7,23 +7,26 @@ alone, from its builders to HiGHS and every exact check.  Every LP takes one
 path: a float presolve, in which HiGHS solves that packing LP with its own
 presolve off, followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
-systems B w = 1 and B^T z = c exactly on one basis B of A[R,S], selected
-and factored once mod p: the one elimination that selects B also gives
-B^-1 mod p from its own LU factors, and ``linsolve.dixon_solve`` lifts both
-sides from that inverse.  At a degenerate vertex, where that pair fails the
-certificate check, the dual and the primal are solved on their own
-supports, each by one support solve (``_support_solve``), as is the
-subspace block dual (``complementary_dual``); all of these read the arrays
-as one int64 scipy matrix (``_int_matrix``), which refuses a coefficient
-past int64 with ``GspbError``.
+systems B w = 1 and B^T z = c exactly on one basis B of A[R,S]: one float
+LU of B proposes the digits of both, and ``linsolve.refine_solve`` lifts
+them by integer iterative refinement.  When the float lift fails (a
+basis too ill-conditioned for float digits), or the pair fails the
+certificate check (at a degenerate vertex), the dual and the primal are
+solved on their own supports, each by one support solve
+(``_support_solve``), as is the subspace block dual
+(``complementary_dual``); these need an exact rank, so they select and
+factor their subsystem mod p and lift it by Dixon's method.  All of these
+read the arrays as one int64 scipy matrix (``_int_matrix``), which refuses
+a coefficient past int64 with ``GspbError``.
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
 in the package goes through, and raises ``GspbError`` naming the failed
 stage otherwise; its sums are ``linsolve.exact_product``, in int64 where a
 bound on the scaled witness, the coefficients and the longest row or column
-proves that they fit and in Python ints otherwise, so floats never influence
-a certified value.
+proves that they fit and in Python ints otherwise.  Floats choose the
+supports, the basis and the digits, and so can only make a solve fail or
+fall back; they never decide a certified value.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ class LPSolution:
     #                                   "orbit+" (seqchannels), "closed-form"
     #                                   (zchannel) or "greedy" (projective)
     pivots: int = 0                   # always 0; kept for the benchmark harness
-    notes: str = ""
+    notes: str = ""                   # a crossover's support sizes and
+    #                                   route: "float basis" or
+    #                                   "support solves (<reason>)"
 
     @property
     def path(self) -> str:            # method; kept for the benchmark harness
@@ -152,9 +157,9 @@ def _primal(lp: CoveringLP, w) -> tuple[int, np.ndarray, int, Fraction]:
     c.w; w is feasible when no weight is negative and every row sum is at
     least d."""
     scaled, d = _scaled(w)
-    sums = linsolve.exact_product(lp, scaled)
-    return (d, sums, sum(1 for x in scaled if x < 0),
-            Fraction(sum(c * x for c, x in zip(lp.objective, scaled)), d))
+    x = linsolve.int_array(scaled)
+    return (d, linsolve.exact_product(lp, x), int((x < 0).sum()),
+            Fraction(linsolve.exact_dot(lp.objective, x), d))
 
 
 def _dual(lp: CoveringLP, z) -> Fraction | None:
@@ -269,8 +274,8 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     from the inverse that elimination returns, and the other unknowns get
     zero; at rank 0 (no unknowns, say) that is the zero vector.  Returns
     None when the subsystem does not solve; a returned x is unchecked, so
-    pass it to check_certificate.  It serves the crossover at a degenerate
-    vertex and the subspace block dual.
+    pass it to check_certificate.  It serves the crossover when the float
+    basis does not certify, and the subspace block dual.
     """
     sub = matrix[eqs][:, unknowns]
     piv_rows, piv_cols, inv = linsolve.select_pivots_mod(sub.toarray(),
@@ -284,19 +289,38 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     return _scatter(solved, [unknowns[c] for c in piv_cols], size)
 
 
+def _basis_rows(sub, k: int) -> list[int] | None:
+    """The rows of the tight block ``sub`` (|R| x k) that form the float
+    basis, in their order in ``sub``: all of them when |R| = k, the k rows
+    that LAPACK's partial pivoting of the float block factors first when
+    |R| > k, and None when |R| < k."""
+    m = sub.shape[0]
+    if m < k:
+        return None
+    if m == k:
+        return list(range(k))
+    from scipy.linalg import lu
+
+    perm = lu(sub.astype(np.float64).toarray(), p_indices=True,
+              check_finite=False)[0]
+    return np.flatnonzero(perm < k).tolist()
+
+
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     """Exact optimum from the float vertex via complementary slackness.
 
     The primal support S holds the float weights above 1e-7 and the tight
-    rows R are ordered by decreasing float dual.  Pivots selected once mod
-    ``linsolve.PRIME`` on A[R,S] pick a square basis B and give its inverse
-    mod p; when B spans S, one ``dixon_solve`` lifts both B w_S = 1 and
-    B^T z_B = c_S from that inverse, with w zero off S and z zero off B's rows (the basis
-    sharing of exact LP solvers: Applegate, Cook, Dash and Espinoza, "Exact
-    solutions to linear programming problems", Oper. Res. Lett. 35(6), 2007).
-    At a degenerate vertex that pair can fail ``check_certificate``; then
-    the dual is solved on the float dual support and the primal on S, by
-    two support solves.  None when those fail too.
+    rows R are ordered by decreasing float dual.  The basis B is A[R,S]
+    when |R| = |S|, and the |S| rows of R picked by LAPACK's row pivoting
+    when |R| > |S|.  One float LU of B lifts both B w_S = 1 and
+    B^T z_B = c_S exactly (``linsolve.refine_solve``), with w zero off S
+    and z zero off B's rows (the basis sharing of exact LP solvers:
+    Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
+    programming problems", Oper. Res. Lett. 35(6), 2007).  When there is no
+    square basis, the lift fails, or the pair fails ``check_certificate``
+    (at a degenerate vertex, say), the dual is solved on the float dual
+    support and the primal on S, by two support solves, which stay mod p.
+    None when those fail too.  The route taken ends the solution's notes.
     """
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
@@ -306,17 +330,21 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
                    key=lambda i: -zt[i])
     support = [j for j in range(lp.num_vars) if wt[j] > 1e-7]
     sub = A[tight][:, support]
-    rows, cols, inv = linsolve.select_pivots_mod(sub.toarray(), linsolve.PRIME)
-    if len(cols) == len(support):
-        pair = linsolve.dixon_solve(sub[rows], len(cols), inv, [1] * len(cols),
-                                    [lp.objective[j] for j in support])
+    rows = _basis_rows(sub, len(support))
+    if rows is None:
+        reason = "no square basis"
+    else:
+        pair = linsolve.refine_solve(sub[rows], [1] * len(support),
+                                     [lp.objective[j] for j in support])
+        reason = "float lift failed"
         if pair is not None:
             w = _scatter(pair[0], support, lp.num_vars)
             z = _scatter(pair[1], [tight[r] for r in rows], lp.num_rows)
-            sol = _certified(lp, w, z, support)
+            sol = _certified(lp, w, z, support, "float basis")
             if sol is not None:
                 return sol
-    # degenerate vertex: solve the dual and the primal on their own supports
+            reason = "pair not certified"
+    # solve the dual and the primal on their own supports
     At = A.T.tocsr()
     colsum = At @ zt
     dual_eqs = [j for j, c in enumerate(lp.objective)
@@ -326,16 +354,19 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     if z is None:
         return None
     w = _support_solve(A, tight, support, [1] * lp.num_rows, lp.num_vars)
-    return None if w is None else _certified(lp, w, z, support)
+    return None if w is None else _certified(lp, w, z, support,
+                                             f"support solves ({reason})")
 
 
-def _certified(lp: CoveringLP, w, z, support: list[int]) -> LPSolution | None:
+def _certified(lp: CoveringLP, w, z, support: list[int],
+               route: str) -> LPSolution | None:
     """The crossover's LPSolution when (w, z) passes check_certificate."""
     optimum = check_certificate(lp, w, z)
     if optimum is None:
         return None
     return LPSolution(optimum, w, z, "presolve+crossover",
-                      notes=f"supports {len(support)}/{sum(1 for v in z if v)}")
+                      notes=f"supports {len(support)}/{sum(1 for v in z if v)}, "
+                            f"{route}")
 
 
 def complementary_dual(lp: CoveringLP, rows: list[int],

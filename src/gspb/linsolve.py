@@ -1,24 +1,40 @@
-"""Exact rational solutions of integer linear systems via p-adic lifting.
+"""Exact rational solutions of integer linear systems.
 
 The LP crossover needs exact solutions of square integer systems whose size
-reaches a few thousand: ``select_pivots_mod`` picks an independent square
-subsystem B and ``dixon_solve`` solves it, together with its transpose
-when asked, since the primal B w = 1 and the dual B^T z = c of one LP basis
-share B.  Dense exact Gaussian elimination is hopeless there, so B is
-selected and factored by one forward elimination modulo one word-sized prime
-``PRIME``, which keeps its LU factors in place; the selection returns
-B^-1 = U^-1 L^-1 mod p from those factors, and ``dixon_solve`` lifts each
-solution p-adically (Dixon) from that inverse, one numpy pass per step
-(Chen and Storjohann, "A BLAS based C library for exact linear algebra on
-integer matrices", ISSAC 2005), and recovers rationals over a
-running common denominator, with an extended Euclid only for entries it does
-not already explain.  B is nonsingular modulo the prime it was selected
-with by construction, so no second prime is ever needed.  Every candidate,
-scaled by the LCM of its denominators, is checked exactly by
-``exact_product``, the package's one exact sparse product, before being
-returned, so a failed reconstruction can only cost time, never correctness.
-``exact_product`` sums in int64 where a bound on its inputs proves that no
-partial sum can overflow, and in Python ints otherwise.
+reaches a few thousand, by two routes.
+
+The basis pair, B w = 1 and B^T z = c of one LP basis, goes through
+``refine_solve``: one float LU factorisation of B (LAPACK ``getrf``) lifts
+both by integer iterative refinement (Wan, "An algorithm to solve integer
+linear systems exactly using numerical methods", J. Symb. Comput. 41(6),
+2006).  Each step solves the residual in floats, rounds a power-of-two
+multiple of that solution to integer digits, and updates the residual
+exactly, so that 2^top b = B N + r holds in integers throughout; rationals
+are read off N / 2^top over a running common denominator.  The crossover
+bases are small-integer matrices of modest condition number, for which
+this costs one LU and a few dozen triangular solves.  The floats only
+propose digits and can fail (a zero pivot, a residual that stops
+shrinking): then the lift returns None and the caller falls back.
+
+The support solves need an exact rank and have no conditioning limit:
+``select_pivots_mod`` picks an independent square subsystem B and
+``dixon_solve`` solves it.  B is selected and factored by one forward
+elimination modulo one word-sized prime ``PRIME``, which keeps its LU
+factors in place; the selection returns B^-1 = U^-1 L^-1 mod p from those
+factors, and ``dixon_solve`` lifts the solution p-adically (Dixon) from
+that inverse, one numpy pass per step (Chen and Storjohann, "A BLAS based
+C library for exact linear algebra on integer matrices", ISSAC 2005), and
+recovers rationals over a running common denominator, with an extended
+Euclid only for entries it does not already explain.  B is nonsingular
+modulo the prime it was selected with by construction, so no second prime
+is ever needed.
+
+On both routes every candidate, scaled by the LCM of its denominators, is
+checked exactly by ``exact_product``, the package's one exact sparse
+product, before being returned, so a wrong digit or a failed reconstruction
+can only cost time, never correctness.  ``exact_product`` sums in int64
+where a bound on its inputs proves that no partial sum can overflow, and in
+Python ints otherwise; ``exact_dot`` does the same for one dot product.
 
 Elimination and triangular inversion mod p are blocked and run on float64
 residues, so that the bulk of the work is BLAS ``gemm`` (Dumas, Giorgi and
@@ -34,6 +50,8 @@ which cuts wider inner dimensions into chunks and reduces between them, and
 from __future__ import annotations
 
 import math
+import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -228,32 +246,21 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int],
-                rhs_t: list[int] | None = None):
+def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
     """Exact solution of the square sparse integer system matrix * x = rhs.
 
     matrix: a k x k ``scipy.sparse`` CSR matrix of int64; inv: its inverse
     mod ``PRIME`` as float64 residues, the one ``select_pivots_mod`` returns
-    with the block.  With ``rhs_t`` the transposed system matrix^T y = rhs_t
-    is solved too, from the same inverse (the inverse of A^T is (A^-1)^T),
-    and the pair (x, y) is returned.  Returns None when a lifting budget runs
-    out.  A candidate x is returned only if A.X == d.rhs holds exactly
-    (``exact_product``), where d is the LCM of its denominators and X = d.x;
-    y is checked the same way against A^T.
+    with the block.  Returns None when a lifting budget runs out.  A
+    candidate x is returned only if A.X == d.rhs holds exactly
+    (``exact_product``), where d is the LCM of its denominators and X = d.x.
     """
-    if (matrix.shape != (k, k) or inv.shape != (k, k) or len(rhs) != k
-            or rhs_t is not None and len(rhs_t) != k):
+    if matrix.shape != (k, k) or inv.shape != (k, k) or len(rhs) != k:
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
                          f"a {inv.shape[0]}x{inv.shape[1]} inverse and "
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
-    p = PRIME
-    x = _lift(matrix, rhs, lambda r: _product_mod(inv, r, p))
-    if x is None or rhs_t is None:
-        return x
-    # (A^T)^-1 r is r @ A^-1: the transposed lift reads the one inverse as is
-    y = _lift(matrix.T.tocsr(), rhs_t, lambda r: _product_mod(r, inv, p))
-    return None if y is None else (x, y)
+    return _lift(matrix, rhs, lambda r: _product_mod(inv, r, PRIME))
 
 
 def _magnitude(a: np.ndarray) -> int:
@@ -261,10 +268,35 @@ def _magnitude(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
+def int_array(x) -> np.ndarray:
+    """The ints x as an int64 array, or as an object array of Python ints
+    when one passes int64; an int64 or object array is returned as is."""
+    if isinstance(x, np.ndarray) and x.dtype in (np.int64, object):
+        return x
+    try:
+        return np.fromiter(x, np.int64, len(x))
+    except OverflowError:
+        return np.array(x, dtype=object)
+
+
+def exact_dot(a: list[int], x) -> int:
+    """a . x for a list of ints a and a sequence of ints x, exact.  When
+    both fit int64 and max|a| len(a) < 2^31, x splits as hi 2^32 + lo with
+    0 <= lo < 2^32 and each half is dotted in int64, where no partial sum
+    can pass 2^63 (x itself may take all 64 bits); otherwise the dot is in
+    Python ints."""
+    x = int_array(x)
+    if x.dtype == np.int64:
+        ints = int_array(a)
+        if ints.dtype == np.int64 and _magnitude(ints) * len(ints) < 1 << 31:
+            return (int(ints @ (x >> 32)) << 32) + int(ints @ (x & 0xFFFFFFFF))
+    return sum(map(operator.mul, a, x.tolist()))
+
+
 def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     """``matrix @ x``, or ``matrix.T @ x`` with ``transpose``, for integer x,
     exact.  ``matrix`` is a scipy CSR matrix or an ``exactlp.CoveringLP``
-    (int64 or Python-int data); x is a sequence of ints.
+    (int64 or Python-int data); x is a sequence of ints (``int_array``).
 
     The sums are int64 when max|x| max|a| L < 2^63, for L the longest row
     (the longest column with ``transpose``): no term or partial sum can then
@@ -273,10 +305,7 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     Only entries whose coefficient is not 1 are multiplied, so a 0/1 matrix
     makes no Python int but the sums; ``np.add.at`` takes those and, unlike
     ``np.add.reduceat``, leaves an empty row at zero."""
-    try:
-        x = np.fromiter(x, np.int64, len(x))
-    except OverflowError:
-        x = np.array(x, dtype=object)
+    x = int_array(x)
     counts = np.diff(matrix.indptr)
     rows = np.repeat(np.arange(len(counts)), counts)
     src, dst = (rows, matrix.indices) if transpose else (matrix.indices, rows)
@@ -388,3 +417,164 @@ def _try_reconstruct(residues: list[int], modulus: int) -> list[Fraction] | None
         out.append(f)
         d = math.lcm(d, f.denominator)
     return out
+
+
+# ---------------------------------------------------------------------------
+# float-factored solves: integer iterative refinement
+# ---------------------------------------------------------------------------
+
+_DIGIT_BITS = 30    # |digit| <= 2^30: a float solve with 32 good bits rounds it within 1
+_FLOAT_BITS = 1000  # a residual past 2^1000 could pass the float64 range
+
+
+def refine_solve(matrix, rhs: list[int], rhs_t: list[int]):
+    """Exact solutions of matrix x = rhs and matrix^T y = rhs_t, lifted from
+    one float LU factorisation of the square int64 CSR ``matrix``.
+
+    The float factors, from LAPACK ``getrf`` (``scipy.linalg.lu_factor``),
+    only propose digits: each side is lifted by ``_refine`` and returned
+    only if its exact check holds.  Returns the pair (x, y), or None on a
+    zero or non-finite pivot or when either lift fails, as it does at a
+    condition number past the float solve's reach.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    k = matrix.shape[0]
+    if matrix.shape != (k, k) or len(rhs) != k or len(rhs_t) != k:
+        raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
+                         f"{len(rhs)}/{len(rhs_t)} right-hand sides; "
+                         "refine_solve needs a square system")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot: below
+        lu = lu_factor(matrix.astype(np.float64).toarray(), check_finite=False)
+    pivots = np.diagonal(lu[0])
+    if not (np.isfinite(pivots).all() and pivots.all()):
+        return None
+    x = _refine(matrix, rhs, lambda r: lu_solve(lu, r, check_finite=False))
+    if x is None:
+        return None
+    y = _refine(matrix.T.tocsr(), rhs_t,
+                lambda r: lu_solve(lu, r, trans=1, check_finite=False))
+    return None if y is None else (x, y)
+
+
+def _refine(matrix, rhs: list[int], solve) -> list[Fraction] | None:
+    """Integer iterative refinement of matrix x = rhs, where ``matrix`` is a
+    square int64 CSR matrix and ``solve(r)`` a float approximation of
+    matrix^-1 r (Wan, "An algorithm to solve integer linear systems exactly
+    using numerical methods", J. Symb. Comput. 41(6), 2006); None when it
+    fails.
+
+    It keeps 2^top rhs = matrix numer + residual exactly, so numer / 2^top
+    is x to within matrix^-1 residual / 2^top.  A step solves y ~
+    matrix^-1 residual in floats, takes the digit round(2^s y) with s chosen
+    so that |digit| <= 2^30, and sets residual <- 2^s residual - matrix
+    digit, numer <- 2^s numer + digit, top <- top + s (a negative s, for a
+    large right-hand side, scales the digit instead).  The residual is
+    int64 when a bound on the step's terms proves it fits, and a Python-int
+    object array otherwise, through the same code.  A zero residual makes
+    numer / 2^top exactly x; otherwise ``_dyadic_candidate`` proposes x at
+    growing precision and accepts it only by its exact check.  None when the
+    residual passes the float range, the float solve is zero or not finite,
+    the residual stops shrinking (to less than half of 2^s residual), or the
+    precision passes a Hadamard-style budget with no candidate accepted;
+    every step wins a bit, and the step count is capped by that budget too.
+    """
+    k = len(rhs)
+    norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
+    max_coeff = int(abs(matrix.data).max(initial=1))
+    # the denominators divide det(matrix), which is below 2^det_bits
+    det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
+    budget = 2 * det_bits + 64
+    residual = np.array([int(b) for b in rhs], dtype=object)
+    numer = np.zeros(k, dtype=object)
+    top = 0
+    next_attempt = 64.0
+    for _ in range(int(budget) + 2):
+        size = _magnitude(residual)
+        if not size:  # numer / 2^top is x exactly
+            return [Fraction(int(v), 1 << top) for v in numer]
+        if size.bit_length() > _FLOAT_BITS:
+            return None
+        y = solve(residual.astype(np.float64))
+        err = float(np.abs(y).max())  # ~ |2^top x - numer|
+        if not 0 < err < math.inf:
+            return None
+        precision = top - math.log2(err)
+        if precision >= next_attempt or precision >= budget:
+            x = _dyadic_candidate(matrix, rhs, numer, top, err)
+            if x is not None or precision >= budget:
+                return x
+            next_attempt = precision + max(64.0, precision / 2)
+        s = _DIGIT_BITS - math.frexp(err)[1]
+        up, down = max(s, 0), max(-s, 0)
+        digit = np.rint(np.ldexp(y, s)).astype(np.int64)
+        reach = norm * _magnitude(digit)
+        if (size << up) + (reach << down) < 1 << 63:
+            # every term and partial sum of the step fits int64
+            step = (residual.astype(np.int64) << up) - ((matrix @ digit) << down)
+        else:
+            step = ((residual.astype(object) << up)
+                    - (exact_product(matrix, digit).astype(object) << down))
+        if 2 * _magnitude(step) > size << up:
+            return None  # the float solve no longer halves the residual
+        numer = (numer << up) + (digit.astype(object) << down)
+        residual = step
+        top += up
+    return None
+
+
+def _dyadic_candidate(matrix, rhs: list[int], numer: np.ndarray, top: int,
+                      err: float) -> list[Fraction] | None:
+    """Rationals near numer / 2^top that solve matrix x = rhs exactly, or None.
+
+    ``err`` estimates |2^top x - numer|, and E = 2 err + 1 bounds it.  Entries
+    share a running denominator d: an entry within E d of a multiple of 2^top
+    once scaled by d is that multiple over d; otherwise its last
+    continued-fraction convergent with denominator at most
+    Q = sqrt(2^top / 2E) (``_convergent``) must lie within E of it, and d
+    grows to take it in.  Two fractions of denominator at most Q within
+    E / 2^top of one point are equal, and such a fraction is a convergent of
+    the point (Legendre), so this is the rounding a separate reconstruction
+    of each entry would give.  The candidate is X / d with
+    X = round(d numer / 2^top), returned only if matrix X = d rhs holds
+    exactly (``exact_product``).
+    """
+    bound = int(2 * err) + 1
+    limit = math.isqrt((1 << top) // (2 * bound))
+    if not limit:
+        return None
+    half = (1 << top) >> 1
+    d = 1
+    todo = numer
+    while True:
+        near = (todo * d + half) >> top
+        todo = todo[np.abs(todo * d - (near << top)) > bound * d]
+        if not todo.size:
+            break
+        a = int(todo[0])
+        n, q = _convergent(a, top, limit)
+        if abs(a * q - (n << top)) > bound * q:
+            return None
+        d = math.lcm(d, q)
+        if d > limit:
+            return None
+    scaled = (numer * d + half) >> top
+    if exact_product(matrix, scaled).tolist() != [d * int(b) for b in rhs]:
+        return None
+    return [Fraction(int(v), d) for v in scaled]
+
+
+def _convergent(a: int, top: int, limit: int) -> tuple[int, int]:
+    """The last continued-fraction convergent n/q of a / 2^top with
+    q <= limit (``limit`` >= 1), as in ``Fraction.limit_denominator`` but
+    in ints alone."""
+    n0, q0, n1, q1 = 0, 1, 1, 0
+    num, den = a, 1 << top
+    while den:
+        t = num // den
+        if q0 + t * q1 > limit:
+            break
+        n0, q0, n1, q1 = n1, q1, n0 + t * n1, q0 + t * q1
+        num, den = den, num - t * den
+    return n1, q1

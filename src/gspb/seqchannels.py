@@ -244,7 +244,8 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
                         "exact certificate check against the full LP")
     return exactlp.LPSolution(
         sol.optimum, w_full, z_full, f"orbit+{sol.method}", sol.pivots,
-        f"orbit quotient {len(v_reps)}x{len(c_reps)}, lift re-verified",
+        f"orbit quotient {len(v_reps)}x{len(c_reps)} ({sol.notes}), "
+        "lift re-verified",
     )
 
 

@@ -359,10 +359,57 @@ def test_degenerate_vertex_falls_back_to_two_support_solves(monkeypatch):
         monkeypatch.setattr(mod, name, spy)
     sol = exactlp.solve_min_transversal(lp)
     assert calls["check_certificate"] == [None, 4]
-    # one selection for the shared basis, then one per support solve
+    # the float basis takes no selection; each support solve takes one
     assert len(calls["_support_solve"]) == 2
-    assert len(calls["select_pivots_mod"]) == 3
+    assert len(calls["select_pivots_mod"]) == 2
     assert sol.optimum == brute_force_optimum(lp) == 4
+    assert sol.notes == "supports 1/2, support solves (pair not certified)"
+
+
+def test_singular_float_basis_falls_back_to_the_support_solves(monkeypatch):
+    # an optimal point that is no vertex: w = (1/2, 1/2) makes both equal
+    # rows tight, so the square block [[1, 1], [1, 1]] is singular.  The
+    # float LU stops at its zero pivot and the support solves certify
+    lp = exactlp.CoveringLP.from_rows([1, 1], [[(0, 1), (1, 1)]] * 2)
+    monkeypatch.setattr(exactlp, "float_presolve", lambda lp: exactlp.PresolveResult(
+        True, 1.0, [0.5, 0.5], [0.5, 0.5]))
+    lifts = []
+    real = linsolve.refine_solve
+    monkeypatch.setattr(linsolve, "refine_solve",
+                        lambda *args: lifts.append(real(*args)) or lifts[-1])
+    sol = exactlp.solve_min_transversal(lp)
+    assert lifts == [None]
+    assert sol.optimum == 1 and sol.notes.endswith("support solves (float lift failed)")
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == 1
+
+
+def test_tall_basis_certifies_on_the_pivoted_rows(monkeypatch):
+    # mag-asym q=4 n=8: 154 tight rows over a support of 153.  The top 153
+    # rows by float dual are a singular block; the rows LAPACK's pivoting
+    # picks certify, with no support solve
+    lp = magnitude.asym_quotient(8, 4).lp
+    blocks, support_solves = [], []
+    real_rows = exactlp._basis_rows
+    monkeypatch.setattr(exactlp, "_basis_rows",
+                        lambda sub, k: blocks.append(sub) or real_rows(sub, k))
+    monkeypatch.setattr(exactlp, "_support_solve",
+                        lambda *args: support_solves.append(args))
+    sol = exactlp.solve_min_transversal(lp)
+    assert [b.shape for b in blocks] == [(154, 153)] and not support_solves
+    assert sol.notes == "supports 153/151, float basis"
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
+    top = blocks[0][:153].toarray()
+    assert len(linsolve.select_pivots_mod(top, linsolve.PRIME)[1]) < 153
+
+
+def test_projective_16_lifts_past_int64():
+    # objective entries up to 2^66 and coefficients up to 2^16: the dual
+    # residual starts in Python ints, and the float lift certifies it
+    lp = projective.projective_lp(16)
+    assert max(lp.objective) >= 1 << 63
+    sol = exactlp.solve_min_transversal(lp)
+    assert sol.notes.endswith("float basis")
+    assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 
 
 def small_lp(scale=1):

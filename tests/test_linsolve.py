@@ -1,5 +1,6 @@
 """The blocked mod-p elimination against a plain Python-int reference."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -212,11 +213,20 @@ def test_dixon_across_panels():
     assert any(v.denominator > 1 for v in x) and all(isinstance(v, Fraction) for v in x)
 
 
+def satisfies(matrix, x, rhs, transpose=False) -> bool:
+    """matrix x == rhs (matrix^T x with ``transpose``) in Python ints and Fractions."""
+    dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix).tolist()
+    if transpose:
+        dense = [list(col) for col in zip(*dense)]
+    return all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(dense, rhs))
+
+
 @pytest.mark.parametrize("name,matrix",
                          [c for c in CASES if c[1].shape[0] == c[1].shape[1]],
                          ids=[c[0] for c in CASES if c[1].shape[0] == c[1].shape[1]])
 def test_transposed_lift_from_the_one_inverse(name, matrix):
-    # the dual lift reads the primal's inverse; B^T y = c holds in Python ints
+    # one float LU lifts B x = b and B^T y = c; each side is the solution
+    # Dixon lifting gives from the one mod-p inverse (transposed for B^T)
     k = matrix.shape[0]
     rng = np.random.default_rng(k)
     rhs = [int(b) for b in rng.integers(-5, 6, k)]
@@ -224,13 +234,69 @@ def test_transposed_lift_from_the_one_inverse(name, matrix):
     rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
     if len(cols) < k:
         assert ref_inverse(matrix.tolist(), P) is None
+        # singular: refused, or a pair that solves both systems exactly
+        pair = linsolve.refine_solve(csr_matrix(matrix), rhs, c)
+        assert pair is None or (satisfies(matrix, pair[0], rhs)
+                                and satisfies(matrix, pair[1], c, transpose=True))
         return
     block = csr_matrix(matrix[np.ix_(rows, cols)])
-    x, y = linsolve.dixon_solve(block, k, inv, rhs, c)
-    dense = block.toarray().tolist()
-    assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(dense, rhs))
-    assert all(sum(dense[i][j] * y[i] for i in range(k)) == c[j] for j in range(k))
+    x, y = linsolve.refine_solve(block, rhs, c)
+    assert satisfies(block, x, rhs) and satisfies(block, y, c, transpose=True)
     assert x == linsolve.dixon_solve(block, k, inv, rhs)
+    assert y == linsolve.dixon_solve(block.T.tocsr(), k, np.ascontiguousarray(inv.T), c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+       density=st.sampled_from([0.3, 0.6, 1.0]), top=st.sampled_from([2, 9, 1000]))
+def test_float_lift_matches_dixon(seed, k, density, top):
+    # random nonsingular integer systems: the float-factored lift of
+    # B x = b and B^T y = c returns what select_pivots_mod and dixon_solve
+    # return, or None only on a basis too ill-conditioned for float digits
+    rng = np.random.default_rng(seed)
+    matrix = (rng.integers(-top, top + 1, (k, k)) * (rng.random((k, k)) < density)
+              + np.eye(k, dtype=np.int64))
+    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    block = matrix[np.ix_(rows, cols)]
+    r = len(cols)
+    rhs = [int(b) for b in rng.integers(-9, 10, r)]
+    c = [int(b) for b in rng.integers(-9, 10, r)]
+    pair = linsolve.refine_solve(csr_matrix(block), rhs, c)
+    if pair is None:
+        assert np.linalg.cond(block) > 1e8
+        return
+    csr = csr_matrix(block)
+    assert pair == (linsolve.dixon_solve(csr, r, inv, rhs),
+                    linsolve.dixon_solve(csr.T.tocsr(), r,
+                                         np.ascontiguousarray(inv.T), c))
+
+
+def test_float_candidate_is_accepted_only_by_its_exact_check():
+    # 3 x = 1: numer / 2^top = 1/5, claimed accurate to 0.4 / 2^top, gives
+    # the candidate 1/5, which the exact product refuses; 1/3 passes
+    matrix = csr_matrix([[3]], dtype=np.int64)
+    for value, want in ((Fraction(1, 5), None), (Fraction(1, 3), [Fraction(1, 3)])):
+        numer = np.array([round(value * 2**20)], dtype=object)
+        assert linsolve._dyadic_candidate(matrix, [1], numer, 20, 0.4) == want
+
+
+def test_float_lift_refuses_an_ill_conditioned_basis():
+    # 2^16 times a rank-2 pattern plus a small block: condition number 4e10.
+    # LU finds nonzero pivots, but float digits of B^T y = 1 no longer halve
+    # the residual, so the lift returns None; Dixon lifting still solves it
+    big = 1 << 16
+    matrix = (big * np.array([[2, 0, 2], [0, 2, 2], [1, 1, 2]])
+              + np.array([[3, 2, 1], [2, 1, 3], [3, 1, 2]]))
+    block = csr_matrix(matrix)
+    assert np.linalg.cond(matrix) > 1e10
+    assert linsolve.refine_solve(block, [1, 1, 1], [1, 1, 1]) is None
+    rows, cols, inv = linsolve.select_pivots_mod(matrix.T, P)
+    y = linsolve.dixon_solve(csr_matrix(matrix.T[np.ix_(rows, cols)]), 3, inv, [1, 1, 1])
+    assert y is not None and satisfies(matrix.T[np.ix_(rows, cols)], y, [1, 1, 1])
+    # a singular block stops at its zero pivot, and a right-hand side past
+    # the float64 range is refused rather than converted
+    assert linsolve.refine_solve(csr_matrix([[1, 2], [2, 4]]), [1, 1], [1, 1]) is None
+    assert linsolve.refine_solve(csr_matrix([[1]]), [1], [1 << 1100]) is None
 
 
 def test_dixon_refuses_a_row_norm_that_overflows_int64():
@@ -266,8 +332,9 @@ def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
 @example(seed=1, k=5, shift=200)
 def test_scaled_rhs_lifts_to_the_scaled_solution(seed, k, shift):
     # A x = b and A^T y = c against A x' = 2^s b and A^T y' = 2^s c: the
-    # lift must give x' = 2^s x and y' = 2^s y exactly.  With |b| <= 9 the
-    # residual is int64 at every s <= 58 and Python ints at every s >= 62
+    # float lift must give x' = 2^s x and y' = 2^s y exactly.  A large s
+    # starts the residual past int64, in Python ints, and its first digits
+    # scale the float solve down instead of the residual up
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-4, 5, (k, k))
     matrix[0, 0] = 1
@@ -276,9 +343,10 @@ def test_scaled_rhs_lifts_to_the_scaled_solution(seed, k, shift):
     block = csr_matrix(matrix[np.ix_(rows, cols)])
     rhs = [int(b) for b in rng.integers(-9, 10, r)]
     c = [int(b) for b in rng.integers(-9, 10, r)]
-    x, y = linsolve.dixon_solve(block, r, inv, rhs, c)
-    scaled = linsolve.dixon_solve(block, r, inv, [b << shift for b in rhs],
-                                  [b << shift for b in c])
+    x, y = linsolve.refine_solve(block, rhs, c)
+    assert x == linsolve.dixon_solve(block, r, inv, rhs)
+    scaled = linsolve.refine_solve(block, [b << shift for b in rhs],
+                                   [b << shift for b in c])
     assert scaled == ([v * 2**shift for v in x], [v * 2**shift for v in y])
 
 
@@ -312,6 +380,28 @@ def test_exact_product_matches_dense_reference(data):
         # the scipy form the Dixon lift checks through gives the same sums
         matrix = csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape)
         assert linsolve.exact_product(matrix, x).tolist() == ax
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_dot_matches_python_ints(data):
+    # a up to the 2^31 bound of the int64 halves and past it, x across the
+    # whole int64 range (negative, 2^63 - 1) and past it
+    size = data.draw(st.integers(0, 40))
+    a_top = data.draw(st.sampled_from([1, 9, (1 << 31) // max(size, 1) - 1,
+                                       (1 << 31) // max(size, 1),
+                                       (1 << 32) // max(size, 1), 1 << 40]))
+    x_top = data.draw(st.sampled_from([9, 2**62, 2**63 - 1, 2**80]))
+    a = data.draw(st.lists(st.integers(-a_top, a_top), min_size=size, max_size=size))
+    x = data.draw(st.lists(st.integers(-x_top, x_top), min_size=size, max_size=size))
+    if size:
+        x[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([-1, 1])) * x_top
+    if data.draw(st.booleans()):
+        # every term at its largest, one sign: the partial sums peak
+        a, x = [a_top] * size, [x_top] * size
+    want = sum(p * q for p, q in zip(a, x))
+    assert linsolve.exact_dot(a, x) == want
+    assert linsolve.exact_dot(a, linsolve.int_array(x)) == want
 
 
 # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657; 2^63 is a power of two
@@ -409,6 +499,20 @@ def test_common_denominator_reconstruction(data):
         assert out is None or all(
             v.denominator % P and (v.numerator - a * v.denominator) % low == 0
             for v, a in zip(out, residues))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10**12, 10**12), den=st.integers(1, 10**6),
+       slack=st.integers(0, 40), data=st.data())
+def test_convergent_recovers_a_fraction_from_its_dyadic_rounding(num, den, slack, data):
+    # a / 2^top within 1/2 of num/den * 2^top, with 2^top >= 2 den^2 2^slack:
+    # the last convergent with denominator at most den is num/den reduced
+    f = Fraction(num, den)
+    top = (2 * den * den).bit_length() + slack
+    a = (f.numerator << top) // f.denominator + data.draw(st.integers(0, 1))
+    limit = math.isqrt((1 << top) // 2)
+    assert linsolve._convergent(a, top, min(limit, den + slack)) == (f.numerator,
+                                                                    f.denominator)
 
 
 def test_reconstruction_past_a_large_common_denominator():

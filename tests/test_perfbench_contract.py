@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gspb import (ChannelSpec, bounds, exactlp, kernels, magnitude, reduction,
+from gspb import (ChannelSpec, bounds, exactlp, kernels, projective, reduction,
                   seqchannels, zchannel)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -77,11 +77,11 @@ def test_solve_method_strings():
 
 def test_every_pivot_selection_feeds_one_dixon_solve():
     # spans.py sizes a Dixon solve by args[1] and a pivot selection by the
-    # rank it returns; one support solve lifts exactly the pivot subsystem
-    lp = magnitude.sym_quotient(7, 5).lp
+    # rank it returns; one support solve lifts exactly the pivot subsystem.
+    # The subspace block dual is a support solve at every n >= 3
     tracer = SPANS["Tracer"]()
-    with tracer, tracer.instance("sym_quotient(7,5)"):
-        exactlp.solve_min_transversal(lp)
+    with tracer, tracer.instance("projective(9)"):
+        projective.projective_gspb(9)
     metrics = SPANS["layer_metrics"](tracer.spans, lambda t0, t1: 0.0,
-                                     {"sym_quotient(7,5)": 1.0})
+                                     {"projective(9)": 1.0})
     assert metrics["linsolve.dixon_dim_sum"] == metrics["linsolve.pivots_rank_sum"] > 0

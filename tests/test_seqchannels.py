@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,22 +221,24 @@ def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
 
 @pytest.mark.parametrize("name", ["grain-9", "deletion-10", "mag-sym(7,5)"])
 def test_one_factorisation_per_basis(monkeypatch, name):
-    # the crossover's primal and dual share one pivot selection, whose one
-    # elimination also gives the inverse mod p, and one Dixon solve
+    # the crossover's primal and dual share one float LU of one basis, and
+    # no mod-p selection or Dixon solve runs
     if name.startswith("mag"):
         lp = magnitude.sym_quotient(7, 5).lp
     else:
         family, n = name.split("-")
         lp = _orbit_quotient(monkeypatch, family, int(n))
         monkeypatch.undo()
-    counts = dict.fromkeys(("select_pivots_mod", "_eliminate", "dixon_solve"), 0)
-    for fn in counts:
-        def spy(*args, real=getattr(linsolve, fn), fn=fn):
+    counts = dict.fromkeys(("lu_factor", "select_pivots_mod", "dixon_solve"), 0)
+    for mod, fn in ((scipy.linalg, "lu_factor"), (linsolve, "select_pivots_mod"),
+                    (linsolve, "dixon_solve")):
+        def spy(*args, real=getattr(mod, fn), fn=fn, **kwargs):
             counts[fn] += 1
-            return real(*args)
-        monkeypatch.setattr(linsolve, fn, spy)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, fn, spy)
     sol = exactlp.solve_min_transversal(lp)
-    assert counts == {"select_pivots_mod": 1, "_eliminate": 1, "dixon_solve": 1}
+    assert counts == {"lu_factor": 1, "select_pivots_mod": 0, "dixon_solve": 0}
+    assert sol.notes.endswith("float basis")
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 
 
