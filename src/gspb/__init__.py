@@ -11,7 +11,7 @@ from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
                        GspbError, Hypergraph, NotMonotoneError,
                        OracleCapExceeded, QuotientUnavailable, build_hypergraph,
                        enumerate_vertices, gaussian_binomial, out_ball)
-from .exactlp import (CoveringLP, LPSolution, TransversalReport,
+from .exactlp import (CoveringLP, LPSolution, Scaled, TransversalReport,
                       check_certificate, float_presolve, solve_min_transversal,
                       verify_transversal)
 from .bounds import BoundReport, assemble_report, aspv, check_monotone, \

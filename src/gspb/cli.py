@@ -184,10 +184,10 @@ def _default_weights(spec: ChannelSpec):
         return (magnitude.sym_transversal(spec.n, spec.q).weights,
                 "class transversal")
     if fam == "deletion":
-        return (seqchannels.theorem_weight_vector(spec.n - 1),
+        return (seqchannels.profile_weights(spec.n - 1),
                 "run-profile transversal")
     if fam == "grain":
-        return (seqchannels.theorem_weight_vector(spec.n),
+        return (seqchannels.profile_weights(spec.n),
                 "run-profile transversal")
     return projective.greedy_weights(spec.n).w, "greedy weights"
 
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
         value = report.bound
         floor = value.numerator // value.denominator
         line = f"  bound {fmt_frac(value)} (~{float(value):.4f}, floor {floor})"
-        tight = sum(1 for s in report.slacks if s == 0)
+        tight = report.row_sums.count(report.scale)
         line += f"; tight rows {tight}, min slack {fmt_frac(report.min_slack)}"
         print(line)
         if not args.weights_file:

@@ -24,9 +24,13 @@ passed ``check_certificate``, the one acceptance test every certified value
 in the package goes through, and raises ``GspbError`` naming the failed
 stage otherwise; its sums are ``linsolve.exact_product``, in int64 where a
 bound on the scaled witness, the coefficients and the longest row or column
-proves that they fit and in Python ints otherwise.  Floats choose the
-supports, the basis and the digits, and so can only make a solve fail or
-fall back; they never decide a certified value.
+proves that they fit and in Python ints otherwise.  The checks take a
+witness as a sequence of ints and Fractions, which they scale to integers
+by the LCM of its denominators, or as a ``Scaled`` witness, already scaled
+(w = numer / scale), which they read as it is, with no Fraction per entry;
+the run-profile weights come that way.  Floats choose the supports, the
+basis and the digits, and so can only make a solve fail or fall back; they
+never decide a certified value.
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ class TransversalReport:
     num_violated: int
     violated_rows: list[int]
     row_sums: list = field(repr=False, default_factory=list)  # A.(d*w)
-    scale: int = 1                    # d, the LCM of the weights' denominators
+    scale: int = 1                    # d: the LCM of the weights' denominators,
+    #                                   or the scale of a Scaled witness
 
     @property
     def slacks(self) -> list[Fraction]:
@@ -145,10 +150,35 @@ class PresolveResult:
     message: str = ""
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """Integers X and the LCM d of the denominators, with values[i] == X[i]/d."""
-    d = math.lcm(*{x.denominator for x in values})
-    return [x.numerator * (d // x.denominator) for x in values], d
+@dataclass(frozen=True)
+class Scaled:
+    """A witness already scaled to integers: w = numer / scale."""
+
+    numer: np.ndarray                 # int64, or Python ints (``linsolve.int_array``)
+    scale: int                        # >= 1
+
+    def __len__(self) -> int:
+        return len(self.numer)
+
+
+def _scaled(values, size: int, what: str) -> Scaled:
+    """The witness ``values`` as a ``Scaled``, once its length is checked
+    against ``size``: a Scaled as it is, once its scale and numerators are
+    checked, and a sequence of ints and Fractions scaled by the LCM of its
+    denominators."""
+    if len(values) != size:
+        raise ValueError(f"{what} has {len(values)} entries, LP has {size}")
+    if not isinstance(values, Scaled):
+        d = math.lcm(*{x.denominator for x in values})
+        return Scaled(linsolve.int_array([x.numerator * (d // x.denominator)
+                                          for x in values]), d)
+    numer, scale = values.numer, values.scale
+    if not isinstance(scale, int) or scale < 1:
+        raise ValueError(f"{what} has scale {scale!r}, not an int >= 1")
+    if not (isinstance(numer, np.ndarray) and numer.ndim == 1
+            and numer.dtype in (np.int64, object)):
+        raise ValueError(f"{what} numerators must be a 1-d int64 or object array")
+    return values
 
 
 def _primal(lp: CoveringLP, w) -> tuple[int, np.ndarray, int, Fraction]:
@@ -156,19 +186,20 @@ def _primal(lp: CoveringLP, w) -> tuple[int, np.ndarray, int, Fraction]:
     A.W as an ``exact_product`` array, the number of negative weights, and
     c.w; w is feasible when no weight is negative and every row sum is at
     least d."""
-    scaled, d = _scaled(w)
-    x = linsolve.int_array(scaled)
+    w = _scaled(w, lp.num_vars, "weight vector")
+    x, d = w.numer, w.scale
     return (d, linsolve.exact_product(lp, x), int((x < 0).sum()),
             Fraction(linsolve.exact_dot(lp.objective, x), d))
 
 
 def _dual(lp: CoveringLP, z) -> Fraction | None:
-    """sum(z) when z >= 0 and A^T.z <= c, else None; z is scaled to
-    integers by the LCM of its denominators."""
-    scaled, d = _scaled(z)
+    """sum(z) when z >= 0 and A^T.z <= c, else None; z scaled to integers
+    Z = d*z as in ``_primal``."""
+    z = _scaled(z, lp.num_rows, "dual vector")
+    d, scaled = z.scale, z.numer.tolist()
     if any(x < 0 for x in scaled):
         return None
-    colsum = linsolve.exact_product(lp, scaled, transpose=True)
+    colsum = linsolve.exact_product(lp, z.numer, transpose=True)
     if any(s > c * d for s, c in zip(colsum.tolist(), lp.objective)):
         return None
     return Fraction(sum(scaled), d)
@@ -177,11 +208,9 @@ def _dual(lp: CoveringLP, z) -> Fraction | None:
 def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
     """Exact per-row slack report for a candidate weight vector.
 
-    Weights are ints or Fractions; the row sums are taken on the weights
-    scaled to integers, as in check_certificate.
+    Weights are ints or Fractions, or a ``Scaled``; the row sums are taken
+    on the weights scaled to integers, as in check_certificate.
     """
-    if len(w) != lp.num_vars:
-        raise ValueError(f"weight vector has {len(w)} entries, LP has {lp.num_vars}")
     d, sums, negative, value = _primal(lp, w)
     violated = np.flatnonzero(sums < d)
     feasible = not negative and not violated.size
@@ -201,7 +230,8 @@ def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
 
     Accepts when w >= 0 and A.w >= 1, z >= 0 and A^T.z <= c, and c.w equals
     sum(z); the pair then proves that value optimal.  w and z are scaled by
-    the LCM of their denominators and compared as exact integers.
+    the LCM of their denominators (or come as ``Scaled``) and compared as
+    exact integers.
     """
     if len(w) != lp.num_vars or len(z) != lp.num_rows:
         raise ValueError(f"witness lengths {len(w)}/{len(z)} do not match "
@@ -309,12 +339,12 @@ def _basis_rows(sub, k: int) -> list[int] | None:
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     """Exact optimum from the float vertex via complementary slackness.
 
-    The primal support S holds the float weights above 1e-7 and the tight
-    rows R are ordered by decreasing float dual.  The basis B is A[R,S]
-    when |R| = |S|, and the |S| rows of R picked by LAPACK's row pivoting
-    when |R| > |S|.  One float LU of B lifts both B w_S = 1 and
-    B^T z_B = c_S exactly (``linsolve.refine_solve``), with w zero off S
-    and z zero off B's rows (the basis sharing of exact LP solvers:
+    The primal support S holds the float weights above 1e-7 times the
+    largest one, and the tight rows R are ordered by decreasing float dual.
+    The basis B is A[R,S] when |R| = |S|, and the |S| rows of R picked by
+    LAPACK's row pivoting when |R| > |S|.  One float LU of B lifts both
+    B w_S = 1 and B^T z_B = c_S exactly (``linsolve.refine_solve``), with w
+    zero off S and z zero off B's rows (the basis sharing of exact LP solvers:
     Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
     programming problems", Oper. Res. Lett. 35(6), 2007).  When there is no
     square basis, the lift fails, or the pair fails ``check_certificate``
@@ -328,7 +358,7 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     rowsum = A @ wt
     tight = sorted((i for i in range(lp.num_rows) if rowsum[i] < 1 + 1e-6),
                    key=lambda i: -zt[i])
-    support = [j for j in range(lp.num_vars) if wt[j] > 1e-7]
+    support = np.flatnonzero(wt > 1e-7 * wt.max(initial=0)).tolist()
     sub = A[tight][:, support]
     rows = _basis_rows(sub, len(support))
     if rows is None:

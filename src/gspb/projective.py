@@ -117,8 +117,8 @@ def _block_certificate(lp: exactlp.CoveringLP,
     The rows the weights make tight carry the unknowns; the columns of
     positive weight give the equations.  The result is unchecked.
     """
-    slacks = exactlp.verify_transversal(lp, w).slacks
-    tight = [i for i, s in enumerate(slacks) if s == 0]
+    report = exactlp.verify_transversal(lp, w)
+    tight = [i for i, s in enumerate(report.row_sums) if s == report.scale]
     positive = [j for j, x in enumerate(w) if x > 0]
     return exactlp.complementary_dual(lp, tight, positive)
 

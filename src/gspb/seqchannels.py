@@ -19,11 +19,11 @@ The quotient witnesses are lifted back and checked against the full LP.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
-from . import exactlp
+from . import exactlp, linsolve
 from .channels import (DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded,
                        GspbError)
 from .kernels import deletion_targets, grain_targets, run_stats
@@ -128,23 +128,43 @@ def grain_aspv(n: int) -> Fraction:
     return Fraction(1 << (n + 1), n + 1)
 
 
+def _profiles(m: int) -> tuple[np.ndarray, np.ndarray, list[Fraction]]:
+    """The run profile key rho*(m+1) + mu of every word in {0,1}^m, the keys
+    that occur, and the seq_weight of each of those keys."""
+    rho, mu = run_stats(m)
+    profile = rho.astype(np.int64) * (m + 1) + mu
+    keys = np.flatnonzero(np.bincount(profile))
+    return profile, keys, [seq_weight(*divmod(k, m + 1)) for k in keys.tolist()]
+
+
 def theorem_weight_vector(m: int) -> list[Fraction]:
     """seq_weight of every word in {0,1}^m, indexed by integer value: one
     Fraction per run profile, shared by the words that have it."""
-    rho, mu = run_stats(m)
-    profile = rho.astype(np.int64) * (m + 1) + mu
-    table = np.empty(int(profile.max()) + 1, dtype=object)
-    for key in np.flatnonzero(np.bincount(profile)).tolist():
-        table[key] = seq_weight(*divmod(key, m + 1))
+    profile, keys, weights = _profiles(m)
+    table = np.empty(int(keys[-1]) + 1, dtype=object)
+    table[keys] = weights
     return table[profile].tolist()
+
+
+def profile_weights(m: int) -> exactlp.Scaled:
+    """theorem_weight_vector(m) scaled to integers by the LCM of its
+    denominators: each run profile is scaled once and looked up per word.
+    int64 while the scale allows (it has 58 bits at m=16), Python ints past
+    that (71 bits at m=17)."""
+    profile, keys, weights = _profiles(m)
+    scale = lcm(*(w.denominator for w in weights))
+    numer = linsolve.int_array([w.numerator * (scale // w.denominator)
+                                for w in weights])
+    table = np.zeros(int(keys[-1]) + 1, dtype=numer.dtype)
+    table[keys] = numer
+    return exactlp.Scaled(table[profile], scale)
 
 
 def _ball_lp(cand: np.ndarray, num_vars: int, name: str) -> exactlp.CoveringLP:
     """Unit-objective covering LP whose row per line of ``cand`` lists its
-    distinct entries >= 0 in order: after a sort of each line, duplicates
-    become -1 like the "no target" sentinel, and the rest are read off."""
+    entries >= 0 in order; the builders mark a repeated target -1, like the
+    "no target" sentinel, so the entries left are distinct."""
     cand = np.sort(cand, axis=1)
-    cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = -1
     keep = cand >= 0
     indptr = np.zeros(len(cand) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
@@ -164,11 +184,19 @@ def _check_rows(n: int, family: str, cap: int) -> None:
 def deletion_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
     _check_rows(n, "deletion", cap)
-    return _ball_lp(deletion_targets(n), 1 << (n - 1), f"deletion-full-n{n}")
+    # deleting bit i or bit i-1 gives the same word when the two bits are
+    # equal, so only the lowest bit of each run is kept
+    cand = deletion_targets(n)
+    words = np.arange(1 << n, dtype=np.int64)
+    same = ~(words ^ (words >> 1))     # bit i-1 set when bits i-1, i are equal
+    for i in range(1, n):
+        cand[(same >> (i - 1)) & 1 == 1, i] = -1
+    return _ball_lp(cand, 1 << (n - 1), f"deletion-full-n{n}")
 
 
 def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
-    """Covering LP over {0,1}^n; each ball is the word plus its smears."""
+    """Covering LP over {0,1}^n; each ball is the word plus its smears, which
+    flip distinct bits and so are distinct."""
     _check_rows(n, "grain", cap)
     words = np.arange(1 << n, dtype=np.int64)[:, None]
     return _ball_lp(np.concatenate([words, grain_targets(n)], axis=1), 1 << n,
@@ -252,10 +280,10 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
 def verify_deletion_transversal(n: int) -> exactlp.TransversalReport:
     """Exact check of the profile weights against all 2^n deletion rows."""
     lp = deletion_full_lp(n)
-    return exactlp.verify_transversal(lp, theorem_weight_vector(n - 1))
+    return exactlp.verify_transversal(lp, profile_weights(n - 1))
 
 
 def verify_grain_transversal(n: int) -> exactlp.TransversalReport:
     """Exact check of the profile weights against all 2^n grain rows."""
     lp = grain_full_lp(n)
-    return exactlp.verify_transversal(lp, theorem_weight_vector(n))
+    return exactlp.verify_transversal(lp, profile_weights(n))

@@ -301,6 +301,14 @@ def test_optimum_zero_certifies_by_crossover():
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == 0
 
 
+def test_support_is_read_relative_to_the_largest_weight():
+    # the optimal weight 1e-8 lies below any absolute support threshold
+    lp = exactlp.CoveringLP.from_rows([1], [[(0, 10**8)]])
+    sol = exactlp.solve_min_transversal(lp)
+    assert sol.optimum == Fraction(1, 10**8) and sol.method == "presolve+crossover"
+    assert sol.primal == sol.dual == [Fraction(1, 10**8)]
+
+
 def orbit_quotient(monkeypatch, family, n):
     """The orbit quotient LP that seqchannels hands to the solver, unsolved."""
     captured = []
@@ -473,3 +481,58 @@ def test_check_certificate_rejects_a_numerator_moved_by_one(solve):
             moved[at] = Fraction(Fraction(vector[at]) * d + delta, d)
             pair = (moved, sol.dual) if side == "primal" else (sol.primal, moved)
             assert exactlp.check_certificate(lp, *pair) is None, (side, delta)
+
+
+def _as_scaled(values, factor):
+    """values as a Scaled whose scale is ``factor`` times the LCM of their
+    denominators."""
+    d = factor * math.lcm(*(x.denominator for x in values))
+    return exactlp.Scaled(linsolve.int_array([int(x * d) for x in values]), d)
+
+
+def _fields(rep):
+    return (rep.feasible, rep.bound, rep.min_slack, rep.num_violated,
+            rep.violated_rows, rep.slacks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scaled_witnesses_match_fraction_witnesses(data):
+    # factor 1 is the LCM; 6 is not; 2^70 puts the numerators past int64
+    nv, nr = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    rows = [sorted(data.draw(st.dictionaries(st.integers(0, nv - 1),
+                                             st.integers(1, 3), min_size=1)).items())
+            for _ in range(nr)]
+    lp = exactlp.CoveringLP.from_rows(data.draw(st.lists(st.integers(0, 4),
+                                                         min_size=nv, max_size=nv)),
+                                      rows)
+    frac = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+    w = data.draw(st.lists(frac, min_size=nv, max_size=nv))
+    z = data.draw(st.lists(frac, min_size=nr, max_size=nr))
+    sol = exactlp.solve_min_transversal(lp)
+    for factor in (1, 6, 1 << 70):
+        sw = _as_scaled(w, factor)
+        assert _fields(exactlp.verify_transversal(lp, sw)) == \
+            _fields(exactlp.verify_transversal(lp, w))
+        assert exactlp.check_certificate(lp, sw, _as_scaled(z, factor)) == \
+            exactlp.check_certificate(lp, w, z)
+        assert exactlp.check_certificate(lp, _as_scaled(sol.primal, factor),
+                                         _as_scaled(sol.dual, factor)) == sol.optimum
+
+
+def test_scaled_witness_past_int64_and_refusals():
+    lp = singleton_lp(3)
+    big = exactlp.Scaled(linsolve.int_array([1 << 70, 1 << 71, -(1 << 70)]), 1 << 70)
+    assert big.numer.dtype == object
+    rep = exactlp.verify_transversal(lp, big)
+    assert not rep.feasible and rep.num_violated == 2 and rep.violated_rows == [2]
+    assert rep.min_slack == -2 and rep.scale == 1 << 70
+    assert exactlp.check_certificate(lp, big, [0, 0, 0]) is None
+    numer = linsolve.int_array([2, 2, 2])
+    assert exactlp.verify_transversal(lp, exactlp.Scaled(numer, 2)).bound == 3
+    for bad in (exactlp.Scaled(numer, 0), exactlp.Scaled(numer, -2),
+                exactlp.Scaled(numer[:2], 2), exactlp.Scaled([2, 2, 2], 2)):
+        with pytest.raises(ValueError):
+            exactlp.verify_transversal(lp, bad)
+        with pytest.raises(ValueError):
+            exactlp.check_certificate(lp, bad, [1, 1, 1])

@@ -382,6 +382,41 @@ def test_ball_sizes_equal_runs_up_to_12():
         assert np.array_equal(sizes, rho.astype(sizes.dtype))
 
 
+def _sort_and_compare_rows(cand):
+    """CSR arrays of the rows of ``cand``: each line sorted, with entries
+    equal to their left neighbour and the -1 sentinels dropped."""
+    cand = np.sort(cand, axis=1)
+    keep = cand >= 0
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return indptr, cand[keep]
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_full_lp_rows_match_a_sort_and_compare_reference(n):
+    # the builders mark repeats structurally; a generic dedupe of the raw
+    # kernel targets must give the same arrays
+    from gspb.kernels import deletion_targets, grain_targets
+    words = np.arange(1 << n, dtype=np.int64)[:, None]
+    for lp, cand in ((seq.deletion_full_lp(n), deletion_targets(n)),
+                     (seq.grain_full_lp(n),
+                      np.concatenate([words, grain_targets(n)], axis=1))):
+        indptr, indices = _sort_and_compare_rows(cand)
+        assert np.array_equal(lp.indptr, indptr) and np.array_equal(lp.indices, indices)
+        assert lp.data.dtype == np.int64 and (lp.data == 1).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 12, 16, 17])
+def test_profile_weights_scale_the_theorem_weights(m):
+    # the scale is the LCM of the word weights' denominators; int64 up to
+    # m=16 (58 bits) and Python ints at m=17 (71 bits)
+    weights = seq.theorem_weight_vector(m)
+    scaled = seq.profile_weights(m)
+    assert scaled.scale == math.lcm(*(w.denominator for w in weights))
+    assert scaled.numer.dtype == (object if m == 17 else np.int64)
+    assert [Fraction(x, scaled.scale) for x in scaled.numer.tolist()] == weights
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="01", min_size=1, max_size=40))
 def test_run_scan_properties(word):
