@@ -162,13 +162,17 @@ def profile_weights(m: int) -> exactlp.Scaled:
 
 def _ball_lp(cand: np.ndarray, num_vars: int, name: str) -> exactlp.CoveringLP:
     """Unit-objective covering LP whose row per line of ``cand`` lists its
-    entries >= 0 in order; the builders mark a repeated target -1, like the
-    "no target" sentinel, so the entries left are distinct."""
-    cand = np.sort(cand, axis=1)
+    entries >= 0 in order.  The kernels mark a repeated or missing target
+    -1, so the entries left are distinct.  ``cand`` is a fresh array of
+    short lines (at most 31 entries), sorted in place."""
+    cand.sort(axis=1)
     keep = cand >= 0
     indptr = np.zeros(len(cand) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    indices = cand[keep]
+    # uint8 row sums: einsum sums short lines several times faster than
+    # count_nonzero(axis=1), and no line has 256 entries
+    np.cumsum(np.einsum("ij->i", keep.view(np.uint8)), dtype=np.int64,
+              out=indptr[1:])
+    indices = cand.ravel()[keep.ravel()].astype(np.int64)
     return exactlp.CoveringLP([1] * num_vars, indptr, indices,
                               np.ones(len(indices), dtype=np.int64), name)
 
@@ -184,22 +188,16 @@ def _check_rows(n: int, family: str, cap: int) -> None:
 def deletion_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
     _check_rows(n, "deletion", cap)
-    # deleting bit i or bit i-1 gives the same word when the two bits are
-    # equal, so only the lowest bit of each run is kept
-    cand = deletion_targets(n)
-    words = np.arange(1 << n, dtype=np.int64)
-    same = ~(words ^ (words >> 1))     # bit i-1 set when bits i-1, i are equal
-    for i in range(1, n):
-        cand[(same >> (i - 1)) & 1 == 1, i] = -1
-    return _ball_lp(cand, 1 << (n - 1), f"deletion-full-n{n}")
+    return _ball_lp(deletion_targets(n), 1 << (n - 1), f"deletion-full-n{n}")
 
 
 def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP over {0,1}^n; each ball is the word plus its smears, which
     flip distinct bits and so are distinct."""
     _check_rows(n, "grain", cap)
-    words = np.arange(1 << n, dtype=np.int64)[:, None]
-    return _ball_lp(np.concatenate([words, grain_targets(n)], axis=1), 1 << n,
+    smears = grain_targets(n)
+    words = np.arange(len(smears), dtype=smears.dtype)[:, None]
+    return _ball_lp(np.concatenate([words, smears], axis=1), 1 << n,
                     f"grain-full-n{n}")
 
 

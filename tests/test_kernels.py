@@ -17,7 +17,7 @@ def scan_runs(word: str) -> tuple[int, int]:
     return rho, mu
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
 def test_run_stats_match_string_scan(n):
     rho, mu = kernels.run_stats(n)
     for x in range(1 << n):
@@ -46,10 +46,12 @@ def test_grain_rows_match_ball_enumeration(n):
 
 
 def test_deletion_targets_by_hand():
-    # 110 (6): deleting bit0 -> 11, bit1 -> 10, bit2 -> 10
+    # 110 (6): deleting bit0 -> 11, bit1 -> 10; bit2 repeats bit1, so its
+    # deletion (also 10) is marked -1: one target per run
     t = kernels.deletion_targets(3)
-    assert sorted(t[0b110].tolist()) == [0b10, 0b10, 0b11]
-    assert set(t[0b000].tolist()) == {0}
+    assert t[0b110].tolist() == [0b11, 0b10, -1]
+    assert t[0b000].tolist() == [0, -1, -1]
+    assert t[0b101].tolist() == [0b10, 0b11, 0b01]
 
 
 def test_grain_targets_by_hand():
@@ -65,3 +67,33 @@ def test_popcounts():
     assert pc[0] == 0 and pc[63] == 6 and pc[0b101010] == 3
     for n in range(1, 11):
         assert kernels.popcounts(n).tolist() == [x.bit_count() for x in range(1 << n)]
+
+
+def test_word_dtype_rule():
+    # int32 while the 2^n words fit below 2^31; decided from n alone, so the
+    # boundary is checked without allocating a 2^30 array
+    assert kernels.word_dtype(30) == np.int32
+    assert kernels.word_dtype(31) == np.int64
+    for n in (1, 4, 9):
+        assert kernels.deletion_targets(n).dtype == kernels.word_dtype(n)
+        assert kernels.grain_targets(n).dtype == kernels.word_dtype(n)
+
+
+def _targets_and_lps(n):
+    lps = [seqchannels.grain_full_lp(n)]
+    if n > 1:
+        lps.append(seqchannels.deletion_full_lp(n))
+    return [kernels.deletion_targets(n), kernels.grain_targets(n)], lps
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_int64_words_give_the_same_rows(monkeypatch, n):
+    # the kernels' bit operations past n = 30 run in int64; forcing that
+    # dtype at small n must give the same targets and the same LPs
+    targets32, lps32 = _targets_and_lps(n)
+    monkeypatch.setattr(kernels, "word_dtype", lambda n: np.dtype(np.int64))
+    targets64, lps64 = _targets_and_lps(n)
+    for a, b in zip(targets32, targets64):
+        assert a.dtype == np.int32 and b.dtype == np.int64 and np.array_equal(a, b)
+    for a, b in zip(lps32, lps64):
+        assert_same_arrays(a, b)

@@ -209,10 +209,11 @@ def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
             m, full = n, seq.grain_full_lp(n)
         _, v_orbit, v_sizes = _reference_word_orbits(m, family == "deletion")
         c_reps, _, _ = _reference_word_orbits(n, family == "deletion")
+        full_rows = full.rows      # the property rebuilds every row per read
         rows = []
         for c in c_reps:
             counts = {}
-            for j, _ in full.rows[c]:
+            for j, _ in full_rows[c]:
                 counts[v_orbit[j]] = counts.get(v_orbit[j], 0) + 1
             rows.append(sorted(counts.items()))
         lp = _orbit_quotient(monkeypatch, family, n)
@@ -365,7 +366,7 @@ def test_ball_members_have_fewer_runs():
         dt = deletion_targets(n)
         gt = grain_targets(n)
         for x in range(1 << n):
-            assert all(rho_small[y] <= rho_n[x] for y in set(dt[x].tolist()))
+            assert all(rho_small[y] <= rho_n[x] for y in dt[x].tolist() if y >= 0)
             assert all(rho_n[y] <= rho_n[x] for y in gt[x].tolist() if y >= 0)
 
 
@@ -374,9 +375,11 @@ def test_ball_sizes_equal_runs_up_to_12():
     from gspb.kernels import run_stats, deletion_targets, grain_targets
     for n in (10, 12):
         rho, _ = run_stats(n)
+        # one target per run, the repeats marked -1
         dt = deletion_targets(n)
-        distinct = np.array([len(set(row.tolist())) for row in dt])
+        distinct = np.array([len(set(row[row >= 0].tolist())) for row in dt])
         assert np.array_equal(distinct, rho.astype(distinct.dtype))
+        assert np.array_equal((dt >= 0).sum(axis=1), distinct)
         gt = grain_targets(n)
         sizes = 1 + (gt >= 0).sum(axis=1)
         assert np.array_equal(sizes, rho.astype(sizes.dtype))
@@ -392,18 +395,27 @@ def _sort_and_compare_rows(cand):
     return indptr, cand[keep]
 
 
-@pytest.mark.parametrize("n", range(11, 17))
+def _raw_targets(n):
+    """Every deletion target with repeats, and every smear with -1 for none,
+    in int64: the ball rules without the kernels."""
+    words = np.arange(1 << n, dtype=np.int64)
+    deletions = np.stack([((words >> (i + 1)) << i) | (words & ((1 << i) - 1))
+                          for i in range(n)], axis=1)
+    smears = np.stack([words] + [
+        np.where(((words >> i) & 1) != ((words >> (i + 1)) & 1), words ^ (1 << i), -1)
+        for i in range(n - 1)], axis=1)
+    return deletions, smears
+
+
+@pytest.mark.parametrize("n", range(11, 18))
 def test_full_lp_rows_match_a_sort_and_compare_reference(n):
-    # the builders mark repeats structurally; a generic dedupe of the raw
-    # kernel targets must give the same arrays
-    from gspb.kernels import deletion_targets, grain_targets
-    words = np.arange(1 << n, dtype=np.int64)[:, None]
-    for lp, cand in ((seq.deletion_full_lp(n), deletion_targets(n)),
-                     (seq.grain_full_lp(n),
-                      np.concatenate([words, grain_targets(n)], axis=1))):
+    # the kernels mark repeats structurally; a generic dedupe of the raw
+    # targets must give the same arrays, in int64 (array_equal ignores dtype)
+    for lp, cand in zip((seq.deletion_full_lp(n), seq.grain_full_lp(n)), _raw_targets(n)):
         indptr, indices = _sort_and_compare_rows(cand)
+        assert lp.indptr.dtype == lp.indices.dtype == lp.data.dtype == np.int64
         assert np.array_equal(lp.indptr, indptr) and np.array_equal(lp.indices, indices)
-        assert lp.data.dtype == np.int64 and (lp.data == 1).all()
+        assert (lp.data == 1).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 12, 16, 17])
