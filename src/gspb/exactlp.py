@@ -8,8 +8,10 @@ path: a float presolve, in which HiGHS solves that packing LP with its own
 presolve off, followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
 systems B w = 1 and B^T z = c exactly on one basis B of A[R,S]: one float
-LU of B proposes the digits of both, and ``linsolve.refine_solve`` lifts
-them by integer iterative refinement.  When the float lift fails (a
+LU of A[R,S] picks B's rows and proposes the digits of both, and
+``linsolve.refine_solve`` lifts them by integer iterative refinement into
+``Scaled`` witnesses, which go to the certificate check as they are; the
+solution's Fractions are made once, after it.  When the float lift fails (a
 basis too ill-conditioned for float digits), or the pair fails the
 certificate check (at a degenerate vertex), the dual and the primal are
 solved on their own supports, each by one support solve
@@ -28,9 +30,11 @@ proves that they fit and in Python ints otherwise.  The checks take a
 witness as a sequence of ints and Fractions, which they scale to integers
 by the LCM of its denominators, or as a ``Scaled`` witness, already scaled
 (w = numer / scale), which they read as it is, with no Fraction per entry;
-the run-profile weights come that way.  Floats choose the supports, the
-basis and the digits, and so can only make a solve fail or fall back; they
-never decide a certified value.
+the run-profile weights and the crossover's float-basis witnesses come that
+way.  An entry that is neither an int nor a Fraction (a float, say) is
+refused with ``ValueError``.  Floats choose the supports, the basis and the
+digits, and so can only make a solve fail or fall back; they never decide a
+certified value.
 """
 
 from __future__ import annotations
@@ -98,9 +102,14 @@ class CoveringLP:
             raise ValueError(f"row {i} is empty")
         for t in np.flatnonzero((self.indices < 0) | (self.indices >= self.num_vars)):
             raise ValueError(f"row {row[t]} references variable {self.indices[t]}")
-        for t, a in enumerate(self.data.tolist()):
-            if not isinstance(a, int) or a <= 0:
-                raise ValueError(f"row {row[t]} has coefficient {a!r}, not an int > 0")
+        if self.data.dtype == np.int64:  # one numpy test; object data per entry
+            bad = np.flatnonzero(self.data <= 0)
+        else:
+            bad = (t for t, a in enumerate(self.data.tolist())
+                   if not isinstance(a, int) or a <= 0)
+        for t in bad:
+            raise ValueError(f"row {row[t]} has coefficient "
+                             f"{self.data.tolist()[t]!r}, not an int > 0")
 
 
 @dataclass
@@ -160,6 +169,11 @@ class Scaled:
     def __len__(self) -> int:
         return len(self.numer)
 
+    def fractions(self) -> list[Fraction]:
+        """The entries numer[i] / scale as Fractions, zeros shared."""
+        zero = Fraction(0)
+        return [Fraction(v, self.scale) if v else zero for v in self.numer.tolist()]
+
 
 def _scaled(values, size: int, what: str) -> Scaled:
     """The witness ``values`` as a ``Scaled``, once its length is checked
@@ -169,7 +183,13 @@ def _scaled(values, size: int, what: str) -> Scaled:
     if len(values) != size:
         raise ValueError(f"{what} has {len(values)} entries, LP has {size}")
     if not isinstance(values, Scaled):
-        d = math.lcm(*{x.denominator for x in values})
+        try:
+            d = math.lcm(*{x.denominator for x in values})
+        except AttributeError:
+            t, x = next((t, x) for t, x in enumerate(values)
+                        if not isinstance(x, (int, np.integer, Fraction)))
+            raise ValueError(f"{what} entry {t} is {x!r}, not an int or "
+                             "Fraction") from None
         return Scaled(linsolve.int_array([x.numerator * (d // x.denominator)
                                           for x in values]), d)
     numer, scale = values.numer, values.scale
@@ -284,9 +304,10 @@ def float_presolve(lp: CoveringLP) -> PresolveResult:
     return PresolveResult(True, -float(res.fun), primal, res.x.tolist(), "ok")
 
 
-def _scatter(values, at: list[int], size: int) -> list[Fraction]:
-    """A length-``size`` vector with values[t] at position at[t], zero elsewhere."""
-    x = [Fraction(0)] * size
+def _scatter(values, at: list[int], size: int, zero=Fraction(0)) -> list:
+    """A length-``size`` list with values[t] at position at[t], ``zero``
+    elsewhere."""
+    x = [zero] * size
     for i, v in zip(at, values):
         x[i] = v
     return x
@@ -319,21 +340,13 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     return _scatter(solved, [unknowns[c] for c in piv_cols], size)
 
 
-def _basis_rows(sub, k: int) -> list[int] | None:
+def _basis_rows(sub, k: int):
     """The rows of the tight block ``sub`` (|R| x k) that form the float
-    basis, in their order in ``sub``: all of them when |R| = k, the k rows
-    that LAPACK's partial pivoting of the float block factors first when
-    |R| > k, and None when |R| < k."""
-    m = sub.shape[0]
-    if m < k:
-        return None
-    if m == k:
-        return list(range(k))
-    from scipy.linalg import lu
-
-    perm = lu(sub.astype(np.float64).toarray(), p_indices=True,
-              check_finite=False)[0]
-    return np.flatnonzero(perm < k).tolist()
+    basis B, and the float LU of B, from one factorisation of the block
+    (``linsolve.float_basis``): the k rows that LAPACK's partial pivoting
+    factors first, in pivot order, which are all of them when |R| = k.
+    None when |R| < k."""
+    return None if sub.shape[0] < k else linsolve.float_basis(sub)
 
 
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
@@ -341,8 +354,9 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
 
     The primal support S holds the float weights above 1e-7 times the
     largest one, and the tight rows R are ordered by decreasing float dual.
-    The basis B is A[R,S] when |R| = |S|, and the |S| rows of R picked by
-    LAPACK's row pivoting when |R| > |S|.  One float LU of B lifts both
+    The basis B is the |S| rows of R that LAPACK's row pivoting of the
+    float A[R,S] factors first, all of them when |R| = |S|, and the top of
+    that one LU is B's (``_basis_rows``).  It lifts both
     B w_S = 1 and B^T z_B = c_S exactly (``linsolve.refine_solve``), with w
     zero off S and z zero off B's rows (the basis sharing of exact LP solvers:
     Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
@@ -355,21 +369,23 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
     A = _int_matrix(lp)
-    rowsum = A @ wt
-    tight = sorted((i for i in range(lp.num_rows) if rowsum[i] < 1 + 1e-6),
-                   key=lambda i: -zt[i])
+    tight = np.flatnonzero(A @ wt < 1 + 1e-6)
+    tight = tight[np.argsort(-zt[tight], kind="stable")].tolist()
     support = np.flatnonzero(wt > 1e-7 * wt.max(initial=0)).tolist()
     sub = A[tight][:, support]
-    rows = _basis_rows(sub, len(support))
-    if rows is None:
+    basis = _basis_rows(sub, len(support))
+    if basis is None:
         reason = "no square basis"
     else:
+        rows, lu = basis
         pair = linsolve.refine_solve(sub[rows], [1] * len(support),
-                                     [lp.objective[j] for j in support])
+                                     [lp.objective[j] for j in support], lu)
         reason = "float lift failed"
         if pair is not None:
-            w = _scatter(pair[0], support, lp.num_vars)
-            z = _scatter(pair[1], [tight[r] for r in rows], lp.num_rows)
+            (x, dx), (y, dy) = pair
+            w = Scaled(linsolve.int_array(_scatter(x, support, lp.num_vars, 0)), dx)
+            z = Scaled(linsolve.int_array(
+                _scatter(y, [tight[r] for r in rows], lp.num_rows, 0)), dy)
             sol = _certified(lp, w, z, support, "float basis")
             if sol is not None:
                 return sol
@@ -390,10 +406,12 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
 
 def _certified(lp: CoveringLP, w, z, support: list[int],
                route: str) -> LPSolution | None:
-    """The crossover's LPSolution when (w, z) passes check_certificate."""
+    """The crossover's LPSolution when (w, z) passes check_certificate; a
+    ``Scaled`` witness makes its Fractions once, after the check."""
     optimum = check_certificate(lp, w, z)
     if optimum is None:
         return None
+    w, z = (v.fractions() if isinstance(v, Scaled) else v for v in (w, z))
     return LPSolution(optimum, w, z, "presolve+crossover",
                       notes=f"supports {len(support)}/{sum(1 for v in z if v)}, "
                             f"{route}")

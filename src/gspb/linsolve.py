@@ -10,11 +10,19 @@ linear systems exactly using numerical methods", J. Symb. Comput. 41(6),
 2006).  Each step solves the residual in floats, rounds a power-of-two
 multiple of that solution to integer digits, and updates the residual
 exactly, so that 2^top b = B N + r holds in integers throughout; rationals
-are read off N / 2^top over a running common denominator.  The crossover
-bases are small-integer matrices of modest condition number, for which
-this costs one LU and a few dozen triangular solves.  The floats only
-propose digits and can fail (a zero pivot, a residual that stops
-shrinking): then the lift returns None and the caller falls back.
+are read off N / 2^top over a running common denominator, in one pass over
+the entries as Python ints, where an entry the denominator already explains
+costs one multiplication.  Every denominator divides det B, and log2 |det B|
+is the sum of log2 |u_ii| over the float LU's diagonal, so the attempts
+are scheduled to reach twice that; x is lifted first, and the lift of y
+first tries x's common denominator, which needs half the precision of a
+reconstruction.  The results come as (numerators, common denominator).
+A tall block is factored once too (``float_basis``): the row interchanges
+of its LU pick the basis rows, and its top square factors are the basis's
+LU.  The crossover bases are small-integer matrices of modest condition
+number, for which this costs one LU and a few dozen triangular solves.  The
+floats only propose digits and can fail (a zero pivot, a residual that
+stops shrinking): then the lift returns None and the caller falls back.
 
 The support solves need an exact rank and have no conditioning limit:
 ``select_pivots_mod`` picks an independent square subsystem B and
@@ -425,45 +433,83 @@ def _try_reconstruct(residues: list[int], modulus: int) -> list[Fraction] | None
 
 _DIGIT_BITS = 30    # |digit| <= 2^30: a float solve with 32 good bits rounds it within 1
 _FLOAT_BITS = 1000  # a residual past 2^1000 could pass the float64 range
+_SLACK = 16         # bits an attempt takes past the precision its denominator needs
 
 
-def refine_solve(matrix, rhs: list[int], rhs_t: list[int]):
+def _lu_factor(block):
+    """LAPACK ``getrf`` of the int64 CSR ``block`` as one dense float64
+    array (``scipy.linalg.lu_factor``); a zero pivot is left for
+    ``refine_solve`` to refuse."""
+    from scipy.linalg import LinAlgWarning, lu_factor
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(block.astype(np.float64).toarray(), check_finite=False)
+
+
+def float_basis(block) -> tuple[list[int], tuple]:
+    """The basis rows of the m x k int64 CSR ``block`` (m >= k) and the float
+    LU of the basis, from one LAPACK ``getrf`` with partial pivoting.
+
+    Returns the k rows that the row interchanges move to the top, in that
+    order, and the ``lu_factor`` pair of ``block[rows]``: the top k x k of the
+    factors, with no interchange left.  These are the rows
+    ``scipy.linalg.lu`` would put first, without a second factorisation.
+    """
+    lu, piv = _lu_factor(block)
+    k = block.shape[1]
+    order = list(range(block.shape[0]))
+    for i, p in enumerate(piv.tolist()):  # row i was interchanged with row p
+        order[i], order[p] = order[p], order[i]
+    return order[:k], (np.asfortranarray(lu[:k]), np.arange(k, dtype=piv.dtype))
+
+
+def refine_solve(matrix, rhs: list[int], rhs_t: list[int], lu=None):
     """Exact solutions of matrix x = rhs and matrix^T y = rhs_t, lifted from
     one float LU factorisation of the square int64 CSR ``matrix``.
 
-    The float factors, from LAPACK ``getrf`` (``scipy.linalg.lu_factor``),
-    only propose digits: each side is lifted by ``_refine`` and returned
-    only if its exact check holds.  Returns the pair (x, y), or None on a
-    zero or non-finite pivot or when either lift fails, as it does at a
-    condition number past the float solve's reach.
+    ``lu`` is the ``scipy.linalg.lu_factor`` pair of ``matrix`` (say from
+    ``float_basis``); without it ``matrix`` is factored here.  The float
+    factors only propose digits: each side is lifted by ``_refine`` and
+    returned only if its exact check holds.  Returns ((X, dx), (Y, dy)) with
+    x = X / dx and y = Y / dy for lists of ints X, Y and common denominators
+    dx, dy >= 1, or None on a zero or non-finite pivot or when either lift
+    fails, as it does at a condition number past the float solve's reach.
+
+    Every denominator divides det(matrix), whose log2 is the sum of
+    log2 |u_ii| over the LU's diagonal; the attempts are scheduled to reach
+    twice that, plus ``_SLACK`` bits.  x is lifted first, and the lift of y
+    first tries the scale dx (``_refine``'s ``seed``): x and y share the
+    matrix, so y's denominators often divide dx, and that attempt needs
+    about half the precision of a reconstruction.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    from scipy.linalg import lu_solve
 
     k = matrix.shape[0]
     if matrix.shape != (k, k) or len(rhs) != k or len(rhs_t) != k:
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
                          f"{len(rhs)}/{len(rhs_t)} right-hand sides; "
                          "refine_solve needs a square system")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot: below
-        lu = lu_factor(matrix.astype(np.float64).toarray(), check_finite=False)
-    pivots = np.diagonal(lu[0])
+    lu = _lu_factor(matrix) if lu is None else lu
+    pivots = np.abs(np.diagonal(lu[0]))
     if not (np.isfinite(pivots).all() and pivots.all()):
         return None
-    x = _refine(matrix, rhs, lambda r: lu_solve(lu, r, check_finite=False))
+    cap = 2 * float(np.log2(pivots).sum()) + _SLACK
+    x = _refine(matrix, rhs, lambda r: lu_solve(lu, r, check_finite=False), cap)
     if x is None:
         return None
     y = _refine(matrix.T.tocsr(), rhs_t,
-                lambda r: lu_solve(lu, r, trans=1, check_finite=False))
+                lambda r: lu_solve(lu, r, trans=1, check_finite=False), cap, x[1])
     return None if y is None else (x, y)
 
 
-def _refine(matrix, rhs: list[int], solve) -> list[Fraction] | None:
+def _refine(matrix, rhs: list[int], solve, cap: float,
+            seed: int = 1) -> tuple[list[int], int] | None:
     """Integer iterative refinement of matrix x = rhs, where ``matrix`` is a
     square int64 CSR matrix and ``solve(r)`` a float approximation of
     matrix^-1 r (Wan, "An algorithm to solve integer linear systems exactly
-    using numerical methods", J. Symb. Comput. 41(6), 2006); None when it
-    fails.
+    using numerical methods", J. Symb. Comput. 41(6), 2006); (X, d) with
+    x = X / d, or None when it fails.
 
     It keeps 2^top rhs = matrix numer + residual exactly, so numer / 2^top
     is x to within matrix^-1 residual / 2^top.  A step solves y ~
@@ -473,8 +519,14 @@ def _refine(matrix, rhs: list[int], solve) -> list[Fraction] | None:
     large right-hand side, scales the digit instead).  The residual is
     int64 when a bound on the step's terms proves it fits, and a Python-int
     object array otherwise, through the same code.  A zero residual makes
-    numer / 2^top exactly x; otherwise ``_dyadic_candidate`` proposes x at
-    growing precision and accepts it only by its exact check.  None when the
+    (numer, 2^top) exactly x; otherwise ``_dyadic_candidate`` proposes x at
+    growing precision and accepts it only by its exact check.
+
+    Attempts come at 64 bits of precision and then each half as many bits
+    again (64 at least), but never past ``cap`` until one has been made
+    there: the caller's estimate of the precision the denominators need.
+    A ``seed`` > 1, a denominator x is expected to share, is tried once, as
+    soon as the precision passes its bits plus ``_SLACK``.  None when the
     residual passes the float range, the float solve is zero or not finite,
     the residual stops shrinking (to less than half of 2^s residual), or the
     precision passes a Hadamard-style budget with no candidate accepted;
@@ -489,11 +541,12 @@ def _refine(matrix, rhs: list[int], solve) -> list[Fraction] | None:
     residual = np.array([int(b) for b in rhs], dtype=object)
     numer = np.zeros(k, dtype=object)
     top = 0
-    next_attempt = 64.0
+    next_attempt = min(64.0, cap)
+    seed_at = seed.bit_length() + _SLACK if seed > 1 else math.inf
     for _ in range(int(budget) + 2):
         size = _magnitude(residual)
         if not size:  # numer / 2^top is x exactly
-            return [Fraction(int(v), 1 << top) for v in numer]
+            return numer.tolist(), 1 << top
         if size.bit_length() > _FLOAT_BITS:
             return None
         y = solve(residual.astype(np.float64))
@@ -501,11 +554,18 @@ def _refine(matrix, rhs: list[int], solve) -> list[Fraction] | None:
         if not 0 < err < math.inf:
             return None
         precision = top - math.log2(err)
+        if precision >= seed_at:
+            seed_at = math.inf
+            x = _dyadic_candidate(matrix, rhs, numer, top, err, seed)
+            if x is not None:
+                return x
         if precision >= next_attempt or precision >= budget:
             x = _dyadic_candidate(matrix, rhs, numer, top, err)
             if x is not None or precision >= budget:
                 return x
             next_attempt = precision + max(64.0, precision / 2)
+            if precision < cap:
+                next_attempt = min(next_attempt, cap)
         s = _DIGIT_BITS - math.frexp(err)[1]
         up, down = max(s, 0), max(-s, 0)
         digit = np.rint(np.ldexp(y, s)).astype(np.int64)
@@ -525,44 +585,48 @@ def _refine(matrix, rhs: list[int], solve) -> list[Fraction] | None:
 
 
 def _dyadic_candidate(matrix, rhs: list[int], numer: np.ndarray, top: int,
-                      err: float) -> list[Fraction] | None:
-    """Rationals near numer / 2^top that solve matrix x = rhs exactly, or None.
+                      err: float, d: int = 1) -> tuple[list[int], int] | None:
+    """Rationals X / d near numer / 2^top that solve matrix x = rhs exactly,
+    or None.
 
-    ``err`` estimates |2^top x - numer|, and E = 2 err + 1 bounds it.  Entries
-    share a running denominator d: an entry within E d of a multiple of 2^top
-    once scaled by d is that multiple over d; otherwise its last
-    continued-fraction convergent with denominator at most
-    Q = sqrt(2^top / 2E) (``_convergent``) must lie within E of it, and d
-    grows to take it in.  Two fractions of denominator at most Q within
-    E / 2^top of one point are equal, and such a fraction is a convergent of
-    the point (Legendre), so this is the rounding a separate reconstruction
-    of each entry would give.  The candidate is X / d with
-    X = round(d numer / 2^top), returned only if matrix X = d rhs holds
-    exactly (``exact_product``).
+    ``err`` estimates |2^top x - numer|, and E = 2 err + 1 bounds it.  The
+    entries are walked once, as Python ints, over a running denominator d
+    (1 unless a seed is given).  An entry a that d explains, with a d within
+    E d of a multiple of 2^top, costs one multiplication and a compare.  Any
+    other entry takes its last continued-fraction convergent n/q with
+    q <= Q = sqrt(2^top / 2E) (``_convergent``), which must lie within E of
+    it, and d grows to lcm(d, q); a d past Q ends the attempt.  Two fractions
+    of denominator at most Q within E / 2^top of one point are equal, and
+    such a fraction is a convergent of the point (Legendre), so this is the
+    rounding a separate reconstruction of each entry would give, and an
+    attempt at too low a precision stops at its first or second convergent.
+    The candidate is X = round(d numer / 2^top), returned with d only if
+    matrix X = d rhs holds exactly (``exact_product``).
     """
     bound = int(2 * err) + 1
     limit = math.isqrt((1 << top) // (2 * bound))
     if not limit:
         return None
-    half = (1 << top) >> 1
-    d = 1
-    todo = numer
-    while True:
-        near = (todo * d + half) >> top
-        todo = todo[np.abs(todo * d - (near << top)) > bound * d]
-        if not todo.size:
-            break
-        a = int(todo[0])
+    full = 1 << top
+    mask = full - 1
+    tol = bound * d
+    for a in numer.tolist():
+        r = a * d & mask  # a d mod 2^top
+        if r <= tol or full - r <= tol:
+            continue
+        if d > limit:  # lcm(d, q) would be too
+            return None
         n, q = _convergent(a, top, limit)
         if abs(a * q - (n << top)) > bound * q:
             return None
         d = math.lcm(d, q)
         if d > limit:
             return None
-    scaled = (numer * d + half) >> top
+        tol = bound * d
+    scaled = (numer * d + (full >> 1)) >> top
     if exact_product(matrix, scaled).tolist() != [d * int(b) for b in rhs]:
         return None
-    return [Fraction(int(v), d) for v in scaled]
+    return scaled.tolist(), d
 
 
 def _convergent(a: int, top: int, limit: int) -> tuple[int, int]:

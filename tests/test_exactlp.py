@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -226,6 +228,17 @@ def test_zero_coefficient_refused(monkeypatch):
     assert cli.main(["oracle", "--family", "z", "--n", "3"]) == 2
 
 
+def test_first_non_positive_coefficient_named_for_either_dtype():
+    # int64 data takes one numpy test, object data the per-entry loop; both
+    # name the first bad coefficient
+    lp = exactlp.CoveringLP.from_rows([1, 1], [[(0, 1)], [(0, 2), (1, -3)], [(1, 0)]])
+    assert lp.data.dtype == np.int64
+    for data in (lp.data, lp.data.astype(object)):
+        with pytest.raises(ValueError,
+                           match=r"^row 1 has coefficient -3, not an int > 0$"):
+            dataclasses.replace(lp, data=data).validate()
+
+
 @pytest.mark.parametrize("build", [lambda: zchannel.z_quotient_lp(80, 1),
                                    lambda: projective.projective_lp(20)],
                          ids=["z-80", "projective-20"])
@@ -408,6 +421,61 @@ def test_tall_basis_certifies_on_the_pivoted_rows(monkeypatch):
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     top = blocks[0][:153].toarray()
     assert len(linsolve.select_pivots_mod(top, linsolve.PRIME)[1]) < 153
+
+
+def _tall_mag_asym_block():
+    """The 154 x 153 tight block of the mag-asym q=4 n=8 crossover."""
+    blocks = []
+    real_rows = exactlp._basis_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_basis_rows",
+                   lambda sub, k: blocks.append(sub) or real_rows(sub, k))
+        exactlp.solve_min_transversal(magnitude.asym_quotient(8, 4).lp)
+    return blocks[0]
+
+
+def test_tall_block_takes_one_factorisation(monkeypatch):
+    # the pivoting of one lu_factor of the tall block picks the rows that
+    # scipy.linalg.lu puts first, and its top factors are the basis's LU
+    import scipy.linalg
+    rng = np.random.default_rng(7)
+    blocks = [csr_matrix(rng.integers(-3, 4, (7, 5))) for _ in range(20)]
+    blocks.append(_tall_mag_asym_block())
+    calls = []
+    real = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    for block in blocks:
+        m, k = block.shape
+        calls.clear()
+        rows, (lu, piv) = exactlp._basis_rows(block, k)
+        assert len(calls) == 1 and len(rows) == k
+        dense = block.toarray().astype(np.float64)
+        perm = scipy.linalg.lu(dense, p_indices=True)[0]
+        assert sorted(rows) == np.flatnonzero(perm < k).tolist()
+        assert piv.tolist() == list(range(k))
+        lower = np.tril(lu, -1) + np.eye(k)
+        assert np.allclose(lower @ np.triu(lu), dense[rows])
+    assert exactlp._basis_rows(blocks[0][:4], 5) is None
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5), "1/2"],
+                         ids=["float", "numpy-float", "str"])
+def test_non_rational_witness_entries_refused(bad):
+    # a typed refusal naming the first entry that is not an int or Fraction
+    lp = singleton_lp(3)
+    w = [Fraction(1, 2), bad, 0.25]
+    message = rf"^weight vector entry 1 is {re.escape(repr(bad))}, not an int or Fraction$"
+    with pytest.raises(ValueError, match=message):
+        exactlp.verify_transversal(lp, w)
+    with pytest.raises(ValueError, match="weight vector entry 1"):
+        exactlp.check_certificate(lp, w, [1, 1, 1])
+    with pytest.raises(ValueError, match="dual vector entry 1"):
+        exactlp.check_certificate(lp, [1, 1, 1], w)
+    # numpy ints and bools are ints
+    assert exactlp.verify_transversal(lp, [np.int64(1), True, 1]).bound == 3
+    assert exactlp.check_certificate(lp, [1, True, np.int32(1)],
+                                     [np.int64(1), 1, True]) == 3
 
 
 def test_projective_16_lifts_past_int64():

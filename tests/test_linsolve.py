@@ -221,6 +221,18 @@ def satisfies(matrix, x, rhs, transpose=False) -> bool:
     return all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(dense, rhs))
 
 
+def as_fractions(lifted) -> list[Fraction]:
+    """A lifted solution (X, d) as the Fractions X / d."""
+    numer, d = lifted
+    return [Fraction(v, d) for v in numer]
+
+
+def float_pair(matrix, rhs, c):
+    """``refine_solve``'s pair as two Fraction lists, or None."""
+    pair = linsolve.refine_solve(matrix, rhs, c)
+    return None if pair is None else tuple(map(as_fractions, pair))
+
+
 @pytest.mark.parametrize("name,matrix",
                          [c for c in CASES if c[1].shape[0] == c[1].shape[1]],
                          ids=[c[0] for c in CASES if c[1].shape[0] == c[1].shape[1]])
@@ -235,12 +247,12 @@ def test_transposed_lift_from_the_one_inverse(name, matrix):
     if len(cols) < k:
         assert ref_inverse(matrix.tolist(), P) is None
         # singular: refused, or a pair that solves both systems exactly
-        pair = linsolve.refine_solve(csr_matrix(matrix), rhs, c)
+        pair = float_pair(csr_matrix(matrix), rhs, c)
         assert pair is None or (satisfies(matrix, pair[0], rhs)
                                 and satisfies(matrix, pair[1], c, transpose=True))
         return
     block = csr_matrix(matrix[np.ix_(rows, cols)])
-    x, y = linsolve.refine_solve(block, rhs, c)
+    x, y = float_pair(block, rhs, c)
     assert satisfies(block, x, rhs) and satisfies(block, y, c, transpose=True)
     assert x == linsolve.dixon_solve(block, k, inv, rhs)
     assert y == linsolve.dixon_solve(block.T.tocsr(), k, np.ascontiguousarray(inv.T), c)
@@ -261,7 +273,7 @@ def test_float_lift_matches_dixon(seed, k, density, top):
     r = len(cols)
     rhs = [int(b) for b in rng.integers(-9, 10, r)]
     c = [int(b) for b in rng.integers(-9, 10, r)]
-    pair = linsolve.refine_solve(csr_matrix(block), rhs, c)
+    pair = float_pair(csr_matrix(block), rhs, c)
     if pair is None:
         assert np.linalg.cond(block) > 1e8
         return
@@ -277,7 +289,107 @@ def test_float_candidate_is_accepted_only_by_its_exact_check():
     matrix = csr_matrix([[3]], dtype=np.int64)
     for value, want in ((Fraction(1, 5), None), (Fraction(1, 3), [Fraction(1, 3)])):
         numer = np.array([round(value * 2**20)], dtype=object)
-        assert linsolve._dyadic_candidate(matrix, [1], numer, 20, 0.4) == want
+        got = linsolve._dyadic_candidate(matrix, [1], numer, 20, 0.4)
+        assert (None if got is None else as_fractions(got)) == want
+
+
+def ref_dyadic_candidate(numer, top, err, values):
+    """Per entry: the closest fraction to a / 2^top with denominator at most
+    Q (``Fraction.limit_denominator``), which must lie within E / 2^top; the
+    entries' LCM at most Q; and the exact check of a diagonal system, whose
+    solution is ``values``."""
+    bound = int(2 * err) + 1
+    limit = math.isqrt((1 << top) // (2 * bound))
+    if not limit:
+        return None
+    fracs = [Fraction(a, 1 << top).limit_denominator(limit) for a in numer]
+    if any(abs(a * f.denominator - (f.numerator << top)) > bound * f.denominator
+           for a, f in zip(numer, fracs)):
+        return None
+    if math.lcm(*(f.denominator for f in fracs)) > limit:
+        return None
+    return fracs if fracs == values else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dyadic_candidate_matches_a_per_entry_reference(data):
+    # up to 40 entries over many distinct denominators, rounded at a drawn
+    # precision and moved by up to err: the one pass over a running
+    # denominator gives what a separate reconstruction of each entry gives
+    dens = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=40))
+    values = [Fraction(data.draw(st.integers(-10**6, 10**6)), q) for q in dens]
+    top = data.draw(st.integers(0, 200))
+    err = data.draw(st.sampled_from([0.3, 1.0, 5.0]))
+    numer = [round(v * 2**top) + data.draw(st.integers(-int(err), int(err)))
+             for v in values]
+    matrix = csr_matrix(np.diag([v.denominator for v in values]))
+    got = linsolve._dyadic_candidate(matrix, [v.numerator for v in values],
+                                     np.array(numer, dtype=object), top, err)
+    assert (None if got is None else as_fractions(got)) == \
+        ref_dyadic_candidate(numer, top, err, values)
+
+
+def test_low_precision_attempt_stops_at_its_second_convergent(monkeypatch):
+    # 50 entries over one 20-bit denominator D: below the precision D needs,
+    # every attempt ends after at most two convergents; at 48 bits it succeeds
+    real = linsolve._convergent
+    calls = []
+    monkeypatch.setattr(linsolve, "_convergent",
+                        lambda *args: calls.append(args) or real(*args))
+    D = 1_000_003
+    rng = np.random.default_rng(5)
+    values = [Fraction(int(n), D) for n in rng.integers(-D, D, 50)]
+    matrix = csr_matrix(D * np.eye(50, dtype=np.int64))
+    rhs = [v.numerator * (D // v.denominator) for v in values]
+    for top in range(1, 41):
+        numer = np.array([round(v * 2**top) for v in values], dtype=object)
+        calls.clear()
+        assert linsolve._dyadic_candidate(matrix, rhs, numer, top, 0.5) is None
+        assert len(calls) <= 2, top
+    numer = np.array([round(v * 2**48) for v in values], dtype=object)
+    assert as_fractions(linsolve._dyadic_candidate(matrix, rhs, numer, 48, 0.5)) == values
+
+
+P1, P2, P3 = 1000003, 1000033, 1000037  # primes near 2^20
+SYMMETRIC = [[P1, 1, 0], [1, P2, 1], [0, 1, P3]]
+
+
+@pytest.mark.parametrize("matrix,rhs,c,seeded", [
+    # symmetric, with c = b or 2b: y = x or 2x, so dy = dx (det about 2^60)
+    (SYMMETRIC, [1, 1, 1], [1, 1, 1], True),
+    (SYMMETRIC, [1, 2, 3], [2, 4, 6], True),
+    # x = (1/P1, 1, 1), but y's denominators are P1, P1 P2 and P1 P2 P3
+    ([[P1, 1, 0], [0, P2, 1], [0, 0, P3]], [2, P2 + 1, P3], [1, 1, 1], False),
+], ids=["y=x", "y=2x", "dy-not-dividing-dx"])
+def test_second_side_seeded_by_the_first_sides_denominator(monkeypatch, matrix,
+                                                           rhs, c, seeded):
+    # the lift of y first tries x's scale dx; it is accepted when y's
+    # denominators divide dx, and refused by its exact check otherwise, after
+    # which the usual reconstruction runs.  Either way both sides are what
+    # Dixon lifting gives
+    real = linsolve._dyadic_candidate
+    attempts = []
+
+    def spy(*args):
+        attempts.append((args[5] if len(args) > 5 else 1, real(*args)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(linsolve, "_dyadic_candidate", spy)
+    block = csr_matrix(np.array(matrix, dtype=np.int64))
+    x, y = float_pair(block, rhs, c)
+    monkeypatch.undo()
+    rows, cols, inv = linsolve.select_pivots_mod(np.array(matrix), P)
+    assert rows == cols == [0, 1, 2]
+    assert x == linsolve.dixon_solve(block, 3, inv, rhs)
+    assert y == linsolve.dixon_solve(block.T.tocsr(), 3, np.ascontiguousarray(inv.T), c)
+    dx = math.lcm(*(v.denominator for v in x))
+    seeds = [(d, got) for d, got in attempts if d > 1]
+    assert [d for d, _ in seeds] == [dx]
+    assert (seeds[0][1] is not None) == seeded
+    assert attempts[-1][1] is not None
+    if not seeded:
+        assert attempts.index(seeds[0]) < len(attempts) - 1 and attempts[-1][0] == 1
 
 
 def test_float_lift_refuses_an_ill_conditioned_basis():
@@ -343,10 +455,9 @@ def test_scaled_rhs_lifts_to_the_scaled_solution(seed, k, shift):
     block = csr_matrix(matrix[np.ix_(rows, cols)])
     rhs = [int(b) for b in rng.integers(-9, 10, r)]
     c = [int(b) for b in rng.integers(-9, 10, r)]
-    x, y = linsolve.refine_solve(block, rhs, c)
+    x, y = float_pair(block, rhs, c)
     assert x == linsolve.dixon_solve(block, r, inv, rhs)
-    scaled = linsolve.refine_solve(block, [b << shift for b in rhs],
-                                   [b << shift for b in c])
+    scaled = float_pair(block, [b << shift for b in rhs], [b << shift for b in c])
     assert scaled == ([v * 2**shift for v in x], [v * 2**shift for v in y])
 
 

@@ -220,25 +220,29 @@ def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
         assert (lp.rows, lp.objective) == (rows, v_sizes), (family, n)
 
 
-@pytest.mark.parametrize("name", ["grain-9", "deletion-10", "mag-sym(7,5)"])
+@pytest.mark.parametrize("name", ["grain-9", "deletion-10", "mag-sym(7,5)",
+                                  "mag-asym(8,4)"])
 def test_one_factorisation_per_basis(monkeypatch, name):
     # the crossover's primal and dual share one float LU of one basis, and
-    # no mod-p selection or Dixon solve runs
-    if name.startswith("mag"):
+    # no mod-p selection or Dixon solve runs; mag-asym q=4 n=8 has a tall
+    # 154 x 153 block, whose one factorisation also picks the basis rows
+    if name == "mag-sym(7,5)":
         lp = magnitude.sym_quotient(7, 5).lp
+    elif name == "mag-asym(8,4)":
+        lp = magnitude.asym_quotient(8, 4).lp
     else:
         family, n = name.split("-")
         lp = _orbit_quotient(monkeypatch, family, int(n))
         monkeypatch.undo()
-    counts = dict.fromkeys(("lu_factor", "select_pivots_mod", "dixon_solve"), 0)
-    for mod, fn in ((scipy.linalg, "lu_factor"), (linsolve, "select_pivots_mod"),
-                    (linsolve, "dixon_solve")):
+    counts = dict.fromkeys(("lu_factor", "lu", "select_pivots_mod", "dixon_solve"), 0)
+    for mod, fn in ((scipy.linalg, "lu_factor"), (scipy.linalg, "lu"),
+                    (linsolve, "select_pivots_mod"), (linsolve, "dixon_solve")):
         def spy(*args, real=getattr(mod, fn), fn=fn, **kwargs):
             counts[fn] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, fn, spy)
     sol = exactlp.solve_min_transversal(lp)
-    assert counts == {"lu_factor": 1, "select_pivots_mod": 0, "dixon_solve": 0}
+    assert counts == {"lu_factor": 1, "lu": 0, "select_pivots_mod": 0, "dixon_solve": 0}
     assert sol.notes.endswith("float basis")
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 

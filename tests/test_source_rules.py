@@ -82,3 +82,17 @@ def test_one_exact_sparse_product():
     assert _add_at_calls(product) > 0
     assert {name: c for name, c in calls.items() if c} == {
         "linsolve.py": _add_at_calls(product)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_second_lu_factorisation(path):
+    # a float basis is factored once, by scipy.linalg.lu_factor, whose row
+    # interchanges also pick the rows of a tall block; the P/L/U form
+    # scipy.linalg.lu would factor the block a second time
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "lu"
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("scipy.linalg")
+             and any(alias.name == "lu" for alias in node.names)]
+    assert not lines, f"{path.name}: scipy.linalg.lu at lines {lines}"
