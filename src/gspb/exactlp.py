@@ -340,15 +340,6 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     return _scatter(solved, [unknowns[c] for c in piv_cols], size)
 
 
-def _basis_rows(sub, k: int):
-    """The rows of the tight block ``sub`` (|R| x k) that form the float
-    basis B, and the float LU of B, from one factorisation of the block
-    (``linsolve.float_basis``): the k rows that LAPACK's partial pivoting
-    factors first, in pivot order, which are all of them when |R| = k.
-    None when |R| < k."""
-    return None if sub.shape[0] < k else linsolve.float_basis(sub)
-
-
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     """Exact optimum from the float vertex via complementary slackness.
 
@@ -356,7 +347,7 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     largest one, and the tight rows R are ordered by decreasing float dual.
     The basis B is the |S| rows of R that LAPACK's row pivoting of the
     float A[R,S] factors first, all of them when |R| = |S|, and the top of
-    that one LU is B's (``_basis_rows``).  It lifts both
+    that one LU is B's (``linsolve.float_basis``).  It lifts both
     B w_S = 1 and B^T z_B = c_S exactly (``linsolve.refine_solve``), with w
     zero off S and z zero off B's rows (the basis sharing of exact LP solvers:
     Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
@@ -373,7 +364,7 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     tight = tight[np.argsort(-zt[tight], kind="stable")].tolist()
     support = np.flatnonzero(wt > 1e-7 * wt.max(initial=0)).tolist()
     sub = A[tight][:, support]
-    basis = _basis_rows(sub, len(support))
+    basis = linsolve.float_basis(sub)
     if basis is None:
         reason = "no square basis"
     else:

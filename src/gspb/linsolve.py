@@ -12,10 +12,8 @@ multiple of that solution to integer digits, and updates the residual
 exactly, so that 2^top b = B N + r holds in integers throughout; rationals
 are read off N / 2^top over a running common denominator, in one pass over
 the entries as Python ints, where an entry the denominator already explains
-costs one multiplication.  Every denominator divides det B, and log2 |det B|
-is the sum of log2 |u_ii| over the float LU's diagonal, so the attempts
-are scheduled to reach twice that; x is lifted first, and the lift of y
-first tries x's common denominator, which needs half the precision of a
+costs one multiplication.  x is lifted first, and the lift of y first
+tries x's common denominator, which needs half the precision of a
 reconstruction.  The results come as (numerators, common denominator).
 A tall block is factored once too (``float_basis``): the row interchanges
 of its LU pick the basis rows, and its top square factors are the basis's
@@ -447,41 +445,43 @@ def _lu_factor(block):
         return lu_factor(block.astype(np.float64).toarray(), check_finite=False)
 
 
-def float_basis(block) -> tuple[list[int], tuple]:
-    """The basis rows of the m x k int64 CSR ``block`` (m >= k) and the float
-    LU of the basis, from one LAPACK ``getrf`` with partial pivoting.
+def float_basis(block) -> tuple[list[int], tuple] | None:
+    """The basis rows of the m x k int64 CSR ``block`` and the float LU of
+    the basis, from one LAPACK ``getrf`` with partial pivoting; None when
+    m < k.
 
     Returns the k rows that the row interchanges move to the top, in that
-    order, and the ``lu_factor`` pair of ``block[rows]``: the top k x k of the
-    factors, with no interchange left.  These are the rows
-    ``scipy.linalg.lu`` would put first, without a second factorisation.
+    order, which are all of them when m = k, and the ``lu_factor`` pair of
+    ``block[rows]``: the top k x k of the factors, with no interchange left.
+    These are the rows ``scipy.linalg.lu`` would put first, without a second
+    factorisation.
     """
+    m, k = block.shape
+    if m < k:
+        return None
     lu, piv = _lu_factor(block)
-    k = block.shape[1]
-    order = list(range(block.shape[0]))
+    order = list(range(m))
     for i, p in enumerate(piv.tolist()):  # row i was interchanged with row p
         order[i], order[p] = order[p], order[i]
     return order[:k], (np.asfortranarray(lu[:k]), np.arange(k, dtype=piv.dtype))
 
 
-def refine_solve(matrix, rhs: list[int], rhs_t: list[int], lu=None):
+def refine_solve(matrix, rhs: list[int], rhs_t: list[int], lu):
     """Exact solutions of matrix x = rhs and matrix^T y = rhs_t, lifted from
     one float LU factorisation of the square int64 CSR ``matrix``.
 
-    ``lu`` is the ``scipy.linalg.lu_factor`` pair of ``matrix`` (say from
-    ``float_basis``); without it ``matrix`` is factored here.  The float
-    factors only propose digits: each side is lifted by ``_refine`` and
-    returned only if its exact check holds.  Returns ((X, dx), (Y, dy)) with
-    x = X / dx and y = Y / dy for lists of ints X, Y and common denominators
-    dx, dy >= 1, or None on a zero or non-finite pivot or when either lift
-    fails, as it does at a condition number past the float solve's reach.
+    ``lu`` is the ``scipy.linalg.lu_factor`` pair of ``matrix``, as
+    ``float_basis`` returns it.  The float factors only propose digits:
+    each side is lifted by ``_refine`` and returned only if its exact check
+    holds.  Returns ((X, dx), (Y, dy)) with x = X / dx and y = Y / dy for
+    lists of ints X, Y and common denominators dx, dy >= 1, or None on a
+    zero or non-finite pivot or when either lift fails, as it does at a
+    condition number past the float solve's reach.
 
-    Every denominator divides det(matrix), whose log2 is the sum of
-    log2 |u_ii| over the LU's diagonal; the attempts are scheduled to reach
-    twice that, plus ``_SLACK`` bits.  x is lifted first, and the lift of y
-    first tries the scale dx (``_refine``'s ``seed``): x and y share the
-    matrix, so y's denominators often divide dx, and that attempt needs
-    about half the precision of a reconstruction.
+    x is lifted first, and the lift of y first tries the scale dx
+    (``_refine``'s ``seed``): x and y share the matrix, so y's denominators
+    often divide dx, and that attempt needs about half the precision of a
+    reconstruction.
     """
     from scipy.linalg import lu_solve
 
@@ -490,20 +490,18 @@ def refine_solve(matrix, rhs: list[int], rhs_t: list[int], lu=None):
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
                          f"{len(rhs)}/{len(rhs_t)} right-hand sides; "
                          "refine_solve needs a square system")
-    lu = _lu_factor(matrix) if lu is None else lu
-    pivots = np.abs(np.diagonal(lu[0]))
+    pivots = np.diagonal(lu[0])
     if not (np.isfinite(pivots).all() and pivots.all()):
         return None
-    cap = 2 * float(np.log2(pivots).sum()) + _SLACK
-    x = _refine(matrix, rhs, lambda r: lu_solve(lu, r, check_finite=False), cap)
+    x = _refine(matrix, rhs, lambda r: lu_solve(lu, r, check_finite=False))
     if x is None:
         return None
     y = _refine(matrix.T.tocsr(), rhs_t,
-                lambda r: lu_solve(lu, r, trans=1, check_finite=False), cap, x[1])
+                lambda r: lu_solve(lu, r, trans=1, check_finite=False), x[1])
     return None if y is None else (x, y)
 
 
-def _refine(matrix, rhs: list[int], solve, cap: float,
+def _refine(matrix, rhs: list[int], solve,
             seed: int = 1) -> tuple[list[int], int] | None:
     """Integer iterative refinement of matrix x = rhs, where ``matrix`` is a
     square int64 CSR matrix and ``solve(r)`` a float approximation of
@@ -523,14 +521,13 @@ def _refine(matrix, rhs: list[int], solve, cap: float,
     growing precision and accepts it only by its exact check.
 
     Attempts come at 64 bits of precision and then each half as many bits
-    again (64 at least), but never past ``cap`` until one has been made
-    there: the caller's estimate of the precision the denominators need.
-    A ``seed`` > 1, a denominator x is expected to share, is tried once, as
-    soon as the precision passes its bits plus ``_SLACK``.  None when the
-    residual passes the float range, the float solve is zero or not finite,
-    the residual stops shrinking (to less than half of 2^s residual), or the
-    precision passes a Hadamard-style budget with no candidate accepted;
-    every step wins a bit, and the step count is capped by that budget too.
+    again (64 at least).  A ``seed`` > 1, a denominator x is expected to
+    share, is tried once, as soon as the precision passes its bits plus
+    ``_SLACK``.  None when the residual passes the float range, the float
+    solve is zero or not finite, the residual stops shrinking (to less than
+    half of 2^s residual), or the precision passes a Hadamard-style budget
+    with no candidate accepted; every step wins a bit, and the step count is
+    capped by that budget too.
     """
     k = len(rhs)
     norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
@@ -541,7 +538,7 @@ def _refine(matrix, rhs: list[int], solve, cap: float,
     residual = np.array([int(b) for b in rhs], dtype=object)
     numer = np.zeros(k, dtype=object)
     top = 0
-    next_attempt = min(64.0, cap)
+    next_attempt = 64.0
     seed_at = seed.bit_length() + _SLACK if seed > 1 else math.inf
     for _ in range(int(budget) + 2):
         size = _magnitude(residual)
@@ -564,8 +561,6 @@ def _refine(matrix, rhs: list[int], solve, cap: float,
             if x is not None or precision >= budget:
                 return x
             next_attempt = precision + max(64.0, precision / 2)
-            if precision < cap:
-                next_attempt = min(next_attempt, cap)
         s = _DIGIT_BITS - math.frexp(err)[1]
         up, down = max(s, 0), max(-s, 0)
         digit = np.rint(np.ldexp(y, s)).astype(np.int64)
@@ -598,8 +593,11 @@ def _dyadic_candidate(matrix, rhs: list[int], numer: np.ndarray, top: int,
     it, and d grows to lcm(d, q); a d past Q ends the attempt.  Two fractions
     of denominator at most Q within E / 2^top of one point are equal, and
     such a fraction is a convergent of the point (Legendre), so this is the
-    rounding a separate reconstruction of each entry would give, and an
-    attempt at too low a precision stops at its first or second convergent.
+    rounding a separate reconstruction of each entry would give.  A
+    convergent that does not end the attempt has q not dividing d (d would
+    have explained the entry), so it at least doubles d: an attempt takes at
+    most log2 Q + 1 convergents, and one at too low a precision usually
+    stops after one or two.
     The candidate is X = round(d numer / 2^top), returned with d only if
     matrix X = d rhs holds exactly (``exact_product``).
     """

@@ -410,9 +410,9 @@ def test_tall_basis_certifies_on_the_pivoted_rows(monkeypatch):
     # picks certify, with no support solve
     lp = magnitude.asym_quotient(8, 4).lp
     blocks, support_solves = [], []
-    real_rows = exactlp._basis_rows
-    monkeypatch.setattr(exactlp, "_basis_rows",
-                        lambda sub, k: blocks.append(sub) or real_rows(sub, k))
+    real_basis = linsolve.float_basis
+    monkeypatch.setattr(linsolve, "float_basis",
+                        lambda sub: blocks.append(sub) or real_basis(sub))
     monkeypatch.setattr(exactlp, "_support_solve",
                         lambda *args: support_solves.append(args))
     sol = exactlp.solve_min_transversal(lp)
@@ -426,10 +426,10 @@ def test_tall_basis_certifies_on_the_pivoted_rows(monkeypatch):
 def _tall_mag_asym_block():
     """The 154 x 153 tight block of the mag-asym q=4 n=8 crossover."""
     blocks = []
-    real_rows = exactlp._basis_rows
+    real_basis = linsolve.float_basis
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlp, "_basis_rows",
-                   lambda sub, k: blocks.append(sub) or real_rows(sub, k))
+        mp.setattr(linsolve, "float_basis",
+                   lambda sub: blocks.append(sub) or real_basis(sub))
         exactlp.solve_min_transversal(magnitude.asym_quotient(8, 4).lp)
     return blocks[0]
 
@@ -448,7 +448,7 @@ def test_tall_block_takes_one_factorisation(monkeypatch):
     for block in blocks:
         m, k = block.shape
         calls.clear()
-        rows, (lu, piv) = exactlp._basis_rows(block, k)
+        rows, (lu, piv) = linsolve.float_basis(block)
         assert len(calls) == 1 and len(rows) == k
         dense = block.toarray().astype(np.float64)
         perm = scipy.linalg.lu(dense, p_indices=True)[0]
@@ -456,7 +456,7 @@ def test_tall_block_takes_one_factorisation(monkeypatch):
         assert piv.tolist() == list(range(k))
         lower = np.tril(lu, -1) + np.eye(k)
         assert np.allclose(lower @ np.triu(lu), dense[rows])
-    assert exactlp._basis_rows(blocks[0][:4], 5) is None
+    assert linsolve.float_basis(blocks[0][:4]) is None
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(0.5), "1/2"],

@@ -228,8 +228,9 @@ def as_fractions(lifted) -> list[Fraction]:
 
 
 def float_pair(matrix, rhs, c):
-    """``refine_solve``'s pair as two Fraction lists, or None."""
-    pair = linsolve.refine_solve(matrix, rhs, c)
+    """``refine_solve``'s pair as two Fraction lists, or None, from the
+    matrix's own float LU."""
+    pair = linsolve.refine_solve(matrix, rhs, c, linsolve._lu_factor(matrix))
     return None if pair is None else tuple(map(as_fractions, pair))
 
 
@@ -351,6 +352,31 @@ def test_low_precision_attempt_stops_at_its_second_convergent(monkeypatch):
     assert as_fractions(linsolve._dyadic_candidate(matrix, rhs, numer, 48, 0.5)) == values
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_convergents_per_attempt_bounded_by_doubling(data):
+    # mixed small denominators at any precision, accepted or not: a
+    # convergent that does not end the attempt at least doubles the running
+    # denominator, which stays within Q, so an attempt takes at most
+    # log2 Q + 1 convergents
+    dens = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=40))
+    values = [Fraction(data.draw(st.integers(-10**6, 10**6)), q) for q in dens]
+    top = data.draw(st.integers(0, 120))
+    err = data.draw(st.sampled_from([0.3, 1.0, 5.0]))
+    numer = [round(v * 2**top) + data.draw(st.integers(-int(err), int(err)))
+             for v in values]
+    matrix = csr_matrix(np.diag([v.denominator for v in values]))
+    calls = []
+    real = linsolve._convergent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "_convergent",
+                   lambda *args: calls.append(args) or real(*args))
+        linsolve._dyadic_candidate(matrix, [v.numerator for v in values],
+                                   np.array(numer, dtype=object), top, err)
+    limit = math.isqrt((1 << top) // (2 * (int(2 * err) + 1)))
+    assert len(calls) <= limit.bit_length()
+
+
 P1, P2, P3 = 1000003, 1000033, 1000037  # primes near 2^20
 SYMMETRIC = [[P1, 1, 0], [1, P2, 1], [0, 1, P3]]
 
@@ -401,14 +427,16 @@ def test_float_lift_refuses_an_ill_conditioned_basis():
               + np.array([[3, 2, 1], [2, 1, 3], [3, 1, 2]]))
     block = csr_matrix(matrix)
     assert np.linalg.cond(matrix) > 1e10
-    assert linsolve.refine_solve(block, [1, 1, 1], [1, 1, 1]) is None
+    assert linsolve.refine_solve(block, [1, 1, 1], [1, 1, 1],
+                                 linsolve._lu_factor(block)) is None
     rows, cols, inv = linsolve.select_pivots_mod(matrix.T, P)
     y = linsolve.dixon_solve(csr_matrix(matrix.T[np.ix_(rows, cols)]), 3, inv, [1, 1, 1])
     assert y is not None and satisfies(matrix.T[np.ix_(rows, cols)], y, [1, 1, 1])
     # a singular block stops at its zero pivot, and a right-hand side past
     # the float64 range is refused rather than converted
-    assert linsolve.refine_solve(csr_matrix([[1, 2], [2, 4]]), [1, 1], [1, 1]) is None
-    assert linsolve.refine_solve(csr_matrix([[1]]), [1], [1 << 1100]) is None
+    for block, rhs, c in ((csr_matrix([[1, 2], [2, 4]]), [1, 1], [1, 1]),
+                          (csr_matrix([[1]]), [1], [1 << 1100])):
+        assert linsolve.refine_solve(block, rhs, c, linsolve._lu_factor(block)) is None
 
 
 def test_dixon_refuses_a_row_norm_that_overflows_int64():

@@ -92,6 +92,7 @@ def test_no_second_lu_factorisation(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "lu"
+             and ast.unparse(node.value) in ("scipy.linalg", "linalg")
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").startswith("scipy.linalg")
              and any(alias.name == "lu" for alias in node.names)]
