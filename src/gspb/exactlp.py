@@ -329,8 +329,7 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     basis does not certify, and the subspace block dual.
     """
     sub = matrix[eqs][:, unknowns]
-    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(sub.toarray(),
-                                                         linsolve.PRIME)
+    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(sub.toarray())
     if not piv_cols:
         return [Fraction(0)] * size
     solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols), inv,

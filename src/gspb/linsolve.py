@@ -24,16 +24,19 @@ stops shrinking): then the lift returns None and the caller falls back.
 
 The support solves need an exact rank and have no conditioning limit:
 ``select_pivots_mod`` picks an independent square subsystem B and
-``dixon_solve`` solves it.  B is selected and factored by one forward
-elimination modulo one word-sized prime ``PRIME``, which keeps its LU
-factors in place; the selection returns B^-1 = U^-1 L^-1 mod p from those
-factors, and ``dixon_solve`` lifts the solution p-adically (Dixon) from
-that inverse, one numpy pass per step (Chen and Storjohann, "A BLAS based
-C library for exact linear algebra on integer matrices", ISSAC 2005), and
-recovers rationals over a running common denominator, with an extended
-Euclid only for entries it does not already explain.  B is nonsingular
-modulo the prime it was selected with by construction, so no second prime
-is ever needed.
+``dixon_solve`` solves it.  B is selected by one plain Gauss-Jordan
+elimination of [matrix | I] modulo one prime ``PRIME`` < 2^20, in int64,
+which leaves B^-1 mod p in the pivot rows' identity columns; a product of
+two residues is below 2^40, so every int64 update and every k-term dot
+product of residues with k < 2^23 is exact.  ``dixon_solve`` lifts the
+solution p-adically (Dixon) from that inverse, one numpy pass per step
+(Chen and Storjohann, "A BLAS based C library for exact linear algebra on
+integer matrices", ISSAC 2005), and recovers rationals over a running
+common denominator, with an extended Euclid only for entries it does not
+already explain.  B is nonsingular modulo the prime it was selected with by
+construction, so no second prime is ever needed.  The elimination is
+plain, not blocked: the support systems of every table range have a few
+dozen rows and columns at most.
 
 On both routes every candidate, scaled by the LCM of its denominators, is
 checked exactly by ``exact_product``, the package's one exact sparse
@@ -41,16 +44,6 @@ product, before being returned, so a wrong digit or a failed reconstruction
 can only cost time, never correctness.  ``exact_product`` sums in int64
 where a bound on its inputs proves that no partial sum can overflow, and in
 Python ints otherwise; ``exact_dot`` does the same for one dot product.
-
-Elimination and triangular inversion mod p are blocked and run on float64
-residues, so that the bulk of the work is BLAS ``gemm`` (Dumas, Giorgi and
-Pernet, "Dense linear algebra over word-size prime fields: the FFLAS and
-FFPACK packages", ACM TOMS 35(3), 2008).  float64 holds every integer below
-2^53 exactly, so a product of matrices with entries in [0, p) and inner
-width w is exact while w*(p-1)^2 < 2^53.  The primes stay below 2^20, which
-allows w up to 8192; every reduced product goes through ``_product_mod``,
-which cuts wider inner dimensions into chunks and reduces between them, and
-``_check_exact`` raises before any product that could round.
 """
 
 from __future__ import annotations
@@ -67,172 +60,54 @@ from .channels import GspbError
 # the largest prime below 2^20 (a test checks it by trial division)
 PRIME = 1048573
 
-_PANEL = 64        # columns factored per panel, and the inner width of its gemms
-_EXACT = 1 << 53   # float64 represents every integer of smaller magnitude
 
-
-def _check_exact(width: int, p: int) -> None:
-    """Raise unless a float64 product of residues mod p with this inner width
-    is exact."""
-    if width * (p - 1) ** 2 >= _EXACT:
-        raise ValueError(f"a float64 product of width {width} mod {p} can exceed "
-                         "2^53 and round; use a smaller prime")
-
-
-def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``a @ b`` mod p for float64 residues in [0, p), exact at any inner width.
-
-    The inner width is cut into the widest chunks that ``_check_exact``
-    allows with one term to spare, so that a chunk's product plus the reduced
-    sum of the chunks before it stays below 2^53; the sum is reduced after
-    every chunk.  Either factor may be a vector.
-    """
-    width = a.shape[-1]
-    chunk = max(1, (_EXACT - 1) // (p - 1) ** 2 - 1)
-    _check_exact(chunk + 1, p)
-    out = a[..., :chunk] @ b[:chunk]
-    np.remainder(out, p, out=out)
-    for s in range(chunk, width, chunk):
-        out += a[..., s:s + chunk] @ b[s:s + chunk]
-        np.remainder(out, p, out=out)
-    return out
-
-
-def _eliminate(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Forward elimination mod p of a float64 matrix of residues, in place.
+def select_pivots_mod(matrix: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """Pivots of a Gauss-Jordan elimination mod ``PRIME``, and the inverse
+    of the block they select.
 
     Columns are scanned left to right; a column with no nonzero entry at or
     below the frontier is skipped, otherwise the first such row is swapped
-    with the frontier row and becomes the pivot row.  Returns the row order
-    after the swaps (``order[t]`` is the input row now at position t) and the
-    pivot columns.  Every row operation is applied across the full width.
+    with the frontier row and becomes the pivot row, so pre-ordering the
+    matrix rows by preference makes the selection honor that preference.
+    Returns original (row, column) index lists of equal length k (the rank)
+    and the inverse mod ``PRIME`` of ``matrix[rows][:, cols]``, in that row
+    and column order, as a k x k int64 array of residues.
 
-    On return ``work`` holds the LU factors in the LAPACK ``getrf`` layout.
-    Row t < k = ``len(cols)`` is the t-th echelon row scaled so that its pivot
-    entry is 1: U, whose unit diagonal is implied.  Column ``cols[t]`` holds,
-    from row t down, the multipliers L of pivot t, the unscaled pivot on the
-    diagonal.  So ``matrix[order[:k]][:, cols] = L U`` with L the lower
-    triangle of ``work[:k, cols]`` and U its strict upper triangle plus I.
-
-    Each 64-column panel is factored unblocked in int64, and its multipliers
-    are written back once per panel; its row operations reach the columns to
-    its right as one small triangular transform and a gemm on the pivot rows,
-    and one gemm ``X -= L @ U`` on the rows below.  Those rows are reduced
-    only when their entries could otherwise pass 2^53.
+    The elimination runs on [matrix | I] in int64 and clears each pivot
+    column above and below its pivot.  The pivot rows are combinations of
+    the selected input rows alone, and their matrix part ends as the
+    identity on the pivot columns, so their identity columns at the
+    selected rows are the block's inverse.  A product of two residues is
+    below 2^40, so no update can overflow.
     """
-    m, n = work.shape
-    _check_exact(_PANEL, p)
+    m, n = matrix.shape
+    work = np.zeros((m, n + m), dtype=np.int64)
+    np.remainder(matrix, PRIME, out=work[:, :n])
+    work[np.arange(m), n + np.arange(m)] = 1
     order = np.arange(m)
     cols: list[int] = []
-    f = 0          # frontier: rows above it are finished pivot rows
-    bound = p - 1  # bound on |entry| of the rows at or below the frontier
-    for c0 in range(0, n, _PANEL):
+    f = 0  # frontier: rows above it are pivot rows
+    for c in range(n):
         if f >= m:
             break
-        c1 = min(c0 + _PANEL, n)
-        panel = np.remainder(work[f:, c0:c1], p).astype(np.int64)
-        lower = np.zeros((m - f, _PANEL), dtype=np.int64)  # multipliers
-        r = 0
-        for c in range(c1 - c0):
-            if f + r >= m:
-                break
-            nz = panel[r:, c].nonzero()[0]
-            if not nz.size:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                for a in (panel, lower, work[f:], order[f:]):
-                    a[[r, pr]] = a[[pr, r]]
-            lower[r:, r] = panel[r:, c]
-            prow = panel[r, c:] * pow(int(panel[r, c]), p - 2, p) % p
-            panel[r, c:] = prow
-            hit = r + 1 + panel[r + 1:, c].nonzero()[0]
-            if hit.size:
-                panel[hit, c:] = (panel[hit, c:] - lower[hit, r, None] * prow) % p
-            cols.append(c0 + c)
-            r += 1
-        # below the diagonal of the pivot columns the panel holds zeros and
-        # on it ones: L replaces both, U above it stays
-        at = [c - c0 for c in cols[len(cols) - r:]]
-        panel[:, at] = np.triu(panel[:, at], 1) + lower[:, :r]
-        work[f:, c0:c1] = panel
-        # pivot rows: U12 = L11^-1 A12; rows below: X -= L21 U12
-        u12 = _product_mod(_lower_inverse(lower[:r, :r], p),
-                           np.remainder(work[f:f + r, c1:], p), p)
-        work[f:f + r, c1:] = u12
-        trail = work[f + r:, c1:]
-        if bound + r * (p - 1) ** 2 >= _EXACT:
-            np.remainder(trail, p, out=trail)
-            bound = p - 1
-        trail -= lower[r:, :r].astype(np.float64) @ u12
-        bound += r * (p - 1) ** 2
-        f += r
-    return order, cols
-
-
-def _lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of a small lower triangular int64 matrix, as float64.
-    Entries above the diagonal are not read."""
-    r = lower.shape[0]
-    inv = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        row = -(lower[i, :i] @ inv[:i]) % p
-        row[i] = 1
-        inv[i] = row * pow(int(lower[i, i]), p - 2, p) % p
-    return inv.astype(np.float64)
-
-
-def _triangular_inverse(t: np.ndarray, p: int, unit: bool, out: np.ndarray) -> None:
-    """Write the inverse mod p of the lower triangle of the square float64
-    residue matrix ``t`` into ``out``, which is zero above its diagonal.
-    With ``unit`` the diagonal of t is read as ones; entries of t above its
-    diagonal are never read.
-
-    Recursive, by [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
-    down to blocks of at most 64 rows, which ``_lower_inverse`` inverts.
-    """
-    k = t.shape[0]
-    if k <= _PANEL:
-        base = t.astype(np.int64)
-        if unit:
-            np.fill_diagonal(base, 1)
-        out[:] = _lower_inverse(base, p)
-        return
-    h = k // 2
-    _triangular_inverse(t[:h, :h], p, unit, out[:h, :h])
-    _triangular_inverse(t[h:, h:], p, unit, out[h:, h:])
-    left = _product_mod(out[h:, h:], _product_mod(t[h:, :h], out[:h, :h], p), p)
-    np.negative(left, out=left)
-    np.remainder(left, p, out=out[h:, :h])
-
-
-def select_pivots_mod(matrix: np.ndarray,
-                      p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """Pivots of a forward elimination mod p, and the inverse of the block
-    they select.
-
-    Rows are taken first-nonzero-first, so pre-ordering the matrix rows by
-    preference makes the selection honor that preference.  Returns original
-    (row, column) index lists of equal length k (the rank) and the inverse
-    mod p of ``matrix[rows][:, cols]``, in that row and column order, as a
-    k x k float64 array of residues.
-
-    The inverse is U^-1 L^-1, built from the LU factors of the one
-    elimination (Dumas, Giorgi and Pernet 2008): L is inverted as lower
-    triangular, and U, unit upper triangular, with its rows and columns
-    reversed, which makes it unit lower triangular.
-    """
-    work = np.remainder(matrix, p).astype(np.float64)
-    order, cols = _eliminate(work, p)
-    k = len(cols)
-    lu = work[:k, cols]
-    del work  # the m x n array goes before the k x k inverses are made
-    l_inv = np.zeros((k, k))
-    _triangular_inverse(lu, p, False, l_inv)
-    u_inv = np.zeros((k, k))  # U^-1 with its rows and columns reversed
-    _triangular_inverse(lu[::-1, ::-1], p, True, u_inv)
-    del lu
-    return order[:k].tolist(), cols, _product_mod(u_inv[::-1, ::-1], l_inv, p)
+        nz = work[f:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        pr = f + int(nz[0])
+        if pr != f:
+            work[[f, pr]] = work[[pr, f]]
+            order[[f, pr]] = order[[pr, f]]
+        # row f is zero left of column c, so the update starts there
+        right = work[:, c:]
+        right[f] = right[f] * pow(int(right[f, 0]), PRIME - 2, PRIME) % PRIME
+        mult = right[:, 0].copy()
+        mult[f] = 0
+        right -= np.multiply.outer(mult, right[f])
+        np.remainder(right, PRIME, out=right)
+        cols.append(c)
+        f += 1
+    rows = order[:f]
+    return rows.tolist(), cols, work[:f, n + rows]
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -256,7 +131,7 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
     """Exact solution of the square sparse integer system matrix * x = rhs.
 
     matrix: a k x k ``scipy.sparse`` CSR matrix of int64; inv: its inverse
-    mod ``PRIME`` as float64 residues, the one ``select_pivots_mod`` returns
+    mod ``PRIME`` as int64 residues, the one ``select_pivots_mod`` returns
     with the block.  Returns None when a lifting budget runs out.  A
     candidate x is returned only if A.X == d.rhs holds exactly
     (``exact_product``), where d is the LCM of its denominators and X = d.x.
@@ -266,7 +141,7 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
                          f"a {inv.shape[0]}x{inv.shape[1]} inverse and "
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
-    return _lift(matrix, rhs, lambda r: _product_mod(inv, r, PRIME))
+    return _lift(matrix, rhs, lambda r: inv @ r % PRIME)
 
 
 def _magnitude(a: np.ndarray) -> int:
@@ -331,8 +206,8 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
 
 def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
     """Dixon lifting of matrix x = rhs, where ``matrix`` is a square int64
-    CSR matrix and ``solve_mod(r)`` is matrix^-1 r mod ``PRIME`` (float64
-    residues); None when the lifting budget runs out.
+    CSR matrix and ``solve_mod(r)`` is matrix^-1 r mod ``PRIME`` (int64
+    residues in, int64 residues out); None when the lifting budget runs out.
 
     Each step is one pass over the residual array r: the digit is
     x_s = matrix^-1 (r mod p), and r becomes (r - matrix x_s) / p, which
@@ -366,7 +241,7 @@ def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
     next_attempt = 8
     step = 0
     while step < max_steps:
-        digit = solve_mod((residual % p).astype(np.float64)).astype(np.int64)
+        digit = solve_mod((residual % p).astype(np.int64))
         residual -= matrix @ digit  # exact: the row norms were checked
         if (residual % p).any():
             raise GspbError("Dixon lifting: a p-adic step left a "

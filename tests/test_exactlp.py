@@ -294,16 +294,15 @@ def test_rational_reconstruction_roundtrip(den, data):
 
 def test_dixon_small_system():
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
-    inv = linsolve.select_pivots_mod(matrix.toarray(), linsolve.PRIME)[2]
+    inv = linsolve.select_pivots_mod(matrix.toarray())[2]
     x = linsolve.dixon_solve(matrix, 2, inv, [5, 7])
     assert x == [Fraction(8, 5), Fraction(9, 5)]
 
 
 def test_singular_system_selects_rank_below_k():
     # a singular system never reaches dixon_solve: its selection is smaller
-    rows, cols, inv = linsolve.select_pivots_mod(np.array([[1, 2], [2, 4]]),
-                                                 linsolve.PRIME)
-    assert (rows, cols, inv.tolist()) == ([0], [0], [[1.0]])
+    rows, cols, inv = linsolve.select_pivots_mod(np.array([[1, 2], [2, 4]]))
+    assert (rows, cols, inv.tolist()) == ([0], [0], [[1]])
 
 
 def test_optimum_zero_certifies_by_crossover():
@@ -420,7 +419,7 @@ def test_tall_basis_certifies_on_the_pivoted_rows(monkeypatch):
     assert sol.notes == "supports 153/151, float basis"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
     top = blocks[0][:153].toarray()
-    assert len(linsolve.select_pivots_mod(top, linsolve.PRIME)[1]) < 153
+    assert len(linsolve.select_pivots_mod(top)[1]) < 153
 
 
 def _tall_mag_asym_block():

@@ -1,4 +1,5 @@
-"""The blocked mod-p elimination against a plain Python-int reference."""
+"""The mod-p Gauss-Jordan selection, Dixon lifting and the float-factored
+lift against plain Python-int references."""
 
 import math
 import tracemalloc
@@ -14,11 +15,10 @@ from gspb import exactlp, linsolve
 from gspb.channels import GspbError
 
 P = linsolve.PRIME
-P23 = 8388593  # largest prime below 2^23: 64*(p-1)^2 < 2^53 < 129*(p-1)^2
 
 
 def ref_eliminate(matrix, p):
-    """Unblocked forward elimination mod p: row order, pivot columns, rows."""
+    """Forward elimination mod p in Python ints: row order, pivot columns, rows."""
     work = [[int(a) % p for a in row] for row in matrix]
     m = len(work)
     n = len(work[0]) if m else 0
@@ -98,14 +98,14 @@ def is_identity_mod(block, inv, p):
 @pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
 def test_select_pivots_matches_reference(name, matrix):
     order, cols, _ = ref_eliminate(matrix.tolist(), P)
-    assert linsolve.select_pivots_mod(matrix, P)[:2] == (order[:len(cols)], cols)
+    assert linsolve.select_pivots_mod(matrix)[:2] == (order[:len(cols)], cols)
 
 
 @pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
 def test_inverse_matches_reference(name, matrix):
     # tall, wide and rank-deficient matrices skip columns, so L sits at
     # non-contiguous pivot columns
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix)
     if matrix.shape[0] == matrix.shape[1]:
         singular = ref_inverse(matrix.tolist(), P) is None
         assert (len(cols) < matrix.shape[0]) == singular
@@ -121,31 +121,32 @@ def test_selected_block_inverts_mod_the_same_prime(name, matrix):
     # dixon_solve needs no second prime: the block the pivot selection picks
     # is nonsingular modulo the prime it was picked with, and the selection
     # returns its inverse
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix)
     assert inv.shape == (len(rows), len(cols))
     assert is_identity_mod(matrix[np.ix_(rows, cols)], inv, P)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 140), st.integers(1, 140), st.floats(0.0, 1.0),
-       st.sampled_from([P, P23]), st.integers(0, 2**32 - 1))
-def test_selection_inverse_property(m, n, density, p, seed):
-    # sizes on both sides of the 64-column panel edge, at both primes
-    matrix = random_matrix(np.random.default_rng(seed), m, n, density, top=p)
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, p)
-    order, ref_cols, _ = ref_eliminate(matrix.tolist(), p)
+       st.integers(0, 2**32 - 1))
+def test_selection_inverse_property(m, n, density, seed):
+    # tall, wide and square, sparse to dense, with entries up to the prime
+    matrix = random_matrix(np.random.default_rng(seed), m, n, density, top=P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix)
+    order, ref_cols, _ = ref_eliminate(matrix.tolist(), P)
     assert (rows, cols) == (order[:len(ref_cols)], ref_cols)
-    assert is_identity_mod(matrix[np.ix_(rows, cols)], inv, p)
+    assert is_identity_mod(matrix[np.ix_(rows, cols)], inv, P)
 
 
 def test_selection_memory_is_a_few_inverses():
-    # the m x n work array is freed before the k x k triangular inverses are
-    # made, so selection and inverse peak near 3.5 k^2 doubles
+    # the elimination updates [matrix | I] (2 k^2 words) in place, so
+    # selection and inverse peak near 4 k^2 words: that array and the outer
+    # product of one update
     k = 300
     matrix = np.random.default_rng(300).integers(0, P, (k, k))
     tracemalloc.start()
     try:
-        _, cols, _ = linsolve.select_pivots_mod(matrix, P)
+        _, cols, _ = linsolve.select_pivots_mod(matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,38 +158,10 @@ def test_row_preference_order():
     # column 0 swaps row 2 to the front and row 0 to position 2, so row 1
     # now precedes row 0 and wins column 1; row 0 then pivots on column 2
     matrix = np.array([[0, 1, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]])
-    assert linsolve.select_pivots_mod(matrix, P)[:2] == ([2, 1, 0], [0, 1, 2])
+    assert linsolve.select_pivots_mod(matrix)[:2] == ([2, 1, 0], [0, 1, 2])
     # a column with no entry at or below the frontier is skipped
     matrix = np.array([[1, 1, 0, 0], [2, 2, 0, 1], [0, 0, 0, 3]])
-    assert linsolve.select_pivots_mod(matrix, P)[:2] == ([0, 1], [0, 3])
-
-
-def test_reduction_after_every_panel():
-    # near 2^23 two trailing updates fill the float64 budget, so the rows
-    # below the frontier are reduced before every second update
-    rng = np.random.default_rng(7)
-    for matrix in (random_matrix(rng, 200, 200, 1.0, top=P23),
-                   rank_deficient(rng, 131, 131)):
-        order, cols, _ = ref_eliminate(matrix.tolist(), P23)
-        assert linsolve.select_pivots_mod(matrix, P23)[:2] == (order[:len(cols)], cols)
-    # the inverse's products reduce after every chunk of 127 terms
-    matrix = random_matrix(rng, 131, 131, 1.0, top=P23)
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P23)
-    assert rows == cols == list(range(131))
-    assert inv.astype(np.int64).tolist() == ref_inverse(matrix.tolist(), P23)
-    # eleven panels: unreduced, the trailing entries would pass 2^53 and
-    # round; int64 holds the 704-term check sums (each below 2^46)
-    matrix = random_matrix(rng, 704, 704, 1.0, top=P23)
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P23)
-    assert len(cols) == 704
-    inv = inv.astype(np.int64)
-    block = matrix[np.ix_(rows, cols)]
-    assert ((block @ inv) % P23 == np.eye(704, dtype=np.int64)).all()
-
-
-def test_exactness_bound_raises():
-    with pytest.raises(ValueError, match="2\\^53"):
-        linsolve.select_pivots_mod(np.eye(3, dtype=np.int64), 67108859)
+    assert linsolve.select_pivots_mod(matrix)[:2] == ([0, 1], [0, 3])
 
 
 def test_primes():
@@ -205,7 +178,7 @@ def test_dixon_across_panels():
     dense = np.eye(k, dtype=np.int64) * 3 + random_matrix(rng, k, k, 5 / k)
     rows = [[(j, int(a)) for j, a in enumerate(row) if a] for row in dense]
     rhs = [int(b) for b in rng.integers(-5, 6, k)]
-    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(dense, P)
+    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(dense)
     assert piv_rows == piv_cols == list(range(k))
     x = linsolve.dixon_solve(csr_matrix(dense), k, inv, rhs)
     assert x is not None
@@ -244,7 +217,7 @@ def test_transposed_lift_from_the_one_inverse(name, matrix):
     rng = np.random.default_rng(k)
     rhs = [int(b) for b in rng.integers(-5, 6, k)]
     c = [int(b) for b in rng.integers(0, 6, k)]
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix)
     if len(cols) < k:
         assert ref_inverse(matrix.tolist(), P) is None
         # singular: refused, or a pair that solves both systems exactly
@@ -269,7 +242,7 @@ def test_float_lift_matches_dixon(seed, k, density, top):
     rng = np.random.default_rng(seed)
     matrix = (rng.integers(-top, top + 1, (k, k)) * (rng.random((k, k)) < density)
               + np.eye(k, dtype=np.int64))
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix)
     block = matrix[np.ix_(rows, cols)]
     r = len(cols)
     rhs = [int(b) for b in rng.integers(-9, 10, r)]
@@ -405,7 +378,7 @@ def test_second_side_seeded_by_the_first_sides_denominator(monkeypatch, matrix,
     block = csr_matrix(np.array(matrix, dtype=np.int64))
     x, y = float_pair(block, rhs, c)
     monkeypatch.undo()
-    rows, cols, inv = linsolve.select_pivots_mod(np.array(matrix), P)
+    rows, cols, inv = linsolve.select_pivots_mod(np.array(matrix))
     assert rows == cols == [0, 1, 2]
     assert x == linsolve.dixon_solve(block, 3, inv, rhs)
     assert y == linsolve.dixon_solve(block.T.tocsr(), 3, np.ascontiguousarray(inv.T), c)
@@ -429,7 +402,7 @@ def test_float_lift_refuses_an_ill_conditioned_basis():
     assert np.linalg.cond(matrix) > 1e10
     assert linsolve.refine_solve(block, [1, 1, 1], [1, 1, 1],
                                  linsolve._lu_factor(block)) is None
-    rows, cols, inv = linsolve.select_pivots_mod(matrix.T, P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix.T)
     y = linsolve.dixon_solve(csr_matrix(matrix.T[np.ix_(rows, cols)]), 3, inv, [1, 1, 1])
     assert y is not None and satisfies(matrix.T[np.ix_(rows, cols)], y, [1, 1, 1])
     # a singular block stops at its zero pivot, and a right-hand side past
@@ -442,7 +415,7 @@ def test_float_lift_refuses_an_ill_conditioned_basis():
 def test_dixon_refuses_a_row_norm_that_overflows_int64():
     # each coefficient fits, but their row sum times p - 1 passes 2^63
     matrix = csr_matrix([[1 << 43, 1 << 43], [0, 1]], dtype=np.int64)
-    inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
+    inv = linsolve.select_pivots_mod(matrix.toarray())[2]
     with pytest.raises(ValueError, match="overflow"):
         linsolve.dixon_solve(matrix, 2, inv, [1, 1])
 
@@ -459,7 +432,7 @@ def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
 
     monkeypatch.setattr(linsolve, "_try_reconstruct", perturbed)
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
-    inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
+    inv = linsolve.select_pivots_mod(matrix.toarray())[2]
     assert linsolve.dixon_solve(matrix, 2, inv, [5, 7]) is None
     assert any(x is not None for x in calls)
 
@@ -478,7 +451,7 @@ def test_scaled_rhs_lifts_to_the_scaled_solution(seed, k, shift):
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-4, 5, (k, k))
     matrix[0, 0] = 1
-    rows, cols, inv = linsolve.select_pivots_mod(matrix, P)
+    rows, cols, inv = linsolve.select_pivots_mod(matrix)
     r = len(cols)
     block = csr_matrix(matrix[np.ix_(rows, cols)])
     rhs = [int(b) for b in rng.integers(-9, 10, r)]
@@ -597,10 +570,10 @@ def test_non_divisible_residual_raises(shift):
     # step raises whether the residual is int64 (shift 0) or Python ints
     # (shift 70: 2^70 b does not fit in int64)
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
-    inv = linsolve.select_pivots_mod(matrix.toarray(), P)[2]
+    inv = linsolve.select_pivots_mod(matrix.toarray())[2]
 
     def corrupted(r):
-        return (linsolve._product_mod(inv, r, P) + 1) % P
+        return (inv @ r % P + 1) % P
 
     with pytest.raises(GspbError, match="not divisible"):
         linsolve._lift(matrix, [5 << shift, 7 << shift], corrupted)

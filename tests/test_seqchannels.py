@@ -115,6 +115,20 @@ def test_deletion_full_gspb_small():
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 
 
+@pytest.mark.parametrize("solve,build,value", [
+    (seq.deletion_full_gspb, seq.deletion_full_lp, Fraction(41, 4)),
+    (seq.grain_full_gspb, seq.grain_full_lp, Fraction(17)),
+], ids=["deletion-6", "grain-6"])
+def test_degenerate_orbit_quotient_takes_the_support_solves(solve, build, value):
+    # the n=6 orbit quotients are the table cells whose float basis pair
+    # fails its certificate, so their optimum comes from the mod-p support
+    # solves (select_pivots_mod and dixon_solve)
+    sol = solve(6)
+    assert sol.optimum == value
+    assert "support solves (pair not certified)" in sol.notes
+    assert exactlp.check_certificate(build(6), sol.primal, sol.dual) == value
+
+
 def test_full_lp_cap():
     from gspb.channels import CapExceeded, EnumerationCapExceeded
     with pytest.raises(CapExceeded):

@@ -97,3 +97,20 @@ def test_no_second_lu_factorisation(path):
              and (node.module or "").startswith("scipy.linalg")
              and any(alias.name == "lu" for alias in node.names)]
     assert not lines, f"{path.name}: scipy.linalg.lu at lines {lines}"
+
+
+_FLOAT_NAMES = {"float16", "float32", "float64", "float"}
+
+
+@pytest.mark.parametrize("name", ["select_pivots_mod", "dixon_solve", "_lift"])
+def test_no_floats_on_the_modular_path(name):
+    # the support solves select, invert and lift in integer residues alone,
+    # so no float can decide a value there: no float dtype and no float()
+    # conversion appears in their code
+    tree = ast.parse((Path(gspb.__file__).resolve().parent / "linsolve.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    lines = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Name) and node.id in _FLOAT_NAMES
+             or isinstance(node, ast.Attribute) and node.attr in _FLOAT_NAMES]
+    assert not lines, f"linsolve.{name}: float references at lines {lines}"
