@@ -103,8 +103,8 @@ def test_select_pivots_matches_reference(name, matrix):
 
 @pytest.mark.parametrize("name,matrix", CASES, ids=[c[0] for c in CASES])
 def test_inverse_matches_reference(name, matrix):
-    # tall, wide and rank-deficient matrices skip columns, so L sits at
-    # non-contiguous pivot columns
+    # tall, wide and rank-deficient matrices skip rows and columns, so the
+    # inverse is read from non-contiguous identity columns
     rows, cols, inv = linsolve.select_pivots_mod(matrix)
     if matrix.shape[0] == matrix.shape[1]:
         singular = ref_inverse(matrix.tolist(), P) is None
