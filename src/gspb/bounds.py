@@ -92,16 +92,18 @@ def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
 
     The deletion channel is checked through the run-count analogue (ball
     members have no balls of their own there) on the rows of its full LP,
-    which refuses 2^n rows above ``cap``; everything else compares out-ball
-    sizes directly by enumeration.
+    a block at a time, which refuses 2^n rows above ``cap``; everything else
+    compares out-ball sizes directly by enumeration.
     """
     if spec.family == "deletion":
         check_radius(spec)
-        lp = seqchannels.deletion_full_lp(spec.n, cap)
+        rows = seqchannels.ball_blocks("deletion", spec.n, cap)
         rho_small, _ = run_stats(spec.n - 1)
         rho_big, _ = run_stats(spec.n)
-        return bool((rho_small[lp.indices]
-                     <= rho_big.repeat(lp.indptr[1:] - lp.indptr[:-1])).all())
+        return all(bool((rho_small[block.indices]
+                         <= rho_big[start:start + block.num_rows]
+                         .repeat(block.indptr[1:] - block.indptr[:-1])).all())
+                   for start, block in zip(rows.bounds, rows))
     degs = {x: len(out_ball(spec, x)) for x in enumerate_vertices(spec, cap)}
     return all(degs[y] <= dx for x, dx in degs.items() for y in out_ball(spec, x))
 

@@ -157,7 +157,8 @@ def cmd_table(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
+def _family_lp(spec: ChannelSpec,
+               enum_cap: int) -> exactlp.CoveringLP | exactlp.RowBlocks:
     check_radius(spec)
     fam = spec.family
     if fam == "z":
@@ -166,10 +167,8 @@ def _family_lp(spec: ChannelSpec, enum_cap: int) -> exactlp.CoveringLP:
         return magnitude.asym_quotient(spec.n, spec.q).lp
     if fam == "mag_sym":
         return magnitude.sym_quotient(spec.n, spec.q).lp
-    if fam == "deletion":
-        return seqchannels.deletion_full_lp(spec.n, enum_cap)
-    if fam == "grain":
-        return seqchannels.grain_full_lp(spec.n, enum_cap)
+    if fam in ("deletion", "grain"):
+        return seqchannels.ball_blocks(fam, spec.n, enum_cap)
     return projective.projective_lp(spec.n)
 
 

@@ -3,7 +3,13 @@
 The covering problem is  min c.w  s.t.  A w >= 1, w >= 0  with nonnegative
 integer data; its dual is the fractional packing problem
 max sum(z) s.t. A^T z <= c, z >= 0.  A ``CoveringLP`` keeps A in CSR arrays
-alone, from its builders to HiGHS and every exact check.  Every LP takes one
+alone, from its builders to HiGHS and every exact check.  The exact checks
+also take an LP too large to hold at once as ``RowBlocks``: consecutive
+``CoveringLP`` blocks of its rows over the same variables and objective,
+each built when it is read.  Row sums are taken per block and reported
+with the LP's own row ids, A^T z adds the blocks' column sums (in Python
+ints past the first block: column sums that fit int64 in each block can
+pass it together), and c.w is taken once.  Every LP takes one
 path: a float presolve, in which HiGHS solves that packing LP with its own
 presolve off, followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -91,8 +98,7 @@ class CoveringLP:
     @property
     def rows(self) -> list:
         """The (variable, coefficient) pairs of each row, built on demand."""
-        ptr, cols, vals = (a.tolist() for a in (self.indptr, self.indices, self.data))
-        return [list(zip(cols[s:e], vals[s:e])) for s, e in zip(ptr, ptr[1:])]
+        return _row_lists(self)
 
     def validate(self) -> None:
         if any(not isinstance(c, int) or c < 0 for c in self.objective):
@@ -110,6 +116,61 @@ class CoveringLP:
         for t in bad:
             raise ValueError(f"row {row[t]} has coefficient "
                              f"{self.data.tolist()[t]!r}, not an int > 0")
+
+
+def _row_lists(lp: CoveringLP) -> list:
+    ptr, cols, vals = (a.tolist() for a in (lp.indptr, lp.indices, lp.data))
+    return [list(zip(cols[s:e], vals[s:e])) for s, e in zip(ptr, ptr[1:])]
+
+
+@dataclass
+class RowBlocks(Sequence):
+    """The rows of one covering LP as consecutive ``CoveringLP`` blocks over
+    all of its variables, each built when it is read, so that an exact check
+    holds one block at a time.  Block i is ``build(bounds[i], bounds[i+1])``,
+    the LP's rows bounds[i] to bounds[i+1] - 1, with their own row ids
+    starting at 0."""
+
+    objective: list                   # shared by every block
+    bounds: list[int]                 # 0 = bounds[0] <= ... <= bounds[-1] = num_rows
+    build: Callable[[int, int], CoveringLP]
+    name: str = ""
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i: int) -> CoveringLP:
+        i = range(len(self))[i]       # IndexError past the last block
+        start, stop = self.bounds[i], self.bounds[i + 1]
+        block = self.build(start, stop)
+        if block.shape != (stop - start, self.num_vars):
+            raise ValueError(f"block {i} of {self.name!r} is {block.shape}, "
+                             f"not {(stop - start, self.num_vars)}")
+        return block
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
+    @property
+    def num_rows(self) -> int:
+        return self.bounds[-1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num_rows, self.num_vars
+
+    @property
+    def rows(self) -> list:
+        """Every block's (variable, coefficient) pairs, built on demand for
+        the benchmark harness and the tests."""
+        return [row for block in self for row in _row_lists(block)]
+
+
+def _blocks(lp: CoveringLP | RowBlocks):
+    """(first row, block) of each row block of ``lp``: a ``CoveringLP`` is
+    one block."""
+    return [(0, lp)] if isinstance(lp, CoveringLP) else zip(lp.bounds, lp)
 
 
 @dataclass
@@ -201,65 +262,83 @@ def _scaled(values, size: int, what: str) -> Scaled:
     return values
 
 
-def _primal(lp: CoveringLP, w) -> tuple[int, np.ndarray, int, Fraction]:
-    """For the weights scaled to integers W = d*w: the scale d, the row sums
-    A.W as an ``exact_product`` array, the number of negative weights, and
-    c.w; w is feasible when no weight is negative and every row sum is at
-    least d."""
-    w = _scaled(w, lp.num_vars, "weight vector")
-    x, d = w.numer, w.scale
-    return (d, linsolve.exact_product(lp, x), int((x < 0).sum()),
-            Fraction(linsolve.exact_dot(lp.objective, x), d))
+def _row_sums(lp: CoveringLP | RowBlocks, x: np.ndarray):
+    """(first row, A.x on the block) of each row block, an ``exact_product``
+    array each, one block built at a time."""
+    for start, block in _blocks(lp):
+        yield start, linsolve.exact_product(block, x)
 
 
-def _dual(lp: CoveringLP, z) -> Fraction | None:
+def _dual(lp: CoveringLP | RowBlocks, z) -> Fraction | None:
     """sum(z) when z >= 0 and A^T.z <= c, else None; z scaled to integers
-    Z = d*z as in ``_primal``."""
+    Z = d*z as in ``verify_transversal``.  A^T.Z is summed block by block:
+    a column's int64 sums can pass int64 once they are added, so a second
+    block adds in Python ints."""
     z = _scaled(z, lp.num_rows, "dual vector")
     d, scaled = z.scale, z.numer.tolist()
     if any(x < 0 for x in scaled):
         return None
-    colsum = linsolve.exact_product(lp, z.numer, transpose=True)
+    parts = (linsolve.exact_product(block, z.numer[start:start + block.num_rows],
+                                    transpose=True)
+             for start, block in _blocks(lp))
+    colsum = next(parts, np.zeros(lp.num_vars, dtype=np.int64))
+    for part in parts:
+        colsum = colsum.astype(object, copy=False) + part.astype(object)
     if any(s > c * d for s, c in zip(colsum.tolist(), lp.objective)):
         return None
     return Fraction(sum(scaled), d)
 
 
-def verify_transversal(lp: CoveringLP, w) -> TransversalReport:
+def verify_transversal(lp: CoveringLP | RowBlocks, w) -> TransversalReport:
     """Exact per-row slack report for a candidate weight vector.
 
     Weights are ints or Fractions, or a ``Scaled``; the row sums are taken
-    on the weights scaled to integers, as in check_certificate.
+    on the weights scaled to integers, as in check_certificate, one row
+    block at a time, and ``violated_rows`` holds the LP's own row ids.
     """
-    d, sums, negative, value = _primal(lp, w)
-    violated = np.flatnonzero(sums < d)
-    feasible = not negative and not violated.size
+    w = _scaled(w, lp.num_vars, "weight vector")
+    x, d = w.numer, w.scale
+    row_sums: list = []
+    violated: list[int] = []
+    num_violated = 0
+    lows = []
+    for start, sums in _row_sums(lp, x):
+        bad = np.flatnonzero(sums < d)
+        num_violated += len(bad)
+        violated += (bad[:32 - len(violated)] + start).tolist()
+        if sums.size:
+            lows.append(int(sums.min()))
+        row_sums += sums.tolist()
+    num_violated += int((x < 0).sum())
+    feasible = not num_violated
     return TransversalReport(
         feasible=feasible,
-        bound=value if feasible else None,
-        min_slack=Fraction(int(sums.min()) - d, d) if sums.size else Fraction(0),
-        num_violated=len(violated) + negative,
-        violated_rows=violated[:32].tolist(),
-        row_sums=sums.tolist(),
+        bound=Fraction(linsolve.exact_dot(lp.objective, x), d) if feasible else None,
+        min_slack=Fraction(min(lows) - d, d) if lows else Fraction(0),
+        num_violated=num_violated,
+        violated_rows=violated,
+        row_sums=row_sums,
         scale=d,
     )
 
 
-def check_certificate(lp: CoveringLP, w, z) -> Fraction | None:
+def check_certificate(lp: CoveringLP | RowBlocks, w, z) -> Fraction | None:
     """The common objective of an exact primal/dual pair, or None.
 
     Accepts when w >= 0 and A.w >= 1, z >= 0 and A^T.z <= c, and c.w equals
     sum(z); the pair then proves that value optimal.  w and z are scaled by
     the LCM of their denominators (or come as ``Scaled``) and compared as
-    exact integers.
+    exact integers; the rows are read one block at a time.
     """
     if len(w) != lp.num_vars or len(z) != lp.num_rows:
         raise ValueError(f"witness lengths {len(w)}/{len(z)} do not match "
                          f"the LP's {lp.num_vars} variables/{lp.num_rows} rows")
-    d, sums, negative, value = _primal(lp, w)
-    if negative or (sums < d).any() or _dual(lp, z) != value:
+    w = _scaled(w, lp.num_vars, "weight vector")
+    x, d = w.numer, w.scale
+    if (x < 0).any() or any((sums < d).any() for _, sums in _row_sums(lp, x)):
         return None
-    return value
+    value = Fraction(linsolve.exact_dot(lp.objective, x), d)
+    return value if _dual(lp, z) == value else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Each ball rule has one source, here.  ``deletion_targets`` and
 ``grain_targets`` give one column per error position and write -1 where the
 position adds no new word to the ball: a deletion inside a run already
 counted, or a smear with nothing to smear.  The entries left are distinct,
-so a row builder drops the -1s and needs no compare pass.  Everything
+so a row builder drops the -1s and needs no compare pass.  Both take the
+centres to expand, all 2^n words by default, so one kernel serves a block
+of ``_BLOCK`` consecutive centres, a list of orbit representatives, or the
+whole word space.  Everything
 downstream that certifies a bound runs in exact arithmetic; these kernels
 feed LP row construction and bulk run statistics.
 """
@@ -51,17 +54,19 @@ def _mark(col: np.ndarray, flags: np.ndarray, bit: int, mark: np.ndarray) -> Non
 _BLOCK = 1 << 14   # words per block: a block's columns stay in L2
 
 
-def _by_columns(n: int, width: int, fill) -> np.ndarray:
-    """(2^n, width) array of word dtype, a block of words at a time:
+def _by_columns(n: int, width: int, fill, words) -> np.ndarray:
+    """(len(words), width) array of word dtype, one line per word of
+    ``words`` (all 2^n words when None), a block of words at a time:
     ``fill(words, cols)`` writes column i of the block into the contiguous
     row cols[i], and one transposed copy stores the block.  numpy writes a
     strided column several times slower than a contiguous row."""
-    words = _words(n)
+    words = _words(n) if words is None else np.asarray(words, dtype=word_dtype(n))
     out = np.empty((len(words), width), dtype=words.dtype)
     cols = np.empty((width, min(len(words), _BLOCK)), dtype=words.dtype)
     for start in range(0, len(words), _BLOCK):
-        fill(words[start:start + _BLOCK], cols)
-        out[start:start + _BLOCK] = cols.T
+        block = words[start:start + _BLOCK]
+        fill(block, cols[:, :len(block)])
+        out[start:start + _BLOCK] = cols[:, :len(block)].T
     return out
 
 
@@ -83,10 +88,12 @@ def run_stats(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rho, np.bitwise_count(d & (d >> 1))
 
 
-def deletion_targets(n: int) -> np.ndarray:
-    """(2^n, n) array: entry [x, i] is x with bit i removed (a length n-1
-    word) when bit i starts a run of x, and -1 when bit i equals bit i-1,
-    whose deletion gives the same word.  Each row holds one target per run.
+def deletion_targets(n: int, words=None) -> np.ndarray:
+    """(len(words), n) array, one line per length-n word of ``words`` (all
+    2^n by default): entry [t, i] is x = words[t] with bit i removed (a
+    length n-1 word) when bit i starts a run of x, and -1 when bit i equals
+    bit i-1, whose deletion gives the same word.  Each line holds one target
+    per run.
     """
     def fill(words, cols):
         d = _boundaries(words, n)
@@ -99,12 +106,13 @@ def deletion_targets(n: int) -> np.ndarray:
             np.bitwise_and(d, (1 << i) - 1, out=col)
             col ^= high
             _mark(col, starts, i, mark)
-    return _by_columns(n, n, fill)
+    return _by_columns(n, n, fill, words)
 
 
-def grain_targets(n: int) -> np.ndarray:
-    """(2^n, max(n-1, 1)) array of single-grain-error results, -1 where no
-    error fits.
+def grain_targets(n: int, words=None) -> np.ndarray:
+    """(len(words), max(n-1, 1)) array of the single-grain-error results of
+    each length-n word of ``words`` (all 2^n by default), -1 where no error
+    fits.
 
     Bit i may flip exactly when bits i and i+1 of the word differ; the
     resulting word keeps length n.  At n = 1 no bit may flip.
@@ -115,7 +123,7 @@ def grain_targets(n: int) -> np.ndarray:
         for i, col in enumerate(cols):
             np.bitwise_xor(words, 1 << i, out=col)
             _mark(col, d, i, mark)
-    return _by_columns(n, max(n - 1, 1), fill)
+    return _by_columns(n, max(n - 1, 1), fill, words)
 
 
 __all__ = ["BACKEND", "word_dtype", "popcounts", "run_stats",

@@ -25,9 +25,9 @@ stops shrinking): then the lift returns None and the caller falls back.
 The support solves need an exact rank and have no conditioning limit:
 ``select_pivots_mod`` picks an independent square subsystem B and
 ``dixon_solve`` solves it.  B is selected by one plain Gauss-Jordan
-elimination of [matrix | I] modulo one prime ``PRIME`` < 2^20, in int64,
-which leaves B^-1 mod p in the pivot rows' identity columns; a product of
-two residues is below 2^40, so every int64 update and every k-term dot
+elimination of the matrix modulo one prime ``PRIME`` < 2^20, in int64, and
+a second one of [B | I] leaves B^-1 mod p beside the identity; a product
+of two residues is below 2^40, so every int64 update and every k-term dot
 product of residues with k < 2^23 is exact.  ``dixon_solve`` lifts the
 solution p-adically (Dixon) from that inverse, one numpy pass per step
 (Chen and Storjohann, "A BLAS based C library for exact linear algebra on
@@ -73,17 +73,32 @@ def select_pivots_mod(matrix: np.ndarray) -> tuple[list[int], list[int], np.ndar
     and the inverse mod ``PRIME`` of ``matrix[rows][:, cols]``, in that row
     and column order, as a k x k int64 array of residues.
 
-    The elimination runs on [matrix | I] in int64 and clears each pivot
-    column above and below its pivot.  The pivot rows are combinations of
-    the selected input rows alone, and their matrix part ends as the
-    identity on the pivot columns, so their identity columns at the
-    selected rows are the block's inverse.  A product of two residues is
-    below 2^40, so no update can overflow.
+    The selection eliminates the m x n block alone; the k x k block it
+    selects is nonsingular mod ``PRIME``, and one more Gauss-Jordan
+    elimination of [block | I_k] leaves its inverse beside the identity.
+    Neither array grows with the rows that are not selected.
     """
     m, n = matrix.shape
-    work = np.zeros((m, n + m), dtype=np.int64)
-    np.remainder(matrix, PRIME, out=work[:, :n])
-    work[np.arange(m), n + np.arange(m)] = 1
+    work = np.empty((m, n), dtype=np.int64)
+    np.remainder(matrix, PRIME, out=work)
+    rows, cols = _gauss_jordan(work, n)
+    del work  # freed before the pair, so a square block peaks near 4 k^2 words
+    k = len(cols)
+    pair = np.zeros((k, 2 * k), dtype=np.int64)
+    np.remainder(matrix[np.ix_(rows, cols)], PRIME, out=pair[:, :k])
+    pair[np.arange(k), k + np.arange(k)] = 1
+    _gauss_jordan(pair, k)
+    return rows, cols, pair[:, k:]
+
+
+def _gauss_jordan(work: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination mod ``PRIME`` of the int64 residues
+    ``work``, in place, with pivots in its first n columns chosen as
+    ``select_pivots_mod`` describes; returns the original ids of the pivot
+    rows, in pivot order, and the pivot columns.  Each pivot column is
+    cleared above and below its pivot.  A product of two residues is below
+    2^40, so no update can overflow."""
+    m = work.shape[0]
     order = np.arange(m)
     cols: list[int] = []
     f = 0  # frontier: rows above it are pivot rows
@@ -106,8 +121,7 @@ def select_pivots_mod(matrix: np.ndarray) -> tuple[list[int], list[int], np.ndar
         np.remainder(right, PRIME, out=right)
         cols.append(c)
         f += 1
-    rows = order[:f]
-    return rows.tolist(), cols, work[:f, n + rows]
+    return order[:f].tolist(), cols
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -184,23 +198,29 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     pass int64.  Otherwise they are Python ints in an object array, by the
     same code; x past int64 goes there without a scan.
     Only entries whose coefficient is not 1 are multiplied, so a 0/1 matrix
-    makes no Python int but the sums; ``np.add.at`` takes those and, unlike
-    ``np.add.reduceat``, leaves an empty row at zero."""
+    makes no Python int but the sums.  ``np.add.reduceat`` sums each
+    nonempty row from its start in ``indptr`` (it would give an empty row
+    the next row's first term, so empty rows are left at zero), and
+    ``np.add.at`` scatters the terms into the columns for ``transpose``."""
     x = int_array(x)
     counts = np.diff(matrix.indptr)
-    rows = np.repeat(np.arange(len(counts)), counts)
-    src, dst = (rows, matrix.indices) if transpose else (matrix.indices, rows)
     data = matrix.data
     if x.dtype == np.int64:
         lines = np.bincount(matrix.indices) if transpose else counts
         bound = _magnitude(x) * _magnitude(data) * int(lines.max(initial=0))
         if data.dtype != np.int64 or bound >= 1 << 63:
             x = x.astype(object)
+    src = np.repeat(np.arange(len(counts)), counts) if transpose else matrix.indices
     terms = x[src]
     not_one = np.flatnonzero(data != 1)
     terms[not_one] *= data[not_one].astype(x.dtype)
     out = np.zeros(matrix.shape[1 if transpose else 0], dtype=x.dtype)
-    np.add.at(out, dst, terms)
+    if transpose:
+        np.add.at(out, matrix.indices, terms)
+    else:
+        nonempty = np.flatnonzero(counts)
+        if nonempty.size:
+            out[nonempty] = np.add.reduceat(terms, matrix.indptr[nonempty])
     return out
 
 

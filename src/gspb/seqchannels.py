@@ -7,13 +7,21 @@ where mu counts the middle length-1 runs.  Counting words by profile keeps
 every bound closed-form; the full covering LPs (capped, default n <= 12) are
 solved exactly through the shared LP core.
 
+The 2^n ball rows come from one builder, ``_ball_rows``, over any list of
+centres: ``ball_blocks`` reads them in blocks of ``kernels._BLOCK``
+consecutive centres, each an ordinary ``CoveringLP`` over all the
+variables, so the profile checks, ``verify``, the monotonicity check and
+the orbit lift hold one block at a time; ``deletion_full_lp`` and
+``grain_full_lp`` are the one-block case.
+
 At every n the full LP is solved on its orbit quotient under word
 complementation (and reversal, for deletion); run-profile classes are not
 used, since they do not have constant ball membership counts.  The orbits
 are found on arrays (the least member of each word's orbit), and each
-quotient row is ``reduction.count_rows`` over the full-LP row of one center
-per orbit, the counter that also checks the closed-form quotient rules.
-The quotient witnesses are lifted back and checked against the full LP.
+quotient row is ``reduction.count_rows`` over the ball row of one center
+per orbit, built for those centres alone; that counter also checks the
+closed-form quotient rules.  The quotient witnesses are lifted back and
+checked against every block of the full LP.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from . import exactlp, linsolve
+from . import exactlp, kernels, linsolve
 from .channels import (DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded,
                        GspbError)
 from .kernels import deletion_targets, grain_targets, run_stats
@@ -160,11 +168,11 @@ def profile_weights(m: int) -> exactlp.Scaled:
     return exactlp.Scaled(table[profile], scale)
 
 
-def _ball_lp(cand: np.ndarray, num_vars: int, name: str) -> exactlp.CoveringLP:
-    """Unit-objective covering LP whose row per line of ``cand`` lists its
-    entries >= 0 in order.  The kernels mark a repeated or missing target
-    -1, so the entries left are distinct.  ``cand`` is a fresh array of
-    short lines (at most 31 entries), sorted in place."""
+def _ball_lp(cand: np.ndarray, objective: list, name: str) -> exactlp.CoveringLP:
+    """Covering LP whose row per line of ``cand`` lists its entries >= 0 in
+    order.  The kernels mark a repeated or missing target -1, so the entries
+    left are distinct.  ``cand`` is a fresh array of short lines (at most 31
+    entries), sorted in place."""
     cand.sort(axis=1)
     keep = cand >= 0
     indptr = np.zeros(len(cand) + 1, dtype=np.int64)
@@ -173,8 +181,24 @@ def _ball_lp(cand: np.ndarray, num_vars: int, name: str) -> exactlp.CoveringLP:
     np.cumsum(np.einsum("ij->i", keep.view(np.uint8)), dtype=np.int64,
               out=indptr[1:])
     indices = cand.ravel()[keep.ravel()].astype(np.int64)
-    return exactlp.CoveringLP([1] * num_vars, indptr, indices,
+    return exactlp.CoveringLP(objective, indptr, indices,
                               np.ones(len(indices), dtype=np.int64), name)
+
+
+def _ball_rows(n: int, family: str, words, objective: list) -> exactlp.CoveringLP:
+    """The deletion or grain ball rows of the length-n centres ``words``
+    (all 2^n when None), one row per centre in order, over every word of the
+    ground set, whose unit costs ``objective`` the rows share.  The one
+    caller of the target kernels."""
+    dtype = kernels.word_dtype(n)
+    words = np.arange(1 << n, dtype=dtype) if words is None else np.asarray(words, dtype)
+    name = f"{family}-full-n{n}"
+    if family == "deletion":
+        return _ball_lp(deletion_targets(n, words), objective, name)
+    # each ball is the word plus its smears, which flip distinct bits and so
+    # are distinct
+    return _ball_lp(np.concatenate([words[:, None], grain_targets(n, words)], axis=1),
+                    objective, name)
 
 
 def _check_rows(n: int, family: str, cap: int) -> None:
@@ -185,20 +209,31 @@ def _check_rows(n: int, family: str, cap: int) -> None:
             f"{1 << n} {family} rows exceed the enumeration cap {cap}")
 
 
+def ball_blocks(family: str, n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.RowBlocks:
+    """The rows of the full deletion or grain LP in blocks of
+    ``kernels._BLOCK`` consecutive centres, each built when it is read."""
+    _check_rows(n, family, cap)
+    ground = n - 1 if family == "deletion" else n
+    objective = [1] * (1 << ground)
+    step = kernels._BLOCK
+
+    def build(start: int, stop: int) -> exactlp.CoveringLP:
+        return _ball_rows(n, family, np.arange(start, stop), objective)
+
+    return exactlp.RowBlocks(objective, [*range(0, 1 << n, step), 1 << n], build,
+                             f"{family}-full-n{n}")
+
+
 def deletion_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
     _check_rows(n, "deletion", cap)
-    return _ball_lp(deletion_targets(n), 1 << (n - 1), f"deletion-full-n{n}")
+    return _ball_rows(n, "deletion", None, [1] * (1 << (n - 1)))
 
 
 def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
-    """Covering LP over {0,1}^n; each ball is the word plus its smears, which
-    flip distinct bits and so are distinct."""
+    """Covering LP over {0,1}^n, one row per word: the word and its smears."""
     _check_rows(n, "grain", cap)
-    smears = grain_targets(n)
-    words = np.arange(len(smears), dtype=smears.dtype)[:, None]
-    return _ball_lp(np.concatenate([words, smears], axis=1), 1 << n,
-                    f"grain-full-n{n}")
+    return _ball_rows(n, "grain", None, [1] * (1 << n))
 
 
 def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
@@ -248,24 +283,23 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
             f"full {family} LP capped at n <= {lp_cap}; "
             "closed-form bounds remain available"
         )
+    full = ball_blocks(family, n, enum_cap)
     # reversal commutes with deletion but not with the rightward smear
     use_rev = family == "deletion"
-    if family == "deletion":
-        ground_m, full_lp = n - 1, deletion_full_lp(n, enum_cap)
-    else:
-        ground_m, full_lp = n, grain_full_lp(n, enum_cap)
+    ground_m = n - 1 if family == "deletion" else n
     v_reps, v_orbit, v_sizes = _word_orbits(ground_m, use_rev)
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
 
-    ptr, cols = full_lp.indptr.tolist(), full_lp.indices.tolist()
-    rows = count_rows((cols[ptr[c]:ptr[c + 1]] for c in c_reps), v_orbit.__getitem__)
+    reps = _ball_rows(n, family, c_reps, full.objective)
+    ptr, cols = reps.indptr.tolist(), reps.indices.tolist()
+    rows = count_rows((cols[s:e] for s, e in zip(ptr, ptr[1:])), v_orbit.__getitem__)
     qlp = exactlp.CoveringLP.from_rows(v_sizes, rows, f"{family}-orbit-n{n}")
     sol = exactlp.solve_min_transversal(qlp)
     # a row's dual is its orbit's, split evenly: one division per orbit
     z_orbit = [z / size for z, size in zip(sol.dual, c_sizes)]
     w_full = [sol.primal[o] for o in v_orbit]
     z_full = [z_orbit[o] for o in c_orbit]
-    if exactlp.check_certificate(full_lp, w_full, z_full) != sol.optimum:
+    if exactlp.check_certificate(full, w_full, z_full) != sol.optimum:
         raise GspbError(f"orbit lift of the {family} n={n} quotient failed the "
                         "exact certificate check against the full LP")
     return exactlp.LPSolution(
@@ -276,12 +310,13 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
 
 
 def verify_deletion_transversal(n: int) -> exactlp.TransversalReport:
-    """Exact check of the profile weights against all 2^n deletion rows."""
-    lp = deletion_full_lp(n)
-    return exactlp.verify_transversal(lp, profile_weights(n - 1))
+    """Exact check of the profile weights against all 2^n deletion rows,
+    read in blocks."""
+    return exactlp.verify_transversal(ball_blocks("deletion", n),
+                                      profile_weights(n - 1))
 
 
 def verify_grain_transversal(n: int) -> exactlp.TransversalReport:
-    """Exact check of the profile weights against all 2^n grain rows."""
-    lp = grain_full_lp(n)
-    return exactlp.verify_transversal(lp, profile_weights(n))
+    """Exact check of the profile weights against all 2^n grain rows, read
+    in blocks."""
+    return exactlp.verify_transversal(ball_blocks("grain", n), profile_weights(n))

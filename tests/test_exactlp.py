@@ -603,3 +603,61 @@ def test_scaled_witness_past_int64_and_refusals():
             exactlp.verify_transversal(lp, bad)
         with pytest.raises(ValueError):
             exactlp.check_certificate(lp, bad, [1, 1, 1])
+
+
+def _split(lp, bounds):
+    """``lp`` as a RowBlocks whose block i holds rows bounds[i] to
+    bounds[i+1] - 1, cut from its CSR arrays."""
+    def build(start, stop):
+        s, e = lp.indptr[start], lp.indptr[stop]
+        return exactlp.CoveringLP(lp.objective, lp.indptr[start:stop + 1] - s,
+                                  lp.indices[s:e], lp.data[s:e], lp.name)
+    return exactlp.RowBlocks(lp.objective, bounds, build, lp.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_blocks_give_the_one_block_results(data):
+    # any cut into blocks, empty ones included, gives every report field,
+    # with the LP's own row ids, and every certificate verdict of the whole LP
+    nv, nr = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+    rows = [sorted(data.draw(st.dictionaries(st.integers(0, nv - 1),
+                                             st.integers(1, 3), min_size=1)).items())
+            for _ in range(nr)]
+    lp = exactlp.CoveringLP.from_rows(data.draw(st.lists(st.integers(0, 4),
+                                                         min_size=nv, max_size=nv)),
+                                      rows)
+    cuts = sorted(data.draw(st.lists(st.integers(0, nr), max_size=4)))
+    blocks = _split(lp, [0, *cuts, nr])
+    frac = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+    w = data.draw(st.lists(frac, min_size=nv, max_size=nv))
+    z = data.draw(st.lists(frac, min_size=nr, max_size=nr))
+    sol = exactlp.solve_min_transversal(lp)
+    rep, want = exactlp.verify_transversal(blocks, w), exactlp.verify_transversal(lp, w)
+    assert _fields(rep) == _fields(want) and rep.row_sums == want.row_sums
+    assert exactlp.check_certificate(blocks, w, z) == exactlp.check_certificate(lp, w, z)
+    assert exactlp.check_certificate(blocks, sol.primal, sol.dual) == sol.optimum
+
+
+def test_column_sums_past_int64_across_blocks_are_refused():
+    # each block's A^T z fits int64 (3 * 2^61 per column), their sum 3 * 2^62
+    # does not: wrapped in int64 it would read negative and pass c_0 below it
+    big = 3 << 61
+    lp = exactlp.CoveringLP.from_rows([2 * big - 1, 2 * big],
+                                      [[(0, 1), (1, 1)], [(0, 1), (1, 1)]])
+    blocks = _split(lp, [0, 1, 2])
+    # w = (0, 1) is feasible with c.w = 2 big = sum(z), but column 0 is over
+    assert exactlp.check_certificate(lp, [0, 1], [big, big]) is None
+    assert exactlp.check_certificate(blocks, [0, 1], [big, big]) is None
+    ok = exactlp.CoveringLP.from_rows([2 * big, 2 * big], lp.rows)
+    assert exactlp.check_certificate(_split(ok, [0, 1, 2]), [0, 1], [big, big]) == 2 * big
+
+
+def test_row_blocks_refuse_a_block_of_the_wrong_shape():
+    lp = singleton_lp(4)
+    blocks = exactlp.RowBlocks(lp.objective, [0, 2, 4], lambda start, stop: lp, "bad")
+    assert len(blocks) == 2 and blocks.shape == (4, 4)
+    with pytest.raises(ValueError, match="block 0 of 'bad' is"):
+        exactlp.verify_transversal(blocks, [1, 1, 1, 1])
+    with pytest.raises(IndexError):
+        blocks[2]

@@ -154,6 +154,22 @@ def test_selection_memory_is_a_few_inverses():
     assert peak <= 4.5 * k * k * 8
 
 
+def test_tall_selection_memory_does_not_grow_with_its_rows():
+    # a tall block is eliminated alone and only the k x k selection is
+    # inverted, so no m x m identity is made beside it
+    matrix = np.random.default_rng(1000).integers(0, 2, (1000, 20))
+    tracemalloc.start()
+    try:
+        rows, cols, inv = linsolve.select_pivots_mod(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    order, ref_cols, _ = ref_eliminate(matrix.tolist(), P)
+    assert (rows, cols) == (order[:len(ref_cols)], ref_cols) and len(cols) == 20
+    assert inv.tolist() == ref_inverse(matrix[np.ix_(rows, cols)].tolist(), P)
+    assert peak <= 2 << 20
+
+
 def test_row_preference_order():
     # column 0 swaps row 2 to the front and row 0 to position 2, so row 1
     # now precedes row 0 and wins column 1; row 0 then pivots on column 2
@@ -492,6 +508,21 @@ def test_exact_product_matches_dense_reference(data):
         # the scipy form the Dixon lift checks through gives the same sums
         matrix = csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape)
         assert linsolve.exact_product(matrix, x).tolist() == ax
+
+
+@pytest.mark.parametrize("top", [9, 2**70], ids=["int64", "object"])
+def test_exact_product_leaves_empty_rows_at_zero(top):
+    # A x sums each nonempty row from its start in indptr; empty rows first,
+    # last and side by side must stay zero, with int64 and Python-int sums
+    rows = [[], [], [(0, 2), (2, 1)], [], [], [(1, 1)], [(0, 1), (1, 3), (2, 1)],
+            [], []]
+    lp = exactlp.CoveringLP.from_rows([0, 0, 0], rows)
+    x = [top, -5, 7]
+    dense = [[dict(row).get(j, 0) for j in range(3)] for row in rows]
+    out = linsolve.exact_product(lp, x)
+    assert out.dtype == (np.int64 if top < 2**63 else object)
+    assert out.tolist() == [sum(a * v for a, v in zip(row, x)) for row in dense]
+    assert out.tolist()[:2] == out.tolist()[-2:] == [0, 0]
 
 
 @settings(max_examples=200, deadline=None)

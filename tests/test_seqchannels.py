@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspb import exactlp, linsolve, magnitude, seqchannels as seq
+from gspb import exactlp, kernels, linsolve, magnitude, seqchannels as seq
 
 
 def fl(x: Fraction) -> int:
@@ -350,7 +350,8 @@ def test_profile_checks_match_a_per_word_reference(word_weights, family, n):
 
 @pytest.mark.parametrize("n,dtype", [(16, np.int64), (17, object)])
 def test_grain_profile_check_sums_in_int64_up_to_n16(monkeypatch, n, dtype):
-    # the scale has 58 bits at n=16, so max|W| L < 2^63; at n=17 it has 71
+    # the scale has 58 bits at n=16, so max|W| L < 2^63; at n=17 it has 71.
+    # One product per block of centres
     seen = []
     real = linsolve.exact_product
 
@@ -361,7 +362,7 @@ def test_grain_profile_check_sums_in_int64_up_to_n16(monkeypatch, n, dtype):
 
     monkeypatch.setattr(linsolve, "exact_product", recording)
     assert seq.verify_grain_transversal(n).feasible
-    assert seen == [dtype]
+    assert seen == [dtype] * ((1 << n) // kernels._BLOCK)
 
 
 def test_ball_size_is_run_count():

@@ -114,3 +114,42 @@ def test_no_floats_on_the_modular_path(name):
              if isinstance(node, ast.Name) and node.id in _FLOAT_NAMES
              or isinstance(node, ast.Attribute) and node.attr in _FLOAT_NAMES]
     assert not lines, f"linsolve.{name}: float references at lines {lines}"
+
+
+def _called_names(func) -> set[str]:
+    """Names of the functions called under a syntax tree node, by their
+    last component (``seqchannels.deletion_full_lp`` -> ``deletion_full_lp``)."""
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(func) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+def _functions() -> dict[tuple[str, str], ast.FunctionDef]:
+    return {(path.name, node.name): node for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_ball_rows_have_one_builder():
+    # the target kernels have one caller, the block builder, so a block, the
+    # orbit representatives and the one-block full LP share one row rule
+    kernels = {"deletion_targets", "grain_targets"}
+    callers = sorted(key for key, node in _functions().items()
+                     if _called_names(node) & kernels)
+    assert callers == [("seqchannels.py", "_ball_rows")]
+
+
+STREAMED = [("seqchannels.py", "verify_deletion_transversal"),
+            ("seqchannels.py", "verify_grain_transversal"),
+            ("seqchannels.py", "_orbit_reduced_solve"),
+            ("bounds.py", "check_monotone"),
+            ("cli.py", "cmd_verify"), ("cli.py", "_family_lp")]
+
+
+@pytest.mark.parametrize("key", STREAMED, ids=[f"{m}:{f}" for m, f in STREAMED])
+def test_full_lp_checks_read_row_blocks(key):
+    # these read the 2^n deletion or grain rows a block at a time; building
+    # the whole LP with *_full_lp would hold every row at once
+    full = sorted(name for name in _called_names(_functions()[key])
+                  if name.endswith("_full_lp"))
+    assert not full, f"{key[0]}:{key[1]} calls {full}"
