@@ -212,8 +212,8 @@ def cmd_verify(args) -> int:
         value = report.bound
         floor = value.numerator // value.denominator
         line = f"  bound {fmt_frac(value)} (~{float(value):.4f}, floor {floor})"
-        tight = report.row_sums.count(report.scale)
-        line += f"; tight rows {tight}, min slack {fmt_frac(report.min_slack)}"
+        line += (f"; tight rows {len(report.tight_rows)}, "
+                 f"min slack {fmt_frac(report.min_slack)}")
         print(line)
         if not args.weights_file:
             cert = _certificate_line(spec)
@@ -223,6 +223,9 @@ def cmd_verify(args) -> int:
         print(f"  violated rows {report.num_violated} "
               f"(first: {report.violated_rows[:8]}), min slack "
               f"{fmt_frac(report.min_slack)}")
+        if report.negative_entries:
+            print(f"  negative weights {len(report.negative_entries)} "
+                  f"(first: {report.negative_entries[:8]})")
     return EXIT_OK if report.feasible or args.weights_file else EXIT_REFUSED
 
 

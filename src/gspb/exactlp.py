@@ -6,10 +6,10 @@ max sum(z) s.t. A^T z <= c, z >= 0.  A ``CoveringLP`` keeps A in CSR arrays
 alone, from its builders to HiGHS and every exact check.  The exact checks
 also take an LP too large to hold at once as ``RowBlocks``: consecutive
 ``CoveringLP`` blocks of its rows over the same variables and objective,
-each built when it is read.  Row sums are taken per block and reported
-with the LP's own row ids, A^T z adds the blocks' column sums (in Python
-ints past the first block: column sums that fit int64 in each block can
-pass it together), and c.w is taken once.  Every LP takes one
+each built when it is read.  Row sums are taken and compared per block,
+rows are reported with the LP's own row ids, A^T z adds the blocks' column
+sums (in Python ints past the first block: column sums that fit int64 in
+each block can pass it together), and c.w is taken once.  Every LP takes one
 path: a float presolve, in which HiGHS solves that packing LP with its own
 presolve off, followed by an exact crossover, which reads the optimal
 supports off the float vertex and solves the complementary-slackness
@@ -30,9 +30,10 @@ a coefficient past int64 with ``GspbError``.
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
 in the package goes through, and raises ``GspbError`` naming the failed
-stage otherwise; its sums are ``linsolve.exact_product``, in int64 where a
-bound on the scaled witness, the coefficients and the longest row or column
-proves that they fit and in Python ints otherwise.  The checks take a
+stage otherwise; its halves are ``verify_transversal``, the one primal
+check, and ``_dual``.  Their sums are ``linsolve.exact_product``, in int64
+where a bound on the scaled witness, the coefficients and the longest row or
+column proves that they fit and in Python ints otherwise.  The checks take a
 witness as a sequence of ints and Fractions, which they scale to integers
 by the LCM of its denominators, or as a ``Scaled`` witness, already scaled
 (w = numer / scale), which they read as it is, with no Fraction per entry;
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -195,20 +196,15 @@ class LPSolution:
 
 @dataclass
 class TransversalReport:
-    feasible: bool
+    feasible: bool                    # no violated row and no negative weight
     bound: Fraction | None            # objective value when feasible
     min_slack: Fraction
-    num_violated: int
-    violated_rows: list[int]
-    row_sums: list = field(repr=False, default_factory=list)  # A.(d*w)
-    scale: int = 1                    # d: the LCM of the weights' denominators,
+    num_violated: int                 # rows with A.w < 1
+    violated_rows: list[int]          # the first 32 of them
+    tight_rows: list[int]             # every row with A.w = 1
+    negative_entries: list[int]       # every variable with w < 0
+    scale: int                        # d: the LCM of the weights' denominators,
     #                                   or the scale of a Scaled witness
-
-    @property
-    def slacks(self) -> list[Fraction]:
-        """Exact per-row slack (A.w)_i - 1, built on demand."""
-        d = self.scale
-        return [Fraction(s - d, d) for s in self.row_sums]
 
 
 @dataclass
@@ -245,14 +241,15 @@ def _scaled(values, size: int, what: str) -> Scaled:
         raise ValueError(f"{what} has {len(values)} entries, LP has {size}")
     if not isinstance(values, Scaled):
         try:
-            d = math.lcm(*{x.denominator for x in values})
+            dens = [x.denominator for x in values]
         except AttributeError:
             t, x = next((t, x) for t, x in enumerate(values)
                         if not isinstance(x, (int, np.integer, Fraction)))
             raise ValueError(f"{what} entry {t} is {x!r}, not an int or "
                              "Fraction") from None
-        return Scaled(linsolve.int_array([x.numerator * (d // x.denominator)
-                                          for x in values]), d)
+        d = math.lcm(*set(dens))
+        return Scaled(linsolve.int_array([x.numerator * (d // q)
+                                          for x, q in zip(values, dens)]), d)
     numer, scale = values.numer, values.scale
     if not isinstance(scale, int) or scale < 1:
         raise ValueError(f"{what} has scale {scale!r}, not an int >= 1")
@@ -262,13 +259,6 @@ def _scaled(values, size: int, what: str) -> Scaled:
     return values
 
 
-def _row_sums(lp: CoveringLP | RowBlocks, x: np.ndarray):
-    """(first row, A.x on the block) of each row block, an ``exact_product``
-    array each, one block built at a time."""
-    for start, block in _blocks(lp):
-        yield start, linsolve.exact_product(block, x)
-
-
 def _dual(lp: CoveringLP | RowBlocks, z) -> Fraction | None:
     """sum(z) when z >= 0 and A^T.z <= c, else None; z scaled to integers
     Z = d*z as in ``verify_transversal``.  A^T.Z is summed block by block:
@@ -276,7 +266,7 @@ def _dual(lp: CoveringLP | RowBlocks, z) -> Fraction | None:
     block adds in Python ints."""
     z = _scaled(z, lp.num_rows, "dual vector")
     d, scaled = z.scale, z.numer.tolist()
-    if any(x < 0 for x in scaled):
+    if min(scaled, default=0) < 0:
         return None
     parts = (linsolve.exact_product(block, z.numer[start:start + block.num_rows],
                                     transpose=True)
@@ -290,34 +280,40 @@ def _dual(lp: CoveringLP | RowBlocks, z) -> Fraction | None:
 
 
 def verify_transversal(lp: CoveringLP | RowBlocks, w) -> TransversalReport:
-    """Exact per-row slack report for a candidate weight vector.
+    """Exact row report for a candidate weight vector: the one primal check.
 
-    Weights are ints or Fractions, or a ``Scaled``; the row sums are taken
-    on the weights scaled to integers, as in check_certificate, one row
-    block at a time, and ``violated_rows`` holds the LP's own row ids.
+    Weights are ints or Fractions, or a ``Scaled``; the row sums are taken on
+    the weights scaled to integers and compared one row block at a time, and
+    ``violated_rows`` and ``tight_rows`` hold the LP's own row ids.
     """
     w = _scaled(w, lp.num_vars, "weight vector")
     x, d = w.numer, w.scale
-    row_sums: list = []
     violated: list[int] = []
+    tight: list[int] = []
     num_violated = 0
     lows = []
-    for start, sums in _row_sums(lp, x):
-        bad = np.flatnonzero(sums < d)
-        num_violated += len(bad)
-        violated += (bad[:32 - len(violated)] + start).tolist()
-        if sums.size:
-            lows.append(int(sums.min()))
-        row_sums += sums.tolist()
-    num_violated += int((x < 0).sum())
-    feasible = not num_violated
+    for start, block in _blocks(lp):
+        sums = linsolve.exact_product(block, x)
+        if not sums.size:
+            continue
+        low = int(sums.min())
+        lows.append(low)
+        if low < d:   # the compares run only where they can find a row
+            bad = (sums < d).nonzero()[0]
+            num_violated += len(bad)
+            violated += (bad[:32 - len(violated)] + start).tolist()
+        if low <= d:
+            tight += ((sums == d).nonzero()[0] + start).tolist()
+    negative = (x < 0).nonzero()[0].tolist()
+    feasible = not num_violated and not negative
     return TransversalReport(
         feasible=feasible,
         bound=Fraction(linsolve.exact_dot(lp.objective, x), d) if feasible else None,
         min_slack=Fraction(min(lows) - d, d) if lows else Fraction(0),
         num_violated=num_violated,
         violated_rows=violated,
-        row_sums=row_sums,
+        tight_rows=tight,
+        negative_entries=negative,
         scale=d,
     )
 
@@ -325,20 +321,17 @@ def verify_transversal(lp: CoveringLP | RowBlocks, w) -> TransversalReport:
 def check_certificate(lp: CoveringLP | RowBlocks, w, z) -> Fraction | None:
     """The common objective of an exact primal/dual pair, or None.
 
-    Accepts when w >= 0 and A.w >= 1, z >= 0 and A^T.z <= c, and c.w equals
-    sum(z); the pair then proves that value optimal.  w and z are scaled by
-    the LCM of their denominators (or come as ``Scaled``) and compared as
-    exact integers; the rows are read one block at a time.
+    Accepts when ``verify_transversal`` finds w feasible (w >= 0 and
+    A.w >= 1) and ``_dual`` finds z feasible (z >= 0 and A^T.z <= c) with
+    sum(z) equal to c.w; the pair then proves that value optimal.
     """
     if len(w) != lp.num_vars or len(z) != lp.num_rows:
         raise ValueError(f"witness lengths {len(w)}/{len(z)} do not match "
                          f"the LP's {lp.num_vars} variables/{lp.num_rows} rows")
-    w = _scaled(w, lp.num_vars, "weight vector")
-    x, d = w.numer, w.scale
-    if (x < 0).any() or any((sums < d).any() for _, sums in _row_sums(lp, x)):
-        return None
-    value = Fraction(linsolve.exact_dot(lp.objective, x), d)
-    return value if _dual(lp, z) == value else None
+    report = verify_transversal(lp, w)
+    if report.feasible and _dual(lp, z) == report.bound:
+        return report.bound
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,16 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     return out
 
 
+def _hadamard(matrix) -> tuple[int, float]:
+    """(N, det_bits) of a square int64 CSR matrix: N its largest row L1 norm
+    as a Python int (an int64 N times p or a digit could wrap), and det_bits
+    a Hadamard-style bound on log2 |det|, the solutions' common denominator."""
+    k = matrix.shape[0]
+    norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
+    max_coeff = int(abs(matrix.data).max(initial=1))
+    return norm, k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
+
+
 def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
     """Dixon lifting of matrix x = rhs, where ``matrix`` is a square int64
     CSR matrix and ``solve_mod(r)`` is matrix^-1 r mod ``PRIME`` (int64
@@ -241,15 +251,12 @@ def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
     """
     p = PRIME
     k = len(rhs)
-    # a Python int: the int64 sums' own product with p could wrap
-    norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
+    norm, det_bits = _hadamard(matrix)
     if norm * (p - 1) >= 1 << 63:
         raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
                          "lifting product")
-    max_coeff = int(abs(matrix.data).max(initial=1))
     max_rhs = max((abs(b) for b in rhs), default=1) or 1
-    # Hadamard-style budget on numerator/denominator bits, plus slack
-    det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
+    # budget on numerator/denominator bits, plus slack
     need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
     max_steps = int(need_bits / math.log2(p)) + 8
 
@@ -425,10 +432,7 @@ def _refine(matrix, rhs: list[int], solve,
     capped by that budget too.
     """
     k = len(rhs)
-    norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
-    max_coeff = int(abs(matrix.data).max(initial=1))
-    # the denominators divide det(matrix), which is below 2^det_bits
-    det_bits = k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
+    norm, det_bits = _hadamard(matrix)
     budget = 2 * det_bits + 64
     residual = np.array([int(b) for b in rhs], dtype=object)
     numer = np.zeros(k, dtype=object)

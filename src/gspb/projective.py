@@ -117,8 +117,7 @@ def _block_certificate(lp: exactlp.CoveringLP,
     The rows the weights make tight carry the unknowns; the columns of
     positive weight give the equations.  The result is unchecked.
     """
-    report = exactlp.verify_transversal(lp, w)
-    tight = [i for i, s in enumerate(report.row_sums) if s == report.scale]
+    tight = exactlp.verify_transversal(lp, w).tight_rows
     positive = [j for j, x in enumerate(w) if x > 0]
     return exactlp.complementary_dual(lp, tight, positive)
 

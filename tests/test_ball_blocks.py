@@ -29,7 +29,8 @@ def _ground(family, n):
 def _fields(rep):
     return {"feasible": rep.feasible, "bound": rep.bound,
             "min_slack": rep.min_slack, "num_violated": rep.num_violated,
-            "violated_rows": rep.violated_rows, "row_sums": rep.row_sums,
+            "violated_rows": rep.violated_rows, "tight_rows": rep.tight_rows,
+            "negative_entries": rep.negative_entries,
             "scale": rep.scale}
 
 
@@ -150,10 +151,10 @@ def test_monotone_check_reads_blocks(monkeypatch):
 @pytest.mark.parametrize("family", ["deletion", "grain"])
 def test_streamed_check_memory(family):
     # one block of 2^14 centres is held at a time, so the traced peak is the
-    # weights, the report's row sums and one block, not the 2^n-row LP
+    # weights and one block, not the 2^n-row LP
     verify = getattr(seq, f"verify_{family}_transversal")
     verify(8)
-    sizes = [(16, 10 * 10**6)] + ([(17, 16 * 10**6)] if family == "deletion" else [])
+    sizes = [(16, 10 * 10**6)] + ([(17, 10 * 10**6)] if family == "deletion" else [])
     for n, limit in sizes:
         tracemalloc.start()
         try:
@@ -162,3 +163,19 @@ def test_streamed_check_memory(family):
         finally:
             tracemalloc.stop()
         assert peak <= limit, (n, peak)
+
+
+@pytest.mark.parametrize("family", ["deletion", "grain"])
+def test_profile_report_is_small(family):
+    # the report lists the tight rows (about 2000 of 2^16 at n=16), not a
+    # sum per row, which held 2.6 MB of Python ints
+    verify = getattr(seq, f"verify_{family}_transversal")
+    verify(8)
+    tracemalloc.start()
+    try:
+        rep = verify(16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 500_000, held
+    assert rep.feasible and 0 < len(rep.tight_rows) < 1 << 12

@@ -173,6 +173,26 @@ def test_verify_weights_file(capsys, tmp_path):
     assert code == 0 and "feasible" in out and "bound 2" in out
 
 
+def test_verify_names_negative_weights_apart(capsys, tmp_path):
+    # two violated rows and one negative weight, each counted under its name
+    wf = tmp_path / "w.txt"
+    wf.write_text("1 -1/2 1 1\n")
+    code, out, _ = run(capsys, "verify", "--family", "z", "--n", "3",
+                       "--weights-file", str(wf))
+    assert code == 0
+    assert out == (f"z n=3 r=1: {wf} infeasible over 4 constraints\n"
+                   "  violated rows 2 (first: [1, 2]), min slack -1\n"
+                   "  negative weights 1 (first: [1])\n")
+    # a negative weight alone, with every row covered, is infeasible too
+    wf.write_text("3 -1/2 3 3\n")
+    code, out, _ = run(capsys, "verify", "--family", "z", "--n", "3",
+                       "--weights-file", str(wf))
+    assert code == 0
+    assert out == (f"z n=3 r=1: {wf} infeasible over 4 constraints\n"
+                   "  violated rows 0 (first: []), min slack 1\n"
+                   "  negative weights 1 (first: [1])\n")
+
+
 def test_oracle_family(capsys):
     code, out, _ = run(capsys, "oracle", "--family", "z", "--n", "5")
     assert code == 0

@@ -108,10 +108,10 @@ def test_verify_transversal_z2():
     # vertices in order 00,01,10,11; weights 1,1/2,1/2,0
     rep = exactlp.verify_transversal(lp, [1, Fraction(1, 2), Fraction(1, 2), 0])
     assert rep.feasible and rep.bound == 2
-    assert sorted(rep.slacks) == [0, 0, Fraction(1, 2), Fraction(1, 2)]
+    assert rep.tight_rows == [0, 3] and rep.min_slack == 0 and rep.scale == 2
     rep0 = exactlp.verify_transversal(lp, [0, 0, 0, 0])
     assert not rep0.feasible
-    assert all(s == -1 for s in rep0.slacks)
+    assert rep0.num_violated == 4 and rep0.min_slack == -1 and not rep0.tight_rows
 
 
 def test_verify_dimension_mismatch():
@@ -559,7 +559,7 @@ def _as_scaled(values, factor):
 
 def _fields(rep):
     return (rep.feasible, rep.bound, rep.min_slack, rep.num_violated,
-            rep.violated_rows, rep.slacks)
+            rep.violated_rows, rep.tight_rows, rep.negative_entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -592,7 +592,8 @@ def test_scaled_witness_past_int64_and_refusals():
     big = exactlp.Scaled(linsolve.int_array([1 << 70, 1 << 71, -(1 << 70)]), 1 << 70)
     assert big.numer.dtype == object
     rep = exactlp.verify_transversal(lp, big)
-    assert not rep.feasible and rep.num_violated == 2 and rep.violated_rows == [2]
+    assert not rep.feasible and rep.num_violated == 1 and rep.violated_rows == [2]
+    assert rep.negative_entries == [2] and rep.tight_rows == [0]
     assert rep.min_slack == -2 and rep.scale == 1 << 70
     assert exactlp.check_certificate(lp, big, [0, 0, 0]) is None
     numer = linsolve.int_array([2, 2, 2])
@@ -634,7 +635,7 @@ def test_row_blocks_give_the_one_block_results(data):
     z = data.draw(st.lists(frac, min_size=nr, max_size=nr))
     sol = exactlp.solve_min_transversal(lp)
     rep, want = exactlp.verify_transversal(blocks, w), exactlp.verify_transversal(lp, w)
-    assert _fields(rep) == _fields(want) and rep.row_sums == want.row_sums
+    assert _fields(rep) == _fields(want) and rep.scale == want.scale
     assert exactlp.check_certificate(blocks, w, z) == exactlp.check_certificate(lp, w, z)
     assert exactlp.check_certificate(blocks, sol.primal, sol.dual) == sol.optimum
 

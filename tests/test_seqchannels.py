@@ -293,24 +293,27 @@ def test_theorem_transversals_feasible():
 
 
 def _reference_report(lp, weights):
-    """Per-word Fraction reference of verify_transversal: the scale, the
-    scaled row sums in Python ints, and the fields derived from them."""
+    """Per-word Fraction reference of verify_transversal: the scale, and the
+    fields derived from the scaled row sums in Python ints."""
     scale = math.lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (scale // w.denominator) for w in weights]
     ptr, cols = lp.indptr.tolist(), lp.indices.tolist()
     sums = [sum(scaled[j] for j in cols[s:e]) for s, e in zip(ptr, ptr[1:])]
     violated = [i for i, v in enumerate(sums) if v < scale]
-    negative = sum(1 for v in scaled if v < 0)
+    negative = [j for j, v in enumerate(scaled) if v < 0]
     feasible = not violated and not negative
-    return {"scale": scale, "row_sums": sums,
+    return {"scale": scale,
+            "tight_rows": [i for i, v in enumerate(sums) if v == scale],
+            "negative_entries": negative,
             "min_slack": Fraction(min(sums) - scale, scale),
-            "num_violated": len(violated) + negative,
+            "num_violated": len(violated),
             "violated_rows": violated[:32], "feasible": feasible,
             "bound": sum(weights, Fraction(0)) if feasible else None}
 
 
 def _report_fields(rep):
-    return {"scale": rep.scale, "row_sums": rep.row_sums,
+    return {"scale": rep.scale, "tight_rows": rep.tight_rows,
+            "negative_entries": rep.negative_entries,
             "min_slack": rep.min_slack, "num_violated": rep.num_violated,
             "violated_rows": rep.violated_rows, "feasible": rep.feasible,
             "bound": rep.bound}
@@ -337,7 +340,7 @@ def test_profile_checks_match_a_per_word_reference(word_weights, family, n):
     assert seq.theorem_weight_vector(m) == weights
     rep = verify(n)
     assert rep.feasible
-    assert all(type(s) is int for s in rep.row_sums)
+    assert all(type(i) is int for i in rep.tight_rows)
     assert _report_fields(rep) == _reference_report(lp, weights)
     perturbed = list(weights)
     perturbed[0] = Fraction(-1, 7)

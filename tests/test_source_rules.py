@@ -153,3 +153,23 @@ def test_full_lp_checks_read_row_blocks(key):
     full = sorted(name for name in _called_names(_functions()[key])
                   if name.endswith("_full_lp"))
     assert not full, f"{key[0]}:{key[1]} calls {full}"
+
+
+def _is_primal_product(node) -> bool:
+    """A call of ``exact_product`` that is not ``transpose=True``: A.x."""
+    return (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+            == "exact_product" and not any(
+                k.arg == "transpose" and isinstance(k.value, ast.Constant)
+                and k.value.value is True for k in node.keywords))
+
+
+def test_one_primal_check():
+    # verify_transversal is the one primal row check: in exactlp only it
+    # takes A.w, and check_certificate reads its report
+    tree = ast.parse((Path(gspb.__file__).resolve().parent / "exactlp.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    products = sum(map(_is_primal_product, ast.walk(tree)))
+    inside = sum(map(_is_primal_product, ast.walk(functions["verify_transversal"])))
+    assert inside > 0 and products == inside
+    assert "verify_transversal" in _called_names(functions["check_certificate"])

@@ -76,7 +76,7 @@ def test_feasibility_checks():
     rep = feasibility(z.z_weights_recursive(5, 1))
     assert rep.feasible
     # rows r+1..n are tight by construction, plus row 0
-    tight = {i for i, s in enumerate(rep.slacks) if s == 0}
+    tight = set(rep.tight_rows)
     assert tight >= {0, 2, 3, 4, 5}
     w55 = z.z_weights_recursive(5, 5)
     assert w55.w == [1, 0, 0, 0, 0, 0]
@@ -86,7 +86,8 @@ def test_feasibility_checks():
 
 def test_feasibility_flags_negative():
     w = z.ZWeights(n=2, r=1, w=[Fraction(1), Fraction(-1, 2), Fraction(0)])
-    assert not feasibility(w).feasible
+    rep = feasibility(w)
+    assert not rep.feasible and rep.negative_entries == [1]
 
 
 def test_certificate_n5_r1():
