@@ -212,13 +212,13 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
             x = x.astype(object)
     src = np.repeat(np.arange(len(counts)), counts) if transpose else matrix.indices
     terms = x[src]
-    not_one = np.flatnonzero(data != 1)
+    not_one = (data != 1).nonzero()[0]
     terms[not_one] *= data[not_one].astype(x.dtype)
     out = np.zeros(matrix.shape[1 if transpose else 0], dtype=x.dtype)
     if transpose:
         np.add.at(out, matrix.indices, terms)
     else:
-        nonempty = np.flatnonzero(counts)
+        nonempty = counts.nonzero()[0]
         if nonempty.size:
             out[nonempty] = np.add.reduceat(terms, matrix.indptr[nonempty])
     return out
