@@ -15,11 +15,14 @@ pass ``channels.check_radius``; ASPV enumerates balls at any radius.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import exactlp, magnitude, projective, refdata, seqchannels, zchannel
+from . import (exactlp, magnitude, projective, reduction, refdata, seqchannels,
+               zchannel)
 from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
                        NotMonotoneError, average_ball_size, ball_centers,
                        check_radius, enumerate_vertices, out_ball,
@@ -206,10 +209,11 @@ def assemble_report(spec: ChannelSpec,
     put("aspv", lambda: aspv(spec, enum_cap), note="value, not bound",
         any_radius=True)
 
-    if fam == "mag_asym":
-        put("closed", lambda: magnitude.asym_improved_transversal(spec.n, spec.q).bound)
-    elif fam == "mag_sym":
-        put("closed", lambda: magnitude.sym_transversal(spec.n, spec.q).bound)
+    # a magnitude report builds its quotient once, for CLOSED and GSPB, and
+    # only inside their entries, after the radius check
+    quotient = functools.cache(lambda: reduction.quotient_matrix(spec))
+    if fam in ("mag_asym", "mag_sym"):
+        put("closed", lambda: magnitude.closed_transversal(quotient()).bound)
     elif fam == "deletion":
         put("closed", lambda: seqchannels.deletion_bound(spec.n))
     elif fam == "grain":
@@ -217,7 +221,7 @@ def assemble_report(spec: ChannelSpec,
 
     if include_gspb:
         try:
-            value, note = _gspb_value(spec, lp_cap, enum_cap)
+            value, note = _gspb_value(spec, lp_cap, enum_cap, quotient)
         except GspbError as exc:
             report.entries["gspb"] = _refused("gspb", exc)
         else:
@@ -225,18 +229,17 @@ def assemble_report(spec: ChannelSpec,
     return report
 
 
-def _gspb_value(spec: ChannelSpec, lp_cap: int,
-                enum_cap: int) -> tuple[Fraction, str]:
-    """The certified covering optimum of one instance, and its note."""
+def _gspb_value(spec: ChannelSpec, lp_cap: int, enum_cap: int,
+                quotient: Callable[[], reduction.QuotientLP]) -> tuple[Fraction, str]:
+    """The certified covering optimum of one instance, and its note;
+    ``quotient()`` gives a magnitude instance's quotient LP."""
     check_radius(spec)
     fam, note = spec.family, ""
     if fam == "z":
         sol = zchannel.z_gspb(spec.n, spec.r)
         note = f"path: {sol.method}"
-    elif fam == "mag_asym":
-        sol = magnitude.asym_gspb(spec.n, spec.q)
-    elif fam == "mag_sym":
-        sol = magnitude.sym_gspb(spec.n, spec.q)
+    elif fam in ("mag_asym", "mag_sym"):
+        sol = magnitude.quotient_gspb(quotient())
     elif fam == "deletion":
         sol = seqchannels.deletion_full_gspb(spec.n, lp_cap, enum_cap)
         note = "full covering LP"
@@ -247,8 +250,8 @@ def _gspb_value(spec: ChannelSpec, lp_cap: int,
         sol = projective.projective_gspb(spec.n)
         note = sol.notes
     else:  # explicit graphs: the unreduced covering LP
-        from .reduction import full_hypergraph_lp
-        sol = exactlp.solve_min_transversal(full_hypergraph_lp(spec, cap=enum_cap))
+        sol = exactlp.solve_min_transversal(
+            reduction.full_hypergraph_lp(spec, cap=enum_cap))
     return sol.optimum, note
 
 

@@ -3,7 +3,12 @@
 Asymmetric: a symbol may decrease by one.  Symmetric: one step either way.
 Both reduce to composition-indexed quotient LPs (see reduction); this module
 adds the closed-form bounds and the improved hand transversals, everything
-in exact rationals.
+in exact rationals.  A quotient's exact optimum (``quotient_gspb``) takes its
+float point from HiGHS's dual simplex, which is faster than the interior
+point on these small LPs (``exactlp.float_presolve``).  The helpers that
+read a built quotient, ``closed_transversal`` and ``quotient_gspb``, let one
+report build its quotient once for both CLOSED and GSPB
+(``bounds.assemble_report``); the functions of (n, q) build it per call.
 """
 
 from __future__ import annotations
@@ -36,11 +41,17 @@ def sym_quotient(n: int, q: int) -> reduction.QuotientLP:
 
 
 def asym_gspb(n: int, q: int) -> exactlp.LPSolution:
-    return exactlp.solve_min_transversal(asym_quotient(n, q).lp)
+    return quotient_gspb(asym_quotient(n, q))
 
 
 def sym_gspb(n: int, q: int) -> exactlp.LPSolution:
-    return exactlp.solve_min_transversal(sym_quotient(n, q).lp)
+    return quotient_gspb(sym_quotient(n, q))
+
+
+def quotient_gspb(qlp: reduction.QuotientLP) -> exactlp.LPSolution:
+    """Exact covering optimum of a magnitude quotient, presolved by HiGHS's
+    dual simplex."""
+    return exactlp.solve_min_transversal(qlp.lp, simplex=True)
 
 
 def asym_mb(n: int, q: int) -> Fraction:
@@ -57,41 +68,50 @@ def sym_aspv(n: int, q: int) -> Fraction:
 
 
 def asym_improved_transversal(n: int, q: int) -> ClassTransversal:
+    return closed_transversal(asym_quotient(n, q))
+
+
+def sym_transversal(n: int, q: int) -> ClassTransversal:
+    return closed_transversal(sym_quotient(n, q))
+
+
+def _asym_weights(n: int, labels) -> list[Fraction]:
     """Reciprocal weights sharpened by the count of ones in the word.
 
     w = 1/(n - i0 + 1 + (i1 - 1)/(2(n - i0))) on classes with a nonzero
     symbol, 1 on the all-zero class; tightens the plain reciprocal-degree
     assignment while staying feasible.
     """
-    qlp = asym_quotient(n, q)
-    part = qlp.partition
     weights = []
-    for c in part.labels:
+    for c in labels:
         if c[0] == n:
             weights.append(Fraction(1))
         else:
             m = n - c[0]
             weights.append(1 / (m + 1 + Fraction(c[1] - 1, 2 * m)))
-    return _finish(qlp, weights)
+    return weights
 
 
-def sym_transversal(n: int, q: int) -> ClassTransversal:
+def _sym_weights(n: int, labels) -> list[Fraction]:
     """Weights 1/(ball size - 1); the ball size is 2n+1 minus the count of
     extreme-valued positions, so the weight is constant on folded classes."""
-    qlp = sym_quotient(n, q)
-    part = qlp.partition
     weights = []
-    for c in part.labels:
+    for c in labels:
         denom = 2 * n - c[0]
         if denom <= 0:
             raise GspbError("degenerate degree-one vertex; transversal undefined")
         weights.append(Fraction(1, denom))
-    return _finish(qlp, weights)
+    return weights
 
 
-def _finish(qlp: reduction.QuotientLP, weights) -> ClassTransversal:
+def closed_transversal(qlp: reduction.QuotientLP) -> ClassTransversal:
+    """The family's hand transversal on its quotient (the improved one for
+    mag-asym), once it passed its exact check."""
+    part = qlp.partition
+    rule = _asym_weights if part.spec.family == "mag_asym" else _sym_weights
+    weights = rule(part.spec.n, part.labels)
     report = exactlp.verify_transversal(qlp.lp, weights)
     if not report.feasible:
         raise GspbError("class transversal failed its exact check")
-    return ClassTransversal(labels=list(qlp.partition.labels), weights=weights,
+    return ClassTransversal(labels=list(part.labels), weights=weights,
                             bound=report.bound)

@@ -137,7 +137,7 @@ def projective_gspb(n: int) -> exactlp.LPSolution:
     value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
     if value is not None:
         return exactlp.LPSolution(value, weights.w, block, "greedy")
-    sol = exactlp.solve_min_transversal(lp)
+    sol = exactlp.solve_min_transversal(lp, simplex=True)
     greedy_value = weights.bound()
     return replace(sol, notes="" if greedy_value == sol.optimum else (
         "greedy output is not optimal here (known flagged case n=2): "

@@ -144,7 +144,7 @@ def z_gspb(n: int, r: int) -> exactlp.LPSolution:
     lp = z_quotient_lp(n, r)
     value = exactlp.check_certificate(lp, w, y)
     if value is None:
-        return exactlp.solve_min_transversal(lp)
+        return exactlp.solve_min_transversal(lp, simplex=True)
     return exactlp.LPSolution(value, w, y, "closed-form")
 
 

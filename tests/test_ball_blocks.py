@@ -86,7 +86,7 @@ def _quotient_of(monkeypatch, family, n):
     class Captured(Exception):
         pass
 
-    def capture(lp):
+    def capture(lp, **kwargs):
         raise Captured(lp)
 
     with monkeypatch.context() as patch:

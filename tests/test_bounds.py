@@ -243,3 +243,26 @@ def test_report_radius_two_carries_no_radius_one_value():
                     spec, name)
         with pytest.raises(GspbError, match="radius 1 only"):
             bounds.monotonicity_bound(spec)
+
+
+@pytest.mark.parametrize("spec,method", [
+    (ChannelSpec("mag_asym", n=8, q=4), "highs-ds"),
+    (ChannelSpec("projective", n=2), "highs-ds"),
+    (ChannelSpec("deletion", n=10), "highs-ipm"),
+    (example_two(), "highs-ipm"),
+], ids=["mag-asym-q4-n8", "projective-2", "deletion-10", "explicit-example-two"])
+def test_report_presolve_method(monkeypatch, spec, method):
+    # the closed-form quotients (a magnitude GSPB, the projective n=2
+    # fallback) take HiGHS's dual simplex; the orbit quotient and an explicit
+    # graph's full LP keep the interior point
+    import scipy.optimize
+    methods = []
+    real = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    assert bounds.assemble_report(spec).entry("gspb").certified
+    assert methods == [method]

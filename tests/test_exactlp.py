@@ -193,7 +193,7 @@ def test_failed_solve_raises(monkeypatch):
     from gspb import cli
     lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
     with monkeypatch.context() as m:
-        m.setattr(exactlp, "float_presolve", lambda lp: exactlp.PresolveResult(
+        m.setattr(exactlp, "float_presolve", lambda lp, **kwargs: exactlp.PresolveResult(
             False, None, None, None, "forced failure"))
         with pytest.raises(ch.GspbError, match="forced failure"):
             exactlp.solve_min_transversal(lp)
@@ -243,12 +243,14 @@ def test_first_non_positive_coefficient_named_for_either_dtype():
                                    lambda: projective.projective_lp(20)],
                          ids=["z-80", "projective-20"])
 def test_presolve_failure_names_no_false_cause(build):
-    # both packing LPs are bounded; HiGHS fails on them numerically and says
-    # "unbounded", which the refusal must not repeat
-    with pytest.raises(ch.GspbError, match="HiGHS status") as caught:
-        exactlp.solve_min_transversal(build())
-    assert "unbounded" not in str(caught.value).lower()
-    assert "packing LP is bounded" in str(caught.value)
+    # both packing LPs are bounded; HiGHS fails on them numerically, by its
+    # interior point and by its dual simplex, and says "unbounded", which
+    # the refusal must not repeat
+    for simplex in (False, True):
+        with pytest.raises(ch.GspbError, match="HiGHS status") as caught:
+            exactlp.solve_min_transversal(build(), simplex=simplex)
+        assert "unbounded" not in str(caught.value).lower()
+        assert "packing LP is bounded" in str(caught.value)
 
 
 def test_scaling_exactness():
@@ -391,7 +393,7 @@ def test_singular_float_basis_falls_back_to_the_support_solves(monkeypatch):
     # rows tight, so the square block [[1, 1], [1, 1]] is singular.  The
     # float LU stops at its zero pivot and the support solves certify
     lp = exactlp.CoveringLP.from_rows([1, 1], [[(0, 1), (1, 1)]] * 2)
-    monkeypatch.setattr(exactlp, "float_presolve", lambda lp: exactlp.PresolveResult(
+    monkeypatch.setattr(exactlp, "float_presolve", lambda lp, **kwargs: exactlp.PresolveResult(
         True, 1.0, [0.5, 0.5], [0.5, 0.5]))
     lifts = []
     real = linsolve.refine_solve

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import scipy.optimize
 
-from gspb import exactlp, magnitude as mag, oracle, reduction
+from gspb import bounds, exactlp, magnitude as mag, oracle, reduction
 from gspb.channels import ChannelSpec
 
 
@@ -106,3 +107,45 @@ def test_sym_aspv_below_gspb_observation():
     # q=3: the average-ball value runs below the covering optimum
     for n in range(5, 19):
         assert fl(mag.sym_aspv(n, 3)) < fl(mag.sym_gspb(n, 3).optimum)
+
+
+# the magnitude rows of the benchmark's quotient-tables workload
+TABLE_RANGES = [("mag_asym", 3, range(5, 15)), ("mag_asym", 4, range(5, 12)),
+                ("mag_sym", 3, range(5, 15)), ("mag_sym", 4, range(5, 11)),
+                ("mag_sym", 5, range(5, 13)), ("mag_sym", 6, range(5, 11))]
+
+
+@pytest.mark.parametrize("family,q,ns", TABLE_RANGES,
+                         ids=[f"{f}-q{q}" for f, q, _ in TABLE_RANGES])
+def test_table_quotients_certify_on_the_simplex_basis(monkeypatch, family, q, ns):
+    # each quotient's float point comes from HiGHS's dual simplex, and the
+    # basis read off it certifies with no support solve
+    methods, support_solves = [], []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: (
+        methods.append(kwargs["method"]) or real(*args, **kwargs)))
+    monkeypatch.setattr(exactlp, "_support_solve",
+                        lambda *args: support_solves.append(args))
+    gspb = mag.asym_gspb if family == "mag_asym" else mag.sym_gspb
+    for n in ns:
+        assert gspb(n, q).notes.endswith(", float basis"), n
+    assert methods == ["highs-ds"] * len(ns) and not support_solves
+
+
+def test_one_quotient_per_report(monkeypatch):
+    # CLOSED and GSPB share one quotient; a refused radius builds none
+    calls = []
+    real = reduction.quotient_matrix
+    monkeypatch.setattr(reduction, "quotient_matrix",
+                        lambda spec: calls.append(spec) or real(spec))
+    for spec in (ChannelSpec("mag_asym", n=8, q=4), ChannelSpec("mag_sym", n=7, q=3)):
+        calls.clear()
+        report = bounds.assemble_report(spec)
+        assert calls == [spec]
+        assert report.entry("closed").value == mag.closed_transversal(real(spec)).bound
+        assert report.entry("gspb").value == mag.quotient_gspb(real(spec)).optimum
+    calls.clear()
+    report = bounds.assemble_report(ChannelSpec("mag_asym", n=5, r=2, q=3))
+    assert not calls
+    assert report.entry("closed").note == report.entry("gspb").note == (
+        "mag_asym bounds cover radius 1 only")

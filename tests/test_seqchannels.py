@@ -203,7 +203,7 @@ class _Captured(Exception):
 
 def _orbit_quotient(monkeypatch, family, n):
     """The quotient LP the orbit route hands to the solver, unsolved."""
-    def capture(lp):
+    def capture(lp, **kwargs):
         raise _Captured(lp)
 
     monkeypatch.setattr(exactlp, "solve_min_transversal", capture)
