@@ -68,10 +68,12 @@ def sym_aspv(n: int, q: int) -> Fraction:
 
 
 def asym_improved_transversal(n: int, q: int) -> ClassTransversal:
+    """The improved class transversal (``_asym_weights``), checked."""
     return closed_transversal(asym_quotient(n, q))
 
 
 def sym_transversal(n: int, q: int) -> ClassTransversal:
+    """The reciprocal class transversal (``_sym_weights``), checked."""
     return closed_transversal(sym_quotient(n, q))
 
 

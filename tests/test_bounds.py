@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,7 +256,6 @@ def test_report_presolve_method(monkeypatch, spec, method):
     # the closed-form quotients (a magnitude GSPB, the projective n=2
     # fallback) take HiGHS's dual simplex; the orbit quotient and an explicit
     # graph's full LP keep the interior point
-    import scipy.optimize
     methods = []
     real = scipy.optimize.linprog
 
