@@ -9,11 +9,13 @@ through flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import bounds, exactlp, magnitude, oracle, projective, refdata, seqchannels, zchannel
+from . import (bounds, exactlp, magnitude, oracle, projective, reduction, refdata,
+               seqchannels, zchannel)
 from .channels import (CapExceeded, ChannelSpec, FIXTURES, GspbError,
                        DEFAULT_ENUM_CAP, check_radius)
 from .exactlp import fmt_frac
@@ -87,9 +89,11 @@ def cmd_compute(args) -> int:
 def _table_reports(args, specs: list[ChannelSpec]):
     jobs = [(spec, args.lp_cap, args.enum_cap, "GSPB" in args.columns_list)
             for spec in specs]
-    if args.jobs > 1:
+    # a forked pool starts all its workers at the first task: no more than rows
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_table_worker, jobs))
     return [_table_worker(job) for job in jobs]
 
@@ -157,31 +161,30 @@ def cmd_table(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _family_lp(spec: ChannelSpec,
-               enum_cap: int) -> exactlp.CoveringLP | exactlp.RowBlocks:
+def _family_lp(spec: ChannelSpec, enum_cap: int,
+               quotient) -> exactlp.CoveringLP | exactlp.RowBlocks:
+    """The LP ``verify`` checks; ``quotient()`` gives a magnitude family's
+    quotient LP."""
     check_radius(spec)
     fam = spec.family
     if fam == "z":
         return zchannel.z_quotient_lp(spec.n, spec.r)
-    if fam == "mag_asym":
-        return magnitude.asym_quotient(spec.n, spec.q).lp
-    if fam == "mag_sym":
-        return magnitude.sym_quotient(spec.n, spec.q).lp
+    if fam in ("mag_asym", "mag_sym"):
+        return quotient().lp
     if fam in ("deletion", "grain"):
         return seqchannels.ball_blocks(fam, spec.n, enum_cap)
     return projective.projective_lp(spec.n)
 
 
-def _default_weights(spec: ChannelSpec):
+def _default_weights(spec: ChannelSpec, quotient):
     fam = spec.family
     if fam == "z":
-        return zchannel.z_weights_recursive(spec.n, spec.r).w, "closed-form weights"
-    if fam == "mag_asym":
-        return (magnitude.asym_improved_transversal(spec.n, spec.q).weights,
-                "improved class transversal")
-    if fam == "mag_sym":
-        return (magnitude.sym_transversal(spec.n, spec.q).weights,
-                "class transversal")
+        # radius n already covers every ball (zchannel.z_gspb)
+        return (zchannel.z_weights_recursive(spec.n, min(spec.r, spec.n)).w,
+                "closed-form weights")
+    if fam in ("mag_asym", "mag_sym"):
+        label = "improved class transversal" if fam == "mag_asym" else "class transversal"
+        return magnitude.closed_transversal(quotient()).weights, label
     if fam == "deletion":
         return (seqchannels.profile_weights(spec.n - 1),
                 "run-profile transversal")
@@ -193,7 +196,9 @@ def _default_weights(spec: ChannelSpec):
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args, args.n)
-    lp = _family_lp(spec, args.enum_cap)
+    # a magnitude family's quotient serves both the LP and the hand weights
+    quotient = functools.cache(lambda: reduction.quotient_matrix(spec))
+    lp = _family_lp(spec, args.enum_cap, quotient)
     if args.weights_file:
         with open(args.weights_file) as fh:
             tokens = fh.read().split()
@@ -203,7 +208,7 @@ def cmd_verify(args) -> int:
             raise GspbError(f"malformed weights file: {exc}") from exc
         label = args.weights_file
     else:
-        weights, label = _default_weights(spec)
+        weights, label = _default_weights(spec, quotient)
     report = exactlp.verify_transversal(lp, weights)
     status = "feasible" if report.feasible else "infeasible"
     print(f"{args.family} n={args.n} r={args.r}: {label} {status} "

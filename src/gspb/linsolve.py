@@ -29,14 +29,12 @@ elimination of the matrix modulo one prime ``PRIME`` < 2^20, in int64, and
 a second one of [B | I] leaves B^-1 mod p beside the identity; a product
 of two residues is below 2^40, so every int64 update and every k-term dot
 product of residues with k < 2^23 is exact.  ``dixon_solve`` lifts the
-solution p-adically (Dixon) from that inverse, one numpy pass per step
-(Chen and Storjohann, "A BLAS based C library for exact linear algebra on
-integer matrices", ISSAC 2005), and recovers rationals over a running
-common denominator, with an extended Euclid only for entries it does not
-already explain.  B is nonsingular modulo the prime it was selected with by
-construction, so no second prime is ever needed.  The elimination is
-plain, not blocked: the support systems of every table range have a few
-dozen rows and columns at most.
+solution p-adically from that inverse (Dixon), one plain loop over the
+steps with the residual and the solution in Python ints, and reconstructs
+each entry alone.  B is nonsingular modulo the prime it was selected with
+by construction, so no second prime is ever needed.  Both are plain, not
+blocked: they serve a crossover at a degenerate vertex and the subspace
+block dual, whose systems have a few dozen unknowns at most.
 
 On both routes every candidate, scaled by the LCM of its denominators, is
 checked exactly by ``exact_product``, the package's one exact sparse
@@ -142,11 +140,18 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
 
 
 def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
-    """Exact solution of the square sparse integer system matrix * x = rhs.
+    """Exact solution of the square sparse integer system matrix * x = rhs,
+    by Dixon lifting (Dixon, "Exact solution of linear equations using
+    p-adic expansions", Numer. Math. 40, 1982).
 
     matrix: a k x k ``scipy.sparse`` CSR matrix of int64; inv: its inverse
     mod ``PRIME`` as int64 residues, the one ``select_pivots_mod`` returns
-    with the block.  Returns None when a lifting budget runs out.  A
+    with the block.  Each step takes the digit x_s = inv (r mod p) mod p,
+    adds x_s p^s to the p-adic solution, and sets r <- (r - matrix x_s) / p,
+    which must divide exactly (``GspbError`` otherwise); r and the solution
+    are Python ints, and ``exact_product`` forms matrix x_s.  Rationals are
+    reconstructed after step 8 and then each half as many steps again, up to
+    a Hadamard-style step budget; None when the budget runs out.  A
     candidate x is returned only if A.X == d.rhs holds exactly
     (``exact_product``), where d is the LCM of its denominators and X = d.x.
     """
@@ -155,7 +160,49 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
                          f"a {inv.shape[0]}x{inv.shape[1]} inverse and "
                          f"{len(rhs)} right-hand sides; dixon_solve needs a "
                          f"square {k}x{k} system")
-    return _lift(matrix, rhs, lambda r: inv @ r % PRIME)
+    p = PRIME
+    _, det_bits = _hadamard(matrix)
+    max_rhs = max((abs(b) for b in rhs), default=1) or 1
+    # budget on numerator/denominator bits, plus slack
+    need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
+    max_steps = int(need_bits / math.log2(p)) + 8
+
+    residual = np.array([int(b) for b in rhs], dtype=object)
+    solution = np.zeros(k, dtype=object)
+    modulus = 1
+    next_attempt = 8
+    for step in range(1, max_steps + 1):
+        digit = inv @ (residual % p).astype(np.int64) % p
+        residual -= exact_product(matrix, digit)
+        if (residual % p).any():
+            raise GspbError("Dixon lifting: a p-adic step left a "
+                            f"residual not divisible by {p}")
+        residual //= p
+        solution += digit.astype(object) * modulus
+        modulus *= p
+        if step >= next_attempt or step == max_steps:
+            next_attempt = step + max(8, step // 2)
+            x = _try_reconstruct(solution.tolist(), modulus)
+            if x is None:
+                continue
+            d = math.lcm(*(v.denominator for v in x))
+            scaled = [v.numerator * (d // v.denominator) for v in x]
+            if exact_product(matrix, scaled).tolist() == [d * b for b in rhs]:
+                return x
+    # lifting budget exhausted: the supports were likely wrong
+    return None
+
+
+def _try_reconstruct(residues: list[int], modulus: int) -> list[Fraction] | None:
+    """Rationals congruent to ``residues`` mod ``modulus``, one
+    ``rational_reconstruct`` per entry; None when any entry fails."""
+    out = []
+    for a in residues:
+        f = rational_reconstruct(a, modulus)
+        if f is None:
+            return None
+        out.append(f)
+    return out
 
 
 def _magnitude(a: np.ndarray) -> int:
@@ -226,105 +273,12 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
 
 def _hadamard(matrix) -> tuple[int, float]:
     """(N, det_bits) of a square int64 CSR matrix: N its largest row L1 norm
-    as a Python int (an int64 N times p or a digit could wrap), and det_bits
-    a Hadamard-style bound on log2 |det|, the solutions' common denominator."""
+    as a Python int (an int64 N times a digit could wrap), and det_bits a
+    Hadamard-style bound on log2 |det|, the solutions' common denominator."""
     k = matrix.shape[0]
     norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
     max_coeff = int(abs(matrix.data).max(initial=1))
     return norm, k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
-
-
-def _lift(matrix, rhs: list[int], solve_mod) -> list[Fraction] | None:
-    """Dixon lifting of matrix x = rhs, where ``matrix`` is a square int64
-    CSR matrix and ``solve_mod(r)`` is matrix^-1 r mod ``PRIME`` (int64
-    residues in, int64 residues out); None when the lifting budget runs out.
-
-    Each step is one pass over the residual array r: the digit is
-    x_s = matrix^-1 (r mod p), and r becomes (r - matrix x_s) / p, which
-    must divide exactly.  |r| never exceeds max(max|rhs|, N) for N the
-    largest row L1 norm, so r is int64 when max|rhs| + N p < 2^62 and a
-    Python-int object array otherwise, through the same code; raises
-    ``ValueError`` unless N (p - 1) < 2^63, which keeps the int64 product
-    ``matrix @ x_s`` exact.  The digits are kept and folded into the p-adic
-    solution only when a reconstruction is tried, three per int64
-    (p^3 < 2^60), so the per-entry Python loop runs once per three steps.
-    """
-    p = PRIME
-    k = len(rhs)
-    norm, det_bits = _hadamard(matrix)
-    if norm * (p - 1) >= 1 << 63:
-        raise ValueError(f"a row of L1 norm {norm} can overflow the int64 "
-                         "lifting product")
-    max_rhs = max((abs(b) for b in rhs), default=1) or 1
-    # budget on numerator/denominator bits, plus slack
-    need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
-    max_steps = int(need_bits / math.log2(p)) + 8
-
-    dtype = np.int64 if max_rhs + norm * p < 1 << 62 else object
-    residual = np.array([int(b) for b in rhs], dtype=dtype)
-    digits: list[np.ndarray] = []  # lifted digits not yet folded
-    solution_mod = [0] * k
-    modulus = 1
-    next_attempt = 8
-    step = 0
-    while step < max_steps:
-        digit = solve_mod((residual % p).astype(np.int64))
-        residual -= matrix @ digit  # exact: the row norms were checked
-        if (residual % p).any():
-            raise GspbError("Dixon lifting: a p-adic step left a "
-                            f"residual not divisible by {p}")
-        residual //= p
-        digits.append(digit)
-        step += 1
-        if step >= next_attempt or step == max_steps:
-            next_attempt = step + max(8, step // 2)
-            for s in range(0, len(digits), 3):
-                group = digits[s:s + 3]
-                folded = sum(g * p ** t for t, g in enumerate(group))
-                solution_mod = [a + b * modulus
-                                for a, b in zip(solution_mod, folded.tolist())]
-                modulus *= p ** len(group)
-            digits.clear()
-            x = _try_reconstruct(solution_mod, modulus)
-            if x is None:
-                continue
-            d = math.lcm(*(v.denominator for v in x))
-            scaled = [v.numerator * (d // v.denominator) for v in x]
-            if exact_product(matrix, scaled).tolist() == [d * b for b in rhs]:
-                return x
-    # lifting budget exhausted: the supports were likely wrong
-    return None
-
-
-def _try_reconstruct(residues: list[int], modulus: int) -> list[Fraction] | None:
-    """Rationals congruent to ``residues`` mod ``modulus``, or None.
-
-    Entries share a running denominator d, the LCM of the denominators found
-    so far (Steffy, "Exact solutions to linear systems of equations using
-    output sensitive lifting", ACM Commun. Comput. Algebra 44(4), 2010).
-    When the balanced residue n of a*d is at most sqrt(modulus/2), as is d,
-    the entry is n/d with no extended Euclid: by the uniqueness of bounded
-    reconstruction it is the entry ``rational_reconstruct`` would return.
-    Otherwise the entry is reconstructed alone and d grows.  Coordinates of
-    one LP vertex mostly share a denominator, so most entries take one
-    multiplication.
-    """
-    bound = math.isqrt(modulus // 2)
-    d = 1
-    out = []
-    for a in residues:
-        n = a * d % modulus
-        if n > modulus // 2:
-            n -= modulus
-        if abs(n) <= bound and d <= bound:
-            out.append(Fraction(n, d))
-            continue
-        f = rational_reconstruct(a, modulus)
-        if f is None:
-            return None
-        out.append(f)
-        d = math.lcm(d, f.denominator)
-    return out
 
 
 # ---------------------------------------------------------------------------

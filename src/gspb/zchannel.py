@@ -135,12 +135,14 @@ def z_optimality_certificate(n: int, r: int) -> ZCertificate:
 def z_gspb(n: int, r: int) -> exactlp.LPSolution:
     """Exact covering optimum with per-instance certification.
 
-    The closed-form weights and the triangular dual are checked as a pair
-    against z_quotient_lp(n, r); if the check fails the LP is solved
-    outright and that solution, with its own method, is returned.
+    The closed-form weights and the triangular dual of radius min(r, n) are
+    checked as a pair against z_quotient_lp(n, r): for r >= n every ball is
+    the whole down-set of its center, so the LP is the one of radius n.  If
+    the check fails the LP is solved outright and that solution, with its
+    own method, is returned.
     """
-    w = z_weights_recursive(n, r).w
-    y = z_optimality_certificate(n, r).lp_dual()
+    w = z_weights_recursive(n, min(r, n)).w
+    y = z_optimality_certificate(n, min(r, n)).lp_dual()
     lp = z_quotient_lp(n, r)
     value = exactlp.check_certificate(lp, w, y)
     if value is None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gspb import bounds, cli, exactlp, oracle, seqchannels
+from gspb import bounds, cli, exactlp, oracle, reduction, seqchannels
 from gspb.channels import ChannelSpec
 
 
@@ -160,6 +160,34 @@ def test_verify_deletion(capsys):
     assert code == 0 and "feasible" in out
 
 
+def test_verify_builds_one_magnitude_quotient(capsys, monkeypatch):
+    # the LP and the hand weights of one verify come from one quotient
+    calls = []
+    real = reduction.quotient_matrix
+    monkeypatch.setattr(reduction, "quotient_matrix",
+                        lambda spec: calls.append(spec) or real(spec))
+    for family in ("mag-asym", "mag-sym"):
+        calls.clear()
+        code, out, _ = run(capsys, "verify", "--family", family, "--q", "4",
+                           "--n", "9")
+        assert code == 0 and " feasible" in out
+        assert len(calls) == 1
+
+
+def test_z_past_radius_n(capsys):
+    # r > n: every ball is the whole down-set, and each verb answers
+    code, out, _ = run(capsys, "table", "--family", "z", "--r", "3",
+                       "--n-from", "1", "--n-to", "5", "--exact")
+    assert code == 0
+    assert [line.split()[3] for line in out.splitlines()[1:]] == [
+        "1", "1", "1", "2", "5/2"]
+    code, out, _ = run(capsys, "compute", "--family", "z", "--n", "2", "--r", "3",
+                       "--bound", "aspv", "--format", "json")
+    assert code == 0 and json.loads(out)["bounds"]["gspb"]["num"] == 1
+    code, out, _ = run(capsys, "verify", "--family", "z", "--n", "2", "--r", "3")
+    assert code == 0 and "closed-form weights feasible" in out
+
+
 def test_verify_weights_file(capsys, tmp_path):
     wf = tmp_path / "w.txt"
     wf.write_text("0 0 0\n")
@@ -223,6 +251,37 @@ def test_table_jobs_parallel_matches_serial(capsys):
     code, b, _ = run(capsys, "table", "--family", "z", "--n-from", "5",
                      "--n-to", "7", "--format", "csv", "--jobs", "2")
     assert a == b
+
+
+def test_table_jobs_capped_at_the_rows(capsys, monkeypatch):
+    # a forked pool starts every worker at its first task, so --jobs asks
+    # for no more workers than rows; one row needs no pool
+    import concurrent.futures
+
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, a, _ = run(capsys, "table", "--family", "z", "--n-from", "5",
+                     "--n-to", "7", "--format", "csv")
+    for n_to, jobs, workers in (("7", "64", [3]), ("7", "2", [2]), ("5", "64", [])):
+        made.clear()
+        code, b, _ = run(capsys, "table", "--family", "z", "--n-from", "5",
+                         "--n-to", n_to, "--format", "csv", "--jobs", jobs)
+        assert code == 0 and made == workers
+        assert b.splitlines() == a.splitlines()[:int(n_to) - 3]
 
 
 # radius: z serves every r; the other families' MB, CLOSED, GSPB and verify

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
@@ -428,12 +428,13 @@ def test_float_lift_refuses_an_ill_conditioned_basis():
         assert linsolve.refine_solve(block, rhs, c, linsolve._lu_factor(block)) is None
 
 
-def test_dixon_refuses_a_row_norm_that_overflows_int64():
-    # each coefficient fits, but their row sum times p - 1 passes 2^63
+def test_dixon_solves_a_row_norm_past_int64():
+    # each coefficient fits, but their row sum times p - 1 passes 2^63: the
+    # residual is in Python ints, so the system solves exactly
     matrix = csr_matrix([[1 << 43, 1 << 43], [0, 1]], dtype=np.int64)
     inv = linsolve.select_pivots_mod(matrix.toarray())[2]
-    with pytest.raises(ValueError, match="overflow"):
-        linsolve.dixon_solve(matrix, 2, inv, [1, 1])
+    assert linsolve.dixon_solve(matrix, 2, inv, [1, 1]) == [
+        Fraction(1 - (1 << 43), 1 << 43), Fraction(1)]
 
 
 def test_dixon_never_returns_a_wrong_reconstruction(monkeypatch):
@@ -597,17 +598,49 @@ def test_exact_product_takes_int64_exactly_below_its_bound(data):
 
 @pytest.mark.parametrize("shift", [0, 70], ids=["int64", "object"])
 def test_non_divisible_residual_raises(shift):
-    # a corrupted solve_mod leaves r - A x_s not divisible by p, and the
-    # step raises whether the residual is int64 (shift 0) or Python ints
-    # (shift 70: 2^70 b does not fit in int64)
+    # a corrupted inverse leaves r - A x_s not divisible by p, and the step
+    # raises whether the residual fits int64 (shift 0) or not (shift 70:
+    # 2^70 b does not fit in int64)
     matrix = csr_matrix([[2, 1], [1, 3]], dtype=np.int64)
-    inv = linsolve.select_pivots_mod(matrix.toarray())[2]
-
-    def corrupted(r):
-        return (inv @ r % P + 1) % P
-
+    corrupted = linsolve.select_pivots_mod(matrix.toarray())[2].copy()
+    corrupted[0, 0] = (corrupted[0, 0] + 1) % P
     with pytest.raises(GspbError, match="not divisible"):
-        linsolve._lift(matrix, [5 << shift, 7 << shift], corrupted)
+        linsolve.dixon_solve(matrix, 2, corrupted, [5 << shift, 7 << shift])
+
+
+def ref_solve(matrix, rhs):
+    """x with matrix x = rhs by Gauss-Jordan elimination over Fractions, or
+    None when the matrix is singular."""
+    k = len(rhs)
+    work = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(k):
+        pr = next((i for i in range(c, k) if work[i][c]), None)
+        if pr is None:
+            return None
+        work[c], work[pr] = work[pr], work[c]
+        work[c] = [a / work[c][c] for a in work[c]]
+        for i in range(k):
+            if i != c and work[i][c]:
+                work[i] = [a - work[i][c] * b for a, b in zip(work[i], work[c])]
+    return [row[k] for row in work]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dixon_matches_a_fraction_reference(data):
+    # random nonsingular systems with coefficients up to 2^50 and right-hand
+    # sides past int64: dixon_solve gives the Fraction Gauss-Jordan answer
+    k = data.draw(st.integers(1, 6))
+    coeff = data.draw(st.sampled_from([9, 1 << 20, 1 << 50]))
+    matrix = data.draw(st.lists(st.lists(st.integers(-coeff, coeff), min_size=k,
+                                         max_size=k), min_size=k, max_size=k))
+    rhs = data.draw(st.lists(st.integers(-2**80, 2**80), min_size=k, max_size=k))
+    want = ref_solve(matrix, rhs)
+    rows, cols, inv = linsolve.select_pivots_mod(np.array(matrix, dtype=np.int64))
+    assume(want is not None and len(cols) == k)
+    block = csr_matrix(np.array(matrix, dtype=np.int64)[np.ix_(rows, cols)])
+    x = linsolve.dixon_solve(block, k, inv, [rhs[i] for i in rows])
+    assert x == want
 
 
 def _encode(values, modulus):
@@ -659,8 +692,8 @@ def test_convergent_recovers_a_fraction_from_its_dyadic_rounding(num, den, slack
 
 
 def test_reconstruction_past_a_large_common_denominator():
-    # the running denominator 100003 * 100019 passes sqrt(P^2 / 2), and
-    # 173134 times it is small mod P^2, yet 173134 is not that over it
+    # the common denominator 100003 * 100019 passes sqrt(P^2 / 2), and
+    # 173134 times it is small mod P^2, yet each entry reconstructs alone
     m = P ** 2
     values = [Fraction(1, 100003), Fraction(1, 100019), Fraction(173134)]
     assert linsolve._try_reconstruct(_encode(values, m), m) == values

@@ -102,7 +102,8 @@ def test_no_second_lu_factorisation(path):
 _FLOAT_NAMES = {"float16", "float32", "float64", "float"}
 
 
-@pytest.mark.parametrize("name", ["select_pivots_mod", "dixon_solve", "_lift"])
+@pytest.mark.parametrize("name", ["select_pivots_mod", "_gauss_jordan", "dixon_solve",
+                                  "_try_reconstruct", "rational_reconstruct"])
 def test_no_floats_on_the_modular_path(name):
     # the support solves select, invert and lift in integer residues alone,
     # so no float can decide a value there: no float dtype and no float()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspb import exactlp, zchannel as z
+from gspb import exactlp, reduction, zchannel as z
+from gspb.channels import ChannelSpec
 
 
 def test_quotient_lp_rows_n2():
@@ -142,6 +143,18 @@ def test_gspb_equals_lp():
     for (n, r) in [(5, 1), (7, 2), (9, 3), (6, 5)]:
         lp_sol = exactlp.solve_min_transversal(z.z_quotient_lp(n, r))
         assert z.z_gspb(n, r).optimum == lp_sol.optimum, (n, r)
+
+
+def test_gspb_past_radius_n():
+    # for r >= n every ball is the whole down-set: the radius-n pair
+    # certifies the (n, r) LP, whose optimum the unreduced LP confirms
+    for n in range(1, 6):
+        for r in range(3, 7):
+            spec = ChannelSpec("z", n=n, r=r)
+            res = z.z_gspb(n, r)
+            assert res.method == "closed-form"
+            assert res.optimum == exactlp.solve_min_transversal(
+                reduction.full_hypergraph_lp(spec)).optimum, (n, r)
 
 
 def test_example_wprime():
