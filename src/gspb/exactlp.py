@@ -10,11 +10,14 @@ each built when it is read.  Row sums are taken and compared per block,
 rows are reported with the LP's own row ids, A^T z adds the blocks' column
 sums (in Python ints past the first block: column sums that fit int64 in
 each block can pass it together), and c.w is taken once.  Every LP takes one
-path: a float presolve, in which HiGHS solves that packing LP with its own
-presolve off (by its dual simplex for the closed-form quotient LPs of
-``reduction.quotient_matrix``, where it is the faster method, and by its
-interior point for every other LP: the deletion and grain orbit quotients,
-explicit graphs and full LPs), followed by an exact crossover, which reads
+path: a float presolve, in which HiGHS solves that packing LP with the
+options ``presolve`` off and ``solver`` ``simplex`` (its dual simplex) for
+the closed-form quotient LPs of ``reduction.quotient_matrix``, where it is
+the faster method, or ``ipm`` (its interior point) for every other LP: the
+deletion and grain orbit quotients, explicit graphs and full LPs.  The
+model is built on scipy's HiGHS bindings and solved there, with no
+``linprog`` call, whose wrapper costs about 2.3 ms per LP, more than HiGHS
+takes on most quotients.  An exact crossover follows, which reads
 the optimal supports off the float vertex and solves the
 complementary-slackness systems B w = 1 and B^T z = c exactly on one basis
 B of A[R,S]: one float LU of A[R,S] picks B's rows and proposes the digits
@@ -27,8 +30,9 @@ solved on their own supports, each by one support solve
 (``_support_solve``), as is the subspace block dual
 (``complementary_dual``); these need an exact rank, so they select and
 factor their subsystem mod p and lift it by Dixon's method.  All of these
-read the arrays as one int64 scipy matrix (``_int_matrix``), which refuses
-a coefficient past int64 with ``GspbError``.
+read the arrays as one int64 scipy matrix (``_int_matrix``); it and the
+presolve refuse a coefficient past int64 with ``GspbError``
+(``_int64_data``).
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
@@ -50,7 +54,6 @@ certified value.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,50 +344,82 @@ def check_certificate(lp: CoveringLP | RowBlocks, w, z) -> Fraction | None:
 # float presolve and exact crossover
 # ---------------------------------------------------------------------------
 
+def _int64_data(lp: CoveringLP) -> np.ndarray:
+    """The LP's coefficients as int64; raises ``GspbError`` when one does not
+    fit in int64."""
+    if lp.data.dtype == object:
+        bits = max(map(abs, lp.data.tolist())).bit_length()
+        raise GspbError(f"LP {lp.name!r} has a {bits}-bit coefficient, past the "
+                        "int64 matrix of the exact solve")
+    return lp.data
+
+
 def _int_matrix(lp: CoveringLP):
     """The LP's arrays as an int64 scipy CSR matrix; raises ``GspbError``
     when a coefficient does not fit in int64."""
     from scipy.sparse import csr_matrix
 
-    if lp.data.dtype == object:
-        bits = max(map(abs, lp.data.tolist())).bit_length()
-        raise GspbError(f"LP {lp.name!r} has a {bits}-bit coefficient, past the "
-                        "int64 matrix of the exact solve")
-    return csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape)
+    return csr_matrix((_int64_data(lp), lp.indices, lp.indptr), shape=lp.shape)
 
 
 def float_presolve(lp: CoveringLP, simplex: bool = False) -> PresolveResult:
     """Floating-point solve of the LP; advisory only, never certified.
 
-    HiGHS solves the packing LP max 1.z s.t. A^T z <= c, z >= 0 with its own
-    presolve off, by its interior-point method, whose crossover (on by
-    default) turns the interior optimum into a basic solution, or with
-    ``simplex`` by its dual simplex, which ends on a basic solution itself.
-    The transversal w is read off the packing LP's duals, so the result is
-    the covering LP's pair (primal w, dual z), and the exact crossover reads
-    its supports off that vertex.  On the orbit quotients the packing form
-    with no presolve is the fastest of the four forms tried, and the
-    interior point beats the dual simplex (3x at grain 9, up to 20x on
-    larger ones).  On the closed-form quotients of
-    ``reduction.quotient_matrix`` (a few hundred variables at most) the
-    dual simplex skips the interior point's fixed cost and wins.  The two
-    groups overlap in size (grain 9 has 1280 nonzeros, mag-asym q=4 n=11
-    has 1222), so the caller chooses.
-    """
-    from scipy.optimize import linprog
+    HiGHS solves the packing LP max 1.z s.t. A^T z <= c, z >= 0, posed as
+    min -1.z, with the options ``presolve`` off, ``simplex_strategy`` 1
+    (dual) and output off, and ``solver`` ``ipm``: its interior-point
+    method, whose crossover (on by default) turns the interior optimum into
+    a basic solution, or with ``simplex`` the ``simplex`` solver, its dual
+    simplex, which ends on a basic solution itself.  The transversal w is
+    read off the packing LP's row duals, so the result is the covering LP's
+    pair (primal w, dual z), and the exact crossover reads its supports off
+    that vertex.  On the orbit quotients the packing form with no presolve
+    is the fastest of the four forms tried, and the interior point beats
+    the dual simplex (3x at grain 9, up to 20x on larger ones).  On the
+    closed-form quotients of ``reduction.quotient_matrix`` (a few hundred
+    variables at most) the dual simplex skips the interior point's fixed
+    cost and wins.  The two groups overlap in size (grain 9 has 1280
+    nonzeros, mag-asym q=4 n=11 has 1222), so the caller chooses.
 
-    At = _int_matrix(lp).T.astype(np.float64)
-    c = np.array(lp.objective, dtype=np.float64)
-    res = linprog(-np.ones(lp.num_rows), A_ub=At, b_ub=c, bounds=(0, None),
-                  method="highs-ds" if simplex else "highs-ipm",
-                  options={"presolve": False})
-    if not res.success:
-        # only HiGHS's message carries its own status code
-        code = re.search(r"HiGHS Status (\d+)", res.message or "")
-        return PresolveResult(False, None, None, None,
-                              f"HiGHS status {code[1] if code else '?'}")
-    primal = (-res.ineqlin.marginals).tolist()
-    return PresolveResult(True, -float(res.fun), primal, res.x.tolist(), "ok")
+    The model goes to scipy's bindings of HiGHS (the ones ``linprog`` calls)
+    as it is: A's CSR arrays are the column-wise arrays of A^T.  ``linprog``
+    itself would add about 2.3 ms to every solve (input cleaning, a sparse
+    stack and conversion, a fresh check of each option and a loop over the
+    columns for bound marginals), more than HiGHS spends on most quotients;
+    its vertex is the same, bit for bit.  An LP whose coefficients pass
+    int64 is refused with ``GspbError``, as the float64 copy would round it.
+    """
+    from scipy.optimize._highspy import _core as highspy
+
+    values = _int64_data(lp).astype(np.float64)
+    model = highspy.HighsLp()
+    model.num_col_, model.num_row_ = lp.num_rows, lp.num_vars
+    model.col_cost_ = np.full(lp.num_rows, -1.0)
+    model.col_lower_ = np.zeros(lp.num_rows)
+    model.col_upper_ = np.full(lp.num_rows, highspy.kHighsInf)
+    model.row_lower_ = np.full(lp.num_vars, -highspy.kHighsInf)
+    model.row_upper_ = np.array(lp.objective, dtype=np.float64)
+    at = model.a_matrix_
+    at.format_ = highspy.MatrixFormat.kColwise
+    at.num_col_, at.num_row_ = lp.num_rows, lp.num_vars
+    at.start_, at.index_, at.value_ = lp.indptr, lp.indices, values
+    highs = highspy._Highs()
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("solver", "simplex" if simplex else "ipm"),
+                          ("simplex_strategy", 1)):
+        if highs.setOptionValue(option, value) != highspy.HighsStatus.kOk:
+            raise GspbError(f"HiGHS refused its option {option}={value!r}")
+    if highs.passModel(model) == highspy.HighsStatus.kError:
+        status = highspy.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        return PresolveResult(False, None, None, None, f"HiGHS status {int(status)}")
+    solution = highs.getSolution()
+    return PresolveResult(True, -highs.getInfo().objective_function_value,
+                          (-np.array(solution.row_dual)).tolist(),
+                          list(solution.col_value), "ok")
 
 
 def _scatter(values, at: list[int], size: int, zero=Fraction(0)) -> list:

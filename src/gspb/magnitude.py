@@ -4,8 +4,10 @@ Asymmetric: a symbol may decrease by one.  Symmetric: one step either way.
 Both reduce to composition-indexed quotient LPs (see reduction); this module
 adds the closed-form bounds and the improved hand transversals, everything
 in exact rationals.  A quotient's exact optimum (``quotient_gspb``) takes its
-float point from HiGHS's dual simplex, which is faster than the interior
-point on these small LPs (``exactlp.float_presolve``).  The helpers that
+float point from HiGHS with the option ``solver`` ``simplex``, its dual
+simplex, which is faster than the interior point (``ipm``) on these small
+LPs; ``exactlp.float_presolve`` hands HiGHS the model directly, as
+``linprog``'s wrapper would cost more than the solve.  The helpers that
 read a built quotient, ``closed_transversal`` and ``quotient_gspb``, let one
 report build its quotient once for both CLOSED and GSPB
 (``bounds.assemble_report``); the functions of (n, q) build it per call.

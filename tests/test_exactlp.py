@@ -144,6 +144,49 @@ def test_float_presolve_deletion10_floor():
     assert abs(covering - sum(pres.dual)) < 1e-6
 
 
+def linprog_presolve(lp, simplex):
+    """(value, primal, dual) of the packing LP by scipy's ``linprog``, with
+    HiGHS's presolve off, from the same float64 matrix: the reference for
+    ``float_presolve``, which builds the HiGHS model itself."""
+    from scipy.optimize import linprog
+
+    At = csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape).T
+    res = linprog(-np.ones(lp.num_rows), A_ub=At.astype(np.float64),
+                  b_ub=np.array(lp.objective, dtype=np.float64), bounds=(0, None),
+                  method="highs-ds" if simplex else "highs-ipm",
+                  options={"presolve": False})
+    assert res.success, res.message
+    return -float(res.fun), (-res.ineqlin.marginals).tolist(), res.x.tolist()
+
+
+@pytest.mark.parametrize("build,simplex", [
+    (lambda mp: singleton_lp(7), False),
+    (lambda mp: singleton_lp(7), True),
+    (lambda mp: zchannel.z_quotient_lp(10, 1), False),
+    (lambda mp: zchannel.z_quotient_lp(10, 1), True),
+    (lambda mp: orbit_quotient(mp, "deletion", 10), False),
+    (lambda mp: magnitude.asym_quotient(8, 4).lp, True),
+], ids=["singleton-7-ipm", "singleton-7-simplex", "z-10-ipm", "z-10-simplex",
+        "deletion-10-orbit-ipm", "mag-asym-q4-n8-simplex"])
+def test_float_presolve_matches_linprog(monkeypatch, build, simplex):
+    # the model handed to HiGHS directly is linprog's, so the float vertex,
+    # and with it every support and basis the crossover reads, is the same
+    # bit for bit
+    lp = build(monkeypatch)
+    pres = exactlp.float_presolve(lp, simplex=simplex)
+    assert pres.converged
+    assert (pres.value, pres.primal, pres.dual) == linprog_presolve(lp, simplex)
+
+
+def test_float_presolve_refuses_a_coefficient_past_int64(highs_solvers):
+    # the float64 copy HiGHS reads would round 2^70 + 1 silently, so the LP
+    # is refused before any HiGHS model is set up
+    lp = exactlp.CoveringLP.from_rows([1], [[(0, 2**70 + 1)]], name="wide")
+    with pytest.raises(ch.GspbError, match="'wide' has a 71-bit coefficient"):
+        exactlp.float_presolve(lp)
+    assert not highs_solvers
+
+
 def test_crossover_matches_closed_form():
     # the full z n=6 LP against the independent closed-form z optimum
     lp = hypergraph_lp(ch.ChannelSpec("z", n=6))

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-import scipy.optimize
 
 from gspb import bounds, exactlp, magnitude as mag, oracle, reduction
 from gspb.channels import ChannelSpec
@@ -117,19 +116,17 @@ TABLE_RANGES = [("mag_asym", 3, range(5, 15)), ("mag_asym", 4, range(5, 12)),
 
 @pytest.mark.parametrize("family,q,ns", TABLE_RANGES,
                          ids=[f"{f}-q{q}" for f, q, _ in TABLE_RANGES])
-def test_table_quotients_certify_on_the_simplex_basis(monkeypatch, family, q, ns):
+def test_table_quotients_certify_on_the_simplex_basis(monkeypatch, highs_solvers,
+                                                     family, q, ns):
     # each quotient's float point comes from HiGHS's dual simplex, and the
     # basis read off it certifies with no support solve
-    methods, support_solves = [], []
-    real = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: (
-        methods.append(kwargs["method"]) or real(*args, **kwargs)))
+    support_solves = []
     monkeypatch.setattr(exactlp, "_support_solve",
                         lambda *args: support_solves.append(args))
     gspb = mag.asym_gspb if family == "mag_asym" else mag.sym_gspb
     for n in ns:
         assert gspb(n, q).notes.endswith(", float basis"), n
-    assert methods == ["highs-ds"] * len(ns) and not support_solves
+    assert highs_solvers == ["simplex"] * len(ns) and not support_solves
 
 
 def test_one_quotient_per_report(monkeypatch):

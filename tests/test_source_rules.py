@@ -174,3 +174,34 @@ def test_one_primal_check():
     inside = sum(map(_is_primal_product, ast.walk(functions["verify_transversal"])))
     assert inside > 0 and products == inside
     assert "verify_transversal" in _called_names(functions["check_certificate"])
+
+
+def _imported_modules(tree) -> set[str]:
+    """Dotted names of the modules a syntax tree imports, and of each name
+    it imports from one (``from a import b`` gives ``a`` and ``a.b``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_one_module_knows_the_highs_binding():
+    # the float presolve builds its HiGHS model through scipy's private
+    # bindings, not linprog, whose wrapper costs more than the solve on the
+    # quotient LPs; only exactlp may import those bindings, and no module
+    # calls linprog
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    importers = sorted(name for name, tree in trees.items()
+                       if any("_highspy" in m.split(".")
+                              for m in _imported_modules(tree)))
+    assert importers == ["exactlp.py"]
+    linprog = sorted(f"{name}:{node.lineno}" for name, tree in trees.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "linprog"
+                     or isinstance(node, ast.Attribute) and node.attr == "linprog"
+                     or isinstance(node, ast.alias) and node.name == "linprog")
+    assert not linprog, f"linprog referenced at {linprog}"
