@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
             tokens = fh.read().split()
         try:
             weights = [Fraction(t) for t in tokens]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # "x", "1/0"
             raise GspbError(f"malformed weights file: {exc}") from exc
         label = args.weights_file
     else:

@@ -15,9 +15,10 @@ options ``presolve`` off and ``solver`` ``simplex`` (its dual simplex) for
 the closed-form quotient LPs of ``reduction.quotient_matrix``, where it is
 the faster method, or ``ipm`` (its interior point) for every other LP: the
 deletion and grain orbit quotients, explicit graphs and full LPs.  The
-model is built on scipy's HiGHS bindings and solved there, with no
-``linprog`` call, whose wrapper costs about 2.3 ms per LP, more than HiGHS
-takes on most quotients.  An exact crossover follows, which reads
+model is built on scipy's compiled HiGHS bindings, loaded from their own
+file (``linsolve.scipy_extension``), and solved there, with no ``linprog``
+call, whose wrapper costs about 2.3 ms per LP, more than HiGHS takes on
+most quotients.  An exact crossover follows, which reads
 the optimal supports off the float vertex and solves the
 complementary-slackness systems B w = 1 and B^T z = c exactly on one basis
 B of A[R,S]: one float LU of A[R,S] picks B's rows and proposes the digits
@@ -30,9 +31,11 @@ solved on their own supports, each by one support solve
 (``_support_solve``), as is the subspace block dual
 (``complementary_dual``); these need an exact rank, so they select and
 factor their subsystem mod p and lift it by Dixon's method.  All of these
-read the arrays as one int64 scipy matrix (``_int_matrix``); it and the
-presolve refuse a coefficient past int64 with ``GspbError``
-(``_int64_data``).
+read the LP's own arrays as one int64 ``linsolve.Csr`` (``_int_matrix``),
+and take their submatrices, transposes and dense blocks with numpy
+(``linsolve.take``, ``transpose`` and ``dense``); no ``scipy.sparse``
+matrix is built.  ``_int_matrix`` and the presolve refuse a coefficient
+past int64 with ``GspbError`` (``_int64_data``).
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
@@ -354,12 +357,10 @@ def _int64_data(lp: CoveringLP) -> np.ndarray:
     return lp.data
 
 
-def _int_matrix(lp: CoveringLP):
-    """The LP's arrays as an int64 scipy CSR matrix; raises ``GspbError``
-    when a coefficient does not fit in int64."""
-    from scipy.sparse import csr_matrix
-
-    return csr_matrix((_int64_data(lp), lp.indices, lp.indptr), shape=lp.shape)
+def _int_matrix(lp: CoveringLP) -> linsolve.Csr:
+    """The LP's own arrays, not copied, as an int64 ``linsolve.Csr``;
+    raises ``GspbError`` when a coefficient does not fit in int64."""
+    return linsolve.Csr(lp.indptr, lp.indices, _int64_data(lp), lp.shape)
 
 
 def float_presolve(lp: CoveringLP, simplex: bool = False) -> PresolveResult:
@@ -381,16 +382,16 @@ def float_presolve(lp: CoveringLP, simplex: bool = False) -> PresolveResult:
     cost and wins.  The two groups overlap in size (grain 9 has 1280
     nonzeros, mag-asym q=4 n=11 has 1222), so the caller chooses.
 
-    The model goes to scipy's bindings of HiGHS (the ones ``linprog`` calls)
-    as it is: A's CSR arrays are the column-wise arrays of A^T.  ``linprog``
-    itself would add about 2.3 ms to every solve (input cleaning, a sparse
-    stack and conversion, a fresh check of each option and a loop over the
-    columns for bound marginals), more than HiGHS spends on most quotients;
-    its vertex is the same, bit for bit.  An LP whose coefficients pass
+    The model goes to scipy's bindings of HiGHS (the ones ``linprog`` calls,
+    loaded without ``scipy.optimize``) as it is: A's CSR arrays are the
+    column-wise arrays of A^T.  ``linprog`` itself would add about 2.3 ms to
+    every solve (input cleaning, a sparse stack and conversion, a fresh
+    check of each option and a loop over the columns for bound marginals),
+    more than HiGHS spends on most quotients; its vertex is the same, bit
+    for bit.  An LP whose coefficients pass
     int64 is refused with ``GspbError``, as the float64 copy would round it.
     """
-    from scipy.optimize._highspy import _core as highspy
-
+    highspy = linsolve.scipy_extension("scipy.optimize._highspy._core")
     values = _int64_data(lp).astype(np.float64)
     model = highspy.HighsLp()
     model.num_col_, model.num_row_ = lp.num_rows, lp.num_vars
@@ -435,7 +436,8 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
                    size: int) -> list[Fraction] | None:
     """Exact x of length ``size``, zero off ``unknowns``, with
     (matrix x)_i = rhs[i] on an independent subset of the equations ``eqs``.
-    ``matrix`` is an int64 CSR matrix, ``rhs`` is indexed by its rows.
+    ``matrix`` is an int64 CSR matrix (``linsolve.Csr``), ``rhs`` is
+    indexed by its rows.
 
     The subset and the unknowns it determines are picked by elimination mod
     ``linsolve.PRIME``, taking equations in the order given (callers list
@@ -446,12 +448,12 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     pass it to check_certificate.  It serves the crossover when the float
     basis does not certify, and the subspace block dual.
     """
-    sub = matrix[eqs][:, unknowns]
-    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(sub.toarray())
+    sub = linsolve.take(matrix, eqs, unknowns)
+    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(linsolve.dense(sub, np.int64))
     if not piv_cols:
         return [Fraction(0)] * size
-    solved = linsolve.dixon_solve(sub[piv_rows][:, piv_cols], len(piv_cols), inv,
-                                  [rhs[eqs[r]] for r in piv_rows])
+    solved = linsolve.dixon_solve(linsolve.take(sub, piv_rows, piv_cols),
+                                  len(piv_cols), inv, [rhs[eqs[r]] for r in piv_rows])
     if solved is None:
         return None
     return _scatter(solved, [unknowns[c] for c in piv_cols], size)
@@ -477,30 +479,30 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
     A = _int_matrix(lp)
-    tight = np.flatnonzero(A @ wt < 1 + 1e-6)
+    tight = np.flatnonzero(linsolve.float_product(A, wt) < 1 + 1e-6)
     tight = tight[np.argsort(-zt[tight], kind="stable")].tolist()
     support = np.flatnonzero(wt > 1e-7 * wt.max(initial=0)).tolist()
-    sub = A[tight][:, support]
-    basis = linsolve.float_basis(sub)
+    basis = linsolve.float_basis(linsolve.take(A, tight, support))
     if basis is None:
         reason = "no square basis"
     else:
         rows, lu = basis
-        pair = linsolve.refine_solve(sub[rows], [1] * len(support),
+        rows = [tight[r] for r in rows]  # the LP's ids of B's rows
+        pair = linsolve.refine_solve(linsolve.take(A, rows, support),
+                                     [1] * len(support),
                                      [lp.objective[j] for j in support], lu)
         reason = "float lift failed"
         if pair is not None:
             (x, dx), (y, dy) = pair
             w = Scaled(linsolve.int_array(_scatter(x, support, lp.num_vars, 0)), dx)
-            z = Scaled(linsolve.int_array(
-                _scatter(y, [tight[r] for r in rows], lp.num_rows, 0)), dy)
+            z = Scaled(linsolve.int_array(_scatter(y, rows, lp.num_rows, 0)), dy)
             sol = _certified(lp, w, z, support, "float basis")
             if sol is not None:
                 return sol
             reason = "pair not certified"
     # solve the dual and the primal on their own supports
-    At = A.T.tocsr()
-    colsum = At @ zt
+    At = linsolve.transpose(A)
+    colsum = linsolve.float_product(At, zt)
     dual_eqs = [j for j, c in enumerate(lp.objective)
                 if colsum[j] > c - 1e-6 - 1e-9 * c]
     z = _support_solve(At, dual_eqs, [i for i in tight if zt[i] > 1e-9],
@@ -529,8 +531,8 @@ def complementary_dual(lp: CoveringLP, rows: list[int],
                        cols: list[int]) -> list[Fraction] | None:
     """Packing vector z supported on ``rows`` with (A^T z)_j = c_j on ``cols``:
     the crossover's dual support solve.  Unchecked."""
-    return _support_solve(_int_matrix(lp).T.tocsr(), cols, rows, lp.objective,
-                          lp.num_rows)
+    return _support_solve(linsolve.transpose(_int_matrix(lp)), cols, rows,
+                          lp.objective, lp.num_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,27 @@ product, before being returned, so a wrong digit or a failed reconstruction
 can only cost time, never correctness.  ``exact_product`` sums in int64
 where a bound on its inputs proves that no partial sum can overflow, and in
 Python ints otherwise; ``exact_dot`` does the same for one dot product.
+
+Sparse matrices are CSR arrays in numpy (``Csr``, or anything with the same
+four attributes, an ``exactlp.CoveringLP`` among them); ``take``,
+``transpose``, ``dense`` and ``float_product`` are the few operations the
+crossover needs.  LAPACK ``getrf`` and ``getrs`` are called on scipy's
+compiled bindings, ``scipy.linalg._flapack``, the routines
+``scipy.linalg.lu_factor`` and ``lu_solve`` call, loaded from their own file
+by ``scipy_extension``, since importing ``scipy.linalg`` would load
+Python layers that a solve never runs (README, "How values are certified").
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
 import operator
-import warnings
+import os
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +71,102 @@ from .channels import GspbError
 
 # the largest prime below 2^20 (a test checks it by trial division)
 PRIME = 1048573
+
+
+def scipy_extension(name: str):
+    """The compiled scipy module ``name`` (``scipy.linalg._flapack``, say),
+    loaded from its own file, without the Python package around it.
+
+    Importing ``scipy.linalg`` or ``scipy.optimize`` for one compiled module
+    would load the whole package (``scipy.optimize`` loads ``scipy.sparse``
+    and ``scipy.linalg`` too).  The module
+    is registered in ``sys.modules`` under its real name before it runs, so
+    a later import of the package gets back this module object (by
+    ``from package import module`` or ``import package.module as name``;
+    the package's attribute is not set).  A module already in
+    ``sys.modules`` is returned as it is, and one whose file is not found is
+    imported the usual way.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    package = name.split(".")[1:-1]
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.__path__[0], *package),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+@dataclass(frozen=True)
+class Csr:
+    """A sparse matrix in CSR arrays: row i holds ``data[indptr[i]:indptr[i+1]]``
+    at the columns ``indices[indptr[i]:indptr[i+1]]``, each column at most
+    once.  The functions below take any object with these four attributes,
+    an ``exactlp.CoveringLP`` among them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _row_ids(matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+
+
+def take(matrix, rows, cols) -> Csr:
+    """The submatrix matrix[rows][:, cols] of a CSR matrix, rows and
+    columns in the order given; ``cols`` holds distinct columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    first = np.cumsum(counts) - counts  # each row's first entry in the gather
+    at = np.repeat(starts - first, counts) + np.arange(int(counts.sum()))
+    where = np.full(matrix.shape[1], -1)
+    where[np.asarray(cols, dtype=np.int64)] = np.arange(len(cols))
+    new_cols = where[matrix.indices[at]]
+    keep = new_cols >= 0
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.repeat(np.arange(len(rows)), counts)[keep],
+                          minlength=len(rows)), out=indptr[1:])
+    return Csr(indptr, new_cols[keep], matrix.data[at[keep]], (len(rows), len(cols)))
+
+
+def transpose(matrix) -> Csr:
+    """The transpose of a CSR matrix, each of its rows in increasing order of
+    the rows the entries came from."""
+    m, n = matrix.shape
+    order = np.argsort(matrix.indices, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(matrix.indices, minlength=n), out=indptr[1:])
+    return Csr(indptr, _row_ids(matrix)[order], matrix.data[order], (n, m))
+
+
+def dense(matrix, dtype) -> np.ndarray:
+    """A CSR matrix as a dense array of ``dtype``."""
+    out = np.zeros(matrix.shape, dtype=dtype)
+    out[_row_ids(matrix), matrix.indices] = matrix.data
+    return out
+
+
+def float_product(matrix, x) -> np.ndarray:
+    """``matrix @ x`` in float64 for a CSR matrix, each row summed in the
+    order its entries are stored, the order of scipy's CSR product."""
+    terms = matrix.data * np.asarray(x, dtype=np.float64)[matrix.indices]
+    return np.bincount(_row_ids(matrix), weights=terms, minlength=matrix.shape[0])
 
 
 def select_pivots_mod(matrix: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
@@ -144,7 +254,7 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
     by Dixon lifting (Dixon, "Exact solution of linear equations using
     p-adic expansions", Numer. Math. 40, 1982).
 
-    matrix: a k x k ``scipy.sparse`` CSR matrix of int64; inv: its inverse
+    matrix: a k x k CSR matrix (``Csr``) of int64; inv: its inverse
     mod ``PRIME`` as int64 residues, the one ``select_pivots_mod`` returns
     with the block.  Each step takes the digit x_s = inv (r mod p) mod p,
     adds x_s p^s to the p-adic solution, and sets r <- (r - matrix x_s) / p,
@@ -237,8 +347,8 @@ def exact_dot(a: list[int], x) -> int:
 
 def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     """``matrix @ x``, or ``matrix.T @ x`` with ``transpose``, for integer x,
-    exact.  ``matrix`` is a scipy CSR matrix or an ``exactlp.CoveringLP``
-    (int64 or Python-int data); x is a sequence of ints (``int_array``).
+    exact.  ``matrix`` is a ``Csr`` or an ``exactlp.CoveringLP`` (int64 or
+    Python-int data); x is a sequence of ints (``int_array``).
 
     The sums are int64 when max|x| max|a| L < 2^63, for L the longest row
     (the longest column with ``transpose``): no term or partial sum can then
@@ -257,7 +367,7 @@ def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
         bound = _magnitude(x) * _magnitude(data) * int(lines.max(initial=0))
         if data.dtype != np.int64 or bound >= 1 << 63:
             x = x.astype(object)
-    src = np.repeat(np.arange(len(counts)), counts) if transpose else matrix.indices
+    src = _row_ids(matrix) if transpose else matrix.indices
     terms = x[src]
     not_one = (data != 1).nonzero()[0]
     terms[not_one] *= data[not_one].astype(x.dtype)
@@ -276,7 +386,8 @@ def _hadamard(matrix) -> tuple[int, float]:
     as a Python int (an int64 N times a digit could wrap), and det_bits a
     Hadamard-style bound on log2 |det|, the solutions' common denominator."""
     k = matrix.shape[0]
-    norm = int(exact_product(abs(matrix), [1] * k).max(initial=0))
+    magnitudes = Csr(matrix.indptr, matrix.indices, abs(matrix.data), matrix.shape)
+    norm = int(exact_product(magnitudes, [1] * k).max(initial=0))
     max_coeff = int(abs(matrix.data).max(initial=1))
     return norm, k * (0.5 * math.log2(max(k, 2)) + math.log2(max_coeff + 1))
 
@@ -292,13 +403,16 @@ _SLACK = 16         # bits an attempt takes past the precision its denominator n
 
 def _lu_factor(block):
     """LAPACK ``getrf`` of the int64 CSR ``block`` as one dense float64
-    array (``scipy.linalg.lu_factor``); a zero pivot is left for
-    ``refine_solve`` to refuse."""
-    from scipy.linalg import LinAlgWarning, lu_factor
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(block.astype(np.float64).toarray(), check_finite=False)
+    array: (lu, piv) with 0-based pivots, as ``scipy.linalg.lu_factor``
+    gives them.  A zero pivot, which ``getrf`` reports in ``info`` > 0, is
+    left for ``refine_solve`` to refuse."""
+    a = dense(block, np.float64)
+    if not a.size:  # getrf refuses a 0 x 0 matrix
+        return a, np.zeros(0, dtype=np.int32)
+    lu, piv, info = scipy_extension("scipy.linalg._flapack").dgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
 
 
 def float_basis(block) -> tuple[list[int], tuple] | None:
@@ -307,7 +421,7 @@ def float_basis(block) -> tuple[list[int], tuple] | None:
     m < k.
 
     Returns the k rows that the row interchanges move to the top, in that
-    order, which are all of them when m = k, and the ``lu_factor`` pair of
+    order, which are all of them when m = k, and the (lu, piv) pair of
     ``block[rows]``: the top k x k of the factors, with no interchange left.
     These are the rows ``scipy.linalg.lu`` would put first, without a second
     factorisation.
@@ -326,21 +440,20 @@ def refine_solve(matrix, rhs: list[int], rhs_t: list[int], lu):
     """Exact solutions of matrix x = rhs and matrix^T y = rhs_t, lifted from
     one float LU factorisation of the square int64 CSR ``matrix``.
 
-    ``lu`` is the ``scipy.linalg.lu_factor`` pair of ``matrix``, as
-    ``float_basis`` returns it.  The float factors only propose digits:
-    each side is lifted by ``_refine`` and returned only if its exact check
-    holds.  Returns ((X, dx), (Y, dy)) with x = X / dx and y = Y / dy for
-    lists of ints X, Y and common denominators dx, dy >= 1, or None on a
-    zero or non-finite pivot or when either lift fails, as it does at a
-    condition number past the float solve's reach.
+    ``lu`` is the (lu, piv) pair of ``getrf`` for ``matrix``, as
+    ``float_basis`` returns it, and ``getrs`` solves with it.  The float
+    factors only propose digits: each side is lifted by ``_refine`` and
+    returned only if its exact check holds.  Returns ((X, dx), (Y, dy))
+    with x = X / dx and y = Y / dy for lists of ints X, Y and common
+    denominators dx, dy >= 1, or None on a zero or non-finite pivot or when
+    either lift fails, as it does at a condition number past the float
+    solve's reach.
 
     x is lifted first, and the lift of y first tries the scale dx
     (``_refine``'s ``seed``): x and y share the matrix, so y's denominators
     often divide dx, and that attempt needs about half the precision of a
     reconstruction.
     """
-    from scipy.linalg import lu_solve
-
     k = matrix.shape[0]
     if matrix.shape != (k, k) or len(rhs) != k or len(rhs_t) != k:
         raise ValueError(f"system is {matrix.shape[0]}x{matrix.shape[1]} with "
@@ -349,11 +462,11 @@ def refine_solve(matrix, rhs: list[int], rhs_t: list[int], lu):
     pivots = np.diagonal(lu[0])
     if not (np.isfinite(pivots).all() and pivots.all()):
         return None
-    x = _refine(matrix, rhs, lambda r: lu_solve(lu, r, check_finite=False))
+    getrs = scipy_extension("scipy.linalg._flapack").dgetrs
+    x = _refine(matrix, rhs, lambda r: getrs(*lu, r)[0])
     if x is None:
         return None
-    y = _refine(matrix.T.tocsr(), rhs_t,
-                lambda r: lu_solve(lu, r, trans=1, check_finite=False), x[1])
+    y = _refine(transpose(matrix), rhs_t, lambda r: getrs(*lu, r, trans=1)[0], x[1])
     return None if y is None else (x, y)
 
 
@@ -420,7 +533,8 @@ def _refine(matrix, rhs: list[int], solve,
         reach = norm * _magnitude(digit)
         if (size << up) + (reach << down) < 1 << 63:
             # every term and partial sum of the step fits int64
-            step = (residual.astype(np.int64) << up) - ((matrix @ digit) << down)
+            step = ((residual.astype(np.int64) << up)
+                    - (exact_product(matrix, digit) << down))
         else:
             step = ((residual.astype(object) << up)
                     - (exact_product(matrix, digit).astype(object) << down))

@@ -201,6 +201,18 @@ def test_verify_weights_file(capsys, tmp_path):
     assert code == 0 and "feasible" in out and "bound 2" in out
 
 
+@pytest.mark.parametrize("token", ["1/0", "x", "1/2/3"])
+def test_verify_malformed_weights_file_refused(capsys, tmp_path, token):
+    # a token that is no rational, a zero denominator among them, takes the
+    # documented refusal: exit 3 and no traceback
+    wf = tmp_path / "w.txt"
+    wf.write_text(f"1 {token} 1 1 1 1 1\n")
+    code, out, err = run(capsys, "verify", "--family", "z", "--n", "7",
+                         "--weights-file", str(wf))
+    assert code == 3 and out == ""
+    assert err.startswith("refused: malformed weights file: ")
+
+
 def test_verify_names_negative_weights_apart(capsys, tmp_path):
     # two violated rows and one negative weight, each counted under its name
     wf = tmp_path / "w.txt"

@@ -463,7 +463,7 @@ def test_tall_basis_certifies_on_the_pivoted_rows(monkeypatch):
     assert [b.shape for b in blocks] == [(154, 153)] and not support_solves
     assert sol.notes == "supports 153/151, float basis"
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
-    top = blocks[0][:153].toarray()
+    top = linsolve.dense(blocks[0], np.int64)[:153]
     assert len(linsolve.select_pivots_mod(top)[1]) < 153
 
 
@@ -479,22 +479,23 @@ def _tall_mag_asym_block():
 
 
 def test_tall_block_takes_one_factorisation(monkeypatch):
-    # the pivoting of one lu_factor of the tall block picks the rows that
+    # the pivoting of one getrf of the tall block picks the rows that
     # scipy.linalg.lu puts first, and its top factors are the basis's LU
     import scipy.linalg
     rng = np.random.default_rng(7)
     blocks = [csr_matrix(rng.integers(-3, 4, (7, 5))) for _ in range(20)]
     blocks.append(_tall_mag_asym_block())
     calls = []
-    real = scipy.linalg.lu_factor
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
+    lapack = linsolve.scipy_extension("scipy.linalg._flapack")
+    real = lapack.dgetrf
+    monkeypatch.setattr(lapack, "dgetrf",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
     for block in blocks:
         m, k = block.shape
         calls.clear()
         rows, (lu, piv) = linsolve.float_basis(block)
         assert len(calls) == 1 and len(rows) == k
-        dense = block.toarray().astype(np.float64)
+        dense = linsolve.dense(block, np.float64)
         perm = scipy.linalg.lu(dense, p_indices=True)[0]
         assert sorted(rows) == np.flatnonzero(perm < k).tolist()
         assert piv.tolist() == list(range(k))

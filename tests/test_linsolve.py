@@ -506,7 +506,7 @@ def test_exact_product_matches_dense_reference(data):
     assert linsolve.exact_product(lp, x).tolist() == ax
     assert linsolve.exact_product(lp, y, transpose=True).tolist() == aty
     if fits:
-        # the scipy form the Dixon lift checks through gives the same sums
+        # a scipy CSR matrix has the same four attributes and the same sums
         matrix = csr_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape)
         assert linsolve.exact_product(matrix, x).tolist() == ax
 
@@ -524,6 +524,42 @@ def test_exact_product_leaves_empty_rows_at_zero(top):
     assert out.dtype == (np.int64 if top < 2**63 else object)
     assert out.tolist() == [sum(a * v for a, v in zip(row, x)) for row in dense]
     assert out.tolist()[:2] == out.tolist()[-2:] == [0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csr_helpers_match_scipy(data):
+    # take, transpose and dense against scipy.sparse on random int64 CSR
+    # matrices with empty rows and columns and rows stored out of column
+    # order; float_product equals scipy's product bit for bit, A x and, on
+    # the transpose, A^T x
+    m, n = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    rows = [data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+            for _ in range(m)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j in r], dtype=np.int64)
+    values = st.integers(-2**40, 2**40)
+    vals = np.array(data.draw(st.lists(values, min_size=len(indices),
+                                       max_size=len(indices))), dtype=np.int64)
+    ours = linsolve.Csr(indptr, indices, vals, (m, n))
+    ref = csr_matrix((vals, indices, indptr), shape=(m, n))
+    assert (linsolve.dense(ours, np.int64) == ref.toarray()).all()
+    assert (linsolve.dense(ours, np.float64) == ref.astype(np.float64).toarray()).all()
+    pick = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    cols = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    sub = linsolve.take(ours, pick, cols)
+    assert sub.shape == (len(pick), len(cols))
+    assert (linsolve.dense(sub, np.int64) == ref.toarray()[pick][:, cols]).all()
+    t = linsolve.transpose(ours)
+    ref_t = ref.T.tocsr()
+    assert t.shape == (n, m)
+    assert [a.tolist() for a in (t.indptr, t.indices, t.data)] == \
+        [a.tolist() for a in (ref_t.indptr, ref_t.indices, ref_t.data)]
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+    x = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
+    assert linsolve.float_product(ours, x).tolist() == (ref @ x).tolist()
+    assert linsolve.float_product(t, y).tolist() == (ref_t @ y).tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -248,15 +248,16 @@ def test_one_factorisation_per_basis(monkeypatch, name):
         family, n = name.split("-")
         lp = _orbit_quotient(monkeypatch, family, int(n))
         monkeypatch.undo()
-    counts = dict.fromkeys(("lu_factor", "lu", "select_pivots_mod", "dixon_solve"), 0)
-    for mod, fn in ((scipy.linalg, "lu_factor"), (scipy.linalg, "lu"),
+    counts = dict.fromkeys(("dgetrf", "lu", "select_pivots_mod", "dixon_solve"), 0)
+    lapack = linsolve.scipy_extension("scipy.linalg._flapack")
+    for mod, fn in ((lapack, "dgetrf"), (scipy.linalg, "lu"),
                     (linsolve, "select_pivots_mod"), (linsolve, "dixon_solve")):
         def spy(*args, real=getattr(mod, fn), fn=fn, **kwargs):
             counts[fn] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, fn, spy)
     sol = exactlp.solve_min_transversal(lp)
-    assert counts == {"lu_factor": 1, "lu": 0, "select_pivots_mod": 0, "dixon_solve": 0}
+    assert counts == {"dgetrf": 1, "lu": 0, "select_pivots_mod": 0, "dixon_solve": 0}
     assert sol.notes.endswith("float basis")
     assert exactlp.check_certificate(lp, sol.primal, sol.dual) == sol.optimum
 

@@ -86,7 +86,7 @@ def test_one_exact_sparse_product():
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_second_lu_factorisation(path):
-    # a float basis is factored once, by scipy.linalg.lu_factor, whose row
+    # a float basis is factored once, by LAPACK getrf, whose row
     # interchanges also pick the rows of a tall block; the P/L/U form
     # scipy.linalg.lu would factor the block a second time
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -189,15 +189,25 @@ def _imported_modules(tree) -> set[str]:
     return names
 
 
+def _loaded_extensions(tree) -> set[str]:
+    """The string arguments of the ``scipy_extension`` calls in a syntax
+    tree: the compiled scipy modules it loads."""
+    return {arg.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "scipy_extension"
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+
+
 def test_one_module_knows_the_highs_binding():
     # the float presolve builds its HiGHS model through scipy's private
     # bindings, not linprog, whose wrapper costs more than the solve on the
-    # quotient LPs; only exactlp may import those bindings, and no module
-    # calls linprog
+    # quotient LPs; only exactlp may load or import those bindings, and no
+    # module calls linprog
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     importers = sorted(name for name, tree in trees.items()
-                       if any("_highspy" in m.split(".")
-                              for m in _imported_modules(tree)))
+                       if any("_highspy" in m.split(".") for m in
+                              _imported_modules(tree) | _loaded_extensions(tree)))
     assert importers == ["exactlp.py"]
     linprog = sorted(f"{name}:{node.lineno}" for name, tree in trees.items()
                      for node in ast.walk(tree)
@@ -205,3 +215,18 @@ def test_one_module_knows_the_highs_binding():
                      or isinstance(node, ast.Attribute) and node.attr == "linprog"
                      or isinstance(node, ast.alias) and node.name == "linprog")
     assert not linprog, f"linprog referenced at {linprog}"
+
+
+_SCIPY_PACKAGES = ("scipy.sparse", "scipy.linalg", "scipy.optimize")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_scipy_package_imports(path):
+    # a solve runs three compiled routines, LAPACK getrf/getrs and HiGHS,
+    # which linsolve.scipy_extension loads from their own files; importing
+    # scipy.sparse, scipy.linalg or scipy.optimize would load their whole
+    # Python packages (about 0.5 s and 40 MB) before the first answer
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = sorted(m for m in _imported_modules(tree)
+                      if any(m == p or m.startswith(p + ".") for p in _SCIPY_PACKAGES))
+    assert not imported, f"{path.name}: imports {imported}"
