@@ -180,11 +180,11 @@ def _default_weights(spec: ChannelSpec, quotient):
     fam = spec.family
     if fam == "z":
         # radius n already covers every ball (zchannel.z_gspb)
-        return (zchannel.z_weights_recursive(spec.n, min(spec.r, spec.n)).w,
+        return (zchannel.z_weights_recursive(spec.n, min(spec.r, spec.n)).scaled,
                 "closed-form weights")
     if fam in ("mag_asym", "mag_sym"):
         label = "improved class transversal" if fam == "mag_asym" else "class transversal"
-        return magnitude.closed_transversal(quotient()).weights, label
+        return magnitude.closed_transversal(quotient()).scaled, label
     if fam == "deletion":
         return (seqchannels.profile_weights(spec.n - 1),
                 "run-profile transversal")

@@ -24,8 +24,8 @@ complementary-slackness systems B w = 1 and B^T z = c exactly on one basis
 B of A[R,S]: one float LU of A[R,S] picks B's rows and proposes the digits
 of both, and ``linsolve.refine_solve`` lifts them by integer iterative
 refinement into ``Scaled`` witnesses, which go to the certificate check as
-they are; the solution's Fractions are made once, after it.  When the float
-lift fails (a basis too ill-conditioned for float digits), or the pair fails
+they are and stay in the solution that way.  When the float lift fails (a
+basis too ill-conditioned for float digits), or the pair fails
 the certificate check (at a degenerate vertex), the dual and the primal are
 solved on their own supports, each by one support solve
 (``_support_solve``), as is the subspace block dual
@@ -41,17 +41,23 @@ A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
 in the package goes through, and raises ``GspbError`` naming the failed
 stage otherwise; its halves are ``verify_transversal``, the one primal
-check, and ``_dual``.  Their sums are ``linsolve.exact_product``, in int64
-where a bound on the scaled witness, the coefficients and the longest row or
-column proves that they fit and in Python ints otherwise.  The checks take a
+check, and ``_dual``.  ``certify`` builds the ``LPSolution`` of every
+route from the pair the check accepted: the crossover, the z closed form,
+the projective greedy weights and the orbit lift of ``seqchannels``.  The
+sums of the check are ``linsolve.exact_product``, in int64 where a bound on
+the scaled witness, the coefficients and the longest row or column proves
+that they fit and in Python ints otherwise.  The checks take a
 witness as a sequence of ints and Fractions, which they scale to integers
 by the LCM of its denominators, or as a ``Scaled`` witness, already scaled
 (w = numer / scale), which they read as it is, with no Fraction per entry;
-the run-profile weights and the crossover's float-basis witnesses come that
-way.  An entry that is neither an int nor a Fraction (a float, say) is
-refused with ``ValueError``.  Floats choose the supports, the basis and the
-digits, and so can only make a solve fail or fall back; they never decide a
-certified value.
+the run-profile weights, the crossover's float-basis witnesses, the z
+closed form, the magnitude hand weights and the orbit lift come that way.
+An ``LPSolution`` keeps its pair so: ``primal`` and ``dual`` are its
+Fraction views, made when a caller first reads them.  An entry that is
+neither an int nor a Fraction (a float, say) is refused with
+``ValueError``.  Floats choose the supports, the basis and the digits, and
+so can only make a solve fail or fall back; they never decide a certified
+value.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -185,11 +192,13 @@ def _blocks(lp: CoveringLP | RowBlocks):
 
 @dataclass
 class LPSolution:
-    """An optimum with exact witnesses that passed check_certificate."""
+    """An optimum with exact witnesses that passed check_certificate, kept
+    as the check read them, integer-scaled; ``primal`` and ``dual`` are
+    their Fraction views, built when first read."""
 
     optimum: Fraction
-    primal: list                      # exact w over variables
-    dual: list                        # exact z over rows
+    w: Scaled                         # exact w over variables
+    z: Scaled                         # exact z over rows
     method: str                       # "presolve+crossover", prefixed
     #                                   "orbit+" (seqchannels), "closed-form"
     #                                   (zchannel) or "greedy" (projective)
@@ -197,6 +206,14 @@ class LPSolution:
     notes: str = ""                   # a crossover's support sizes and
     #                                   route: "float basis" or
     #                                   "support solves (<reason>)"
+
+    @cached_property
+    def primal(self) -> list[Fraction]:
+        return self.w.fractions()
+
+    @cached_property
+    def dual(self) -> list[Fraction]:
+        return self.z.fractions()
 
     @property
     def path(self) -> str:            # method; kept for the benchmark harness
@@ -235,6 +252,22 @@ class Scaled:
     def __len__(self) -> int:
         return len(self.numer)
 
+    @classmethod
+    def of(cls, values, what: str = "witness") -> Scaled:
+        """The ints and Fractions ``values`` scaled by the LCM of their
+        denominators; an entry that is neither is refused with
+        ``ValueError``, which names ``what`` and its position."""
+        try:
+            dens = [x.denominator for x in values]
+        except AttributeError:
+            t, x = next((t, x) for t, x in enumerate(values)
+                        if not isinstance(x, (int, np.integer, Fraction)))
+            raise ValueError(f"{what} entry {t} is {x!r}, not an int or "
+                             "Fraction") from None
+        d = math.lcm(*set(dens))
+        return cls(linsolve.int_array([x.numerator * (d // q)
+                                       for x, q in zip(values, dens)]), d)
+
     def fractions(self) -> list[Fraction]:
         """The entries numer[i] / scale as Fractions, zeros shared."""
         zero = Fraction(0)
@@ -244,21 +277,11 @@ class Scaled:
 def _scaled(values, size: int, what: str) -> Scaled:
     """The witness ``values`` as a ``Scaled``, once its length is checked
     against ``size``: a Scaled as it is, once its scale and numerators are
-    checked, and a sequence of ints and Fractions scaled by the LCM of its
-    denominators."""
+    checked, and a sequence of ints and Fractions by ``Scaled.of``."""
     if len(values) != size:
         raise ValueError(f"{what} has {len(values)} entries, LP has {size}")
     if not isinstance(values, Scaled):
-        try:
-            dens = [x.denominator for x in values]
-        except AttributeError:
-            t, x = next((t, x) for t, x in enumerate(values)
-                        if not isinstance(x, (int, np.integer, Fraction)))
-            raise ValueError(f"{what} entry {t} is {x!r}, not an int or "
-                             "Fraction") from None
-        d = math.lcm(*set(dens))
-        return Scaled(linsolve.int_array([x.numerator * (d // q)
-                                          for x, q in zip(values, dens)]), d)
+        return Scaled.of(values, what)
     numer, scale = values.numer, values.scale
     if not isinstance(scale, int) or scale < 1:
         raise ValueError(f"{what} has scale {scale!r}, not an int >= 1")
@@ -341,6 +364,18 @@ def check_certificate(lp: CoveringLP | RowBlocks, w, z) -> Fraction | None:
     if report.feasible and _dual(lp, z) == report.bound:
         return report.bound
     return None
+
+
+def certify(lp: CoveringLP | RowBlocks, w, z, method: str,
+            notes: str = "") -> LPSolution | None:
+    """The LPSolution of the pair (w, z) when ``check_certificate`` accepts
+    it, else None.  Each witness is scaled to integers once (a ``Scaled`` is
+    taken as it is) and kept in the form the check read."""
+    w = _scaled(w, lp.num_vars, "weight vector")
+    z = _scaled(z, lp.num_rows, "dual vector")
+    optimum = check_certificate(lp, w, z)
+    return None if optimum is None else LPSolution(optimum, w, z, method,
+                                                   notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +551,13 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
 
 def _certified(lp: CoveringLP, w, z, support: list[int],
                route: str) -> LPSolution | None:
-    """The crossover's LPSolution when (w, z) passes check_certificate; a
-    ``Scaled`` witness makes its Fractions once, after the check."""
-    optimum = check_certificate(lp, w, z)
-    if optimum is None:
-        return None
-    w, z = (v.fractions() if isinstance(v, Scaled) else v for v in (w, z))
-    return LPSolution(optimum, w, z, "presolve+crossover",
-                      notes=f"supports {len(support)}/{sum(1 for v in z if v)}, "
-                            f"{route}")
+    """The crossover's LPSolution when (w, z) passes check_certificate, its
+    witnesses kept integer-scaled."""
+    sol = certify(lp, w, z, "presolve+crossover")
+    if sol is not None:
+        sol.notes = (f"supports {len(support)}/{np.count_nonzero(sol.z.numer)}, "
+                     f"{route}")
+    return sol
 
 
 def complementary_dual(lp: CoveringLP, rows: list[int],

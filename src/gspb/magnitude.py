@@ -3,8 +3,11 @@
 Asymmetric: a symbol may decrease by one.  Symmetric: one step either way.
 Both reduce to composition-indexed quotient LPs (see reduction); this module
 adds the closed-form bounds and the improved hand transversals, everything
-in exact rationals.  A quotient's exact optimum (``quotient_gspb``) takes its
-float point from HiGHS with the option ``solver`` ``simplex``, its dual
+in exact rationals.  The hand weights are built as ints over the LCM of
+their denominators (``exactlp.Scaled``), the form the exact check reads;
+``ClassTransversal.weights`` makes their Fractions when it is read.  A
+quotient's exact optimum (``quotient_gspb``) takes its float point from
+HiGHS with the option ``solver`` ``simplex``, its dual
 simplex, which is faster than the interior point (``ipm``) on these small
 LPs; ``exactlp.float_presolve`` hands HiGHS the model directly, as
 ``linprog``'s wrapper would cost more than the solve.  The helpers that
@@ -17,19 +20,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
-from . import exactlp, reduction
+from . import exactlp, linsolve, reduction
 from .channels import ChannelSpec, GspbError
 
 
 @dataclass
 class ClassTransversal:
-    """Class-constant weights that passed verify_transversal, and their
-    total."""
+    """Class-constant weights that passed verify_transversal, as ints over
+    one denominator (``scaled``), and their total; ``weights`` is their
+    Fraction view, built when first read."""
 
     labels: list
-    weights: list[Fraction]
+    scaled: exactlp.Scaled
     bound: Fraction
+
+    @cached_property
+    def weights(self) -> list[Fraction]:
+        return self.scaled.fractions()
 
 
 def asym_quotient(n: int, q: int) -> reduction.QuotientLP:
@@ -79,43 +89,46 @@ def sym_transversal(n: int, q: int) -> ClassTransversal:
     return closed_transversal(sym_quotient(n, q))
 
 
-def _asym_weights(n: int, labels) -> list[Fraction]:
+def _asym_weights(n: int, labels) -> exactlp.Scaled:
     """Reciprocal weights sharpened by the count of ones in the word.
 
     w = 1/(n - i0 + 1 + (i1 - 1)/(2(n - i0))) on classes with a nonzero
     symbol, 1 on the all-zero class; tightens the plain reciprocal-degree
-    assignment while staying feasible.
+    assignment while staying feasible.  With m = n - i0 that is
+    2m / (2m(m+1) + i1 - 1), taken in lowest terms over the LCM of the
+    denominators.
     """
-    weights = []
+    fractions = []
     for c in labels:
-        if c[0] == n:
-            weights.append(Fraction(1))
-        else:
-            m = n - c[0]
-            weights.append(1 / (m + 1 + Fraction(c[1] - 1, 2 * m)))
-    return weights
+        m = n - c[0]
+        num, den = (2 * m, 2 * m * (m + 1) + c[1] - 1) if m else (1, 1)
+        g = gcd(num, den)
+        fractions.append((num // g, den // g))
+    d = lcm(*{den for _, den in fractions})
+    return exactlp.Scaled(linsolve.int_array([num * (d // den)
+                                              for num, den in fractions]), d)
 
 
-def _sym_weights(n: int, labels) -> list[Fraction]:
-    """Weights 1/(ball size - 1); the ball size is 2n+1 minus the count of
-    extreme-valued positions, so the weight is constant on folded classes."""
-    weights = []
-    for c in labels:
-        denom = 2 * n - c[0]
-        if denom <= 0:
-            raise GspbError("degenerate degree-one vertex; transversal undefined")
-        weights.append(Fraction(1, denom))
-    return weights
+def _sym_weights(n: int, labels) -> exactlp.Scaled:
+    """Weights 1/(ball size - 1) over the LCM of those sizes; the ball size
+    is 2n+1 minus the count of extreme-valued positions, so the weight is
+    constant on folded classes."""
+    dens = [2 * n - c[0] for c in labels]
+    if min(dens, default=1) <= 0:
+        raise GspbError("degenerate degree-one vertex; transversal undefined")
+    d = lcm(*set(dens))
+    return exactlp.Scaled(linsolve.int_array([d // den for den in dens]), d)
 
 
 def closed_transversal(qlp: reduction.QuotientLP) -> ClassTransversal:
     """The family's hand transversal on its quotient (the improved one for
-    mag-asym), once it passed its exact check."""
+    mag-asym), once it passed its exact check, which reads it
+    integer-scaled."""
     part = qlp.partition
     rule = _asym_weights if part.spec.family == "mag_asym" else _sym_weights
     weights = rule(part.spec.n, part.labels)
     report = exactlp.verify_transversal(qlp.lp, weights)
     if not report.feasible:
         raise GspbError("class transversal failed its exact check")
-    return ClassTransversal(labels=list(part.labels), weights=weights,
+    return ClassTransversal(labels=list(part.labels), scaled=weights,
                             bound=report.bound)

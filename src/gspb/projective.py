@@ -134,9 +134,9 @@ def projective_gspb(n: int) -> exactlp.LPSolution:
     weights = greedy_weights(n)
     lp = projective_lp(n)
     block = _block_certificate(lp, weights.w)
-    value = None if block is None else exactlp.check_certificate(lp, weights.w, block)
-    if value is not None:
-        return exactlp.LPSolution(value, weights.w, block, "greedy")
+    greedy = None if block is None else exactlp.certify(lp, weights.w, block, "greedy")
+    if greedy is not None:
+        return greedy
     sol = exactlp.solve_min_transversal(lp, simplex=True)
     greedy_value = weights.bound()
     return replace(sol, notes="" if greedy_value == sol.optimum else (

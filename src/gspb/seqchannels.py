@@ -21,7 +21,9 @@ are found on arrays (the least member of each word's orbit), and each
 quotient row is ``reduction.count_rows`` over the ball row of one center
 per orbit, built for those centres alone; that counter also checks the
 closed-form quotient rules.  The quotient witnesses are lifted back and
-checked against every block of the full LP.
+checked against every block of the full LP: the lift indexes the
+quotient's integer-scaled witnesses by orbit with numpy, so no Fraction is
+made per word.
 """
 
 from __future__ import annotations
@@ -295,18 +297,26 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     rows = count_rows((cols[s:e] for s, e in zip(ptr, ptr[1:])), v_orbit.__getitem__)
     qlp = exactlp.CoveringLP.from_rows(v_sizes, rows, f"{family}-orbit-n{n}")
     sol = exactlp.solve_min_transversal(qlp)
-    # a row's dual is its orbit's, split evenly: one division per orbit
-    z_orbit = [z / size for z, size in zip(sol.dual, c_sizes)]
-    w_full = [sol.primal[o] for o in v_orbit]
-    z_full = [z_orbit[o] for o in c_orbit]
-    if exactlp.check_certificate(full, w_full, z_full) != sol.optimum:
+    # the lift indexes the quotient's scaled witnesses by orbit: a word takes
+    # its orbit's weight at the same scale, and a row its orbit's dual split
+    # evenly, numer * (L / size) over scale * L for L the LCM of the orbit
+    # sizes
+    size_lcm = lcm(*c_sizes)
+    share = np.array([size_lcm // size for size in c_sizes], dtype=np.int64)
+    numer = sol.z.numer
+    if numer.dtype == np.int64 and int(numer.max(initial=0)) >= (1 << 63) // size_lcm:
+        numer = numer.astype(object)  # a certified z is >= 0: max bounds |z|
+    w = exactlp.Scaled(sol.w.numer[v_orbit], sol.w.scale)
+    z = exactlp.Scaled((numer * share.astype(numer.dtype))[c_orbit],
+                       sol.z.scale * size_lcm)
+    lifted = exactlp.certify(
+        full, w, z, f"orbit+{sol.method}",
+        f"orbit quotient {len(v_reps)}x{len(c_reps)} ({sol.notes}), "
+        "lift re-verified")
+    if lifted is None or lifted.optimum != sol.optimum:
         raise GspbError(f"orbit lift of the {family} n={n} quotient failed the "
                         "exact certificate check against the full LP")
-    return exactlp.LPSolution(
-        sol.optimum, w_full, z_full, f"orbit+{sol.method}", sol.pivots,
-        f"orbit quotient {len(v_reps)}x{len(c_reps)} ({sol.notes}), "
-        "lift re-verified",
-    )
+    return lifted
 
 
 def verify_deletion_transversal(n: int) -> exactlp.TransversalReport:

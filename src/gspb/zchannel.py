@@ -7,47 +7,67 @@ The weights and the dual are checked together by exactlp.check_certificate
 for the concrete (n, r) at hand, so no analytic radius horizon is assumed.
 z_gspb returns the pair as an exactlp.LPSolution with method "closed-form";
 where the check fails it returns the LP solve itself, so every value is
-certified either way and its method says which route produced it.
+certified either way and its method says which route produced it.  Both
+recursions run in Python ints over a running common denominator, one gcd
+per step, and hand the check ``exactlp.Scaled`` witnesses; ``ZWeights.w``,
+``ZCertificate.y`` and the solution's ``primal`` and ``dual`` are Fraction
+views, made only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import cached_property
+from math import comb, factorial, gcd, lcm
 
-from . import exactlp, reduction
+from . import exactlp, linsolve, reduction
 from .channels import ChannelSpec, GspbError
 
 
-@dataclass
 class ZWeights:
-    n: int
-    r: int
-    w: list[Fraction]            # indexed 0..n by Hamming weight class
+    """Class weights w_0..w_n, indexed by Hamming weight, kept as ints over
+    one denominator (``scaled``); ``w`` is their Fraction view, built when
+    first read.  ``w`` is given as ints and Fractions or as a ``Scaled``."""
+
+    def __init__(self, n: int, r: int, w):
+        self.n, self.r = n, r
+        self.scaled = w if isinstance(w, exactlp.Scaled) else exactlp.Scaled.of(w)
+
+    @cached_property
+    def w(self) -> list[Fraction]:
+        return self.scaled.fractions()
 
     def bound(self) -> Fraction:
-        return sum((comb(self.n, k) * wk for k, wk in enumerate(self.w) if wk),
-                   Fraction(0))
+        return Fraction(sum(comb(self.n, k) * x for k, x
+                            in enumerate(self.scaled.numer.tolist()) if x),
+                        self.scaled.scale)
 
 
 @dataclass
 class ZCertificate:
+    """The triangular dual y_0..y_n as ints over one denominator
+    (``scaled``); ``y`` is its Fraction view, built when first read."""
+
     n: int
     r: int
-    y: list[Fraction]
+    scaled: exactlp.Scaled
     status: str                  # "optimal-certified" | "nonnegativity-failed"
 
-    def dual_value(self) -> Fraction:
-        return sum(self.y[: self.n - self.r + 1], Fraction(0))
+    @cached_property
+    def y(self) -> list[Fraction]:
+        return self.scaled.fractions()
 
-    def lp_dual(self) -> list[Fraction]:
+    def dual_value(self) -> Fraction:
+        return Fraction(sum(self.scaled.numer[: self.n - self.r + 1].tolist()),
+                        self.scaled.scale)
+
+    def lp_dual(self) -> exactlp.Scaled:
         """y as a dual of z_quotient_lp: y[0] on row 0, y[i] on row i+r for
         1 <= i <= n-r, zero on every other row."""
-        z = [Fraction(0)] * (self.n + 1)
-        z[0] = self.y[0]
-        z[self.r + 1:] = self.y[1: self.n - self.r + 1]
-        return z
+        y = self.scaled.numer.tolist()
+        return exactlp.Scaled(linsolve.int_array(
+            [y[0]] + [0] * self.r + y[1: self.n - self.r + 1]), self.scaled.scale)
 
 
 def z_quotient_lp(n: int, r: int) -> exactlp.CoveringLP:
@@ -56,18 +76,32 @@ def z_quotient_lp(n: int, r: int) -> exactlp.CoveringLP:
 
 
 def z_weights_recursive(n: int, r: int) -> ZWeights:
-    """Backward recursion: zero tail, then each w_k closes its row exactly."""
+    """Backward recursion: zero tail, then each w_k closes its row exactly.
+
+    The weights are ints W over a running denominator d, w = W / d.  Row
+    k+r reads C(k+r, r) w_k + sum_i C(k+r, r-i) w_{k+i} = 1, so w_k is
+    s / (d C) for s = d - sum_i C(k+r, r-i) W_{k+i} and C = C(k+r, r);
+    with g = gcd(s, C), d and the earlier W grow by C / g and W_k = s / g.
+    d stays the LCM of the weights' denominators, the scale the exact check
+    would give their Fractions: for each prime, the exponent of d C / g is
+    the larger of its exponents in d and in w_k's reduced denominator.
+    """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    w = [Fraction(0)] * (n + 1)
+    numer = [0] * (n + 1)
+    d = 1
     for k in range(n - r, 0, -1):
-        s = Fraction(1) - sum(
-            (w[k + i] * comb(k + r, r - i) for i in range(1, r + 1) if w[k + i]),
-            Fraction(0),
-        )
-        w[k] = s / comb(k + r, r)
-    w[0] = Fraction(1)
-    return ZWeights(n=n, r=r, w=w)
+        c = comb(k + r, r)
+        s = d - sum(comb(k + r, r - i) * numer[k + i] for i in range(1, r + 1)
+                    if numer[k + i])
+        g = gcd(s, c)
+        if g != c:
+            grow = c // g
+            numer[k + 1:n - r + 1] = [x * grow for x in numer[k + 1:n - r + 1]]
+            d *= grow
+        numer[k] = s // g
+    numer[0] = d
+    return ZWeights(n, r, exactlp.Scaled(linsolve.int_array(numer), d))
 
 
 def d_sequence(r: int, length: int) -> list[Fraction]:
@@ -112,24 +146,31 @@ def z_optimality_certificate(n: int, r: int) -> ZCertificate:
     The system pairs the binomial objective with the cost rows that are
     tight under the closed-form weights; forward substitution solves it
     exactly and nonnegativity of the result certifies optimality, with the
-    dual value equal to the closed-form bound.
+    dual value equal to the closed-form bound.  It runs in ints over a
+    running denominator that stays the LCM of the denominators, as in
+    ``z_weights_recursive``: y_j for j <= n-r divides by C(j+r, j), which
+    grows it by C(j+r, j) / gcd, and the later y_j divide by nothing.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    y = [Fraction(0)] * (n + 1)
-    y[0] = Fraction(1)  # corner entry of the triangular system
+    y = [0] * (n + 1)
+    d = y[0] = 1  # corner entry of the triangular system
     for j in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(max(1, j - r), min(j - 1, n - r) + 1):
-            if y[i]:
-                acc += comb(i + r, j) * y[i]
+        acc = sum(comb(i + r, j) * y[i]
+                  for i in range(max(1, j - r), min(j - 1, n - r) + 1) if y[i])
+        s = comb(n, j) * d - acc
         if j <= n - r:
-            y[j] = (comb(n, j) - acc) / comb(j + r, j)
-        else:
-            y[j] = comb(n, j) - acc
-    if any(v < 0 for v in y):
-        return ZCertificate(n, r, y, "nonnegativity-failed")
-    return ZCertificate(n, r, y, "optimal-certified")
+            c = comb(j + r, j)
+            g = gcd(s, c)
+            if g != c:
+                grow = c // g
+                y[:j] = [v * grow for v in y[:j]]
+                d *= grow
+            s //= g
+        y[j] = s
+    status = ("nonnegativity-failed" if any(v < 0 for v in y)
+              else "optimal-certified")
+    return ZCertificate(n, r, exactlp.Scaled(linsolve.int_array(y), d), status)
 
 
 def z_gspb(n: int, r: int) -> exactlp.LPSolution:
@@ -137,17 +178,16 @@ def z_gspb(n: int, r: int) -> exactlp.LPSolution:
 
     The closed-form weights and the triangular dual of radius min(r, n) are
     checked as a pair against z_quotient_lp(n, r): for r >= n every ball is
-    the whole down-set of its center, so the LP is the one of radius n.  If
+    the whole down-set of its center, so the LP is the one of radius n.  The
+    pair goes to the check integer-scaled, as the recursions build it.  If
     the check fails the LP is solved outright and that solution, with its
     own method, is returned.
     """
-    w = z_weights_recursive(n, min(r, n)).w
+    w = z_weights_recursive(n, min(r, n)).scaled
     y = z_optimality_certificate(n, min(r, n)).lp_dual()
     lp = z_quotient_lp(n, r)
-    value = exactlp.check_certificate(lp, w, y)
-    if value is None:
-        return exactlp.solve_min_transversal(lp, simplex=True)
-    return exactlp.LPSolution(value, w, y, "closed-form")
+    sol = exactlp.certify(lp, w, y, "closed-form")
+    return sol if sol is not None else exactlp.solve_min_transversal(lp, simplex=True)
 
 
 def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:
@@ -165,12 +205,12 @@ def z_example_wprime(n: int) -> tuple[list[Fraction], Fraction]:
 
 
 def z_mb(n: int, r: int) -> Fraction:
-    """Reciprocal-degree bound: sum over weights of C(n,w)/ball size."""
+    """Reciprocal-degree bound: sum over weights of C(n,w)/ball size, over
+    the LCM of the ball sizes."""
     from .channels import z_degree
-    return sum(
-        (Fraction(comb(n, wt), z_degree(n, wt, r)) for wt in range(n + 1)),
-        Fraction(0),
-    )
+    sizes = [z_degree(n, wt, r) for wt in range(n + 1)]
+    d = lcm(*sizes)
+    return Fraction(sum(comb(n, wt) * (d // b) for wt, b in enumerate(sizes)), d)
 
 
 def z_aspv(n: int, r: int) -> Fraction:

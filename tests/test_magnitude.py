@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspb import bounds, exactlp, magnitude as mag, oracle, reduction
 from gspb.channels import ChannelSpec
@@ -146,3 +149,43 @@ def test_one_quotient_per_report(monkeypatch):
     assert not calls
     assert report.entry("closed").note == report.entry("gspb").note == (
         "mag_asym bounds cover radius 1 only")
+
+
+def _reference_asym_weights(n: int, labels) -> list[Fraction]:
+    """The improved class weights in Fractions, 1/(m + 1 + (i1 - 1)/(2m))
+    for m = n - i0: the reference for magnitude._asym_weights."""
+    return [Fraction(1) if c[0] == n else
+            1 / (n - c[0] + 1 + Fraction(c[1] - 1, 2 * (n - c[0])))
+            for c in labels]
+
+
+def _reference_sym_weights(n: int, labels) -> list[Fraction]:
+    """1/(2n - i0) per folded class: the reference for magnitude._sym_weights."""
+    return [Fraction(1, 2 * n - c[0]) for c in labels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mag_asym", "mag_sym"]), st.integers(1, 14), st.integers(2, 6))
+def test_hand_weights_match_the_fraction_rules(family, n, q):
+    # the hand weights are ints over one denominator; their Fraction views
+    # equal the per-class Fraction rules, at the LCM of the denominators
+    part = reduction.partition_by_canonical_form(ChannelSpec(family, n=n, q=q))
+    if family == "mag_asym":
+        got, want = (mag._asym_weights(n, part.labels),
+                     _reference_asym_weights(n, part.labels))
+    else:
+        got, want = (mag._sym_weights(n, part.labels),
+                     _reference_sym_weights(n, part.labels))
+    assert got.fractions() == want
+    assert got.scale == math.lcm(*(w.denominator for w in want))
+
+
+@pytest.mark.parametrize("family,q,n", [("mag_asym", 3, 9), ("mag_sym", 5, 7)])
+def test_closed_transversal_keeps_its_weights_scaled(family, q, n):
+    # the checked weights stay integer-scaled; ``weights`` is their view
+    t = mag.closed_transversal(reduction.quotient_matrix(ChannelSpec(family, n=n, q=q)))
+    assert isinstance(t.scaled, exactlp.Scaled)
+    assert t.weights == t.scaled.fractions()
+    assert sum(s * w for s, w in zip(
+        reduction.partition_by_canonical_form(ChannelSpec(family, n=n, q=q)).sizes,
+        t.weights)) == t.bound

@@ -234,6 +234,52 @@ def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
         assert (lp.rows, lp.objective) == (rows, v_sizes), (family, n)
 
 
+@pytest.mark.parametrize("family,n", [("deletion", n) for n in range(5, 11)]
+                         + [("grain", n) for n in range(5, 10)])
+def test_orbit_lift_matches_a_per_word_fraction_lift(monkeypatch, family, n):
+    # the lift indexes the quotient's integer-scaled witnesses by orbit; its
+    # Fraction views are the per-word lift in Fractions: a word takes its
+    # orbit's weight, a row its orbit's dual over the orbit's size
+    solved = []
+    real = exactlp.solve_min_transversal
+    monkeypatch.setattr(exactlp, "solve_min_transversal",
+                        lambda lp, **kwargs: solved.append(real(lp, **kwargs))
+                        or solved[-1])
+    route = seq.deletion_full_gspb if family == "deletion" else seq.grain_full_gspb
+    sol = route(n)
+    (quotient,) = solved
+    use_reversal = family == "deletion"
+    _, v_orbit, _ = _reference_word_orbits(n - 1 if use_reversal else n, use_reversal)
+    _, c_orbit, c_sizes = _reference_word_orbits(n, use_reversal)
+    assert sol.primal == [quotient.primal[o] for o in v_orbit]
+    assert sol.dual == [quotient.dual[o] / c_sizes[o] for o in c_orbit]
+    assert sol.optimum == quotient.optimum
+
+
+@pytest.mark.parametrize("family,dtype", [("deletion", object), ("grain", np.int64)])
+def test_orbit_lift_leaves_int64_before_it_overflows(monkeypatch, family, dtype):
+    # quotient duals scaled so that their int64 numerators reach 2^62: the
+    # deletion orbits have sizes 2 and 4, so a row's share L / size can take
+    # a numerator past 2^63 and the lift moves to Python ints; the grain
+    # orbits all have size 2 (L / size = 1), so it stays in int64.  Either
+    # way it certifies the same optimum and Fractions
+    real = exactlp.solve_min_transversal
+    route = seq.deletion_full_gspb if family == "deletion" else seq.grain_full_gspb
+    plain = route(7)
+
+    def inflated(lp, **kwargs):
+        sol = real(lp, **kwargs)
+        k = (1 << 62) // int(sol.z.numer.max())
+        z = exactlp.Scaled(sol.z.numer * k, sol.z.scale * k)
+        return exactlp.LPSolution(sol.optimum, sol.w, z, sol.method, notes=sol.notes)
+
+    monkeypatch.setattr(exactlp, "solve_min_transversal", inflated)
+    sol = route(7)
+    assert sol.z.numer.dtype == dtype
+    assert (sol.optimum, sol.primal, sol.dual) == (plain.optimum, plain.primal,
+                                                   plain.dual)
+
+
 @pytest.mark.parametrize("name", ["grain-9", "deletion-10", "mag-sym(7,5)",
                                   "mag-asym(8,4)"])
 def test_one_factorisation_per_basis(monkeypatch, name):

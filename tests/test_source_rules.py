@@ -230,3 +230,20 @@ def test_no_scipy_package_imports(path):
     imported = sorted(m for m in _imported_modules(tree)
                       if any(m == p or m.startswith(p + ".") for p in _SCIPY_PACKAGES))
     assert not imported, f"{path.name}: imports {imported}"
+
+
+NO_FRACTIONS = [("exactlp.py", "_certified"), ("seqchannels.py", "_orbit_reduced_solve"),
+                ("zchannel.py", "z_gspb"), ("magnitude.py", "closed_transversal")]
+
+
+@pytest.mark.parametrize("key", NO_FRACTIONS, ids=[f"{m}:{f}" for m, f in NO_FRACTIONS])
+def test_witnesses_stay_scaled_to_the_check(key):
+    # these routes hand check_certificate or verify_transversal integer-scaled
+    # witnesses and keep them so; a Fraction per entry is made only when a
+    # caller reads LPSolution.primal or .dual (or ClassTransversal.weights),
+    # so they call neither Fraction(...) nor a witness's .fractions()
+    calls = sorted(f"{ast.unparse(node.func)} (line {node.lineno})"
+                   for node in ast.walk(_functions()[key])
+                   if isinstance(node, ast.Call)
+                   and ast.unparse(node.func).split(".")[-1] in ("Fraction", "fractions"))
+    assert not calls, f"{key[0]}:{key[1]} calls {calls}"

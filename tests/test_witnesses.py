@@ -56,3 +56,13 @@ def test_route_witnesses_certify_the_report_value(case):
     assert exactlp.check_certificate(route_lp(), sol.primal, sol.dual) == sol.optimum
     assert bounds.assemble_report(spec).entry("gspb").value == sol.optimum
 
+
+@pytest.mark.parametrize("case", CASES)
+def test_route_keeps_the_scaled_pair_until_read(case):
+    # a solution holds the integer-scaled pair the check accepted; primal and
+    # dual are its Fraction views, made on first read and kept
+    sol = CASES[case][0]()
+    assert isinstance(sol.w, exactlp.Scaled) and isinstance(sol.z, exactlp.Scaled)
+    assert "primal" not in vars(sol) and "dual" not in vars(sol)
+    assert sol.primal == sol.w.fractions() and sol.dual == sol.z.fractions()
+    assert sol.primal is sol.primal and sol.dual is sol.dual

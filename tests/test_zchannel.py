@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -126,7 +127,7 @@ def test_gspb_certified_path():
     res = z.z_gspb(20, 2)
     assert res.method == "closed-form"
     assert res.primal == z.z_weights_recursive(20, 2).w
-    assert res.dual == z.z_optimality_certificate(20, 2).lp_dual()
+    assert res.dual == z.z_optimality_certificate(20, 2).lp_dual().fractions()
     assert res.optimum.numerator // res.optimum.denominator == 15260
 
 
@@ -188,4 +189,75 @@ def test_input_validation():
     with pytest.raises(ValueError):
         z.z_weights_recursive(3, 4)
     with pytest.raises(ValueError):
+        z.z_optimality_certificate(3, 4)
+    with pytest.raises(ValueError):
         z.d_sequence(0, 5)
+
+
+def _reference_weights(n: int, r: int) -> list[Fraction]:
+    """The backward recursion in Fractions: the reference for the integer
+    recursion of z_weights_recursive."""
+    w = [Fraction(0)] * (n + 1)
+    for k in range(n - r, 0, -1):
+        s = Fraction(1) - sum(
+            (w[k + i] * comb(k + r, r - i) for i in range(1, r + 1) if w[k + i]),
+            Fraction(0),
+        )
+        w[k] = s / comb(k + r, r)
+    w[0] = Fraction(1)
+    return w
+
+
+def _reference_certificate(n: int, r: int, comb=comb) -> tuple[list[Fraction], str]:
+    """The triangular forward substitution in Fractions, and its status: the
+    reference for z_optimality_certificate."""
+    y = [Fraction(0)] * (n + 1)
+    y[0] = Fraction(1)
+    for j in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(max(1, j - r), min(j - 1, n - r) + 1):
+            if y[i]:
+                acc += comb(i + r, j) * y[i]
+        if j <= n - r:
+            y[j] = (comb(n, j) - acc) / comb(j + r, j)
+        else:
+            y[j] = comb(n, j) - acc
+    ok = all(v >= 0 for v in y)
+    return y, "optimal-certified" if ok else "nonnegativity-failed"
+
+
+def _lcm_of_denominators(values) -> int:
+    return lcm(*(v.denominator for v in values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 48).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_integer_recursions_match_the_fraction_recursions(case):
+    # the integer recursions keep one running denominator; their Fraction
+    # views equal the Fraction recursions, at the LCM of the denominators
+    n, r = case
+    weights = z.z_weights_recursive(n, r)
+    want = _reference_weights(n, r)
+    assert weights.w == want
+    assert weights.scaled.scale == _lcm_of_denominators(want)
+    assert weights.bound() == sum((comb(n, k) * v for k, v in enumerate(want)),
+                                  Fraction(0))
+    cert = z.z_optimality_certificate(n, r)
+    y, status = _reference_certificate(n, r)
+    assert (cert.y, cert.status) == (y, status)
+    assert cert.scaled.scale == _lcm_of_denominators(y)
+    assert cert.dual_value() == sum(y[: n - r + 1], Fraction(0))
+    assert cert.lp_dual().fractions() == [y[0]] + [0] * r + y[1: n - r + 1]
+
+
+def test_certificate_reports_a_negative_entry(monkeypatch):
+    # no 1 <= r <= n <= 48 makes the triangular dual negative; with the
+    # objective's C(6, 2) taken as 0, y_2 = -y_1 / C(3, 2) is, and the
+    # integer substitution reports it as the Fraction one does
+    def hole(a, b):
+        return 0 if (a, b) == (6, 2) else comb(a, b)
+
+    monkeypatch.setattr(z, "comb", hole)
+    cert = z.z_optimality_certificate(6, 1)
+    assert (cert.y, cert.status) == _reference_certificate(6, 1, hole)
+    assert cert.status == "nonnegativity-failed" and cert.y[2] < 0
