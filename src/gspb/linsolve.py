@@ -260,8 +260,11 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
     adds x_s p^s to the p-adic solution, and sets r <- (r - matrix x_s) / p,
     which must divide exactly (``GspbError`` otherwise); r and the solution
     are Python ints, and ``exact_product`` forms matrix x_s.  Rationals are
-    reconstructed after step 8 and then each half as many steps again, up to
-    a Hadamard-style step budget; None when the budget runs out.  A
+    first reconstructed at the first step whose modulus passes
+    2 (det_bits + log2(k max|rhs|)) + 1 bits, det_bits the Hadamard-style
+    bound on log2 |det| (``_hadamard``), where the reconstruction is sure to
+    succeed, and no later than step 8; then after each half as many steps
+    again (at least 8), up to a step budget; None when the budget runs out.  A
     candidate x is returned only if A.X == d.rhs holds exactly
     (``exact_product``), where d is the LCM of its denominators and X = d.x.
     """
@@ -276,11 +279,15 @@ def dixon_solve(matrix, k: int, inv: np.ndarray, rhs: list[int]):
     # budget on numerator/denominator bits, plus slack
     need_bits = 2 * (det_bits + math.log2(max_rhs + 1)) + 64
     max_steps = int(need_bits / math.log2(p)) + 8
+    # by Cramer's rule and Hadamard's bound every entry is N/D with |N|, D
+    # below 2^(det_bits + log2(k max|rhs|)), so a modulus past twice that
+    # many bits, plus one, reconstructs it
+    sure_bits = 2 * (det_bits + math.log2(max(k, 1) * max_rhs)) + 1
+    next_attempt = min(8, int(sure_bits / math.log2(p)) + 1)
 
     residual = np.array([int(b) for b in rhs], dtype=object)
     solution = np.zeros(k, dtype=object)
     modulus = 1
-    next_attempt = 8
     for step in range(1, max_steps + 1):
         digit = inv @ (residual % p).astype(np.int64) % p
         residual -= exact_product(matrix, digit)

@@ -23,18 +23,34 @@ complementation and reversal in ``seqchannels``, which counts its rows with
 have no quotient.  Asking this module for a partition of any of the three
 raises QuotientUnavailable.
 
+Every quotient is built as arrays.  The magnitude classes are one int64
+array of compositions in lexicographic label order, and a moved
+composition finds its class by its mixed-radix key (``np.searchsorted``).
+Each family's rule emits (row, column, coefficient) triples, and one
+assembler (``_assemble``) sorts them into the CSR arrays.  Class sizes are
+exact Python ints and labels are tuples; a partition's representatives and
+label map are built only when read.
+
 Only the z rows hold beyond radius 1 (``channels.check_radius``).  On every
-call the closed-form rows are checked against ``count_rows`` over enumerated
-balls at small n; a mismatch raises ``GspbError``.
+call the family's rule is evaluated at a small probe instance (n = min(n,
+4), 3 for mag-sym) and compared with ``count_rows`` over the enumerated
+balls of the probe's class representatives; a mismatch raises
+``GspbError``.  The enumeration runs once per probe key (family, probe n,
+r, q) in a process and is cached; the comparison is not, so a wrong rule is
+refused on every call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
-from math import comb
+from functools import cache, cached_property
+from itertools import combinations
+from math import comb, factorial, prod
 
-from . import exactlp
+import numpy as np
+
+from . import exactlp, linsolve
 from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, GspbError,
                        QuotientUnavailable, build_hypergraph, check_radius,
                        gaussian_binomial, out_ball)
@@ -42,13 +58,28 @@ from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, GspbError,
 
 @dataclass
 class ClassPartition:
-    """Orbit classes: labels, sizes, representatives and a classifier."""
+    """Orbit classes: labels, sizes, representatives and a classifier.  The
+    magnitude families also keep their labels as one int64 array of
+    compositions, one row per class."""
 
     spec: ChannelSpec
     labels: list                  # deterministic lexicographic order
-    sizes: list[int]
-    representatives: list
-    label_to_id: dict
+    sizes: list[int]              # exact Python ints
+    compositions: np.ndarray | None = None
+
+    @cached_property
+    def representatives(self) -> list:
+        """One vertex of each class, built when first read."""
+        n = self.spec.n
+        if self.spec.family == "z":
+            return [(1 << k) - 1 for k in self.labels]
+        if self.spec.family == "projective":
+            return [tuple(1 << (n - 1 - t) for t in range(k)) for k in self.labels]
+        return [_composition_rep(c) for c in self.labels]
+
+    @cached_property
+    def label_to_id(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def classify(self, vertex) -> int:
         """Class id of a vertex (the vertex_to_class map, lazily applied)."""
@@ -72,23 +103,20 @@ class QuotientLP:
     lp: exactlp.CoveringLP
 
 
-def _compositions(total: int, parts: int):
-    """Nonnegative integer tuples of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Nonnegative int64 rows of the given length summing to total, in
+    lexicographic order: the stars and bars of ``combinations``, whose bar
+    positions come in that order."""
+    bars = np.array(list(combinations(range(total + parts - 1), parts - 1)),
+                    dtype=np.int64)
+    ends = np.full((len(bars), 1), total + parts - 1, dtype=np.int64)
+    return np.diff(np.hstack([np.full_like(ends, -1), bars, ends]), axis=1) - 1
 
 
-def _multinomial(n: int, parts) -> int:
-    out = 1
-    rem = n
-    for p in parts:
-        out *= comb(rem, p)
-        rem -= p
-    return out
+def _multinomials(n: int, labels) -> list[int]:
+    """n! / prod(c!) for each composition c of n, as Python ints."""
+    facts = [factorial(k) for k in range(n + 1)]
+    return [facts[n] // prod(map(facts.__getitem__, c)) for c in labels]
 
 
 def _folded_labels(q: int) -> int:
@@ -120,18 +148,17 @@ def partition_by_canonical_form(spec: ChannelSpec) -> ClassPartition:
     n = spec.n
     if fam == "z":
         labels = list(range(n + 1))
-        sizes = [comb(n, k) for k in labels]
-        reps = [(1 << k) - 1 for k in labels]
-    elif fam == "mag_asym":
-        labels = sorted(_compositions(n, spec.q))
-        sizes = [_multinomial(n, c) for c in labels]
-        reps = [_composition_rep(c) for c in labels]
-    elif fam == "mag_sym":
-        labels = sorted(_compositions(n, _folded_labels(spec.q)))
-        # a label stands for two values, except the middle value of odd q
-        sizes = [_multinomial(n, c) << (n - spec.q % 2 * c[-1]) for c in labels]
-        reps = [_composition_rep(c) for c in labels]
-    elif fam == "projective":
+        return ClassPartition(spec, labels, [comb(n, k) for k in labels])
+    if fam in ("mag_asym", "mag_sym"):
+        parts = spec.q if fam == "mag_asym" else _folded_labels(spec.q)
+        comps = _compositions(n, parts)
+        labels = list(map(tuple, comps.tolist()))
+        sizes = _multinomials(n, labels)
+        if fam == "mag_sym":
+            # a label stands for two values, except the middle value of odd q
+            sizes = [s << (n - spec.q % 2 * c[-1]) for s, c in zip(sizes, labels)]
+        return ClassPartition(spec, labels, sizes, comps)
+    if fam == "projective":
         labels = list(range(n // 2 + 1))
         sizes = []
         for k in labels:
@@ -139,13 +166,10 @@ def partition_by_canonical_form(spec: ChannelSpec) -> ClassPartition:
             if k != n - k:
                 s += gaussian_binomial(n, n - k)
             sizes.append(s)
-        reps = [tuple(1 << (n - 1 - t) for t in range(k)) for k in labels]
-    else:
-        raise QuotientUnavailable(
-            f"family {fam!r} has no built-in partition; use the full LP"
-        )
-    return ClassPartition(spec, labels, sizes, reps,
-                          {lab: i for i, lab in enumerate(labels)})
+        return ClassPartition(spec, labels, sizes)
+    raise QuotientUnavailable(
+        f"family {fam!r} has no built-in partition; use the full LP"
+    )
 
 
 def _composition_rep(c) -> tuple[int, ...]:
@@ -156,115 +180,179 @@ def _composition_rep(c) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# quotient rows per family
+# quotient rows per family, as (row, column, coefficient) triples
 # ---------------------------------------------------------------------------
 
-def _z_rows(n: int, r: int) -> list[list[tuple[int, int]]]:
-    return [[(ell - i, comb(ell, i)) for i in range(min(ell, r), -1, -1)]
-            for ell in range(n + 1)]
+def _z_rows(n: int, r: int):
+    """Weight ell meets weight ell - i in C(ell, i) words, for i <= r."""
+    rows = [ell for ell in range(n + 1) for _ in range(min(ell, r) + 1)]
+    drops = [i for ell in range(n + 1) for i in range(min(ell, r), -1, -1)]
+    return rows, list(map(operator.sub, rows, drops)), list(map(comb, rows, drops))
 
 
-def _moved(c, label_to_id, src: int, dst: int) -> int:
-    """Class id of composition c with one count moved from src to dst."""
-    moved = list(c)
-    moved[src] -= 1
-    moved[dst] += 1
-    return label_to_id[tuple(moved)]
+def _mover(comps: np.ndarray):
+    """``move(src, dst, mult)``: for each composition with a count at src,
+    its class, the class of that composition with one count moved to dst,
+    and mult times its count at src, as (row, column, coefficient) arrays.
+    A class is found by its mixed-radix key (base n + 1, the first count
+    most significant), which increases in the lexicographic label order."""
+    n = int(comps[0].sum())
+    place = (n + 1) ** np.arange(comps.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys = comps @ place
+
+    def move(src: int, dst: int, mult: int = 1):
+        at = np.flatnonzero(comps[:, src])
+        return (at, np.searchsorted(keys, keys[at] + place[dst] - place[src]),
+                mult * comps[at, src])
+    return move
 
 
-def _asym_rows(labels, label_to_id, q: int) -> list[list[tuple[int, int]]]:
-    rows = []
-    for i, c in enumerate(labels):
-        row = Counter({i: 1})
-        for k in range(1, q):
-            if c[k] > 0:
-                row[_moved(c, label_to_id, k, k - 1)] += c[k]
-        rows.append(sorted(row.items()))
-    return rows
+def _stack(triples):
+    return tuple(np.concatenate(part) for part in zip(*triples))
 
 
-def _sym_rows(labels, label_to_id, q: int) -> list[list[tuple[int, int]]]:
+def _asym_rows(comps: np.ndarray, q: int):
+    move = _mover(comps)
+    ids = np.arange(len(comps))
+    return _stack([(ids, ids, np.ones_like(ids))]
+                  + [move(k, k - 1) for k in range(1, q)])
+
+
+def _sym_rows(comps: np.ndarray, q: int):
     """Ball member counts per folded class.
 
     A position holding an extreme value (folded label 0, q >= 3) moves one
     way only; inner labels move both ways; for odd q the middle value steps
     down to label L-2 on either side, and for even q one of the two moves of
     an innermost-label position lands on its partner value, staying in the
-    same class.
+    same class: its count is added to the class's own coefficient.
     """
     L = _folded_labels(q)
-    rows = []
-    for i, c in enumerate(labels):
-        row = Counter({i: 1})
-        for lab in range(L):
-            if c[lab] == 0:
-                continue
-            if lab + 1 <= L - 1:
-                row[_moved(c, label_to_id, lab, lab + 1)] += c[lab]
-            if lab >= 1:
-                mult = 2 if (q % 2 == 1 and lab == L - 1) else 1
-                row[_moved(c, label_to_id, lab, lab - 1)] += mult * c[lab]
-            if q % 2 == 0 and lab == L - 1:
-                row[i] += c[lab]
-        rows.append(sorted(row.items()))
-    return rows
+    move = _mover(comps)
+    ids = np.arange(len(comps))
+    triples = [(ids, ids, 1 + (q % 2 == 0) * comps[:, L - 1])]
+    for lab in range(L):
+        if lab + 1 <= L - 1:
+            triples.append(move(lab, lab + 1))
+        if lab >= 1:
+            triples.append(move(lab, lab - 1, 2 if (q % 2 == 1 and lab == L - 1) else 1))
+    return _stack(triples)
 
 
-def _projective_rows(n: int) -> list[list[tuple[int, int]]]:
+def _projective_rows(n: int):
     """Dimension k meets k-1 in 2^k - 1 and k+1 in 2^(n-k) - 1 subspaces;
     dimensions d and n-d share a class."""
-    rows = []
+    rows, cols, coeffs = [], [], []
     for k in range(n // 2 + 1):
-        row = Counter({k: 1})
-        row[min(k + 1, n - k - 1)] += (1 << (n - k)) - 1
+        rows += [k, k]
+        cols += [k, min(k + 1, n - k - 1)]
+        coeffs += [1, (1 << (n - k)) - 1]
         if k >= 1:
-            row[k - 1] += (1 << k) - 1
-        rows.append(sorted(row.items()))
-    return rows
+            rows.append(k)
+            cols.append(k - 1)
+            coeffs.append((1 << k) - 1)
+    return rows, cols, coeffs
 
 
-def count_rows(balls, class_of) -> list[list[tuple[int, int]]]:
-    """One row per ball: each class meeting it, with the number of the
-    ball's members in that class, sorted by class."""
-    return [sorted(Counter(map(class_of, ball)).items()) for ball in balls]
+def _indptr(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR row offsets of entries stored in nondecreasing row order."""
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return indptr
 
 
-def _check_rules(spec: ChannelSpec) -> None:
-    """Cross-check the family's row rule against ball enumeration at small n."""
-    small_n = min(spec.n, 4 if spec.family != "mag_sym" else 3)
-    probe = ChannelSpec(spec.family, n=small_n, r=spec.r, q=spec.q)
+def _assemble(rows, cols, coeffs, shape: tuple[int, int]) -> linsolve.Csr:
+    """CSR arrays of (row, column, coefficient) triples, sorted by row and
+    then column; the coefficients of a repeated (row, column) are added in
+    Python ints.  The data is int64, or Python ints past int64."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    data = linsolve.int_array(coeffs)
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if not first.all():
+        starts = np.flatnonzero(first)
+        data = linsolve.int_array(np.add.reduceat(data.astype(object), starts).tolist())
+        rows, cols = rows[starts], cols[starts]
+    return linsolve.Csr(_indptr(rows, shape[0]), cols, data, shape)
+
+
+def count_rows(indptr, members, num_classes: int) -> linsolve.Csr:
+    """One row per ball, ball i being the class ids
+    ``members[indptr[i]:indptr[i+1]]`` of its members: each class meeting
+    it, with the number of the ball's members in that class, sorted by
+    class, as int64 CSR arrays."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    num_rows = len(indptr) - 1
+    row = np.repeat(np.arange(num_rows, dtype=np.int64), np.diff(indptr))
+    keys, counts = np.unique(row * num_classes + np.asarray(members, dtype=np.int64),
+                             return_counts=True)
+    return linsolve.Csr(_indptr(keys // num_classes, num_rows), keys % num_classes,
+                        counts.astype(np.int64), (num_rows, num_classes))
+
+
+@cache
+def _reference(family: str, n: int, r: int, q: int | None) -> linsolve.Csr:
+    """The quotient rows of the probe instance counted from its enumerated
+    balls: ``out_ball`` of each class representative, each member
+    classified.  Cached per probe key; its arrays are read-only."""
+    probe = ChannelSpec(family, n=n, r=r, q=q)
     part = partition_by_canonical_form(probe)
-    got = _family_rows(probe, part)
-    want = count_rows((out_ball(probe, rep) for rep in part.representatives),
-                      part.classify)
-    if got != want:
+    balls = [out_ball(probe, rep) for rep in part.representatives]
+    ref = count_rows(np.cumsum([0] + [len(ball) for ball in balls]),
+                     [part.classify(v) for ball in balls for v in ball],
+                     part.num_classes)
+    for a in (ref.indptr, ref.indices, ref.data):
+        a.flags.writeable = False
+    return ref
+
+
+def _check_rule(spec: ChannelSpec, got: linsolve.Csr) -> None:
+    """Compare the family's rule at the probe n with the cached ball
+    enumeration there; ``got`` is the rule's output at spec itself."""
+    small_n = min(spec.n, 4 if spec.family != "mag_sym" else 3)
+    if small_n != spec.n:
+        probe = ChannelSpec(spec.family, n=small_n, r=spec.r, q=spec.q)
+        got = _family_csr(probe, partition_by_canonical_form(probe))
+    want = _reference(spec.family, small_n, spec.r, spec.q)
+    if not all(np.array_equal(a, b) for a, b in
+               ((got.indptr, want.indptr), (got.indices, want.indices),
+                (got.data, want.data))):
         raise GspbError(
             f"quotient row rule for {spec.family} disagrees with ball "
-            f"enumeration at n={small_n}: {got} != {want}"
+            f"enumeration at n={small_n}: {exactlp._row_lists(got)} != "
+            f"{exactlp._row_lists(want)}"
         )
 
 
-def _family_rows(spec: ChannelSpec, part: ClassPartition) -> list[list[tuple[int, int]]]:
+def _family_csr(spec: ChannelSpec, part: ClassPartition) -> linsolve.Csr:
     check_radius(spec)
     fam = spec.family
     if fam == "z":
-        return _z_rows(spec.n, spec.r)
-    if fam == "mag_asym":
-        return _asym_rows(part.labels, part.label_to_id, spec.q)
-    if fam == "mag_sym":
-        return _sym_rows(part.labels, part.label_to_id, spec.q)
-    if fam == "projective":
-        return _projective_rows(spec.n)
-    raise QuotientUnavailable(f"family {fam!r} has no quotient")
+        triples = _z_rows(spec.n, spec.r)
+    elif fam == "mag_asym":
+        triples = _asym_rows(part.compositions, spec.q)
+    elif fam == "mag_sym":
+        triples = _sym_rows(part.compositions, spec.q)
+    elif fam == "projective":
+        triples = _projective_rows(spec.n)
+    else:
+        raise QuotientUnavailable(f"family {fam!r} has no quotient")
+    k = part.num_classes
+    return _assemble(*triples, (k, k))
 
 
 def quotient_matrix(spec: ChannelSpec) -> QuotientLP:
-    """Quotient LP from the family's closed-form row rules, checked against
-    ball enumeration at small n on every call."""
+    """Quotient LP from the family's closed-form row rules; on every call
+    the rule is checked at the probe n against the ball enumeration there,
+    which is made once per probe key."""
     partition = partition_by_canonical_form(spec)
-    _check_rules(spec)
-    lp = exactlp.CoveringLP.from_rows(partition.sizes, _family_rows(spec, partition),
-                                      f"quotient-{spec.family}-n{spec.n}")
+    csr = _family_csr(spec, partition)
+    _check_rule(spec, csr)
+    lp = exactlp.CoveringLP(list(partition.sizes), csr.indptr, csr.indices, csr.data,
+                            f"quotient-{spec.family}-n{spec.n}")
     return QuotientLP(partition, lp)
 
 

@@ -18,9 +18,10 @@ At every n the full LP is solved on its orbit quotient under word
 complementation (and reversal, for deletion); run-profile classes are not
 used, since they do not have constant ball membership counts.  The orbits
 are found on arrays (the least member of each word's orbit), and each
-quotient row is ``reduction.count_rows`` over the ball row of one center
-per orbit, built for those centres alone; that counter also checks the
-closed-form quotient rules.  The quotient witnesses are lifted back and
+quotient row counts the ball row of one center per orbit, built for those
+centres alone, by orbit: ``reduction.count_rows`` takes those CSR rows with
+each word replaced by its orbit and returns the quotient's CSR arrays, the
+same counter that checks the closed-form quotient rules.  The quotient witnesses are lifted back and
 checked against every block of the full LP: the lift indexes the
 quotient's integer-scaled witnesses by orbit with numpy, so no Fraction is
 made per word.
@@ -293,9 +294,9 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
 
     reps = _ball_rows(n, family, c_reps, full.objective)
-    ptr, cols = reps.indptr.tolist(), reps.indices.tolist()
-    rows = count_rows((cols[s:e] for s, e in zip(ptr, ptr[1:])), v_orbit.__getitem__)
-    qlp = exactlp.CoveringLP.from_rows(v_sizes, rows, f"{family}-orbit-n{n}")
+    counted = count_rows(reps.indptr, np.take(v_orbit, reps.indices), len(v_reps))
+    qlp = exactlp.CoveringLP(v_sizes, counted.indptr, counted.indices, counted.data,
+                             f"{family}-orbit-n{n}")
     sol = exactlp.solve_min_transversal(qlp)
     # the lift indexes the quotient's scaled witnesses by orbit: a word takes
     # its orbit's weight at the same scale, and a row its orbit's dual split

@@ -679,6 +679,38 @@ def test_dixon_matches_a_fraction_reference(data):
     assert x == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dixon_first_attempt_at_the_sure_bound(data):
+    # the first reconstruction comes at the first step whose modulus passes
+    # 2 (det_bits + log2(k max|rhs|)) + 1 bits, and no later than step 8;
+    # by Cramer's rule and Hadamard's bound that modulus is sure to
+    # reconstruct x, so an attempt before step 8 is the only one
+    k = data.draw(st.integers(1, 6))
+    coeff = data.draw(st.sampled_from([1, 9, 1 << 20]))
+    matrix = data.draw(st.lists(st.lists(st.integers(-coeff, coeff), min_size=k,
+                                         max_size=k), min_size=k, max_size=k))
+    rhs = data.draw(st.lists(st.integers(-2**40, 2**40), min_size=k, max_size=k))
+    want = ref_solve(matrix, rhs)
+    rows, cols, inv = linsolve.select_pivots_mod(np.array(matrix, dtype=np.int64))
+    assume(want is not None and len(cols) == k)
+    block = csr_matrix(np.array(matrix, dtype=np.int64)[np.ix_(rows, cols)])
+    b = [rhs[i] for i in rows]
+    moduli = []
+    real = linsolve._try_reconstruct
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "_try_reconstruct",
+                   lambda residues, modulus: moduli.append(modulus)
+                   or real(residues, modulus))
+        assert linsolve.dixon_solve(block, k, inv, b) == want
+    det_bits = linsolve._hadamard(block)[1]
+    sure = 2 * (det_bits + math.log2(k * (max(map(abs, b)) or 1))) + 1
+    step = min(8, int(sure / math.log2(P)) + 1)
+    assert moduli[0] == P ** step
+    if step < 8:
+        assert len(moduli) == 1
+
+
 def _encode(values, modulus):
     return [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
 

@@ -1,11 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gspb import cli, exactlp, oracle, reduction
 from gspb.channels import (ChannelSpec, GspbError, QuotientUnavailable,
-                           enumerate_vertices, out_ball)
+                           enumerate_vertices, gaussian_binomial, out_ball)
 
 
 def test_z_partition_sizes():
@@ -75,20 +79,44 @@ def test_asym_q2_equals_z():
                 == exactlp.solve_min_transversal(a.lp).optimum)
 
 
+def _flattened(balls, class_of):
+    """(row pointers, member class ids) of a list of balls."""
+    indptr = np.cumsum([0] + [len(ball) for ball in balls])
+    return indptr, [class_of(v) for ball in balls for v in ball]
+
+
+def _pairs(csr):
+    ptr = csr.indptr.tolist()
+    return [list(zip(csr.indices[s:e].tolist(), csr.data[s:e].tolist()))
+            for s, e in zip(ptr, ptr[1:])]
+
+
 def test_count_rows_hand_example():
     balls = [[4, 3, 2, 7], [3], [], [6, 0]]
-    assert reduction.count_rows(balls, lambda v: v % 3) == [
-        [(0, 1), (1, 2), (2, 1)], [(0, 1)], [], [(0, 2)]]
+    got = reduction.count_rows(*_flattened(balls, lambda v: v % 3), 3)
+    assert _pairs(got) == [[(0, 1), (1, 2), (2, 1)], [(0, 1)], [], [(0, 2)]]
+    assert got.indptr.tolist() == [0, 3, 4, 4, 5] and got.shape == (4, 3)
+    assert got.indices.tolist() == [0, 1, 2, 0, 0]
+    assert got.data.tolist() == [1, 2, 1, 1, 2]
+    assert (got.indptr.dtype, got.indices.dtype, got.data.dtype) == (np.int64,) * 3
+
+
+def _same_csr(got, want) -> bool:
+    return all(np.array_equal(a, b) for a, b in
+               ((got.indptr, want.indptr), (got.indices, want.indices),
+                (got.data, want.data)))
 
 
 def test_matrix_matches_enumeration_all_families():
     for spec in (ChannelSpec("z", n=5, r=2), ChannelSpec("mag_asym", n=3, q=4),
                  ChannelSpec("mag_sym", n=3, q=5), ChannelSpec("projective", n=5)):
         part = reduction.partition_by_canonical_form(spec)
-        got = reduction._family_rows(spec, part)
+        got = reduction._family_csr(spec, part)
         want = reduction.count_rows(
-            (out_ball(spec, rep) for rep in part.representatives), part.classify)
-        assert got == want, spec
+            *_flattened([out_ball(spec, rep) for rep in part.representatives],
+                        part.classify), part.num_classes)
+        assert _same_csr(got, want), spec
+        assert _pairs(got) == _pairs(want), spec
 
 
 def test_row_sums_are_degrees():
@@ -134,17 +162,20 @@ def test_lifted_weights_feasible_on_full_lp():
         assert rep.feasible and rep.bound == red.optimum, spec
 
 
+def _off_by_one(right):
+    """A rule whose first triple, row 0's entry at the least column, counts
+    one member too many."""
+    def wrong(comps, q):
+        rows, cols, coeffs = right(comps, q)
+        coeffs = coeffs.copy()
+        coeffs[0] += 1
+        return rows, cols, coeffs
+    return wrong
+
+
 def test_failed_rule_check_fails_every_time(monkeypatch, capsys):
     # the rule check runs on every call; a wrong rule is never trusted
-    right = reduction._sym_rows
-
-    def wrong(labels, label_to_id, q):
-        rows = right(labels, label_to_id, q)
-        j, a = rows[0][0]
-        rows[0][0] = (j, a + 1)
-        return rows
-
-    monkeypatch.setattr(reduction, "_sym_rows", wrong)
+    monkeypatch.setattr(reduction, "_sym_rows", _off_by_one(reduction._sym_rows))
     for _ in range(2):
         with pytest.raises(GspbError, match="disagrees"):
             reduction.quotient_matrix(ChannelSpec("mag_sym", n=4, q=3))
@@ -159,3 +190,160 @@ def test_quotients_refuse_radius_two():
                  ChannelSpec("projective", n=4, r=2)):
         with pytest.raises(GspbError, match="cover radius 1 only"):
             reduction.quotient_matrix(spec)
+
+
+@pytest.mark.parametrize("family,n,q", [("mag_asym", 6, 4), ("mag_asym", 4, 3),
+                                        ("mag_sym", 5, 4), ("mag_sym", 3, 5)])
+def test_only_the_enumeration_is_cached(monkeypatch, family, n, q):
+    # after a call that passed, the probe's balls are not enumerated again,
+    # but the rule is still evaluated and compared: a wrong rule patched in
+    # afterwards is refused on the next call of the same key
+    spec = ChannelSpec(family, n=n, q=q)
+    right = reduction.quotient_matrix(spec)
+    balls = []
+    monkeypatch.setattr(reduction, "out_ball",
+                        lambda *args: balls.append(args) or out_ball(*args))
+    again = reduction.quotient_matrix(spec)
+    assert _same_csr(again.lp, right.lp) and balls == []
+    rule = "_asym_rows" if family == "mag_asym" else "_sym_rows"
+    monkeypatch.setattr(reduction, rule, _off_by_one(getattr(reduction, rule)))
+    for _ in range(2):
+        with pytest.raises(GspbError, match="disagrees"):
+            reduction.quotient_matrix(spec)
+    assert balls == []
+
+
+def test_reference_arrays_are_read_only():
+    ref = reduction._reference("mag_sym", 3, 1, 3)
+    for a in (ref.indptr, ref.indices, ref.data):
+        with pytest.raises(ValueError):
+            a[0] = 7
+
+
+# the row-list rules the array rules replaced, kept as their reference
+
+def _ref_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _ref_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _ref_multinomial(n, parts):
+    out, rem = 1, n
+    for p in parts:
+        out *= comb(rem, p)
+        rem -= p
+    return out
+
+
+def _ref_moved(c, label_to_id, src, dst):
+    moved = list(c)
+    moved[src] -= 1
+    moved[dst] += 1
+    return label_to_id[tuple(moved)]
+
+
+def _ref_asym_rows(labels, label_to_id, q):
+    rows = []
+    for i, c in enumerate(labels):
+        row = Counter({i: 1})
+        for k in range(1, q):
+            if c[k] > 0:
+                row[_ref_moved(c, label_to_id, k, k - 1)] += c[k]
+        rows.append(sorted(row.items()))
+    return rows
+
+
+def _ref_sym_rows(labels, label_to_id, q):
+    L = (q + 1) // 2
+    rows = []
+    for i, c in enumerate(labels):
+        row = Counter({i: 1})
+        for lab in range(L):
+            if c[lab] == 0:
+                continue
+            if lab + 1 <= L - 1:
+                row[_ref_moved(c, label_to_id, lab, lab + 1)] += c[lab]
+            if lab >= 1:
+                mult = 2 if (q % 2 == 1 and lab == L - 1) else 1
+                row[_ref_moved(c, label_to_id, lab, lab - 1)] += mult * c[lab]
+            if q % 2 == 0 and lab == L - 1:
+                row[i] += c[lab]
+        rows.append(sorted(row.items()))
+    return rows
+
+
+def _ref_z_rows(n, r):
+    return [[(ell - i, comb(ell, i)) for i in range(min(ell, r), -1, -1)]
+            for ell in range(n + 1)]
+
+
+def _ref_projective_rows(n):
+    rows = []
+    for k in range(n // 2 + 1):
+        row = Counter({k: 1})
+        row[min(k + 1, n - k - 1)] += (1 << (n - k)) - 1
+        if k >= 1:
+            row[k - 1] += (1 << k) - 1
+        rows.append(sorted(row.items()))
+    return rows
+
+
+def _ref_quotient(spec):
+    """(labels, sizes, LP) of the row-list rules and ``CoveringLP.from_rows``."""
+    n, q = spec.n, spec.q
+    if spec.family == "z":
+        labels = list(range(n + 1))
+        sizes = [comb(n, k) for k in labels]
+        rows = _ref_z_rows(n, spec.r)
+    elif spec.family == "projective":
+        labels = list(range(n // 2 + 1))
+        sizes = [gaussian_binomial(n, k) + (gaussian_binomial(n, n - k) if k != n - k else 0)
+                 for k in labels]
+        rows = _ref_projective_rows(n)
+    else:
+        parts = q if spec.family == "mag_asym" else (q + 1) // 2
+        labels = sorted(_ref_compositions(n, parts))
+        label_to_id = {lab: i for i, lab in enumerate(labels)}
+        if spec.family == "mag_asym":
+            sizes = [_ref_multinomial(n, c) for c in labels]
+            rows = _ref_asym_rows(labels, label_to_id, q)
+        else:
+            sizes = [_ref_multinomial(n, c) << (n - q % 2 * c[-1]) for c in labels]
+            rows = _ref_sym_rows(labels, label_to_id, q)
+    return labels, sizes, exactlp.CoveringLP.from_rows(sizes, rows)
+
+
+def _assert_matches_reference(spec):
+    labels, sizes, want = _ref_quotient(spec)
+    got = reduction.quotient_matrix(spec)
+    assert got.partition.labels == labels and got.partition.sizes == sizes
+    assert all(type(s) is int for s in got.partition.sizes)
+    assert got.lp.objective == want.objective
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.lp, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), (spec, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["mag_asym", "mag_sym"]), q=st.integers(2, 7),
+       n=st.integers(1, 14))
+@example(family="mag_asym", q=7, n=14)
+@example(family="mag_sym", q=7, n=14)
+@example(family="mag_sym", q=6, n=14)
+@example(family="mag_sym", q=2, n=14)
+@example(family="mag_asym", q=2, n=1)
+def test_array_rules_match_the_row_list_rules(family, q, n):
+    _assert_matches_reference(ChannelSpec(family, n=n, q=q))
+
+
+@pytest.mark.parametrize("family,r,top", [("z", r, 64) for r in range(1, 5)]
+                         + [("projective", 1, 66)])
+def test_z_and_projective_rules_match_the_row_list_rules(family, r, top):
+    # past n = 63 the projective coefficients 2^(n-k) - 1 pass int64 and
+    # stay Python ints, as from_rows keeps them
+    for n in range(max(r, 2 if family == "projective" else 1), top + 1):
+        _assert_matches_reference(ChannelSpec(family, n=n, r=r))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -224,14 +225,14 @@ def test_orbit_quotient_matches_reference(monkeypatch, family, ns):
         _, v_orbit, v_sizes = _reference_word_orbits(m, family == "deletion")
         c_reps, _, _ = _reference_word_orbits(n, family == "deletion")
         full_rows = full.rows      # the property rebuilds every row per read
-        rows = []
-        for c in c_reps:
-            counts = {}
-            for j, _ in full_rows[c]:
-                counts[v_orbit[j]] = counts.get(v_orbit[j], 0) + 1
-            rows.append(sorted(counts.items()))
+        rows = [sorted(Counter(v_orbit[j] for j, _ in full_rows[c]).items())
+                for c in c_reps]
+        want = exactlp.CoveringLP.from_rows(v_sizes, rows)
         lp = _orbit_quotient(monkeypatch, family, n)
         assert (lp.rows, lp.objective) == (rows, v_sizes), (family, n)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(lp, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (family, n, name)
 
 
 @pytest.mark.parametrize("family,n", [("deletion", n) for n in range(5, 11)]

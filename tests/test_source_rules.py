@@ -1,6 +1,7 @@
 """Rules every module under src/gspb keeps, checked on its syntax tree."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,7 @@ def _called_names(func) -> set[str]:
             and isinstance(n.func, (ast.Name, ast.Attribute))}
 
 
+@functools.cache
 def _functions() -> dict[tuple[str, str], ast.FunctionDef]:
     return {(path.name, node.name): node for path in SOURCES
             for node in ast.walk(ast.parse(path.read_text()))
@@ -246,4 +248,27 @@ def test_witnesses_stay_scaled_to_the_check(key):
                    for node in ast.walk(_functions()[key])
                    if isinstance(node, ast.Call)
                    and ast.unparse(node.func).split(".")[-1] in ("Fraction", "fractions"))
+    assert not calls, f"{key[0]}:{key[1]} calls {calls}"
+
+
+def _counting_calls(func) -> list[str]:
+    """The ``Counter(...)`` and ``from_rows(...)`` calls under a function."""
+    return sorted(f"{ast.unparse(node.func)} (line {node.lineno})"
+                  for node in ast.walk(func) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] in ("Counter", "from_rows"))
+
+
+QUOTIENT_BUILDERS = sorted(
+    [key for key in _functions() if key[0] == "reduction.py"
+     and key[1] != "full_hypergraph_lp"] + [("seqchannels.py", "_orbit_reduced_solve")])
+
+
+@pytest.mark.parametrize("key", QUOTIENT_BUILDERS,
+                         ids=[f"{m}:{f}" for m, f in QUOTIENT_BUILDERS])
+def test_quotients_have_one_array_counter(key):
+    # every quotient LP is built as CSR arrays: the closed-form rules by
+    # reduction._assemble, the enumerated rows by reduction.count_rows; a
+    # per-row Counter or CoveringLP.from_rows would be a second, per-entry
+    # way to build one (only the unreduced full_hypergraph_lp keeps from_rows)
+    calls = _counting_calls(_functions()[key])
     assert not calls, f"{key[0]}:{key[1]} calls {calls}"
