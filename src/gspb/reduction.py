@@ -25,9 +25,10 @@ raises QuotientUnavailable.
 
 Every quotient is built as arrays.  The magnitude classes are one int64
 array of compositions in lexicographic label order, and a moved
-composition finds its class by its mixed-radix key (``np.searchsorted``).
-Each family's rule emits (row, column, coefficient) triples, and one
-assembler (``_assemble``) sorts them into the CSR arrays.  Class sizes are
+composition finds its class by its lexicographic rank, shifted by a
+binomial coefficient.  Each family's rule emits (row, column, coefficient)
+triples, one per (row, column), and one assembler (``_assemble``) sorts
+them into the CSR arrays.  Class sizes are
 exact Python ints and labels are tuples; a partition's representatives and
 label map are built only when read.
 
@@ -191,19 +192,30 @@ def _z_rows(n: int, r: int):
 
 
 def _mover(comps: np.ndarray):
-    """``move(src, dst, mult)``: for each composition with a count at src,
-    its class, the class of that composition with one count moved to dst,
-    and mult times its count at src, as (row, column, coefficient) arrays.
-    A class is found by its mixed-radix key (base n + 1, the first count
-    most significant), which increases in the lexicographic label order."""
+    """``move(src, dst, mult)`` for neighbouring positions, dst = src +- 1:
+    for each composition with a count at src, its class, the class of that
+    composition with one count moved to dst, and mult times its count at
+    src, as (row, column, coefficient) arrays.
+
+    A class id is its composition's lexicographic rank.  Moving one count
+    from position s to s - 1 raises the rank by C(t - 1 + k, k), the number
+    of compositions of t - 1 into k + 1 parts, where t is the sum of the
+    counts from s on and k = parts - 1 - s (a hockey-stick identity); moving
+    one from s to s + 1 is the inverse step.  Every such number is at most
+    the class count, so the ids are exact in int64 at any n and q."""
+    parts = comps.shape[1]
     n = int(comps[0].sum())
-    place = (n + 1) ** np.arange(comps.shape[1] - 1, -1, -1, dtype=np.int64)
-    keys = comps @ place
+    table = np.array([[comb(m + k, k) for k in range(parts)] for m in range(n + 1)],
+                     dtype=np.int64)
+    suffix = np.cumsum(comps[:, ::-1], axis=1)[:, ::-1]
 
     def move(src: int, dst: int, mult: int = 1):
         at = np.flatnonzero(comps[:, src])
-        return (at, np.searchsorted(keys, keys[at] + place[dst] - place[src]),
-                mult * comps[at, src])
+        if dst == src - 1:
+            shift = table[suffix[at, src] - 1, parts - 1 - src]
+        else:
+            shift = -table[suffix[at, dst], parts - 1 - dst]
+        return at, at + shift, mult * comps[at, src]
     return move
 
 
@@ -241,49 +253,51 @@ def _sym_rows(comps: np.ndarray, q: int):
 
 def _projective_rows(n: int):
     """Dimension k meets k-1 in 2^k - 1 and k+1 in 2^(n-k) - 1 subspaces;
-    dimensions d and n-d share a class."""
+    dimensions d and n-d share a class, so for n = 2k the step up lands on
+    class k-1 beside the step down, and for n = 2k+1 on class k itself,
+    where its count is added."""
     rows, cols, coeffs = [], [], []
     for k in range(n // 2 + 1):
-        rows += [k, k]
-        cols += [k, min(k + 1, n - k - 1)]
-        coeffs += [1, (1 << (n - k)) - 1]
-        if k >= 1:
-            rows.append(k)
-            cols.append(k - 1)
-            coeffs.append((1 << k) - 1)
+        down, up = (1 << k) - 1, (1 << (n - k)) - 1
+        if n == 2 * k:
+            row = {k - 1: down + up, k: 1}
+        elif n == 2 * k + 1:
+            row = {k - 1: down, k: 1 + up}
+        else:
+            row = {k - 1: down, k: 1, k + 1: up}
+        if k == 0:
+            del row[-1]
+        rows += [k] * len(row)
+        cols += row.keys()
+        coeffs += row.values()
     return rows, cols, coeffs
 
 
 def _indptr(rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """CSR row offsets of entries stored in nondecreasing row order."""
+    """CSR row offsets of entries with these row ids, once sorted by row."""
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
     return indptr
 
 
 def _assemble(rows, cols, coeffs, shape: tuple[int, int]) -> linsolve.Csr:
-    """CSR arrays of (row, column, coefficient) triples, sorted by row and
-    then column; the coefficients of a repeated (row, column) are added in
-    Python ints.  The data is int64, or Python ints past int64."""
+    """CSR arrays of (row, column, coefficient) triples, no two at the same
+    (row, column), sorted by row and then column.  The data is int64, or
+    Python ints past int64."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    data = linsolve.int_array(coeffs)
     order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    if not first.all():
-        starts = np.flatnonzero(first)
-        data = linsolve.int_array(np.add.reduceat(data.astype(object), starts).tolist())
-        rows, cols = rows[starts], cols[starts]
-    return linsolve.Csr(_indptr(rows, shape[0]), cols, data, shape)
+    return linsolve.Csr(_indptr(rows, shape[0]), cols[order],
+                        linsolve.int_array(coeffs)[order], shape)
 
 
 def count_rows(indptr, members, num_classes: int) -> linsolve.Csr:
     """One row per ball, ball i being the class ids
     ``members[indptr[i]:indptr[i+1]]`` of its members: each class meeting
     it, with the number of the ball's members in that class, sorted by
-    class, as int64 CSR arrays."""
+    class, as int64 CSR arrays.  Each entry is found by its key
+    row * num_classes + class, which int64 holds for any ball list that
+    fits in memory (num_rows and num_classes below 3e9)."""
     indptr = np.asarray(indptr, dtype=np.int64)
     num_rows = len(indptr) - 1
     row = np.repeat(np.arange(num_rows, dtype=np.int64), np.diff(indptr))

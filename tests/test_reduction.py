@@ -184,6 +184,26 @@ def test_failed_rule_check_fails_every_time(monkeypatch, capsys):
     assert code == 3 and "disagrees" in capsys.readouterr().err
 
 
+def test_unmerged_projective_rule_is_refused(monkeypatch):
+    # the assembler adds no repeated entries: a projective rule that leaves
+    # its step up beside its step down at n = 2k (the probe n = 4) emits two
+    # entries at one (row, column), and the rule check refuses it
+    def unmerged(n):
+        rows, cols, coeffs = [], [], []
+        for k in range(n // 2 + 1):
+            entries = [(k, 1), (min(k + 1, n - k - 1), (1 << (n - k)) - 1)]
+            if k >= 1:
+                entries.append((k - 1, (1 << k) - 1))
+            rows += [k] * len(entries)
+            cols += [j for j, _ in entries]
+            coeffs += [a for _, a in entries]
+        return rows, cols, coeffs
+    monkeypatch.setattr(reduction, "_projective_rows", unmerged)
+    for n in (4, 6):
+        with pytest.raises(GspbError, match="disagrees"):
+            reduction.quotient_matrix(ChannelSpec("projective", n=n))
+
+
 def test_quotients_refuse_radius_two():
     for spec in (ChannelSpec("mag_asym", n=3, r=2, q=3),
                  ChannelSpec("mag_sym", n=3, r=2, q=3),
@@ -347,3 +367,16 @@ def test_z_and_projective_rules_match_the_row_list_rules(family, r, top):
     # stay Python ints, as from_rows keeps them
     for n in range(max(r, 2 if family == "projective" else 1), top + 1):
         _assert_matches_reference(ChannelSpec(family, n=n, r=r))
+
+
+@pytest.mark.parametrize("family,n,q", [("mag_asym", 2, 45), ("mag_asym", 3, 33),
+                                        ("mag_sym", 2, 81), ("mag_sym", 4, 55),
+                                        ("mag_asym", 5, 25)])
+def test_array_rules_hold_where_radix_keys_pass_int64(family, n, q):
+    # n (n+1)^(parts-1), the largest base-(n+1) key of a composition, passes
+    # 2^63 here; at mag_sym n=4 q=55 and mag_asym n=5 q=25 the probe's keys
+    # stay below it, so the rule check alone would not see a wrapped key.
+    # The class ids are lexicographic ranks and never pass the class count.
+    parts = q if family == "mag_asym" else (q + 1) // 2
+    assert n * (n + 1) ** (parts - 1) >= 1 << 63
+    _assert_matches_reference(ChannelSpec(family, n=n, q=q))
