@@ -1,4 +1,4 @@
-"""Channel-agnostic bounds and report assembly.
+"""Channel-agnostic bounds, each family's routes, and report assembly.
 
 Four quantities appear per instance, each exact:
 
@@ -8,9 +8,14 @@ Four quantities appear per instance, each exact:
 * CLOSED -- the family's improved hand transversal total, where one exists
 * GSPB   -- the covering-LP optimum itself
 
+``family_routes`` is the one place that says how each family computes them
+and what ``gspb verify`` checks; the report, ``monotonicity_bound``,
+``aspv`` and the command line read it.  A magnitude instance builds its
+quotient once, and refuses one past the enumeration cap before building it.
+
 Reports keep exact rationals and integer floors side by side and attach the
-published comparison columns with their source tags.  MB, CLOSED and GSPB
-pass ``channels.check_radius``; ASPV enumerates balls at any radius.
+published comparison columns with their source tags.  MB, CLOSED, GSPB and
+``verify`` pass ``channels.check_radius``; ASPV enumerates balls at any radius.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ from fractions import Fraction
 
 from . import (exactlp, magnitude, projective, reduction, refdata, seqchannels,
                zchannel)
-from .channels import (DEFAULT_ENUM_CAP, CapExceeded, ChannelSpec, GspbError,
+from .channels import (DEFAULT_ENUM_CAP, MAGNITUDE_FAMILIES, CapExceeded,
+                       ChannelSpec, EnumerationCapExceeded, GspbError,
                        NotMonotoneError, average_ball_size, ball_centers,
                        check_radius, enumerate_vertices, out_ball,
                        vertex_count)
+from .exactlp import fmt_frac
 from .kernels import run_stats
 
 
@@ -67,7 +74,7 @@ class BoundReport:
             return {
                 "num": e.value.numerator,
                 "den": e.value.denominator,
-                "approx": float(e.value),
+                "approx": exactlp.approx(e.value),  # null past the float range
                 "floor": e.floor,
                 "certified": e.certified,
                 "note": e.note,
@@ -84,6 +91,108 @@ class BoundReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# each family's routes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Routes:
+    """One instance's routes, each computed when called, none checking the
+    radius.  ``mb`` is None where the family is not monotone, ``aspv`` where
+    ASPV is enumerated, ``closed`` where there is no hand transversal.
+    ``gspb`` gives the optimum and its note; ``lp``, ``weights`` (and their
+    label) and ``certificate`` are what ``gspb verify`` checks and prints."""
+
+    gspb: Callable[[], tuple[Fraction, str]]
+    mb: Callable[[], Fraction] | None = None
+    aspv: Callable[[], Fraction] | None = None
+    closed: Callable[[], Fraction] | None = None
+    lp: Callable[[], exactlp.CoveringLP | exactlp.RowBlocks] | None = None
+    weights: Callable[[], tuple[exactlp.Scaled | list[Fraction], str]] | None = None
+    certificate: Callable[[], str] = lambda: ""
+
+
+def family_routes(spec: ChannelSpec, lp_cap: int = seqchannels.DEFAULT_LP_CAP,
+                  enum_cap: int = DEFAULT_ENUM_CAP) -> Routes:
+    """Every route of one instance.  The closed-form ASPVs hold at radius 1
+    (z's at every radius); elsewhere ASPV is enumerated."""
+    fam, n, r, q = spec.family, spec.n, spec.r, spec.q
+    single = r == 1
+    if fam == "z":
+        solve = functools.cache(lambda: zchannel.z_gspb(n, r))
+
+        def z_certificate():
+            value = solve().optimum
+            return (f"certified optimal, value {fmt_frac(value)} "
+                    f"(floor {value.numerator // value.denominator})")
+
+        return Routes(
+            lambda: (solve().optimum, f"path: {solve().method}"),
+            mb=lambda: zchannel.z_mb(n, r),
+            aspv=lambda: zchannel.z_aspv(n, r),
+            lp=lambda: zchannel.z_quotient_lp(n, r),
+            # radius n already covers every ball (zchannel.z_gspb)
+            weights=lambda: (zchannel.z_weights_recursive(n, min(r, n)).scaled,
+                             "closed-form weights"),
+            certificate=z_certificate)
+    if fam in MAGNITUDE_FAMILIES:
+        asym = fam == "mag_asym"
+        quotient = functools.cache(lambda: _magnitude_quotient(spec, enum_cap))
+        transversal = functools.cache(lambda: magnitude.closed_transversal(quotient()))
+        closed_aspv = magnitude.asym_aspv if asym else magnitude.sym_aspv
+        return Routes(
+            lambda: (magnitude.quotient_gspb(quotient()).optimum, ""),
+            mb=(lambda: magnitude.asym_mb(n, q)) if asym else None,
+            aspv=(lambda: closed_aspv(n, q)) if single else None,
+            closed=lambda: transversal().bound,
+            lp=lambda: quotient().lp,
+            weights=lambda: (transversal().scaled, "improved class transversal"
+                             if asym else "class transversal"))
+    if fam == "deletion":
+        return Routes(
+            lambda: (seqchannels.deletion_full_gspb(n, lp_cap, enum_cap).optimum,
+                     "full covering LP"),
+            mb=lambda: seqchannels.deletion_mb(n),
+            aspv=(lambda: seqchannels.deletion_aspv(n)) if single else None,
+            closed=lambda: seqchannels.deletion_bound(n),
+            lp=lambda: seqchannels.ball_blocks(fam, n, enum_cap),
+            weights=lambda: (seqchannels.profile_weights(n - 1),
+                             "run-profile transversal"))
+    if fam == "grain":
+        return Routes(
+            lambda: (seqchannels.grain_full_gspb(n, lp_cap, enum_cap).optimum,
+                     "full covering LP (artifact-computed; no published column)"),
+            mb=lambda: seqchannels.grain_mb(n),
+            aspv=(lambda: seqchannels.grain_aspv(n)) if single else None,
+            closed=lambda: seqchannels.grain_bound(n),
+            lp=lambda: seqchannels.ball_blocks(fam, n, enum_cap),
+            weights=lambda: (seqchannels.profile_weights(n),
+                             "run-profile transversal"))
+    if fam == "projective":
+        solve = functools.cache(lambda: projective.projective_gspb(n))
+        return Routes(
+            lambda: (solve().optimum, solve().notes),
+            aspv=(lambda: projective.projective_aspv(n)) if single else None,
+            lp=lambda: projective.projective_lp(n),
+            weights=lambda: (projective.greedy_weights(n).w, "greedy weights"),
+            certificate=lambda: f"certificate: {solve().method}")
+    # explicit graphs: the unreduced covering LP, and MB by enumeration
+    return Routes(
+        lambda: (exactlp.solve_min_transversal(
+            reduction.full_hypergraph_lp(spec, cap=enum_cap)).optimum, ""),
+        mb=lambda: _enumerated_mb(spec, enum_cap))
+
+
+def _magnitude_quotient(spec: ChannelSpec, cap: int) -> reduction.QuotientLP:
+    """The quotient LP, refused before any class is built when the class
+    count passes the cap."""
+    classes = reduction.magnitude_class_count(spec)
+    if classes > cap:
+        raise EnumerationCapExceeded(
+            f"{classes} {spec.family} classes exceed the enumeration cap {cap}")
+    return reduction.quotient_matrix(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +223,13 @@ def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
 def monotonicity_bound(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Sum of reciprocal degrees; refused when the graph is not monotone."""
     check_radius(spec)
-    fam = spec.family
-    if fam == "z":
-        return zchannel.z_mb(spec.n, spec.r)
-    if fam == "mag_asym":
-        return magnitude.asym_mb(spec.n, spec.q)
-    if fam == "deletion":
-        return seqchannels.deletion_mb(spec.n)
-    if fam == "grain":
-        return seqchannels.grain_mb(spec.n)
-    if fam in ("mag_sym", "projective"):
-        raise NotMonotoneError(f"{fam} graphs are not monotone; no MB")
+    mb = family_routes(spec, enum_cap=cap).mb
+    if mb is None:
+        raise NotMonotoneError(f"{spec.family} graphs are not monotone; no MB")
+    return mb()
+
+
+def _enumerated_mb(spec: ChannelSpec, cap: int) -> Fraction:
     if not check_monotone(spec, cap):
         raise NotMonotoneError("graph fails the monotonicity check; no MB")
     return sum(
@@ -153,22 +258,11 @@ def lemma3_transversal(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP):
 
 
 def aspv(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """Vertex count over mean ball size; a value, not automatically a bound."""
-    fam = spec.family
-    if fam == "z":
-        return zchannel.z_aspv(spec.n, spec.r)
-    if spec.r == 1:
-        if fam == "mag_asym":
-            return magnitude.asym_aspv(spec.n, spec.q)
-        if fam == "mag_sym":
-            return magnitude.sym_aspv(spec.n, spec.q)
-        if fam == "deletion":
-            return seqchannels.deletion_aspv(spec.n)
-        if fam == "grain":
-            return seqchannels.grain_aspv(spec.n)
-        if fam == "projective":
-            return projective.projective_aspv(spec.n)
-    # explicit graphs and larger radii: direct enumeration
+    """Vertex count over mean ball size; a value, not automatically a bound.
+    Without a closed form the balls are enumerated."""
+    closed_form = family_routes(spec, enum_cap=cap).aspv
+    if closed_form is not None:
+        return closed_form()
     return vertex_count(spec) / average_ball_size(spec, cap)
 
 
@@ -189,72 +283,27 @@ def assemble_report(spec: ChannelSpec,
     report = BoundReport(spec=spec)
     report.reference_values = refdata.reference_values(
         spec.family, spec.n, spec.r)
+    routes = family_routes(spec, lp_cap, enum_cap)
 
-    def put(name, thunk, note="", any_radius=False):
+    def put(name, thunk, any_radius=False):
+        """Record ``thunk()``, a (value, note) pair, or its refusal."""
         try:
             if not any_radius:
                 check_radius(spec)
-            value = thunk()
+            entry = BoundEntry(name, *thunk())
         except GspbError as exc:
-            report.entries[name] = _refused(name, exc)
-            return
-        report.entries[name] = BoundEntry(name, value, note)
+            entry = BoundEntry(name, None, str(exc),
+                               capped=isinstance(exc, CapExceeded))
+        report.entries[name] = entry
 
-    fam = spec.family
-    if fam == "grain":
-        put("mb", lambda: Fraction(seqchannels.grain_mb(spec.n, True)),
-            note="even-rounded variant")
+    if spec.family == "grain":
+        put("mb", lambda: (Fraction(seqchannels.grain_mb(spec.n, True)),
+                           "even-rounded variant"))
     else:
-        put("mb", lambda: monotonicity_bound(spec, enum_cap))
-    put("aspv", lambda: aspv(spec, enum_cap), note="value, not bound",
-        any_radius=True)
-
-    # a magnitude report builds its quotient once, for CLOSED and GSPB, and
-    # only inside their entries, after the radius check
-    quotient = functools.cache(lambda: reduction.quotient_matrix(spec))
-    if fam in ("mag_asym", "mag_sym"):
-        put("closed", lambda: magnitude.closed_transversal(quotient()).bound)
-    elif fam == "deletion":
-        put("closed", lambda: seqchannels.deletion_bound(spec.n))
-    elif fam == "grain":
-        put("closed", lambda: seqchannels.grain_bound(spec.n))
-
+        put("mb", lambda: (monotonicity_bound(spec, enum_cap), ""))
+    put("aspv", lambda: (aspv(spec, enum_cap), "value, not bound"), any_radius=True)
+    if routes.closed is not None:
+        put("closed", lambda: (routes.closed(), ""))
     if include_gspb:
-        try:
-            value, note = _gspb_value(spec, lp_cap, enum_cap, quotient)
-        except GspbError as exc:
-            report.entries["gspb"] = _refused("gspb", exc)
-        else:
-            report.entries["gspb"] = BoundEntry("gspb", value, note)
+        put("gspb", routes.gspb)
     return report
-
-
-def _gspb_value(spec: ChannelSpec, lp_cap: int, enum_cap: int,
-                quotient: Callable[[], reduction.QuotientLP]) -> tuple[Fraction, str]:
-    """The certified covering optimum of one instance, and its note;
-    ``quotient()`` gives a magnitude instance's quotient LP."""
-    check_radius(spec)
-    fam, note = spec.family, ""
-    if fam == "z":
-        sol = zchannel.z_gspb(spec.n, spec.r)
-        note = f"path: {sol.method}"
-    elif fam in ("mag_asym", "mag_sym"):
-        sol = magnitude.quotient_gspb(quotient())
-    elif fam == "deletion":
-        sol = seqchannels.deletion_full_gspb(spec.n, lp_cap, enum_cap)
-        note = "full covering LP"
-    elif fam == "grain":
-        sol = seqchannels.grain_full_gspb(spec.n, lp_cap, enum_cap)
-        note = "full covering LP (artifact-computed; no published column)"
-    elif fam == "projective":
-        sol = projective.projective_gspb(spec.n)
-        note = sol.notes
-    else:  # explicit graphs: the unreduced covering LP
-        sol = exactlp.solve_min_transversal(
-            reduction.full_hypergraph_lp(spec, cap=enum_cap))
-    return sol.optimum, note
-
-
-def _refused(name: str, exc: GspbError) -> BoundEntry:
-    return BoundEntry(name, None, str(exc),
-                      capped=isinstance(exc, CapExceeded))

@@ -27,6 +27,7 @@ from itertools import combinations
 from math import comb
 
 FAMILIES = ("z", "mag_asym", "mag_sym", "deletion", "grain", "projective", "explicit")
+MAGNITUDE_FAMILIES = ("mag_asym", "mag_sym")  # the families with an alphabet size q
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -77,7 +78,7 @@ class ChannelSpec:
             raise ValueError("n must be >= 1")
         if self.r < 1:
             raise ValueError("r must be >= 1")
-        if self.family in ("mag_asym", "mag_sym"):
+        if self.family in MAGNITUDE_FAMILIES:
             if self.q is None or self.q < 2:
                 raise ValueError("magnitude channels need q >= 2")
         elif self.family == "projective":
@@ -130,7 +131,7 @@ def vertex_count(spec: ChannelSpec) -> int:
         return 1 << spec.n
     if spec.family == "deletion":
         return 1 << (spec.n - 1)
-    if spec.family in ("mag_asym", "mag_sym"):
+    if spec.family in MAGNITUDE_FAMILIES:
         return spec.q ** spec.n
     if spec.family == "projective":
         return sum(gaussian_binomial(spec.n, k) for k in range(spec.n + 1))
@@ -148,7 +149,7 @@ def enumerate_vertices(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
         return list(range(1 << spec.n))
     if spec.family == "deletion":
         return list(range(1 << (spec.n - 1)))
-    if spec.family in ("mag_asym", "mag_sym"):
+    if spec.family in MAGNITUDE_FAMILIES:
         return _qary_words(spec.n, spec.q)
     if spec.family == "projective":
         return enumerate_subspaces(spec.n)

@@ -3,21 +3,21 @@
 Verbs: compute, table, verify, oracle, fixtures.  Exit codes: 0 success,
 2 usage error, 3 refusal (invalid column/family combination, non-monotone
 graph, no quotient), 4 resource cap exceeded.  All configuration flows
-through flags.
+through flags.  The reports, the table's columns and what ``verify``
+checks come from ``bounds.family_routes``; this module names a family only
+in its ``--family`` map.  A refusal leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import (bounds, exactlp, magnitude, oracle, projective, reduction, refdata,
-               seqchannels, zchannel)
+from . import bounds, exactlp, oracle, refdata, seqchannels
 from .channels import (CapExceeded, ChannelSpec, FIXTURES, GspbError,
-                       DEFAULT_ENUM_CAP, check_radius)
+                       DEFAULT_ENUM_CAP, MAGNITUDE_FAMILIES, check_radius)
 from .exactlp import fmt_frac
 
 EXIT_OK = 0
@@ -30,22 +30,11 @@ FAMILY_NAMES = {
     "deletion": "deletion", "grain": "grain", "projective": "projective",
 }
 
-VALID_COLUMNS = {
-    "z": ("MB", "ASPV", "GSPB", "REF"),
-    "mag_asym": ("MB", "ASPV", "CLOSED", "GSPB"),
-    "mag_sym": ("ASPV", "CLOSED", "GSPB"),
-    "deletion": ("MB", "ASPV", "CLOSED", "GSPB", "REF"),
-    "grain": ("MB", "ASPV", "CLOSED", "GSPB", "REF"),
-    "projective": ("ASPV", "GSPB", "REF"),
-}
-
-_COLUMN_TO_ENTRY = {"MB": "mb", "ASPV": "aspv", "CLOSED": "closed", "GSPB": "gspb"}
-
 
 def _spec_from_args(args, n: int) -> ChannelSpec:
     family = FAMILY_NAMES[args.family]
     q = args.q
-    if family in ("mag_asym", "mag_sym"):
+    if family in MAGNITUDE_FAMILIES:
         if q is None:
             raise GspbError(f"--q is required for {args.family}")
     elif q is not None:
@@ -62,10 +51,9 @@ def cmd_compute(args) -> int:
     report = bounds.assemble_report(
         spec, lp_cap=args.lp_cap, enum_cap=args.enum_cap,
         include_gspb=args.bound == "gspb" or args.format == "json")
-    name = _COLUMN_TO_ENTRY.get(args.bound.upper())
-    if name is None or name not in report.entries:
+    if args.bound not in report.entries:
         raise GspbError(f"bound {args.bound!r} is not available for {args.family}")
-    entry = report.entry(name)
+    entry = report.entry(args.bound)
     if entry.value is None:
         if entry.capped:
             raise CapExceeded(entry.note)
@@ -109,19 +97,28 @@ def _cell(report, column: str, exact: bool) -> str:
         ref = refdata.primary_reference(report.spec.family, report.spec.n,
                                         report.spec.r)
         return "?" if ref is None else str(ref[1])
-    entry = report.entries.get(_COLUMN_TO_ENTRY[column])
+    entry = report.entries.get(column.lower())
     if entry is None or entry.value is None:
         return "?"
     return fmt_frac(entry.value) if exact else str(entry.floor)
 
 
+def _columns(spec: ChannelSpec) -> list[str]:
+    """The table columns of a family: MB where it is monotone, CLOSED where
+    it has a hand transversal, REF where the literature has a column."""
+    routes = bounds.family_routes(spec)
+    return [column for column, present in (
+        ("MB", routes.mb is not None), ("ASPV", True),
+        ("CLOSED", routes.closed is not None), ("GSPB", True),
+        ("REF", spec.family in refdata.COLUMN_FAMILIES)) if present]
+
+
 def cmd_table(args) -> int:
-    family = FAMILY_NAMES[args.family]
     specs = [_spec_from_args(args, n)
              for n in range(args.n_from, args.n_to + 1)]
-    valid = VALID_COLUMNS[family]
+    valid = _columns(_spec_from_args(args, args.n_from))
     args.columns_list = ([c.strip().upper() for c in args.columns.split(",")]
-                         if args.columns else list(valid))
+                         if args.columns else valid)
     for c in args.columns_list:
         if c not in valid:
             raise GspbError(f"column {c} is not valid for {args.family}")
@@ -161,44 +158,11 @@ def cmd_table(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _family_lp(spec: ChannelSpec, enum_cap: int,
-               quotient) -> exactlp.CoveringLP | exactlp.RowBlocks:
-    """The LP ``verify`` checks; ``quotient()`` gives a magnitude family's
-    quotient LP."""
-    check_radius(spec)
-    fam = spec.family
-    if fam == "z":
-        return zchannel.z_quotient_lp(spec.n, spec.r)
-    if fam in ("mag_asym", "mag_sym"):
-        return quotient().lp
-    if fam in ("deletion", "grain"):
-        return seqchannels.ball_blocks(fam, spec.n, enum_cap)
-    return projective.projective_lp(spec.n)
-
-
-def _default_weights(spec: ChannelSpec, quotient):
-    fam = spec.family
-    if fam == "z":
-        # radius n already covers every ball (zchannel.z_gspb)
-        return (zchannel.z_weights_recursive(spec.n, min(spec.r, spec.n)).scaled,
-                "closed-form weights")
-    if fam in ("mag_asym", "mag_sym"):
-        label = "improved class transversal" if fam == "mag_asym" else "class transversal"
-        return magnitude.closed_transversal(quotient()).scaled, label
-    if fam == "deletion":
-        return (seqchannels.profile_weights(spec.n - 1),
-                "run-profile transversal")
-    if fam == "grain":
-        return (seqchannels.profile_weights(spec.n),
-                "run-profile transversal")
-    return projective.greedy_weights(spec.n).w, "greedy weights"
-
-
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args, args.n)
-    # a magnitude family's quotient serves both the LP and the hand weights
-    quotient = functools.cache(lambda: reduction.quotient_matrix(spec))
-    lp = _family_lp(spec, args.enum_cap, quotient)
+    check_radius(spec)
+    routes = bounds.family_routes(spec, args.lp_cap, args.enum_cap)
+    lp = routes.lp()
     if args.weights_file:
         with open(args.weights_file) as fh:
             tokens = fh.read().split()
@@ -208,22 +172,24 @@ def cmd_verify(args) -> int:
             raise GspbError(f"malformed weights file: {exc}") from exc
         label = args.weights_file
     else:
-        weights, label = _default_weights(spec, quotient)
+        weights, label = routes.weights()
     report = exactlp.verify_transversal(lp, weights)
+    # the certificate may refuse, and a refusal prints nothing
+    cert = "" if args.weights_file or not report.feasible else routes.certificate()
     status = "feasible" if report.feasible else "infeasible"
     print(f"{args.family} n={args.n} r={args.r}: {label} {status} "
           f"over {lp.num_rows} constraints")
     if report.feasible:
         value = report.bound
-        floor = value.numerator // value.denominator
-        line = f"  bound {fmt_frac(value)} (~{float(value):.4f}, floor {floor})"
+        approx = exactlp.approx(value)
+        shown = "" if approx is None else f"~{approx:.4f}, "
+        line = (f"  bound {fmt_frac(value)} ({shown}"
+                f"floor {value.numerator // value.denominator})")
         line += (f"; tight rows {len(report.tight_rows)}, "
                  f"min slack {fmt_frac(report.min_slack)}")
         print(line)
-        if not args.weights_file:
-            cert = _certificate_line(spec)
-            if cert:
-                print(f"  {cert}")
+        if cert:
+            print(f"  {cert}")
     else:
         print(f"  violated rows {report.num_violated} "
               f"(first: {report.violated_rows[:8]}), min slack "
@@ -232,16 +198,6 @@ def cmd_verify(args) -> int:
             print(f"  negative weights {len(report.negative_entries)} "
                   f"(first: {report.negative_entries[:8]})")
     return EXIT_OK if report.feasible or args.weights_file else EXIT_REFUSED
-
-
-def _certificate_line(spec: ChannelSpec) -> str:
-    if spec.family == "z":
-        value = zchannel.z_gspb(spec.n, spec.r).optimum
-        return f"certified optimal, value {fmt_frac(value)} " \
-               f"(floor {value.numerator // value.denominator})"
-    if spec.family == "projective":
-        return f"certificate: {projective.projective_gspb(spec.n).method}"
-    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -596,3 +596,11 @@ def solve_min_transversal(lp: CoveringLP, simplex: bool = False) -> LPSolution:
 def fmt_frac(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def approx(x: Fraction) -> float | None:
+    """``float(x)``, or None for a value past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None

@@ -12,8 +12,8 @@ simplex, which is faster than the interior point (``ipm``) on these small
 LPs; ``exactlp.float_presolve`` hands HiGHS the model directly, as
 ``linprog``'s wrapper would cost more than the solve.  The helpers that
 read a built quotient, ``closed_transversal`` and ``quotient_gspb``, let one
-report build its quotient once for both CLOSED and GSPB
-(``bounds.assemble_report``); the functions of (n, q) build it per call.
+instance build its quotient once for CLOSED, GSPB and ``gspb verify``
+(``bounds.family_routes``); the functions of (n, q) build it per call.
 """
 
 from __future__ import annotations

@@ -52,9 +52,9 @@ from math import comb, factorial, prod
 import numpy as np
 
 from . import exactlp, linsolve
-from .channels import (DEFAULT_ENUM_CAP, ChannelSpec, GspbError,
-                       QuotientUnavailable, build_hypergraph, check_radius,
-                       gaussian_binomial, out_ball)
+from .channels import (DEFAULT_ENUM_CAP, MAGNITUDE_FAMILIES, ChannelSpec,
+                       GspbError, QuotientUnavailable, build_hypergraph,
+                       check_radius, gaussian_binomial, out_ball)
 
 
 @dataclass
@@ -124,6 +124,17 @@ def _folded_labels(q: int) -> int:
     return (q + 1) // 2
 
 
+def _label_length(spec: ChannelSpec) -> int:
+    """Parts of a magnitude class label: one per value, or per folded pair."""
+    return spec.q if spec.family == "mag_asym" else _folded_labels(spec.q)
+
+
+def magnitude_class_count(spec: ChannelSpec) -> int:
+    """The number of magnitude classes, known before any is built."""
+    parts = _label_length(spec)
+    return comb(spec.n + parts - 1, parts - 1)
+
+
 def _invariant(spec: ChannelSpec, vertex):
     fam = spec.family
     if fam == "z":
@@ -150,9 +161,8 @@ def partition_by_canonical_form(spec: ChannelSpec) -> ClassPartition:
     if fam == "z":
         labels = list(range(n + 1))
         return ClassPartition(spec, labels, [comb(n, k) for k in labels])
-    if fam in ("mag_asym", "mag_sym"):
-        parts = spec.q if fam == "mag_asym" else _folded_labels(spec.q)
-        comps = _compositions(n, parts)
+    if fam in MAGNITUDE_FAMILIES:
+        comps = _compositions(n, _label_length(spec))
         labels = list(map(tuple, comps.tolist()))
         sizes = _multinomials(n, labels)
         if fam == "mag_sym":

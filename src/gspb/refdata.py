@@ -38,6 +38,9 @@ _GRAIN_LB = [
 _BVP = [6, 20, 124, 776, 9268, 107419]
 
 
+COLUMN_FAMILIES = ("z", "deletion", "grain", "projective")  # with a REF column
+
+
 def reference_values(family: str, n: int, r: int = 1) -> dict[str, int]:
     """Source-tagged external column values for one instance; may be empty."""
     out: dict[str, int] = {}

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gspb import bounds, cli, exactlp, oracle, reduction, seqchannels
-from gspb.channels import ChannelSpec
+from gspb import bounds, cli, exactlp, oracle, projective, reduction, seqchannels
+from gspb.channels import MAGNITUDE_FAMILIES, ChannelSpec
 
 
 def run(capsys, *argv):
@@ -417,6 +417,91 @@ def test_projective_past_int64_is_a_typed_refusal():
     assert "64-bit coefficient" in out[64].stderr
     assert out[63].returncode == 0 and out[63].stderr == ""
     assert int(out[63].stdout.split()[0]) > 2**63
+
+
+def test_values_past_the_float_range_print(capsys, tmp_path):
+    # the subspace ASPV at n=66 and the greedy total at n=70 pass the float
+    # range: JSON carries "approx": null and verify leaves out the "~"
+    code, out, _ = run(capsys, "compute", "--family", "projective", "--n", "66",
+                       "--bound", "aspv", "--format", "json")
+    assert code == 0
+    entry = json.loads(out, parse_constant=lambda c: pytest.fail(c))["bounds"]["aspv"]
+    assert entry["approx"] is None
+    assert Fraction(entry["num"], entry["den"]) == projective.projective_aspv(66)
+    wf = tmp_path / "w.txt"
+    wf.write_text(" ".join(map(exactlp.fmt_frac, projective.greedy_weights(70).w)))
+    code, out, _ = run(capsys, "verify", "--family", "projective", "--n", "70",
+                       "--weights-file", str(wf))
+    bound = projective.greedy_weights(70).bound()
+    assert code == 0 and "~" not in out
+    assert (f"  bound {exactlp.fmt_frac(bound)} "
+            f"(floor {bound.numerator // bound.denominator}); tight rows") in out
+
+
+def test_verify_refuses_before_printing(capsys):
+    # the greedy weights pass at n=64, but the certificate's exact solve
+    # refuses the 64-bit coefficient: a refusal leaves stdout empty
+    code, out, err = run(capsys, "verify", "--family", "projective", "--n", "64")
+    assert code == 3 and out == ""
+    assert err.startswith("refused: ") and "64-bit coefficient" in err
+
+
+@pytest.mark.parametrize("family", sorted(cli.FAMILY_NAMES))
+def test_table_columns_follow_the_report(capsys, family):
+    # MB unless the report refuses it as not monotone; CLOSED exactly where
+    # the report has a closed entry
+    q = 3 if cli.FAMILY_NAMES[family] in MAGNITUDE_FAMILIES else None
+    extra = ("--q", str(q)) if q else ()
+    code, out, _ = run(capsys, "table", "--family", family, *extra,
+                       "--n-from", "5", "--n-to", "5", "--format", "csv")
+    columns = out.splitlines()[0].split(",")[1:]
+    report = bounds.assemble_report(ChannelSpec(cli.FAMILY_NAMES[family], n=5, q=q))
+    mb = report.entry("mb")
+    assert code == 0 and {"ASPV", "GSPB"} <= set(columns)
+    assert ("MB" in columns) == (mb.certified or "not monotone" not in mb.note)
+    assert ("CLOSED" in columns) == ("closed" in report.entries)
+
+
+def test_magnitude_classes_honour_the_enum_cap(capsys):
+    # mag-asym q=4 n=11 has C(14, 3) = 364 classes
+    argv = ("compute", "--family", "mag-asym", "--q", "4", "--n", "11",
+            "--bound", "gspb")
+    code, out, err = run(capsys, *argv, "--enum-cap", "363")
+    assert code == 4 and out == ""
+    assert err == ("resource cap: 364 mag_asym classes exceed the "
+                   "enumeration cap 363\n")
+    code, out, _ = run(capsys, *argv, "--enum-cap", "364")
+    assert code == 0 and out.split()[0] == str(
+        bounds.assemble_report(ChannelSpec("mag_asym", n=11, q=4)).entry("gspb").floor)
+
+
+CLASS_CAP_CHILD = """
+import resource
+from gspb import bounds, cli
+from gspb.channels import ChannelSpec
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+print(cli.main(["compute", "--family", "mag-asym", "--q", "12", "--n", "30",
+                "--bound", "closed"]))
+print(cli.main(["verify", "--family", "mag-sym", "--q", "23", "--n", "30"]))
+report = bounds.assemble_report(ChannelSpec("mag_asym", n=30, q=12))
+print([name for name, entry in report.entries.items() if entry.capped])
+"""
+
+
+def test_class_count_cap_refuses_before_allocating():
+    # C(41, 11) = 3159461968 compositions would need hundreds of GiB; under
+    # a 1 GiB address space the quotient is refused before any class is
+    # built, and the CLI exits 4 (set up as in the row-cap test below)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", CLASS_CAP_CHILD], cwd=src,
+                         env=env, capture_output=True, text=True, timeout=120)
+    cap = "3159461968 {} classes exceed the enumeration cap 4194304"
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "4\n4\n['closed', 'gspb']\n"
+    assert out.stderr == (f"resource cap: {cap.format('mag_asym')}\n"
+                          f"resource cap: {cap.format('mag_sym')}\n")
 
 
 ROW_CAP_CHILD = """

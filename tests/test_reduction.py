@@ -19,8 +19,9 @@ def test_z_partition_sizes():
 
 
 def test_asym_partition_count():
-    part = reduction.partition_by_canonical_form(ChannelSpec("mag_asym", n=5, q=3))
-    assert part.num_classes == comb(7, 2) == 21
+    spec = ChannelSpec("mag_asym", n=5, q=3)
+    part = reduction.partition_by_canonical_form(spec)
+    assert part.num_classes == comb(7, 2) == 21 == reduction.magnitude_class_count(spec)
     assert sum(part.sizes) == 3**5
 
 
@@ -28,6 +29,10 @@ def test_sym_partition_count():
     part = reduction.partition_by_canonical_form(ChannelSpec("mag_sym", n=3, q=4))
     assert part.num_classes == comb(4, 1) == 4
     assert sum(part.sizes) == 4**3
+    # the count the enumeration cap reads, for even and odd q
+    for spec in (ChannelSpec("mag_sym", n=3, q=4), ChannelSpec("mag_sym", n=6, q=5)):
+        assert reduction.magnitude_class_count(spec) == len(
+            reduction.partition_by_canonical_form(spec).labels)
 
 
 def test_partition_sizes_match_enumeration():

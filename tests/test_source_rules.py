@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gspb
+from gspb.channels import FAMILIES
 
 SOURCES = sorted(Path(gspb.__file__).resolve().parent.glob("*.py"))
 
@@ -146,7 +147,7 @@ STREAMED = [("seqchannels.py", "verify_deletion_transversal"),
             ("seqchannels.py", "verify_grain_transversal"),
             ("seqchannels.py", "_orbit_reduced_solve"),
             ("bounds.py", "check_monotone"),
-            ("cli.py", "cmd_verify"), ("cli.py", "_family_lp")]
+            ("cli.py", "cmd_verify"), ("bounds.py", "family_routes")]
 
 
 @pytest.mark.parametrize("key", STREAMED, ids=[f"{m}:{f}" for m, f in STREAMED])
@@ -156,6 +157,21 @@ def test_full_lp_checks_read_row_blocks(key):
     full = sorted(name for name in _called_names(_functions()[key])
                   if name.endswith("_full_lp"))
     assert not full, f"{key[0]}:{key[1]} calls {full}"
+
+
+def test_cli_names_families_only_in_its_spelling_map():
+    # every family's routes live in bounds.family_routes; the command line
+    # spells each family once, in FAMILY_NAMES, and branches on none
+    path = Path(gspb.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(path.read_text())
+    spelling = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [ast.unparse(t) for t in node.targets] == ["FAMILY_NAMES"])
+    names = set(FAMILIES) | {key.value for key in spelling.keys}
+    inside = {id(node) for node in ast.walk(spelling)}
+    lines = sorted(f"{node.value!r} (line {node.lineno})" for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in names
+                   and id(node) not in inside)
+    assert not lines, f"cli.py names families at {lines}"
 
 
 def _is_primal_product(node) -> bool:
