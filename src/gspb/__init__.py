@@ -8,9 +8,9 @@ binary subspaces, and explicit installed graphs.
 """
 
 from .channels import (CapExceeded, ChannelSpec, EnumerationCapExceeded,
-                       GspbError, Hypergraph, NotMonotoneError,
-                       OracleCapExceeded, QuotientUnavailable, build_hypergraph,
-                       enumerate_vertices, gaussian_binomial, out_ball)
+                       GspbError, NotMonotoneError, OracleCapExceeded,
+                       QuotientUnavailable, enumerate_vertices,
+                       gaussian_binomial, out_ball)
 from .exactlp import (CoveringLP, LPSolution, Scaled, TransversalReport,
                       check_certificate, float_presolve, solve_min_transversal,
                       verify_transversal)

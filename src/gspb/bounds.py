@@ -13,9 +13,14 @@ and what ``gspb verify`` checks; the report, ``monotonicity_bound``,
 ``aspv`` and the command line read it.  A magnitude instance builds its
 quotient once, and refuses one past the enumeration cap before building it.
 
+Where no closed form exists (explicit graphs, ASPV past radius 1, the
+monotone check but deletion's, Lemma 3) a route reads the row lengths of
+the one ball enumeration, ``reduction.full_hypergraph_lp``.
+
 Reports keep exact rationals and integer floors side by side and attach the
-published comparison columns with their source tags.  MB, CLOSED, GSPB and
-``verify`` pass ``channels.check_radius``; ASPV enumerates balls at any radius.
+published comparison columns with their source tags; a report computes only
+the entries it is asked for.  MB, CLOSED, GSPB and ``verify`` pass
+``channels.check_radius``; ASPV enumerates balls at any radius.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import (exactlp, magnitude, projective, reduction, refdata, seqchannels,
                zchannel)
 from .channels import (DEFAULT_ENUM_CAP, MAGNITUDE_FAMILIES, CapExceeded,
                        ChannelSpec, EnumerationCapExceeded, GspbError,
-                       NotMonotoneError, average_ball_size, ball_centers,
-                       check_radius, enumerate_vertices, out_ball,
-                       vertex_count)
+                       NotMonotoneError, check_radius, enumerate_vertices)
 from .exactlp import fmt_frac
 from .kernels import run_stats
 
@@ -196,8 +201,20 @@ def _magnitude_quotient(spec: ChannelSpec, cap: int) -> reduction.QuotientLP:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity
+# monotonicity and the enumerated routes
 # ---------------------------------------------------------------------------
+
+def _degrees_fall(rows, member_degree, center_degree) -> bool:
+    """True iff no member of a CSR row has a degree above its row's center."""
+    return bool((member_degree[rows.indices]
+                 <= np.repeat(center_degree, np.diff(rows.indptr))).all())
+
+
+def _is_monotone(lp: exactlp.CoveringLP) -> bool:
+    """The check on balls enumerated one per vertex: degrees are row lengths."""
+    degree = np.diff(lp.indptr)
+    return _degrees_fall(lp, degree, degree)
+
 
 def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True iff every ball member has degree at most its center's.
@@ -205,19 +222,16 @@ def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
     The deletion channel is checked through the run-count analogue (ball
     members have no balls of their own there) on the rows of its full LP,
     a block at a time, which refuses 2^n rows above ``cap``; everything else
-    compares out-ball sizes directly by enumeration.
+    compares the row lengths of its enumerated balls.
     """
-    if spec.family == "deletion":
-        check_radius(spec)
-        rows = seqchannels.ball_blocks("deletion", spec.n, cap)
-        rho_small, _ = run_stats(spec.n - 1)
-        rho_big, _ = run_stats(spec.n)
-        return all(bool((rho_small[block.indices]
-                         <= rho_big[start:start + block.num_rows]
-                         .repeat(block.indptr[1:] - block.indptr[:-1])).all())
-                   for start, block in zip(rows.bounds, rows))
-    degs = {x: len(out_ball(spec, x)) for x in enumerate_vertices(spec, cap)}
-    return all(degs[y] <= dx for x, dx in degs.items() for y in out_ball(spec, x))
+    if spec.family != "deletion":
+        return _is_monotone(reduction.full_hypergraph_lp(spec, cap))
+    check_radius(spec)
+    rows = seqchannels.ball_blocks("deletion", spec.n, cap)
+    rho_small, _ = run_stats(spec.n - 1)
+    rho_big, _ = run_stats(spec.n)
+    return all(_degrees_fall(block, rho_small, rho_big[start:start + block.num_rows])
+               for start, block in zip(rows.bounds, rows))
 
 
 def monotonicity_bound(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
@@ -230,31 +244,26 @@ def monotonicity_bound(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fracti
 
 
 def _enumerated_mb(spec: ChannelSpec, cap: int) -> Fraction:
-    if not check_monotone(spec, cap):
+    """Sum of 1/(row length) over the balls its monotone check read."""
+    lp = reduction.full_hypergraph_lp(spec, cap)
+    if not _is_monotone(lp):
         raise NotMonotoneError("graph fails the monotonicity check; no MB")
-    return sum(
-        (Fraction(1, len(out_ball(spec, x)))
-         for x in enumerate_vertices(spec, cap)),
-        Fraction(0),
-    )
+    sizes, counts = np.unique(np.diff(lp.indptr), return_counts=True)
+    return sum(map(Fraction, counts.tolist(), sizes.tolist()), Fraction(0))
 
 
 def lemma3_transversal(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP):
     """Always-feasible weights 1/min{deg(x) : x reaches the vertex}.
 
-    Returns (vertices, weights, bound).  One pass over the balls: each
-    center's out-ball offers its size to its members and every vertex keeps
-    the least size offered (for the deletion channel the centers are the
-    length-n words).
+    Returns (vertices, weights, bound).  Each vertex takes the least length
+    of an enumerated ball holding it (for deletion, of a length-n word's).
     """
-    least: dict = {}
-    for c in ball_centers(spec, cap):
-        ball = out_ball(spec, c)
-        for v in ball:
-            least[v] = min(least.get(v, len(ball)), len(ball))
-    vertices = enumerate_vertices(spec, cap)
-    weights = [Fraction(1, least[v]) for v in vertices]
-    return vertices, weights, sum(weights, Fraction(0))
+    lp = reduction.full_hypergraph_lp(spec, cap)
+    sizes = np.diff(lp.indptr)
+    least = np.full(lp.num_vars, np.iinfo(np.int64).max)
+    np.minimum.at(least, lp.indices, np.repeat(sizes, sizes))
+    weights = [Fraction(1, d) for d in least.tolist()]
+    return enumerate_vertices(spec, cap), weights, sum(weights, Fraction(0))
 
 
 def aspv(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
@@ -263,18 +272,23 @@ def aspv(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     closed_form = family_routes(spec, enum_cap=cap).aspv
     if closed_form is not None:
         return closed_form()
-    return vertex_count(spec) / average_ball_size(spec, cap)
+    lp = reduction.full_hypergraph_lp(spec, cap)
+    return Fraction(lp.num_vars * lp.num_rows, len(lp.indices))
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
+BOUNDS = ("mb", "aspv", "closed", "gspb")
+
+
 def assemble_report(spec: ChannelSpec,
                     lp_cap: int = seqchannels.DEFAULT_LP_CAP,
                     enum_cap: int = DEFAULT_ENUM_CAP,
-                    include_gspb: bool = True) -> BoundReport:
-    """Run every applicable bound for one instance.
+                    names: tuple[str, ...] = BOUNDS) -> BoundReport:
+    """Run every applicable bound among ``names`` for one instance, and no
+    other: a report asked for one entry computes that entry alone.
 
     Refused or capped computations are recorded as absent entries with the
     reason; nothing is fabricated.  The grain MB is the even-rounded variant,
@@ -287,6 +301,8 @@ def assemble_report(spec: ChannelSpec,
 
     def put(name, thunk, any_radius=False):
         """Record ``thunk()``, a (value, note) pair, or its refusal."""
+        if name not in names:
+            return
         try:
             if not any_radius:
                 check_radius(spec)
@@ -304,6 +320,5 @@ def assemble_report(spec: ChannelSpec,
     put("aspv", lambda: (aspv(spec, enum_cap), "value, not bound"), any_radius=True)
     if routes.closed is not None:
         put("closed", lambda: (routes.closed(), ""))
-    if include_gspb:
-        put("gspb", routes.gspb)
+    put("gspb", routes.gspb)
     return report

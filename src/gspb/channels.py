@@ -1,12 +1,12 @@
-"""Channel graphs: vertex enumeration, directed radius-r balls, hypergraphs.
+"""Channel graphs: vertex enumeration, ball centers and directed radius-r balls.
 
 Each error channel is a directed graph on its word space, given by one
 step rule, ``successors``: the words one error away from x.  The radius-r
 out-ball of x collects every word reachable from x by at most r such steps,
-and the hypergraph whose edges are these balls is what all bound
-computations consume; no reverse step is defined.  The radius is
-``ChannelSpec.r`` alone; a route that covers radius 1 only asks
-``check_radius`` before it answers.
+and the hypergraph of these balls, one per ball center, is what all bound
+computations consume (enumerated by ``reduction.full_hypergraph_lp``); no
+reverse step is defined.  The radius is ``ChannelSpec.r`` alone; a route
+that covers radius 1 only asks ``check_radius`` before it answers.
 
 Vertex encodings (canonical, one encoding per vertex):
 
@@ -21,8 +21,7 @@ Vertex encodings (canonical, one encoding per vertex):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -101,24 +100,6 @@ class ChannelSpec:
             raise ValueError("explicit_edges only apply to the explicit family")
         if self.family == "deletion" and self.n < 2:
             raise ValueError("deletion channel needs n >= 2")
-
-
-@dataclass
-class Hypergraph:
-    """Ground set plus one ball edge per center."""
-
-    vertices: list
-    edges: list[tuple[int, ...]]   # sorted vertex-id tuples
-    centers: list                  # generating vertex of each edge
-    index: dict = field(repr=False)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +329,6 @@ def ball_centers(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     return enumerate_vertices(spec, cap)
 
 
-def build_hypergraph(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
-    """Ball hypergraph: one edge per center.
-
-    For the deletion channel the ground set is the length-(n-1) words while
-    centers range over the length-n words.
-    """
-    vertices = enumerate_vertices(spec, cap)
-    index = {v: i for i, v in enumerate(vertices)}
-    centers = ball_centers(spec, cap)
-    edges = [
-        tuple(sorted(index[y] for y in out_ball(spec, c)))
-        for c in centers
-    ]
-    return Hypergraph(vertices=vertices, edges=edges, centers=centers, index=index)
-
-
 # ---------------------------------------------------------------------------
 # built-in explicit fixtures
 # ---------------------------------------------------------------------------
@@ -415,13 +380,6 @@ FIXTURES = {
     "example3": example_three,
     "example4": example_four,
 }
-
-
-def average_ball_size(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """Mean out-ball size over ball centers, by enumeration."""
-    centers = ball_centers(spec, cap)
-    total = sum(len(out_ball(spec, c)) for c in centers)
-    return Fraction(total, len(centers))
 
 
 def z_degree(n: int, weight: int, r: int) -> int:

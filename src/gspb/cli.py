@@ -48,9 +48,10 @@ def _spec_from_args(args, n: int) -> ChannelSpec:
 
 def cmd_compute(args) -> int:
     spec = _spec_from_args(args, args.n)
+    # the pretty line prints one entry, so only that one is computed
     report = bounds.assemble_report(
         spec, lp_cap=args.lp_cap, enum_cap=args.enum_cap,
-        include_gspb=args.bound == "gspb" or args.format == "json")
+        names=bounds.BOUNDS if args.format == "json" else (args.bound,))
     if args.bound not in report.entries:
         raise GspbError(f"bound {args.bound!r} is not available for {args.family}")
     entry = report.entry(args.bound)
@@ -75,8 +76,9 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _table_reports(args, specs: list[ChannelSpec]):
-    jobs = [(spec, args.lp_cap, args.enum_cap, "GSPB" in args.columns_list)
-            for spec in specs]
+    names = tuple(name for name in bounds.BOUNDS
+                  if name != "gspb" or "GSPB" in args.columns_list)
+    jobs = [(spec, args.lp_cap, args.enum_cap, names) for spec in specs]
     # a forked pool starts all its workers at the first task: no more than rows
     workers = min(args.jobs, len(jobs))
     if workers > 1:
@@ -87,9 +89,9 @@ def _table_reports(args, specs: list[ChannelSpec]):
 
 
 def _table_worker(job):
-    spec, lp_cap, enum_cap, include_gspb = job
+    spec, lp_cap, enum_cap, names = job
     return bounds.assemble_report(spec, lp_cap=lp_cap, enum_cap=enum_cap,
-                                  include_gspb=include_gspb)
+                                  names=names)
 
 
 def _cell(report, column: str, exact: bool) -> str:
@@ -258,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="one bound for one instance")
     _add_common(p)
-    p.add_argument("--bound", required=True,
-                   choices=["mb", "aspv", "closed", "gspb"])
+    p.add_argument("--bound", required=True, choices=bounds.BOUNDS)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.set_defaults(func=cmd_compute)

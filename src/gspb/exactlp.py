@@ -30,12 +30,14 @@ the certificate check (at a degenerate vertex), the dual and the primal are
 solved on their own supports, each by one support solve
 (``_support_solve``), as is the subspace block dual
 (``complementary_dual``); these need an exact rank, so they select and
-factor their subsystem mod p and lift it by Dixon's method.  All of these
-read the LP's own arrays as one int64 ``linsolve.Csr`` (``_int_matrix``),
-and take their submatrices, transposes and dense blocks with numpy
-(``linsolve.take``, ``transpose`` and ``dense``); no ``scipy.sparse``
-matrix is built.  ``_int_matrix`` and the presolve refuse a coefficient
-past int64 with ``GspbError`` (``_int64_data``).
+factor their subsystem mod p and lift it by Dixon's method.  The crossover
+reads the LP's own arrays as one int64 ``linsolve.Csr`` (``_int_matrix``);
+the subspace block dual reads them as they are, Python ints past int64,
+and hands the elimination their residues mod p as int64.  All take their
+submatrices, transposes and dense blocks with numpy (``linsolve.take``,
+``transpose`` and ``dense``); no ``scipy.sparse`` matrix is built.
+``_int_matrix`` and the presolve refuse a coefficient past int64 with
+``GspbError`` (``_int64_data``).
 
 A solve returns an optimum only with exact primal and dual witnesses that
 passed ``check_certificate``, the one acceptance test every certified value
@@ -471,8 +473,8 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
                    size: int) -> list[Fraction] | None:
     """Exact x of length ``size``, zero off ``unknowns``, with
     (matrix x)_i = rhs[i] on an independent subset of the equations ``eqs``.
-    ``matrix`` is an int64 CSR matrix (``linsolve.Csr``), ``rhs`` is
-    indexed by its rows.
+    ``matrix`` is a CSR matrix (``linsolve.Csr``) of int64 data, or of
+    Python ints past int64, and ``rhs`` is indexed by its rows.
 
     The subset and the unknowns it determines are picked by elimination mod
     ``linsolve.PRIME``, taking equations in the order given (callers list
@@ -484,7 +486,9 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
     basis does not certify, and the subspace block dual.
     """
     sub = linsolve.take(matrix, eqs, unknowns)
-    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(linsolve.dense(sub, np.int64))
+    residues = linsolve.Csr(sub.indptr, sub.indices,
+                            (sub.data % linsolve.PRIME).astype(np.int64), sub.shape)
+    piv_rows, piv_cols, inv = linsolve.select_pivots_mod(linsolve.dense(residues, np.int64))
     if not piv_cols:
         return [Fraction(0)] * size
     solved = linsolve.dixon_solve(linsolve.take(sub, piv_rows, piv_cols),
@@ -563,9 +567,10 @@ def _certified(lp: CoveringLP, w, z, support: list[int],
 def complementary_dual(lp: CoveringLP, rows: list[int],
                        cols: list[int]) -> list[Fraction] | None:
     """Packing vector z supported on ``rows`` with (A^T z)_j = c_j on ``cols``:
-    the crossover's dual support solve.  Unchecked."""
-    return _support_solve(linsolve.transpose(_int_matrix(lp)), cols, rows,
-                          lp.objective, lp.num_rows)
+    the crossover's dual support solve, on the LP's own arrays, so a
+    coefficient past int64 is solved in Python ints.  Unchecked."""
+    return _support_solve(linsolve.transpose(lp), cols, rows, lp.objective,
+                          lp.num_rows)
 
 
 # ---------------------------------------------------------------------------

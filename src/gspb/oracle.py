@@ -1,9 +1,10 @@
 """Brute-force ground truth at small scale.
 
 Everything here works on the raw ball hypergraph with no symmetry
-assumptions: the full covering LP, an exact maximum set of pairwise
-disjoint balls via branch and bound, and the three counterexample fixtures
-that defeat the average-ball-size heuristic.  Matching semantics double as
+assumptions: the full covering LP (``reduction.full_hypergraph_lp``), an
+exact maximum set of pairwise disjoint balls (rows of that LP) via branch
+and bound, and the three counterexample fixtures that defeat the
+average-ball-size heuristic.  Matching semantics double as
 the code-size search: a code of minimum distance 2r+1 is exactly a family
 of disjoint balls, disjointness being what the search certifies.
 """
@@ -16,8 +17,8 @@ from fractions import Fraction
 from . import exactlp
 from .bounds import aspv
 from .channels import (ChannelSpec, GspbError, OracleCapExceeded,
-                       build_hypergraph, example_four, example_three,
-                       example_two, vertex_count)
+                       ball_centers, example_four, example_three, example_two,
+                       vertex_count)
 from .reduction import full_hypergraph_lp
 
 DEFAULT_ORACLE_CAP = 4096
@@ -81,12 +82,14 @@ def brute_force_matching(spec: ChannelSpec, cap: int = DEFAULT_ORACLE_CAP,
 
 def _max_disjoint_balls(spec: ChannelSpec, tau: Fraction) -> tuple[int, list]:
     """The two searches of brute_force_matching, after its checks."""
-    hg = build_hypergraph(spec)
+    lp = full_hypergraph_lp(spec)
+    ptr, members = lp.indptr.tolist(), lp.indices.tolist()
+    edges = [tuple(members[s:e]) for s, e in zip(ptr, ptr[1:])]
+    centers = ball_centers(spec)
     global_cap = tau.numerator // tau.denominator
 
-    order = sorted(range(hg.num_edges),
-                   key=lambda e: (-len(hg.edges[e]), hg.edges[e]))
-    edge_sets = [frozenset(hg.edges[e]) for e in order]
+    order = sorted(range(len(edges)), key=lambda e: (-len(edges[e]), edges[e]))
+    edge_sets = [frozenset(edges[e]) for e in order]
     best_size = 0
     nodes = 0
 
@@ -114,8 +117,8 @@ def _max_disjoint_balls(spec: ChannelSpec, tau: Fraction) -> tuple[int, list]:
 
     search_size(0, frozenset(), 0)
 
-    lex = sorted(range(hg.num_edges), key=lambda e: hg.centers[e])
-    lex_sets = [frozenset(hg.edges[e]) for e in lex]
+    lex = sorted(range(len(edges)), key=lambda e: centers[e])
+    lex_sets = [frozenset(edges[e]) for e in lex]
 
     def search_witness(idx: int, used: frozenset, chosen: list) -> list | None:
         count_node()
@@ -131,7 +134,7 @@ def _max_disjoint_balls(spec: ChannelSpec, tau: Fraction) -> tuple[int, list]:
         return search_witness(idx + 1, used, chosen)
 
     picks = search_witness(0, frozenset(), []) or []
-    witness = [hg.centers[lex[i]] for i in picks]
+    witness = [centers[lex[i]] for i in picks]
     # direct pairwise disjointness check of the returned balls
     for a in range(len(picks)):
         for b in range(a + 1, len(picks)):

@@ -39,6 +39,10 @@ balls of the probe's class representatives; a mismatch raises
 ``GspbError``.  The enumeration runs once per probe key (family, probe n,
 r, q) in a process and is cached; the comparison is not, so a wrong rule is
 refused on every call.
+
+The unreduced LP, ``full_hypergraph_lp``, is the one enumeration of the
+ball hypergraph, whose CSR arrays the enumerated routes of ``bounds`` and
+the oracle read; beside the probe reference it alone calls ``out_ball``.
 """
 
 from __future__ import annotations
@@ -46,15 +50,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial, prod
 
 import numpy as np
 
 from . import exactlp, linsolve
 from .channels import (DEFAULT_ENUM_CAP, MAGNITUDE_FAMILIES, ChannelSpec,
-                       GspbError, QuotientUnavailable, build_hypergraph,
-                       check_radius, gaussian_binomial, out_ball)
+                       GspbError, QuotientUnavailable, ball_centers,
+                       check_radius, enumerate_vertices, gaussian_binomial,
+                       out_ball)
 
 
 @dataclass
@@ -381,8 +386,15 @@ def quotient_matrix(spec: ChannelSpec) -> QuotientLP:
 
 
 def full_hypergraph_lp(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
-    """Unreduced unit-objective covering LP of the ball hypergraph."""
-    hg = build_hypergraph(spec, cap)
-    return exactlp.CoveringLP.from_rows([1] * hg.num_vertices,
-                                        [[(j, 1) for j in e] for e in hg.edges],
-                                        f"full-{spec.family}-n{spec.n}")
+    """Unreduced unit-objective covering LP of the ball hypergraph: row i lists
+    the ids (``enumerate_vertices`` positions) of the ball of center i, sorted.
+    Centers come first, so deletion past the cap is refused for its 2^n."""
+    centers = ball_centers(spec, cap)
+    index = {v: i for i, v in enumerate(enumerate_vertices(spec, cap))}
+    balls = [sorted(map(index.__getitem__, out_ball(spec, c))) for c in centers]
+    indptr = np.zeros(len(balls) + 1, dtype=np.int64)
+    np.cumsum([len(ball) for ball in balls], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(balls), np.int64, int(indptr[-1]))
+    return exactlp.CoveringLP([1] * len(index), indptr, indices,
+                              np.ones(len(indices), dtype=np.int64),
+                              f"full-{spec.family}-n{spec.n}")

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from gspb import bounds, exactlp, reduction
 from gspb.channels import (ChannelSpec, EnumerationCapExceeded, GspbError,
-                           NotMonotoneError, enumerate_vertices, example_four,
-                           example_three, example_two, out_ball)
+                           NotMonotoneError, ball_centers, enumerate_vertices,
+                           example_four, example_three, example_two, out_ball,
+                           vertex_count)
 
 
 def fl(x):
@@ -33,6 +34,23 @@ def test_mb_values():
     assert bounds.monotonicity_bound(ChannelSpec("z", n=5)) == Fraction(63, 6)
     assert bounds.monotonicity_bound(ChannelSpec("deletion", n=5)) == Fraction(30, 4)
     assert bounds.monotonicity_bound(ChannelSpec("mag_asym", n=5, q=3)) == Fraction(729, 12)
+
+
+def test_enumerated_mb_enumerates_each_ball_once(monkeypatch):
+    # an explicit graph's MB and its monotone check read one enumeration of
+    # the balls: out_ball runs once per center
+    from gspb import channels
+    spec = example_three()
+    calls = []
+
+    def counted(spec, x):
+        calls.append(x)
+        return channels.out_ball(spec, x)
+
+    for module in (bounds, reduction):
+        monkeypatch.setattr(module, "out_ball", counted, raising=False)
+    assert bounds.monotonicity_bound(spec) == Fraction(21, 5)
+    assert sorted(calls) == ball_centers(spec)
 
 
 def test_mb_refused_for_non_monotone():
@@ -76,13 +94,21 @@ def test_aspv_values():
     assert bounds.aspv(example_three()) == Fraction(25, 9)
 
 
+def enumerated_aspv(spec):
+    """Vertex count over the mean size of the balls listed by ``out_ball``."""
+    sizes = [len(out_ball(spec, c)) for c in ball_centers(spec)]
+    return Fraction(vertex_count(spec) * len(sizes), sum(sizes))
+
+
 def test_aspv_matches_enumeration():
-    from gspb.channels import average_ball_size, vertex_count
     for spec in (ChannelSpec("z", n=6), ChannelSpec("deletion", n=6),
                  ChannelSpec("grain", n=5), ChannelSpec("mag_sym", n=3, q=4),
                  ChannelSpec("projective", n=4)):
-        direct = vertex_count(spec) / average_ball_size(spec)
-        assert bounds.aspv(spec) == direct, spec
+        assert bounds.aspv(spec) == enumerated_aspv(spec), spec
+    # radius 2 has no closed form: ASPV reads the enumerated hypergraph
+    for spec in (ChannelSpec("grain", n=6, r=2), ChannelSpec("mag_asym", n=3, q=3, r=2),
+                 example_four()):
+        assert bounds.aspv(spec) == enumerated_aspv(spec), spec
 
 
 def test_lemma3_transversal_feasible():

@@ -74,11 +74,16 @@ def test_deletion_ball_of_known_word():
 
 
 def test_build_hypergraph_shapes():
-    assert ch.build_hypergraph(ch.ChannelSpec("z", n=2)).num_edges == 4
-    hg = ch.build_hypergraph(ch.ChannelSpec("deletion", n=3))
-    assert hg.num_vertices == 4 and hg.num_edges == 8
-    hg2 = ch.build_hypergraph(ch.example_two())
-    assert hg2.num_edges == 6 and all(len(e) == 2 for e in hg2.edges)
+    # one ball per center: every word, and the length-n words for deletion,
+    # whose balls lie among the length-(n-1) words
+    assert len(ch.ball_centers(ch.ChannelSpec("z", n=2))) == 4
+    spec = ch.ChannelSpec("deletion", n=3)
+    vertices = ch.enumerate_vertices(spec)
+    assert len(vertices) == 4 and len(ch.ball_centers(spec)) == 8
+    assert all(ch.out_ball(spec, c) <= set(vertices) for c in ch.ball_centers(spec))
+    spec = ch.example_two()
+    balls = [ch.out_ball(spec, c) for c in ch.ball_centers(spec)]
+    assert len(balls) == 6 and all(len(ball) == 2 for ball in balls)
 
 
 def test_grain_degree_is_runs():
@@ -116,7 +121,7 @@ def test_example4_structure():
     assert spec.n == ch.vertex_count(spec) == 9
     sizes = [len(ch.out_ball(spec, v)) for v in range(9)]
     assert sizes[:3] == [3, 3, 3] and sizes[3:] == [7] * 6
-    assert ch.average_ball_size(spec) == Fraction(3 * 3 + 6 * 7, 9)
+    assert Fraction(sum(sizes), len(sizes)) == Fraction(3 * 3 + 6 * 7, 9)
 
 
 def test_spec_validation():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from gspb import bounds, cli, exactlp, oracle, projective, reduction, seqchannels
-from gspb.channels import MAGNITUDE_FAMILIES, ChannelSpec
+from gspb.channels import (MAGNITUDE_FAMILIES, ChannelSpec, GspbError,
+                           ball_centers, out_ball, vertex_count)
 
 
 def run(capsys, *argv):
@@ -320,9 +321,13 @@ def test_radius_two_refuses_family_routes(capsys, family, extra, bounds):
     assert code == 3 and out == "" and "cover radius 1 only" in err
 
 
+def _enumerated_aspv(spec):
+    """Vertex count over the mean size of the balls listed by ``out_ball``."""
+    sizes = [len(out_ball(spec, c)) for c in ball_centers(spec)]
+    return Fraction(vertex_count(spec) * len(sizes), sum(sizes))
+
+
 def test_radius_two_aspv_enumerates(capsys):
-    import dataclasses
-    from gspb.channels import ChannelSpec, average_ball_size, vertex_count
     for family, extra, spec, pinned in (
         ("grain", (), ChannelSpec("grain", n=8, r=2), "1024/45"),
         ("mag-asym", ("--q", "3"), ChannelSpec("mag_asym", n=4, r=2, q=3),
@@ -332,16 +337,37 @@ def test_radius_two_aspv_enumerates(capsys):
         code, out, _ = run(capsys, "compute", "--family", family, "--n",
                            str(spec.n), *extra, "--r", "2", "--bound", "aspv",
                            "--exact")
-        direct = vertex_count(spec) / average_ball_size(spec)
+        direct = _enumerated_aspv(spec)
         assert code == 0 and f"exact {pinned} " in out
         assert direct == Fraction(pinned)
         # the radius-1 value differs, so this is not a radius-1 answer
-        assert direct != vertex_count(spec) / average_ball_size(
-            dataclasses.replace(spec, r=1))
+        assert direct != _enumerated_aspv(dataclasses.replace(spec, r=1))
     # deletion balls are single-deletion balls; r=2 has none to enumerate
     code, out, _ = run(capsys, "compute", "--family", "deletion", "--n", "8",
                        "--r", "2", "--bound", "aspv")
     assert code == 3 and out == ""
+
+
+def test_pretty_compute_computes_only_its_bound(capsys, monkeypatch):
+    # the pretty line prints one entry and computes no other: a radius
+    # refusal never waits for the radius-2 ASPV, whose ball enumeration
+    # takes seconds at projective n=6; --format json keeps the whole report
+    def enumerate_balls(*args):
+        raise AssertionError("ASPV enumerated for a pretty --bound mb")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "full_hypergraph_lp", enumerate_balls)
+        patch.setattr(bounds, "aspv", enumerate_balls)
+        for family, extra, bound in (("projective", (), "mb"), ("projective", (), "gspb"),
+                                     ("grain", (), "closed"), ("mag-sym", ("--q", "3"), "gspb")):
+            code, out, err = run(capsys, "compute", "--family", family, *extra,
+                                 "--n", "6", "--r", "2", "--bound", bound)
+            assert code == 3 and out == "" and "cover radius 1 only" in err, family
+    code, out, _ = run(capsys, "compute", "--family", "projective", "--n", "4",
+                       "--r", "2", "--bound", "aspv", "--format", "json")
+    entries = json.loads(out)["bounds"]
+    assert code == 0 and set(entries) == {"mb", "aspv", "gspb"}
+    assert "cover radius 1 only" in entries["mb"]["note"]
 
 
 def test_radius_two_deletion_table_is_unknown(capsys):
@@ -403,20 +429,20 @@ def test_oracle_search_budget_exit_4():
     assert "budget" in out.stderr
 
 
-def test_projective_past_int64_is_a_typed_refusal():
+def test_projective_past_int64_is_a_typed_refusal(capsys):
     # at n=64 the folded subspace LP holds 2^64 - 1, which no int64 matrix
-    # holds: exit 3 with a refusal naming the coefficient, no traceback;
-    # n=63 still certifies
-    src = Path(cli.__file__).resolve().parents[1]
-    out = {n: subprocess.run(
-        [sys.executable, "-m", "gspb.cli", "compute", "--family", "projective",
-         "--n", str(n), "--bound", "gspb"],
-        cwd=src, capture_output=True, text=True, timeout=120) for n in (63, 64)}
-    assert out[64].returncode == 3 and out[64].stdout == ""
-    assert out[64].stderr.startswith("refused: ") and "Traceback" not in out[64].stderr
-    assert "64-bit coefficient" in out[64].stderr
-    assert out[63].returncode == 0 and out[63].stderr == ""
-    assert int(out[63].stdout.split()[0]) > 2**63
+    # holds: the float path (HiGHS and the crossover) refuses it with a
+    # refusal naming the coefficient, while the greedy weights and their
+    # block dual, solved in Python ints, certify it and beyond
+    with pytest.raises(GspbError, match="64-bit coefficient"):
+        exactlp.solve_min_transversal(projective.projective_lp(64))
+    for n in (63, 64, 70, 100, 200):
+        code, out, err = run(capsys, "compute", "--family", "projective",
+                             "--n", str(n), "--bound", "gspb", "--exact")
+        bound = projective.greedy_weights(n).bound()
+        floor = bound.numerator // bound.denominator
+        assert code == 0 and err == "", n
+        assert out == f"{floor}  exact {exactlp.fmt_frac(bound)}\n"
 
 
 def test_values_past_the_float_range_print(capsys, tmp_path):
@@ -438,12 +464,19 @@ def test_values_past_the_float_range_print(capsys, tmp_path):
             f"(floor {bound.numerator // bound.denominator}); tight rows") in out
 
 
-def test_verify_refuses_before_printing(capsys):
-    # the greedy weights pass at n=64, but the certificate's exact solve
-    # refuses the 64-bit coefficient: a refusal leaves stdout empty
+def test_verify_refuses_before_printing(capsys, monkeypatch):
+    # the greedy weights pass, but the certificate refuses: a refusal leaves
+    # stdout empty
+    code, out, err = run(capsys, "verify", "--family", "projective", "--n", "64")
+    assert code == 0 and err == "" and "  certificate: greedy\n" in out
+
+    def refuse(n):
+        raise GspbError(f"no certificate at n={n}")
+
+    monkeypatch.setattr(projective, "projective_gspb", refuse)
     code, out, err = run(capsys, "verify", "--family", "projective", "--n", "64")
     assert code == 3 and out == ""
-    assert err.startswith("refused: ") and "64-bit coefficient" in err
+    assert err == "refused: no certificate at n=64\n"
 
 
 @pytest.mark.parametrize("family", sorted(cli.FAMILY_NAMES))

@@ -15,13 +15,41 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from gspb import channels as ch
-from gspb import exactlp, linsolve, magnitude, projective, seqchannels, zchannel
+from gspb import exactlp, linsolve, magnitude, projective, reduction, seqchannels, zchannel
 
 
 def hypergraph_lp(spec):
-    hg = ch.build_hypergraph(spec)
-    return exactlp.CoveringLP.from_rows([1] * hg.num_vertices,
-                                        [[(j, 1) for j in e] for e in hg.edges])
+    """The ball hypergraph's covering LP built row by row from ``out_ball``:
+    row i the sorted ids of the members of the ball of ball center i."""
+    index = {v: i for i, v in enumerate(ch.enumerate_vertices(spec))}
+    balls = [sorted(index[y] for y in ch.out_ball(spec, c)) for c in ch.ball_centers(spec)]
+    return exactlp.CoveringLP.from_rows([1] * len(index),
+                                        [[(j, 1) for j in ball] for ball in balls])
+
+
+BALL_SPECS = [ch.ChannelSpec("z", n=4), ch.ChannelSpec("grain", n=5),
+              ch.ChannelSpec("deletion", n=5), ch.ChannelSpec("mag_asym", n=3, q=3),
+              ch.ChannelSpec("mag_sym", n=3, q=4), ch.ChannelSpec("projective", n=4),
+              ch.example_two(), ch.example_three(), ch.example_four()]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("spec", BALL_SPECS, ids=lambda s: f"{s.family}-{s.n}")
+def test_full_hypergraph_lp_is_the_ball_enumeration(spec, r):
+    # the one enumeration of the ball hypergraph, against rows listed from
+    # out_ball; deletion balls exist at radius 1 only, and both refuse r=2
+    spec = dataclasses.replace(spec, r=r)
+    if spec.family == "deletion" and r == 2:
+        for build in (reduction.full_hypergraph_lp, hypergraph_lp):
+            with pytest.raises(ch.GspbError, match="cover radius 1 only"):
+                build(spec)
+        return
+    lp, want = reduction.full_hypergraph_lp(spec), hypergraph_lp(spec)
+    assert lp.objective == want.objective
+    assert lp.name == f"full-{spec.family}-n{spec.n}"
+    for name in ("indptr", "indices", "data"):
+        got, expect = getattr(lp, name), getattr(want, name)
+        assert got.dtype == expect.dtype == np.int64 and np.array_equal(got, expect), name
 
 
 def singleton_lp(n):

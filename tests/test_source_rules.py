@@ -65,6 +65,16 @@ def test_no_row_lists_read(path):
     assert not lines, f"{path.name}: .rows read at lines {lines}"
 
 
+def test_balls_have_one_enumeration():
+    # reduction.full_hypergraph_lp is the one enumeration of the ball
+    # hypergraph, which MB, ASPV, the monotone check, Lemma 3 and the oracle
+    # read; beside it only the quotient rule check's probe reference lists
+    # balls, and no module but channels calls out_ball otherwise
+    callers = sorted(key for key, node in _functions().items()
+                     if key[0] != "channels.py" and "out_ball" in _called_names(node))
+    assert callers == [("reduction.py", "_reference"),
+                       ("reduction.py", "full_hypergraph_lp")]
+
 
 def _add_at_calls(node) -> int:
     """Number of ``np.add.at`` calls under a syntax tree node."""
@@ -275,16 +285,17 @@ def _counting_calls(func) -> list[str]:
 
 
 QUOTIENT_BUILDERS = sorted(
-    [key for key in _functions() if key[0] == "reduction.py"
-     and key[1] != "full_hypergraph_lp"] + [("seqchannels.py", "_orbit_reduced_solve")])
+    [key for key in _functions() if key[0] == "reduction.py"]
+    + [("seqchannels.py", "_orbit_reduced_solve")])
 
 
 @pytest.mark.parametrize("key", QUOTIENT_BUILDERS,
                          ids=[f"{m}:{f}" for m, f in QUOTIENT_BUILDERS])
 def test_quotients_have_one_array_counter(key):
     # every quotient LP is built as CSR arrays: the closed-form rules by
-    # reduction._assemble, the enumerated rows by reduction.count_rows; a
+    # reduction._assemble, the enumerated rows by reduction.count_rows, and
+    # the unreduced full_hypergraph_lp lists its balls' ids into CSR arrays; a
     # per-row Counter or CoveringLP.from_rows would be a second, per-entry
-    # way to build one (only the unreduced full_hypergraph_lp keeps from_rows)
+    # way to build one
     calls = _counting_calls(_functions()[key])
     assert not calls, f"{key[0]}:{key[1]} calls {calls}"
