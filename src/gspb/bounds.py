@@ -204,16 +204,11 @@ def _magnitude_quotient(spec: ChannelSpec, cap: int) -> reduction.QuotientLP:
 # monotonicity and the enumerated routes
 # ---------------------------------------------------------------------------
 
-def _degrees_fall(rows, member_degree, center_degree) -> bool:
-    """True iff no member of a CSR row has a degree above its row's center."""
-    return bool((member_degree[rows.indices]
-                 <= np.repeat(center_degree, np.diff(rows.indptr))).all())
-
-
 def _is_monotone(lp: exactlp.CoveringLP) -> bool:
-    """The check on balls enumerated one per vertex: degrees are row lengths."""
+    """The check on balls enumerated one per vertex: no member of a row has
+    a degree, its own row length, above its row's center's."""
     degree = np.diff(lp.indptr)
-    return _degrees_fall(lp, degree, degree)
+    return bool((degree[lp.indices] <= np.repeat(degree, degree)).all())
 
 
 def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
@@ -229,8 +224,10 @@ def check_monotone(spec: ChannelSpec, cap: int = DEFAULT_ENUM_CAP) -> bool:
     check_radius(spec)
     rows = seqchannels.ball_blocks("deletion", spec.n, cap)
     rho_small, _ = run_stats(spec.n - 1)
+    member = np.append(rho_small, 0)  # a -1 target reads degree 0
     rho_big, _ = run_stats(spec.n)
-    return all(_degrees_fall(block, rho_small, rho_big[start:start + block.num_rows])
+    return all(bool((member[block.targets]
+                     <= rho_big[start:start + block.num_rows]).all())
                for start, block in zip(rows.bounds, rows))
 
 

@@ -5,8 +5,12 @@ integer data; its dual is the fractional packing problem
 max sum(z) s.t. A^T z <= c, z >= 0.  A ``CoveringLP`` keeps A in CSR arrays
 alone, from its builders to HiGHS and every exact check.  The exact checks
 also take an LP too large to hold at once as ``RowBlocks``: consecutive
-``CoveringLP`` blocks of its rows over the same variables and objective,
-each built when it is read.  Row sums are taken and compared per block,
+blocks of its rows over the same variables and objective, each built when
+it is read, each a ``CoveringLP`` or, where every coefficient is 1, a
+``UnitTargets``: the (width, rows) array of variable ids the target
+kernels write, -1 where a position adds nothing, which the exact sums read
+as it is (the streamed deletion and grain balls; no CSR array is built for
+them).  Row sums are taken and compared per block,
 rows are reported with the LP's own row ids, A^T z adds the blocks' column
 sums (in Python ints past the first block: column sums that fit int64 in
 each block can pass it together), and c.w is taken once.  Every LP takes one
@@ -122,43 +126,78 @@ class CoveringLP:
     def validate(self) -> None:
         if any(not isinstance(c, int) or c < 0 for c in self.objective):
             raise ValueError("objective must be nonnegative integers")
-        row = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
         for i in np.flatnonzero(np.diff(self.indptr) == 0):
             raise ValueError(f"row {i} is empty")
         for t in np.flatnonzero((self.indices < 0) | (self.indices >= self.num_vars)):
-            raise ValueError(f"row {row[t]} references variable {self.indices[t]}")
+            raise ValueError(f"row {self._row_of(t)} references variable "
+                             f"{self.indices[t]}")
         if self.data.dtype == np.int64:  # one numpy test; object data per entry
             bad = np.flatnonzero(self.data <= 0)
         else:
             bad = (t for t, a in enumerate(self.data.tolist())
                    if not isinstance(a, int) or a <= 0)
         for t in bad:
-            raise ValueError(f"row {row[t]} has coefficient "
+            raise ValueError(f"row {self._row_of(t)} has coefficient "
                              f"{self.data.tolist()[t]!r}, not an int > 0")
 
+    def _row_of(self, t: int) -> int:
+        """The row of stored entry t, looked up for an error message."""
+        return int(np.searchsorted(self.indptr, t, side="right")) - 1
 
-def _row_lists(lp: CoveringLP) -> list:
+
+@dataclass
+class UnitTargets:
+    """A block of covering rows whose coefficients are all 1, held as the
+    target kernels write them: column i of the (width, num_rows) integer
+    array ``targets`` lists the variables of row i, each at most once, and
+    -1 where a position adds nothing.  ``linsolve.exact_product`` reads it
+    line by line, with no CSR arrays built; an entry that is neither -1 nor
+    a variable id is refused with ``ValueError``."""
+
+    targets: np.ndarray               # (width, num_rows), int32 or int64
+    num_vars: int
+
+    def __post_init__(self):
+        t = self.targets
+        if t.ndim != 2 or t.size and (t.min() < -1 or t.max() >= self.num_vars):
+            raise ValueError(f"unit targets of shape {t.shape} are not -1 or "
+                             f"ids of {self.num_vars} variables")
+
+    @property
+    def num_rows(self) -> int:
+        return self.targets.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num_rows, self.num_vars
+
+
+def _row_lists(lp: CoveringLP | UnitTargets) -> list:
+    if isinstance(lp, UnitTargets):
+        return [[(j, 1) for j in line if j >= 0]
+                for line in np.sort(lp.targets, axis=0).T.tolist()]
     ptr, cols, vals = (a.tolist() for a in (lp.indptr, lp.indices, lp.data))
     return [list(zip(cols[s:e], vals[s:e])) for s, e in zip(ptr, ptr[1:])]
 
 
 @dataclass
 class RowBlocks(Sequence):
-    """The rows of one covering LP as consecutive ``CoveringLP`` blocks over
-    all of its variables, each built when it is read, so that an exact check
-    holds one block at a time.  Block i is ``build(bounds[i], bounds[i+1])``,
-    the LP's rows bounds[i] to bounds[i+1] - 1, with their own row ids
-    starting at 0."""
+    """The rows of one covering LP as consecutive blocks over all of its
+    variables, each built when it is read, so that an exact check holds one
+    block at a time.  Block i is ``build(bounds[i], bounds[i+1])``, the
+    LP's rows bounds[i] to bounds[i+1] - 1, with their own row ids starting
+    at 0: a ``CoveringLP``, or a ``UnitTargets`` where every coefficient is
+    1 (the streamed deletion and grain balls)."""
 
     objective: list                   # shared by every block
     bounds: list[int]                 # 0 = bounds[0] <= ... <= bounds[-1] = num_rows
-    build: Callable[[int, int], CoveringLP]
+    build: Callable[[int, int], CoveringLP | UnitTargets]
     name: str = ""
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, i: int) -> CoveringLP:
+    def __getitem__(self, i: int) -> CoveringLP | UnitTargets:
         i = range(len(self))[i]       # IndexError past the last block
         start, stop = self.bounds[i], self.bounds[i + 1]
         block = self.build(start, stop)

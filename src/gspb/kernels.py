@@ -9,7 +9,10 @@ Each ball rule has one source, here.  ``deletion_targets`` and
 ``grain_targets`` give one column per error position and write -1 where the
 position adds no new word to the ball: a deletion inside a run already
 counted, or a smear with nothing to smear.  The entries left are distinct,
-so a row builder drops the -1s and needs no compare pass.  Both take the
+so a row reader skips the -1s and needs no compare pass.  Each result is
+the transposed view of a (width, centres) array, one contiguous line per
+error position, which the exact row checks read as it is
+(``exactlp.UnitTargets``).  Both take the
 centres to expand, all 2^n words by default, so one kernel serves a block
 of ``_BLOCK`` consecutive centres, a list of orbit representatives, or the
 whole word space.  Everything
@@ -56,18 +59,19 @@ _BLOCK = 1 << 14   # words per block: a block's columns stay in L2
 
 def _by_columns(n: int, width: int, fill, words) -> np.ndarray:
     """(len(words), width) array of word dtype, one line per word of
-    ``words`` (all 2^n words when None), a block of words at a time:
-    ``fill(words, cols)`` writes column i of the block into the contiguous
-    row cols[i], and one transposed copy stores the block.  numpy writes a
-    strided column several times slower than a contiguous row."""
+    ``words`` (all 2^n words when None): the transposed view of one
+    (width, len(words)) array, whose row i is column i of the result.
+    ``fill(words, cols)`` writes column i of a block of words into the
+    contiguous row cols[i], a block of ``_BLOCK`` words at a time; numpy
+    writes a strided column several times slower than a contiguous row.
+    That array is the only output allocated, and nothing copies it: its
+    ``.T`` is the contiguous (width, len(words)) layout that
+    ``exactlp.UnitTargets`` holds."""
     words = _words(n) if words is None else np.asarray(words, dtype=word_dtype(n))
-    out = np.empty((len(words), width), dtype=words.dtype)
-    cols = np.empty((width, min(len(words), _BLOCK)), dtype=words.dtype)
+    cols = np.empty((width, len(words)), dtype=words.dtype)
     for start in range(0, len(words), _BLOCK):
-        block = words[start:start + _BLOCK]
-        fill(block, cols[:, :len(block)])
-        out[start:start + _BLOCK] = cols[:, :len(block)].T
-    return out
+        fill(words[start:start + _BLOCK], cols[:, start:start + _BLOCK])
+    return cols.T
 
 
 def popcounts(n: int) -> np.ndarray:

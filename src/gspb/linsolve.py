@@ -46,11 +46,13 @@ Python ints otherwise; ``exact_dot`` does the same for one dot product.
 Sparse matrices are CSR arrays in numpy (``Csr``, or anything with the same
 four attributes, an ``exactlp.CoveringLP`` among them); ``take``,
 ``transpose``, ``dense`` and ``float_product`` are the few operations the
-crossover needs.  LAPACK ``getrf`` and ``getrs`` are called on scipy's
-compiled bindings, ``scipy.linalg._flapack``, the routines
-``scipy.linalg.lu_factor`` and ``lu_solve`` call, loaded from their own file
-by ``scipy_extension``, since importing ``scipy.linalg`` would load
-Python layers that a solve never runs (README, "How values are certified").
+crossover needs.  ``exact_product`` also reads a third form, the unit
+target arrays of ``exactlp.UnitTargets``, as they are stored.  LAPACK
+``getrf`` and ``getrs`` are called on scipy's compiled bindings,
+``scipy.linalg._flapack``, the routines ``scipy.linalg.lu_factor`` and
+``lu_solve`` call, loaded from their own file by ``scipy_extension``, since
+importing ``scipy.linalg`` would load Python layers that a solve never runs
+(README, "How values are certified").
 """
 
 from __future__ import annotations
@@ -355,18 +357,59 @@ def exact_dot(a: list[int], x) -> int:
 def exact_product(matrix, x, transpose: bool = False) -> np.ndarray:
     """``matrix @ x``, or ``matrix.T @ x`` with ``transpose``, for integer x,
     exact.  ``matrix`` is a ``Csr`` or an ``exactlp.CoveringLP`` (int64 or
-    Python-int data); x is a sequence of ints (``int_array``).
+    Python-int data), or an ``exactlp.UnitTargets``, whose coefficients
+    are all 1 and whose ``targets`` column i lists the variables of row i,
+    -1 where a position adds nothing; x is a sequence of ints
+    (``int_array``).
 
     The sums are int64 when max|x| max|a| L < 2^63, for L the longest row
-    (the longest column with ``transpose``): no term or partial sum can then
-    pass int64.  Otherwise they are Python ints in an object array, by the
-    same code; x past int64 goes there without a scan.
-    Only entries whose coefficient is not 1 are multiplied, so a 0/1 matrix
-    makes no Python int but the sums.  ``np.add.reduceat`` sums each
-    nonempty row from its start in ``indptr`` (it would give an empty row
-    the next row's first term, so empty rows are left at zero), and
-    ``np.add.at`` scatters the terms into the columns for ``transpose``."""
+    (the longest column with ``transpose``); of ``targets``, a is 1 and L is
+    the width (the largest in-degree of a variable with ``transpose``).  No
+    term or partial sum can then pass int64.  Otherwise they are Python ints
+    in an object array; x past int64 goes there without a scan.
+
+    A CSR matrix is read by one code for both: only entries whose
+    coefficient is not 1 are multiplied, so a 0/1 matrix makes no Python int
+    but the sums.  ``np.add.reduceat`` sums each nonempty row from its start
+    in ``indptr`` (it would give an empty row the next row's first term, so
+    empty rows are left at zero), and ``np.add.at`` scatters the terms into
+    the columns for ``transpose``.  ``targets`` is read as it is stored when
+    the sums are int64: a row sum adds one contiguous gather of x per line,
+    where -1 reads a zero appended to x, and a column sum scatters each line
+    into num_vars + 1 slots, the last of which takes the -1s and is dropped.
+    In Python ints only the entries other than -1 are added, line by line:
+    a column sum scatters each line's, and a row sum adds each line's to its
+    rows, the first line's set in place of added to zeros."""
     x = int_array(x)
+    targets = getattr(matrix, "targets", None)
+    if targets is not None:
+        if x.dtype == np.int64:
+            longest = (np.bincount(targets.ravel() + 1)[1:].max(initial=0)
+                       if transpose else len(targets))
+            if _magnitude(x) * int(longest) >= 1 << 63:
+                x = x.astype(object)
+        if transpose:
+            out = np.zeros(matrix.shape[1] + 1, dtype=x.dtype)
+            for line in targets:
+                if x.dtype == np.int64:   # a -1 adds to the last slot
+                    np.add.at(out, line, x)
+                else:
+                    keep = (line >= 0).nonzero()[0]
+                    np.add.at(out, line[keep], x[keep])
+            return out[:-1]
+        out = np.zeros(matrix.shape[0], dtype=x.dtype)
+        if x.dtype == np.int64:
+            padded, term = np.append(x, 0), np.empty_like(out)
+            for line in targets:   # "wrap" takes -1 to the appended zero
+                out += np.take(padded, line, out=term, mode="wrap")
+            return out
+        for i, line in enumerate(targets):
+            keep = (line >= 0).nonzero()[0]
+            if i:
+                out[keep] += x[line[keep]]
+            else:                  # set, so that no term is added to a 0
+                out[keep] = x[line[keep]]
+        return out
     counts = np.diff(matrix.indptr)
     data = matrix.data
     if x.dtype == np.int64:

@@ -8,11 +8,16 @@ every bound closed-form; the full covering LPs (capped, default n <= 12) are
 solved exactly through the shared LP core.
 
 The 2^n ball rows come from one builder, ``_ball_rows``, over any list of
-centres: ``ball_blocks`` reads them in blocks of ``kernels._BLOCK``
-consecutive centres, each an ordinary ``CoveringLP`` over all the
-variables, so the profile checks, ``verify``, the monotonicity check and
-the orbit lift hold one block at a time; ``deletion_full_lp`` and
-``grain_full_lp`` are the one-block case.
+centres, in the layout the target kernels write: an
+``exactlp.UnitTargets``, one line of variable ids per error position (for
+grain, the centre itself first) and -1 where a position adds nothing.
+``ball_blocks`` reads them in blocks of ``kernels._BLOCK`` consecutive
+centres over all the variables, so the profile checks, ``verify``, the
+monotonicity check and the orbit lift hold one block at a time, and their
+exact sums read each block as the kernels left it.  The LPs that are
+solved or quotiented take CSR arrays: ``_ball_lp`` turns the same rows
+into a ``CoveringLP`` for ``deletion_full_lp`` and ``grain_full_lp``, the
+one-block case, and for the orbit representatives.
 
 At every n the full LP is solved on its orbit quotient under word
 complementation (and reversal, for deletion); run-profile classes are not
@@ -171,11 +176,13 @@ def profile_weights(m: int) -> exactlp.Scaled:
     return exactlp.Scaled(table[profile], scale)
 
 
-def _ball_lp(cand: np.ndarray, objective: list, name: str) -> exactlp.CoveringLP:
-    """Covering LP whose row per line of ``cand`` lists its entries >= 0 in
-    order.  The kernels mark a repeated or missing target -1, so the entries
-    left are distinct.  ``cand`` is a fresh array of short lines (at most 31
-    entries), sorted in place."""
+def _ball_lp(block: exactlp.UnitTargets, objective: list,
+             name: str) -> exactlp.CoveringLP:
+    """The ``block``'s rows as a CSR covering LP over ``objective``, each
+    row's variables in increasing order: the form of the LPs that are
+    solved or quotiented.  The entries other than -1 are distinct, so no
+    compare pass is needed."""
+    cand = np.ascontiguousarray(block.targets.T)   # lines of at most 31 entries
     cand.sort(axis=1)
     keep = cand >= 0
     indptr = np.zeros(len(cand) + 1, dtype=np.int64)
@@ -188,20 +195,19 @@ def _ball_lp(cand: np.ndarray, objective: list, name: str) -> exactlp.CoveringLP
                               np.ones(len(indices), dtype=np.int64), name)
 
 
-def _ball_rows(n: int, family: str, words, objective: list) -> exactlp.CoveringLP:
-    """The deletion or grain ball rows of the length-n centres ``words``
-    (all 2^n when None), one row per centre in order, over every word of the
-    ground set, whose unit costs ``objective`` the rows share.  The one
-    caller of the target kernels."""
+def _ball_rows(n: int, family: str, words) -> exactlp.UnitTargets:
+    """The deletion or grain balls of the length-n centres ``words`` (all
+    2^n when None), one row per centre in order, as the target kernels
+    write them: the kernel's (width, rows) array, whose grain lines start
+    with the centre itself.  The one caller of the target kernels."""
     dtype = kernels.word_dtype(n)
     words = np.arange(1 << n, dtype=dtype) if words is None else np.asarray(words, dtype)
-    name = f"{family}-full-n{n}"
     if family == "deletion":
-        return _ball_lp(deletion_targets(n, words), objective, name)
+        return exactlp.UnitTargets(deletion_targets(n, words).T, 1 << (n - 1))
     # each ball is the word plus its smears, which flip distinct bits and so
     # are distinct
-    return _ball_lp(np.concatenate([words[:, None], grain_targets(n, words)], axis=1),
-                    objective, name)
+    return exactlp.UnitTargets(
+        np.concatenate([words[None, :], grain_targets(n, words).T]), 1 << n)
 
 
 def _check_rows(n: int, family: str, cap: int) -> None:
@@ -214,29 +220,29 @@ def _check_rows(n: int, family: str, cap: int) -> None:
 
 def ball_blocks(family: str, n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.RowBlocks:
     """The rows of the full deletion or grain LP in blocks of
-    ``kernels._BLOCK`` consecutive centres, each built when it is read."""
+    ``kernels._BLOCK`` consecutive centres, each built when it is read, as
+    the ``exactlp.UnitTargets`` the kernels write: no CSR array is made."""
     _check_rows(n, family, cap)
     ground = n - 1 if family == "deletion" else n
-    objective = [1] * (1 << ground)
     step = kernels._BLOCK
-
-    def build(start: int, stop: int) -> exactlp.CoveringLP:
-        return _ball_rows(n, family, np.arange(start, stop), objective)
-
-    return exactlp.RowBlocks(objective, [*range(0, 1 << n, step), 1 << n], build,
-                             f"{family}-full-n{n}")
+    return exactlp.RowBlocks(
+        [1] * (1 << ground), [*range(0, 1 << n, step), 1 << n],
+        lambda start, stop: _ball_rows(n, family, np.arange(start, stop)),
+        f"{family}-full-n{n}")
 
 
 def deletion_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP with 2^(n-1) variables and one row per length-n word."""
     _check_rows(n, "deletion", cap)
-    return _ball_rows(n, "deletion", None, [1] * (1 << (n - 1)))
+    return _ball_lp(_ball_rows(n, "deletion", None), [1] * (1 << (n - 1)),
+                    f"deletion-full-n{n}")
 
 
 def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
     """Covering LP over {0,1}^n, one row per word: the word and its smears."""
     _check_rows(n, "grain", cap)
-    return _ball_rows(n, "grain", None, [1] * (1 << n))
+    return _ball_lp(_ball_rows(n, "grain", None), [1] * (1 << n),
+                    f"grain-full-n{n}")
 
 
 def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
@@ -293,7 +299,7 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
     v_reps, v_orbit, v_sizes = _word_orbits(ground_m, use_rev)
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
 
-    reps = _ball_rows(n, family, c_reps, full.objective)
+    reps = _ball_lp(_ball_rows(n, family, c_reps), full.objective, full.name)
     counted = count_rows(reps.indptr, np.take(v_orbit, reps.indices), len(v_reps))
     qlp = exactlp.CoveringLP(v_sizes, counted.indptr, counted.indices, counted.data,
                              f"{family}-orbit-n{n}")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gspb import bounds, exactlp, kernels, seqchannels as seq
+from gspb import bounds, exactlp, kernels, linsolve, seqchannels as seq
 from gspb.channels import ChannelSpec
 
 SMALL = 64  # centres per block under test: n=8 has four blocks
@@ -42,12 +42,20 @@ def test_blocks_are_the_full_lp_rows(monkeypatch, family, n):
     assert len(blocks) == max(1, (1 << n) // SMALL)
     assert blocks.shape == full.shape and blocks.objective == full.objective
     for start, block in zip(blocks.bounds, blocks):
+        # a block is the kernels' (width, rows) array of unit targets, whose
+        # column i, sorted and without its -1s, is row start + i of the CSR LP
+        assert isinstance(block, exactlp.UnitTargets)
         stop = start + block.num_rows
+        targets = block.targets
+        assert targets.ndim == 2 and targets.dtype.kind == "i"
+        assert ((targets == -1) | (targets >= 0) & (targets < full.num_vars)).all()
+        lines = np.sort(targets, axis=0).T
+        keep = lines >= 0
         s, e = full.indptr[start], full.indptr[stop]
-        assert np.array_equal(block.indptr, full.indptr[start:stop + 1] - s)
-        assert np.array_equal(block.indices, full.indices[s:e])
-        assert block.indices.dtype == block.data.dtype == np.int64
-        assert (block.data == 1).all()
+        assert np.array_equal(keep.sum(axis=1), np.diff(full.indptr[start:stop + 1]))
+        assert np.array_equal(lines[keep], full.indices[s:e])
+        assert exactlp.RowBlocks(blocks.objective, [0, stop - start],
+                                 lambda a, b: block).rows == full.rows[start:stop]
 
 
 @pytest.mark.parametrize("family,n", CASES, ids=IDS)
@@ -79,6 +87,36 @@ def test_violations_in_the_third_block_keep_their_row_ids(monkeypatch):
     assert 150 in rep.violated_rows
     assert all(128 <= i < 192 for i in rep.violated_rows)
     assert _fields(rep) == _fields(want)
+
+
+@pytest.mark.parametrize("family,n", [("deletion", 9), ("grain", 8)])
+def test_ball_blocks_past_int64(monkeypatch, family, n):
+    # weights and duals near 2^62 take every ball block past the int64 bound
+    # (a row holds at least two of them), so its sums are Python ints; the
+    # reports and the dual verdicts equal the one-block CSR LP's
+    full = _full(family, n)
+    monkeypatch.setattr(kernels, "_BLOCK", SMALL)
+    blocks = seq.ball_blocks(family, n)
+    rng = np.random.default_rng(n)
+    top = 1 << 62
+    numer = rng.integers(top - (1 << 40), top, full.num_vars)
+    numer[::5] = 0
+    duals = rng.integers(top - (1 << 40), top, full.num_rows)
+    block = blocks[1]
+    assert linsolve.exact_product(block, numer).dtype == object
+    assert linsolve.exact_product(block, duals[:SMALL], transpose=True).dtype == object
+    for scale in (top, 3 * top, 5 * top):
+        w = exactlp.Scaled(numer, scale)
+        assert _fields(exactlp.verify_transversal(blocks, w)) == \
+            _fields(exactlp.verify_transversal(full, w))
+    column_sums = linsolve.exact_product(full, duals.astype(object), transpose=True)
+    most = int(column_sums.max())
+    for scale in (most - 1, most):
+        z = exactlp.Scaled(duals, scale)
+        assert exactlp._dual(blocks, z) == exactlp._dual(full, z)
+    assert exactlp._dual(blocks, exactlp.Scaled(duals, most - 1)) is None
+    assert exactlp._dual(blocks, exactlp.Scaled(duals, most)) == \
+        Fraction(int(duals.astype(object).sum()), most)
 
 
 def _quotient_of(monkeypatch, family, n):

@@ -310,6 +310,18 @@ def test_first_non_positive_coefficient_named_for_either_dtype():
             dataclasses.replace(lp, data=data).validate()
 
 
+def test_out_of_range_variable_names_its_row():
+    # the row of a bad entry is looked up only when there is one to report
+    lp = exactlp.CoveringLP.from_rows([1, 1], [[(0, 1)], [(1, 1), (0, 1)],
+                                               [(0, 1), (1, 1)]])
+    lp.validate()
+    for t, var, row in ((4, 5, 2), (3, -1, 2), (1, 2, 1), (0, 7, 0)):
+        indices = lp.indices.copy()
+        indices[t] = var
+        with pytest.raises(ValueError, match=rf"^row {row} references variable {var}$"):
+            dataclasses.replace(lp, indices=indices).validate()
+
+
 @pytest.mark.parametrize("build", [lambda: zchannel.z_quotient_lp(80, 1),
                                    lambda: projective.projective_lp(20)],
                          ids=["z-80", "projective-20"])
@@ -726,6 +738,32 @@ def test_column_sums_past_int64_across_blocks_are_refused():
     assert exactlp.check_certificate(blocks, [0, 1], [big, big]) is None
     ok = exactlp.CoveringLP.from_rows([2 * big, 2 * big], lp.rows)
     assert exactlp.check_certificate(_split(ok, [0, 1, 2]), [0, 1], [big, big]) == 2 * big
+
+
+def test_column_sums_past_int64_across_unit_target_blocks_are_refused():
+    # the same LP as above in unit-target blocks: each block's in-degree is
+    # 1, so its A^T z is int64 (3 * 2^61 per column), and their sum is not
+    big = 3 << 61
+    unit = np.array([[0], [1]])
+
+    def blocks(objective):
+        return exactlp.RowBlocks(objective, [0, 1, 2],
+                                 lambda start, stop: exactlp.UnitTargets(unit, 2))
+
+    assert linsolve.exact_product(exactlp.UnitTargets(unit, 2), [big],
+                                  transpose=True).dtype == np.int64
+    assert exactlp.check_certificate(blocks([2 * big - 1, 2 * big]), [0, 1],
+                                     [big, big]) is None
+    assert exactlp.check_certificate(blocks([2 * big, 2 * big]), [0, 1],
+                                     [big, big]) == 2 * big
+
+
+def test_unit_targets_refuse_entries_that_are_not_ids():
+    exactlp.UnitTargets(np.array([[0, -1], [2, 1]]), 3)
+    exactlp.UnitTargets(np.zeros((2, 0), dtype=np.int32), 3)
+    for bad in (np.array([[0, -2]]), np.array([[0, 3]]), np.array([0, 1])):
+        with pytest.raises(ValueError, match="not -1 or ids of 3 variables"):
+            exactlp.UnitTargets(bad, 3)
 
 
 def test_row_blocks_refuse_a_block_of_the_wrong_shape():

@@ -528,6 +528,57 @@ def test_exact_product_leaves_empty_rows_at_zero(top):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_exact_product_reads_unit_targets(data):
+    # random unit-target arrays, -1s anywhere in a line and empty rows
+    # included, give the dense reference and the CSR LP's sums, by A x and
+    # A^T x, for x of 1 to 600 bits (int64 and Python-int sums)
+    cols, num = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 7))
+    width = data.draw(st.integers(0, cols + 2))
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    targets = np.full((width, num), -1, dtype=dtype)
+    rows = []
+    for i in range(num):
+        ids = data.draw(st.permutations(range(cols)))[:data.draw(st.integers(0, min(width, cols)))]
+        at = data.draw(st.permutations(range(width)))[:len(ids)]
+        targets[at, i] = ids
+        rows.append(sorted(ids))
+    unit = exactlp.UnitTargets(targets, cols)
+    lp = exactlp.CoveringLP.from_rows([0] * cols, [[(j, 1) for j in row] for row in rows])
+    bits = data.draw(st.integers(1, 600))
+    entry = st.integers(-2**bits, 2**bits)
+    x = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+    y = data.draw(st.lists(entry, min_size=num, max_size=num))
+    ax = [sum(x[j] for j in row) for row in rows]
+    aty = [sum(y[i] for i, row in enumerate(rows) if j in row) for j in range(cols)]
+    assert linsolve.exact_product(unit, x).tolist() == ax
+    assert linsolve.exact_product(unit, y, transpose=True).tolist() == aty
+    assert linsolve.exact_product(lp, x).tolist() == ax
+    assert linsolve.exact_product(lp, y, transpose=True).tolist() == aty
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("line,target", [(7, 2**63 - 1), (8, 2**63)],
+                         ids=["int64", "object"])
+def test_unit_targets_take_int64_exactly_below_their_bound(line, target, sign):
+    # unit coefficients: the bound is max|x| L, for L the width (A x) or the
+    # largest in-degree (A^T x); every term at max|x| with one sign makes the
+    # sum reach it.  The -1s of the A^T x case pile more than 60 terms into
+    # the dropped slot, past int64, which must not reach the sums
+    top = sign * (target // line)
+    want = np.int64 if target < 2**63 else object
+    rows = np.full((line, 2), -1)
+    rows[:, 0] = range(line)
+    out = linsolve.exact_product(exactlp.UnitTargets(rows, line), [top] * line)
+    assert out.dtype == want and out.tolist() == [line * top, 0]
+    cols = np.full((5, line + 8), -1)
+    cols[0, :line] = 0
+    out = linsolve.exact_product(exactlp.UnitTargets(cols, 2), [top] * (line + 8),
+                                 transpose=True)
+    assert out.dtype == want and out.tolist() == [line * top, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_csr_helpers_match_scipy(data):
     # take, transpose and dense against scipy.sparse on random int64 CSR
     # matrices with empty rows and columns and rows stored out of column

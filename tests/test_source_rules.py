@@ -153,6 +153,33 @@ def test_ball_rows_have_one_builder():
     assert callers == [("seqchannels.py", "_ball_rows")]
 
 
+def _reaches(start: str, target: str) -> bool:
+    """True iff a function named ``start`` calls one named ``target``,
+    directly or through the functions under src/gspb it calls, every
+    function of a name followed."""
+    by_name: dict[str, list] = {}
+    for (_, name), node in _functions().items():
+        by_name.setdefault(name, []).append(node)
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name == target:
+            return True
+        if name not in seen:
+            seen.add(name)
+            todo += [called for node in by_name.get(name, [])
+                     for called in _called_names(node)]
+    return False
+
+
+def test_streamed_ball_rows_build_no_csr():
+    # ball_blocks hands the checks the kernels' unit targets as they are;
+    # _ball_lp, which turns them into CSR arrays, serves the one-block full
+    # LPs and the orbit representatives alone
+    assert _reaches("deletion_full_lp", "_ball_lp")
+    assert not _reaches("ball_blocks", "_ball_lp")
+
+
 STREAMED = [("seqchannels.py", "verify_deletion_transversal"),
             ("seqchannels.py", "verify_grain_transversal"),
             ("seqchannels.py", "_orbit_reduced_solve"),
