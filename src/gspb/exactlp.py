@@ -95,14 +95,15 @@ class CoveringLP:
     @classmethod
     def from_rows(cls, objective, rows, name: str = "") -> CoveringLP:
         """The LP whose row i lists the (variable, coefficient) pairs rows[i].
-        Unless every coefficient is an int that fits int64, they are kept as
-        given, so that ``validate`` sees a non-integer one."""
+        Unless every coefficient is an int of magnitude below 2^63, they are
+        kept as given, so that ``validate`` sees a non-integer one (and -2^63,
+        whose ``abs`` passes int64, stays a Python int)."""
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=indptr[1:])
         indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
         coeffs = [a for row in rows for _, a in row]
         data = np.array(coeffs, dtype=object)
-        if all(isinstance(a, int) and -(1 << 63) <= a < 1 << 63 for a in coeffs):
+        if all(isinstance(a, int) and -(1 << 63) < a < 1 << 63 for a in coeffs):
             data = data.astype(np.int64)
         return cls(list(objective), indptr, indices, data, name)
 

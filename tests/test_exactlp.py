@@ -310,6 +310,14 @@ def test_first_non_positive_coefficient_named_for_either_dtype():
             dataclasses.replace(lp, data=data).validate()
 
 
+def test_int64_data_only_below_magnitude_2_63():
+    # -2^63 fits int64 but its abs does not, so it is kept as a Python int
+    # and the magnitude bounds taken of the data stay exact
+    for a, dtype in [(-(2**63) + 1, np.int64), (-(2**63), object), (2**63, object)]:
+        lp = exactlp.CoveringLP.from_rows([1], [[(0, a)]])
+        assert lp.data.dtype == dtype and lp.data.tolist() == [a]
+
+
 def test_out_of_range_variable_names_its_row():
     # the row of a bad entry is looked up only when there is one to report
     lp = exactlp.CoveringLP.from_rows([1, 1], [[(0, 1)], [(1, 1), (0, 1)],
