@@ -119,7 +119,7 @@ class Routes:
     certificate: Callable[[], str] = lambda: ""
 
 
-def family_routes(spec: ChannelSpec, lp_cap: int = seqchannels.DEFAULT_LP_CAP,
+def family_routes(spec: ChannelSpec, lp_cap: int | None = None,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> Routes:
     """Every route of one instance.  The closed-form ASPVs hold at radius 1
     (z's at every radius); elsewhere ASPV is enumerated."""
@@ -281,7 +281,7 @@ BOUNDS = ("mb", "aspv", "closed", "gspb")
 
 
 def assemble_report(spec: ChannelSpec,
-                    lp_cap: int = seqchannels.DEFAULT_LP_CAP,
+                    lp_cap: int | None = None,
                     enum_cap: int = DEFAULT_ENUM_CAP,
                     names: tuple[str, ...] = BOUNDS) -> BoundReport:
     """Run every applicable bound among ``names`` for one instance, and no

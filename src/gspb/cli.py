@@ -246,8 +246,10 @@ def _add_common(p: argparse.ArgumentParser, family_required: bool = True,
         p.add_argument("--n", type=int, required=n_required)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--lp-cap", type=int, default=seqchannels.DEFAULT_LP_CAP,
-                   help="largest n for which the full deletion/grain LP runs")
+    guard = ", ".join(f"{family} {n}" for family, n in seqchannels.LP_GUARD.items())
+    p.add_argument("--lp-cap", type=int, default=None,
+                   help=f"largest n for which the full deletion/grain LP runs "
+                   f"(default: {guard})")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
 
 

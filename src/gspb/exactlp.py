@@ -28,7 +28,11 @@ complementary-slackness systems B w = 1 and B^T z = c exactly on one basis
 B of A[R,S]: one float LU of A[R,S] picks B's rows and proposes the digits
 of both, and ``linsolve.refine_solve`` lifts them by integer iterative
 refinement into ``Scaled`` witnesses, which go to the certificate check as
-they are and stay in the solution that way.  When the float lift fails (a
+they are and stay in the solution that way (``solve_from_basis``).  A
+caller that already holds a basis (the stored bases of the deletion and
+grain orbit quotients) hands it to ``solve_min_transversal``, which lifts
+it the same way with no float presolve, and runs the presolve and the
+crossover only when that basis is refused.  When the float lift fails (a
 basis too ill-conditioned for float digits), or the pair fails
 the certificate check (at a degenerate vertex), the dual and the primal are
 solved on their own supports, each by one support solve
@@ -246,8 +250,9 @@ class LPSolution:
     #                                   (zchannel) or "greedy" (projective)
     pivots: int = 0                   # always 0; kept for the benchmark harness
     notes: str = ""                   # a crossover's support sizes and
-    #                                   route: "float basis" or
-    #                                   "support solves (<reason>)"
+    #                                   route: "float basis", "stored basis"
+    #                                   or "support solves (<reason>)"
+    basis: Basis | None = None        # the basis w and z were lifted on
 
     @cached_property
     def primal(self) -> list[Fraction]:
@@ -273,6 +278,19 @@ class TransversalReport:
     negative_entries: list[int]       # every variable with w < 0
     scale: int                        # d: the LCM of the weights' denominators,
     #                                   or the scale of a Scaled witness
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A basis of a covering LP of ``shape`` (rows, variables): the primal
+    support S (variable ids) and the basis rows R (the ids of tight rows),
+    with |R| = |S|.  ``solve_from_basis`` lifts w on S and z on R from
+    B = A[R, S]; the crossover finds one, and ``seqchannels`` stores those
+    of the deletion and grain orbit quotients."""
+
+    shape: tuple[int, int]
+    support: list[int]
+    tight: list[int]
 
 
 @dataclass
@@ -500,6 +518,11 @@ def float_presolve(lp: CoveringLP, simplex: bool = False) -> PresolveResult:
                           list(solution.col_value), "ok")
 
 
+def highs_version() -> str:
+    """The version of the HiGHS that ``float_presolve`` runs."""
+    return linsolve.scipy_extension("scipy.optimize._highspy._core")._Highs().version()
+
+
 def _scatter(values, at: list[int], size: int, zero=Fraction(0)) -> list:
     """A length-``size`` list with values[t] at position at[t], ``zero``
     elsewhere."""
@@ -541,19 +564,16 @@ def _support_solve(matrix, eqs: list[int], unknowns: list[int], rhs,
 def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     """Exact optimum from the float vertex via complementary slackness.
 
-    The primal support S holds the float weights above 1e-7 times the
-    largest one, and the tight rows R are ordered by decreasing float dual.
-    The basis B is the |S| rows of R that LAPACK's row pivoting of the
-    float A[R,S] factors first, all of them when |R| = |S|, and the top of
-    that one LU is B's (``linsolve.float_basis``).  It lifts both
-    B w_S = 1 and B^T z_B = c_S exactly (``linsolve.refine_solve``), with w
-    zero off S and z zero off B's rows (the basis sharing of exact LP solvers:
-    Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
-    programming problems", Oper. Res. Lett. 35(6), 2007).  When there is no
-    square basis, the lift fails, or the pair fails ``check_certificate``
-    (at a degenerate vertex, say), the dual is solved on the float dual
-    support and the primal on S, by two support solves, which stay mod p.
-    None when those fail too.  The route taken ends the solution's notes.
+    Finds a basis: the primal support S holds the float weights above 1e-7
+    times the largest one, and the tight rows R are ordered by decreasing
+    float dual.  The basis B is the |S| rows of R that LAPACK's row
+    pivoting of the float A[R,S] factors first, all of them when |R| = |S|,
+    and the top of that one LU is B's (``linsolve.float_basis``), which
+    ``solve_from_basis`` lifts.  When there is no square basis, the lift
+    fails, or the pair fails ``check_certificate`` (at a degenerate vertex,
+    say), the dual is solved on the float dual support and the primal on S,
+    by two support solves, which stay mod p.  None when those fail too.
+    The route taken ends the solution's notes.
     """
     wt = np.array(pres.primal)
     zt = np.array(pres.dual)
@@ -561,24 +581,15 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     tight = np.flatnonzero(linsolve.float_product(A, wt) < 1 + 1e-6)
     tight = tight[np.argsort(-zt[tight], kind="stable")].tolist()
     support = np.flatnonzero(wt > 1e-7 * wt.max(initial=0)).tolist()
-    basis = linsolve.float_basis(linsolve.take(A, tight, support))
-    if basis is None:
+    found = linsolve.float_basis(linsolve.take(A, tight, support))
+    if found is None:
         reason = "no square basis"
     else:
-        rows, lu = basis
-        rows = [tight[r] for r in rows]  # the LP's ids of B's rows
-        pair = linsolve.refine_solve(linsolve.take(A, rows, support),
-                                     [1] * len(support),
-                                     [lp.objective[j] for j in support], lu)
-        reason = "float lift failed"
-        if pair is not None:
-            (x, dx), (y, dy) = pair
-            w = Scaled(linsolve.int_array(_scatter(x, support, lp.num_vars, 0)), dx)
-            z = Scaled(linsolve.int_array(_scatter(y, rows, lp.num_rows, 0)), dy)
-            sol = _certified(lp, w, z, support, "float basis")
-            if sol is not None:
-                return sol
-            reason = "pair not certified"
+        rows, lu = found
+        basis = Basis(lp.shape, support, [tight[r] for r in rows])
+        sol, reason = solve_from_basis(lp, basis, "float basis", lu)
+        if sol is not None:
+            return sol
     # solve the dual and the primal on their own supports
     At = linsolve.transpose(A)
     colsum = linsolve.float_product(At, zt)
@@ -591,6 +602,54 @@ def _crossover(lp: CoveringLP, pres: PresolveResult) -> LPSolution | None:
     w = _support_solve(A, tight, support, [1] * lp.num_rows, lp.num_vars)
     return None if w is None else _certified(lp, w, z, support,
                                              f"support solves ({reason})")
+
+
+def solve_from_basis(lp: CoveringLP, basis: Basis, route: str = "stored basis",
+                     lu=None) -> tuple[LPSolution | None, str]:
+    """The certified optimum lifted from ``basis``, or None and the reason
+    the basis was refused.
+
+    B = A[R,S] for the basis's support S and rows R.  It lifts both
+    B w_S = 1 and B^T z_R = c_S exactly (``linsolve.refine_solve``), with w
+    zero off S and z zero off R (the basis sharing of exact LP solvers:
+    Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
+    programming problems", Oper. Res. Lett. 35(6), 2007), and keeps the pair
+    only when it passes ``check_certificate``; ``route`` ends the notes.
+    ``lu`` is B's float LU in R's order, as ``linsolve.float_basis`` gives
+    it; without it B is factored here, once.  The basis is only a hint (a
+    stored one, say: Koch, "The final NETLIB-LP results", Oper. Res. Lett.
+    32(2), 2004): one taken on an LP of another shape, one that is not
+    square, or one whose ids pass the LP's is refused before anything is
+    factored, and one that does not lift or certify is refused after."""
+    support, rows = basis.support, basis.tight
+    if basis.shape != lp.shape:
+        return None, f"shape {basis.shape} is not the LP's {lp.shape}"
+    if len(rows) != len(support):
+        return None, f"{len(rows)} rows for a support of {len(support)}"
+    if not (_ids_in(support, lp.num_vars) and _ids_in(rows, lp.num_rows)):
+        return None, "ids out of range"
+    A = _int_matrix(lp)
+    if lu is None:
+        order, lu = linsolve.float_basis(linsolve.take(A, rows, support))
+        rows = [rows[r] for r in order]
+    pair = linsolve.refine_solve(linsolve.take(A, rows, support),
+                                 [1] * len(support),
+                                 [lp.objective[j] for j in support], lu)
+    if pair is None:
+        return None, "float lift failed"
+    (x, dx), (y, dy) = pair
+    w = Scaled(linsolve.int_array(_scatter(x, support, lp.num_vars, 0)), dx)
+    z = Scaled(linsolve.int_array(_scatter(y, rows, lp.num_rows, 0)), dy)
+    sol = _certified(lp, w, z, support, route)
+    if sol is None:
+        return None, "pair not certified"
+    sol.basis = Basis(lp.shape, support, rows)
+    return sol, ""
+
+
+def _ids_in(ids: list[int], size: int) -> bool:
+    """True when ``ids`` are distinct and each is in range(size)."""
+    return len(set(ids)) == len(ids) and all(0 <= i < size for i in ids)
 
 
 def _certified(lp: CoveringLP, w, z, support: list[int],
@@ -617,15 +676,25 @@ def complementary_dual(lp: CoveringLP, rows: list[int],
 # public solve entry points
 # ---------------------------------------------------------------------------
 
-def solve_min_transversal(lp: CoveringLP, simplex: bool = False) -> LPSolution:
+def solve_min_transversal(lp: CoveringLP, simplex: bool = False,
+                          basis: Basis | None = None) -> LPSolution:
     """Exact minimum fractional transversal with primal and dual witnesses.
 
-    Validates the LP, runs the float presolve (by HiGHS's dual simplex with
+    Validates the LP.  Given a ``basis``, it first tries
+    ``solve_from_basis``, whose notes then end ``stored basis``; when that
+    basis is refused, the reason opens the notes of the solve that follows.
+    That solve runs the float presolve (by HiGHS's dual simplex with
     ``simplex``, which the closed-form quotient LPs take, and by its interior
     point otherwise) and then the exact crossover; raises ``GspbError``
     naming the stage when either fails.
     """
     lp.validate()
+    refused = ""
+    if basis is not None:
+        sol, reason = solve_from_basis(lp, basis)
+        if sol is not None:
+            return sol
+        refused = f"stored basis refused ({reason}), "
     pres = float_presolve(lp, simplex=simplex)
     if not pres.converged:
         # every row holds a positive coefficient, so z_i <= c_j / a_ij bounds
@@ -635,6 +704,7 @@ def solve_min_transversal(lp: CoveringLP, simplex: bool = False) -> LPSolution:
     sol = _crossover(lp, pres)
     if sol is None:
         raise GspbError(f"exact crossover failed to certify LP {lp.name!r}")
+    sol.notes = refused + sol.notes
     return sol
 
 

@@ -4,8 +4,9 @@ Both channels have radius-one ball size equal to the run count of the
 center, and both admit the same profile-keyed transversal: weight 1/rho for
 words with at most one middle length-1 run, (1/rho)(1 - mu/rho^2) otherwise,
 where mu counts the middle length-1 runs.  Counting words by profile keeps
-every bound closed-form; the full covering LPs (capped, default n <= 12) are
-solved exactly through the shared LP core.
+every bound closed-form; the full covering LPs are solved exactly through
+the shared LP core, up to a guard per family (``LP_GUARD``: deletion
+n <= 15, grain n <= 13 by default).
 
 The 2^n ball rows come from one builder, ``_ball_rows``, over any list of
 centres, in the layout the target kernels write: an
@@ -26,7 +27,11 @@ are found on arrays (the least member of each word's orbit), and each
 quotient row counts the ball row of one center per orbit, built for those
 centres alone, by orbit: ``reduction.count_rows`` takes those CSR rows with
 each word replaced by its orbit and returns the quotient's CSR arrays, the
-same counter that checks the closed-form quotient rules.  The quotient witnesses are lifted back and
+same counter that checks the closed-form quotient rules.  The quotient is
+solved from its stored optimal basis (``BASES_FILE``, read once per
+process; ``write_orbit_bases`` writes it) with no float presolve,
+and by HiGHS and the exact crossover when there is none or it is refused.
+The quotient witnesses are lifted back and
 checked against every block of the full LP: the lift indexes the
 quotient's integer-scaled witnesses by orbit with numpy, so no Fraction is
 made per word.
@@ -34,7 +39,10 @@ made per word.
 
 from __future__ import annotations
 
+import functools
+import json
 from fractions import Fraction
+from importlib import resources
 from math import comb, lcm
 
 import numpy as np
@@ -45,7 +53,13 @@ from .channels import (DEFAULT_ENUM_CAP, CapExceeded, EnumerationCapExceeded,
 from .kernels import deletion_targets, grain_targets, run_stats
 from .reduction import count_rows
 
-DEFAULT_LP_CAP = 12
+# the largest n whose full LP each family solves by default (``--lp-cap``
+# overrides it): the reach of the stored bases, in seconds per cell
+LP_GUARD = {"deletion": 15, "grain": 13}
+
+# the optimal bases of the orbit quotients (``write_orbit_bases``)
+BASES_FILE = resources.files(__package__) / "data" / "orbit_bases.json"
+_FIRST_N = {"deletion": 2, "grain": 1}
 
 
 def runs(word) -> int:
@@ -245,9 +259,10 @@ def grain_full_lp(n: int, cap: int = DEFAULT_ENUM_CAP) -> exactlp.CoveringLP:
                     f"grain-full-n{n}")
 
 
-def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
+def deletion_full_gspb(n: int, lp_cap: int | None = None,
                        enum_cap: int = DEFAULT_ENUM_CAP) -> exactlp.LPSolution:
-    """Exact covering optimum of the full deletion LP, capped by size.
+    """Exact covering optimum of the full deletion LP, for n up to
+    ``lp_cap`` (default ``LP_GUARD["deletion"]``).
 
     Solved on the reversal/complement orbit quotient; the witnesses are
     lifted back and re-verified against every row and column of the full
@@ -256,11 +271,12 @@ def deletion_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
     return _orbit_reduced_solve(n, "deletion", lp_cap, enum_cap)
 
 
-def grain_full_gspb(n: int, lp_cap: int = DEFAULT_LP_CAP,
+def grain_full_gspb(n: int, lp_cap: int | None = None,
                     enum_cap: int = DEFAULT_ENUM_CAP) -> exactlp.LPSolution:
     """Exact covering optimum of the full grain LP (artifact-computed; no
-    published column exists for it), capped by size; solved like
-    deletion_full_gspb on the complement orbit quotient."""
+    published column exists for it), for n up to ``lp_cap`` (default
+    ``LP_GUARD["grain"]``); solved like deletion_full_gspb on the complement
+    orbit quotient."""
     return _orbit_reduced_solve(n, "grain", lp_cap, enum_cap)
 
 
@@ -285,25 +301,34 @@ def _word_orbits(m: int, use_reversal: bool):
     return reps.tolist(), orbit_of.tolist(), sizes.tolist()
 
 
-def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
-                         enum_cap: int) -> exactlp.LPSolution:
-    if n > lp_cap:
-        raise CapExceeded(
-            f"full {family} LP capped at n <= {lp_cap}; "
-            "closed-form bounds remain available"
-        )
+def orbit_quotient(family: str, n: int, enum_cap: int = DEFAULT_ENUM_CAP):
+    """The full deletion or grain LP as row blocks, its orbit quotient LP,
+    and the orbit of each variable and row with the rows' orbit sizes."""
     full = ball_blocks(family, n, enum_cap)
     # reversal commutes with deletion but not with the rightward smear
     use_rev = family == "deletion"
     ground_m = n - 1 if family == "deletion" else n
     v_reps, v_orbit, v_sizes = _word_orbits(ground_m, use_rev)
     c_reps, c_orbit, c_sizes = _word_orbits(n, use_rev)
-
     reps = _ball_lp(_ball_rows(n, family, c_reps), full.objective, full.name)
     counted = count_rows(reps.indptr, np.take(v_orbit, reps.indices), len(v_reps))
     qlp = exactlp.CoveringLP(v_sizes, counted.indptr, counted.indices, counted.data,
                              f"{family}-orbit-n{n}")
-    sol = exactlp.solve_min_transversal(qlp)
+    return full, qlp, v_orbit, c_orbit, c_sizes
+
+
+def _orbit_reduced_solve(n: int, family: str, lp_cap: int | None,
+                         enum_cap: int) -> exactlp.LPSolution:
+    cap = LP_GUARD[family] if lp_cap is None else lp_cap
+    if n > cap:
+        raise CapExceeded(
+            f"full {family} LP capped at n <= {cap}; "
+            "closed-form bounds remain available"
+        )
+    full, qlp, v_orbit, c_orbit, c_sizes = orbit_quotient(family, n, enum_cap)
+    basis, missing = stored_basis(family, n)
+    sol = exactlp.solve_min_transversal(qlp, basis=basis)
+    notes = sol.notes if basis else f"stored basis refused ({missing}), {sol.notes}"
     # the lift indexes the quotient's scaled witnesses by orbit: a word takes
     # its orbit's weight at the same scale, and a row its orbit's dual split
     # evenly, numer * (L / size) over scale * L for L the LCM of the orbit
@@ -318,12 +343,90 @@ def _orbit_reduced_solve(n: int, family: str, lp_cap: int,
                        sol.z.scale * size_lcm)
     lifted = exactlp.certify(
         full, w, z, f"orbit+{sol.method}",
-        f"orbit quotient {len(v_reps)}x{len(c_reps)} ({sol.notes}), "
+        f"orbit quotient {qlp.num_vars}x{qlp.num_rows} ({notes}), "
         "lift re-verified")
     if lifted is None or lifted.optimum != sol.optimum:
         raise GspbError(f"orbit lift of the {family} n={n} quotient failed the "
                         "exact certificate check against the full LP")
     return lifted
+
+
+# ---------------------------------------------------------------------------
+# stored optimal bases of the orbit quotients
+# ---------------------------------------------------------------------------
+
+def write_orbit_bases(path, last: dict[str, int] = LP_GUARD) -> dict:
+    """Solve each family's orbit quotients, from its least n to
+    ``last[family]``, by HiGHS and the exact crossover, write the bases file
+    to ``path`` and return what it holds; ``python -m gspb.orbitbases``
+    writes ``BASES_FILE`` so.
+
+    The file is a JSON object: ``highs``, the HiGHS version used, and under
+    ``bases`` one entry ``"<family>-<n>"`` per cell whose crossover
+    certified on its float basis (not n = 6, whose vertex is degenerate):
+    the quotient's ``shape`` [rows, variables] and the basis's ``support``
+    and ``rows`` as hex bitmasks over its variable and row ids, bit i of the
+    number set for id i."""
+    bases = {}
+    for family, top in last.items():
+        for n in range(_FIRST_N[family], top + 1):
+            qlp = orbit_quotient(family, n)[1]
+            basis = exactlp.solve_min_transversal(qlp).basis
+            if basis is not None:
+                bases[f"{family}-{n}"] = {"shape": list(basis.shape),
+                                          "support": _mask(basis.support),
+                                          "rows": _mask(basis.tight)}
+    doc = {"highs": exactlp.highs_version(), "bases": bases}
+    entries = ",\n".join(f"  {json.dumps(key)}: {json.dumps(entry)}"
+                          for key, entry in bases.items())
+    path.write_text(f'{{"highs": {json.dumps(doc["highs"])}, "bases": {{\n'
+                    f"{entries}\n}}}}\n")
+    return doc
+
+
+def stored_basis(family: str, n: int) -> tuple[exactlp.Basis | None, str]:
+    """The stored optimal basis of the ``family`` n orbit quotient, or None
+    and why there is none.  A hint only: ``exactlp.solve_from_basis`` checks
+    its shape and certifies what it lifts, and the solve falls back to
+    HiGHS when it refuses."""
+    bases, problem = _stored_bases(BASES_FILE)
+    entry = bases.get(f"{family}-{n}")
+    if entry is None:
+        return None, problem or f"none stored for {family} n={n}"
+    try:
+        rows, cols = entry["shape"]
+        return exactlp.Basis((rows, cols), _ids(entry["support"], cols),
+                             _ids(entry["rows"], rows)), ""
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, f"unreadable entry {family}-{n}: {exc!r}"
+
+
+@functools.cache
+def _stored_bases(path) -> tuple[dict, str]:
+    """The entries of the bases file at ``path``, read once per process, and
+    why it gave none (missing or unreadable)."""
+    try:
+        return json.loads(path.read_text())["bases"], ""
+    except FileNotFoundError:
+        return {}, "no bases file"
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return {}, f"unreadable bases file: {exc!r}"
+
+
+def _mask(ids: list[int]) -> str:
+    """The distinct ids as one hex bitmask: bit i of the number is set for
+    id i."""
+    return f"{sum(1 << i for i in ids):x}"
+
+
+def _ids(mask: str, size: int) -> list[int]:
+    """The ids of a ``_mask``, each below ``size`` (``ValueError``
+    otherwise)."""
+    bits = int(mask, 16)
+    if bits >> size:
+        raise ValueError(f"mask sets an id past {size}")
+    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
 
 
 def verify_deletion_transversal(n: int) -> exactlp.TransversalReport:

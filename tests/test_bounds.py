@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspb import bounds, exactlp, reduction
+from gspb import bounds, exactlp, reduction, seqchannels
 from gspb.channels import (ChannelSpec, EnumerationCapExceeded, GspbError,
                            NotMonotoneError, ball_centers, enumerate_vertices,
                            example_four, example_three, example_two, out_ball,
@@ -277,9 +277,11 @@ def test_report_radius_two_carries_no_radius_one_value():
     (ChannelSpec("deletion", n=10), "ipm"),
     (example_two(), "ipm"),
 ], ids=["mag-asym-q4-n8", "projective-2", "deletion-10", "explicit-example-two"])
-def test_report_presolve_method(highs_solvers, spec, solver):
+def test_report_presolve_method(monkeypatch, tmp_path, highs_solvers, spec, solver):
     # the closed-form quotients (a magnitude GSPB, the projective n=2
-    # fallback) take HiGHS's dual simplex; the orbit quotient and an explicit
-    # graph's full LP keep the interior point
+    # fallback) take HiGHS's dual simplex; the orbit quotient, when no
+    # stored basis serves it, and an explicit graph's full LP keep the
+    # interior point
+    monkeypatch.setattr(seqchannels, "BASES_FILE", tmp_path / "absent.json")
     assert bounds.assemble_report(spec).entry("gspb").certified
     assert highs_solvers == [solver]

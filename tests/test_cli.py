@@ -98,7 +98,7 @@ def test_refusals_exit_3(capsys):
 
 
 def test_cap_exit_4(capsys):
-    code, _, err = run(capsys, "compute", "--family", "deletion", "--n", "14",
+    code, _, err = run(capsys, "compute", "--family", "deletion", "--n", "16",
                        "--bound", "gspb")
     assert code == 4 and "cap" in err
     # the message names no cap; the exit code comes from the exception type

@@ -259,11 +259,13 @@ def test_auto_certifies_full_lps_by_crossover(build):
     assert optimum is None or sol.optimum == optimum
 
 
-def test_failed_solve_raises(monkeypatch):
-    # certified or raised: a failed stage is a GspbError naming it, exit 3
+def test_failed_solve_raises(monkeypatch, tmp_path):
+    # certified or raised: a failed stage is a GspbError naming it, exit 3;
+    # with no stored basis the orbit quotient goes to the presolve
     from gspb import cli
     lp = hypergraph_lp(ch.ChannelSpec("z", n=4))
     with monkeypatch.context() as m:
+        m.setattr(seqchannels, "BASES_FILE", tmp_path / "absent.json")
         m.setattr(exactlp, "float_presolve", lambda lp, **kwargs: exactlp.PresolveResult(
             False, None, None, None, "forced failure"))
         with pytest.raises(ch.GspbError, match="forced failure"):
@@ -418,7 +420,7 @@ def orbit_quotient(monkeypatch, family, n):
     """The orbit quotient LP that seqchannels hands to the solver, unsolved."""
     captured = []
 
-    def capture(lp):
+    def capture(lp, **kwargs):
         captured.append(lp)
         raise ch.GspbError("captured")
 
